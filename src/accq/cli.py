@@ -5,10 +5,10 @@ verify (overflow certificates and the derivation self-checks), train
 (sweeps of the toy trainer, CSV out), analyze (feasibility curve of a
 checkpoint), pareto (frontier extraction from sweep CSV).
 
-Exit codes: 0 success, 2 usage, 3 unreadable or malformed input,
-4 verification failure (an overflow or a failed derivation), 5 enumeration
-budget exceeded.  Every subcommand is deterministic given its flags, input
-files, and ACCQ_ENUM_BUDGET.
+Exit codes: 0 success, 2 usage, 3 unreadable or malformed input or an
+out-of-range bit width, 4 verification failure (an overflow or a failed
+derivation), 5 enumeration budget exceeded.  Every subcommand is
+deterministic given its flags, input files, and ACCQ_ENUM_BUDGET.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def _build_grid(ns: argparse.Namespace) -> list[TrainConfig]:
 def cmd_train(ns: argparse.Namespace) -> int:
     try:
         configs = _build_grid(ns)
-    except (InvalidBitWidthError, ValueError) as exc:
+    except ValueError as exc:
         raise _InputError(str(exc)) from exc
     if ns.jobs > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
@@ -229,21 +229,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
         records = [train(cfg) for cfg in configs]
     records.sort(key=SweepRecord.sort_key)
     if ns.json:
-        lines = [
-            json.dumps(
-                {
-                    "variant": r.variant,
-                    "M": r.M,
-                    "N": r.N,
-                    "P": r.P,
-                    "seed": r.seed,
-                    "final_loss": r.final_loss,
-                    "sparsity": r.sparsity,
-                    "min_slack": str(r.min_slack),
-                }
-            )
-            for r in records
-        ]
+        lines = [r.to_json() for r in records]
     else:
         lines = [CSV_HEADER] + [r.csv_row() for r in records]
     text = "\n".join(lines) + "\n"
@@ -261,7 +247,7 @@ def _checkpoint_rows(path: str) -> list[np.ndarray]:
         kind, payload = load_checkpoint(path)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise _InputError(f"bad checkpoint {path}: {exc}") from exc
     if kind == "float":
         return [np.asarray(row, dtype=float) for layer in payload for row in layer]
@@ -309,20 +295,7 @@ def cmd_pareto(ns: argparse.Namespace) -> int:
     frontier = sorted(best.values(), key=lambda r: (r.P, r.variant))
     if ns.json:
         for r in frontier:
-            print(
-                json.dumps(
-                    {
-                        "variant": r.variant,
-                        "P": r.P,
-                        "M": r.M,
-                        "N": r.N,
-                        "seed": r.seed,
-                        "final_loss": r.final_loss,
-                        "sparsity": r.sparsity,
-                        "min_slack": str(r.min_slack),
-                    }
-                )
-            )
+            print(r.to_json())
     else:
         print(CSV_HEADER)
         for r in frontier:
@@ -428,7 +401,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except _InputError as exc:
+    except (_InputError, InvalidBitWidthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationBudgetError as exc:

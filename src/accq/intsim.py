@@ -65,8 +65,11 @@ class AccumWitness:
 
 
 def _int_vector(q) -> list[int]:
+    arr = np.asarray(q)
+    if arr.dtype.kind in "iu":  # integer dtypes hold exact codes already
+        return arr.ravel().tolist()
     out = []
-    for item in np.asarray(q).ravel().tolist():
+    for item in arr.ravel().tolist():
         try:
             as_int = int(item)
         except (ValueError, OverflowError):  # nan / inf
@@ -239,6 +242,7 @@ def verify_domination(w, s: float, q) -> bool:
     for wi, qi in zip(w_arr.tolist(), qs):
         if abs(s * qi) > abs(wi):
             return False
-        if qi != 0 and np.sign(qi) != np.sign(wi):
+        # a nonzero code needs w of the same strict sign
+        if (qi > 0 and not wi > 0) or (qi < 0 and not wi < 0):
             return False
     return True

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import BitWidths, a2q_limit, a2q_plus_limit, int_range
+from .bounds import BitWidths, a2q_limit, int_range
 from .epinit import ZERO_EXPONENT, init_scale, project_l1_ball
 from .errors import AccumulatorOverflowError, DivergenceError
 from .intsim import (
@@ -36,13 +36,14 @@ from .intsim import (
     exhaustive_check,
 )
 from .quantizers import (
-    K_MIN_CENTER,
     LN2,
     ActQuantSpec,
     ChannelWeights,
     QuantResult,
     Variant,
+    channel_budget,
     forward_weights,
+    pre_round_weights,
 )
 
 CSV_HEADER = "variant,M,N,P,seed,final_loss,sparsity,min_slack"
@@ -106,6 +107,21 @@ class SweepRecord:
         return (
             f"{self.variant},{self.M},{self.N},{self.P},{self.seed},"
             f"{self.final_loss!r},{self.sparsity!r},{self.min_slack}"
+        )
+
+    def to_json(self) -> str:
+        """One JSON object, keys in CSV column order; min_slack as its n/d string."""
+        return json.dumps(
+            {
+                "variant": self.variant,
+                "M": self.M,
+                "N": self.N,
+                "P": self.P,
+                "seed": self.seed,
+                "final_loss": self.final_loss,
+                "sparsity": self.sparsity,
+                "min_slack": str(self.min_slack),
+            }
         )
 
     @classmethod
@@ -221,17 +237,19 @@ def make_data(config: TrainConfig) -> DataBundle:
 
 
 def _init_channel(w: np.ndarray, bits: BitWidths, variant: Variant) -> ChannelWeights:
-    """Budget-aware Euclidean-projection init for one output unit.
+    """Budget-aware scale init for one output unit.
 
     The plain coverage scale max|w| / (2^{M-1} - 1) works when the l1 budget
     is loose, but at tight accumulator widths it prices the budget at a few
-    integer units spread over the whole fan-in: projection then collapses the
-    channel to a near one-hot spike and the norm/scale gradients (both carry
-    a factor of g or s) are too small to ever escape.  Floor the scale at
-    mass / limit so such channels start saturating their own integer budget
-    instead.
+    integer units spread over the whole fan-in: projecting onto that ball
+    would collapse the channel to a near one-hot spike, and the norm/scale
+    gradients (both carry a factor of g or s) are too small to ever escape.
+    Floor the scale at mass / limit so such channels start saturating their
+    own integer budget instead.  The floor makes the radius s * limit cover
+    the l1 mass, so the projection below moves w by rounding error at most;
+    it stays because dropping it changes results in the last ulp.
     """
-    limit = _budget_limit(w.size, bits, variant)
+    _, limit = channel_budget(w.size, bits, variant)
     s = init_scale(w, bits.M)
     mass = float(np.abs(w).sum())
     if mass > 0.0:
@@ -252,14 +270,6 @@ def build_network(config: TrainConfig, init_weights) -> ToyNetwork:
     return ToyNetwork(layers=layers, variant=config.variant)
 
 
-def _tape_weights(tape) -> np.ndarray:
-    if tape.degenerate:
-        return np.zeros(tape.K)
-    if tape.variant is Variant.STANDARD:
-        return tape.pre * tape.s
-    return tape.u * tape.G
-
-
 def calibrate(net: ToyNetwork, X: np.ndarray) -> None:
     """Set each activation scale so the observed peak lands on the top code.
 
@@ -271,9 +281,7 @@ def calibrate(net: ToyNetwork, X: np.ndarray) -> None:
         _, hi = int_range(layer.bits.N, layer.bits.act_signed)
         top = float(np.max(np.abs(h))) if h.size else 0.0
         layer.act_exp = math.log2(top / hi) if top > 0.0 else ZERO_EXPONENT
-        W = np.stack(
-            [_tape_weights(forward_weights(ch, layer.bits, net.variant)[1]) for ch in layer.channels]
-        )
+        W = np.stack([pre_round_weights(ch, layer.bits, net.variant) for ch in layer.channels])
         h = h @ W.T + layer.bias
         if i < len(net.layers) - 1:
             h = np.maximum(h, 0.0)
@@ -345,7 +353,7 @@ def forward(net: ToyNetwork, X, quantize: bool = True) -> tuple[np.ndarray, list
             W = np.stack([res.qw for res in results])
         else:
             results = None
-            W = np.stack([_tape_weights(t) for t in tapes])
+            W = np.stack([t.u * t.G for t in tapes])
         y = xq @ W.T + layer.bias
         stores.append(_LayerStore(xq=xq, act_tape=act_tape, W=W, results=results, tapes=tapes, y=y))
         h = y if i == last else np.maximum(y, 0.0)
@@ -378,13 +386,6 @@ def backward(
     return grads  # type: ignore[return-value]
 
 
-def _budget_limit(K: int, bits: BitWidths, variant: Variant) -> Fraction:
-    # same fallback rule as the quantizer: too-short channels lose centering
-    if variant is Variant.A2Q_PLUS and K >= K_MIN_CENTER:
-        return a2q_plus_limit(bits.P, bits.N)
-    return a2q_limit(bits.P, bits.N, bits.act_signed)
-
-
 def reg_penalty(ch: ChannelWeights, bits: BitWidths, variant: Variant) -> float:
     """Hinge on the norm overshoot: max(g - T, 0) with T the channel's weight budget.
 
@@ -393,7 +394,7 @@ def reg_penalty(ch: ChannelWeights, bits: BitWidths, variant: Variant) -> float:
     """
     if variant is Variant.STANDARD:
         return 0.0
-    T = ch.s * float(_budget_limit(ch.K, bits, variant))
+    T = ch.s * float(channel_budget(ch.K, bits, variant)[1])
     return max(ch.g - T, 0.0)
 
 
@@ -407,7 +408,7 @@ def sgd_step(net: ToyNetwork, grads: list[LayerGrads], config: TrainConfig) -> N
             dt = float(lg.dt[j])
             dd = float(lg.dd[j])
             if lam > 0.0:
-                T = ch.s * float(_budget_limit(ch.K, layer.bits, net.variant))
+                T = ch.s * float(channel_budget(ch.K, layer.bits, net.variant)[1])
                 g = ch.g
                 if g > T:
                     dt += lam * g * LN2
@@ -539,7 +540,7 @@ def min_bound_slack(net: ToyNetwork) -> Fraction:
     slack: Fraction | None = None
     for results in quantize_network(net):
         for res in results:
-            here = res.bound - Fraction(int(res.l1_codes))
+            here = res.bound - res.l1_codes
             if slack is None or here < slack:
                 slack = here
     if slack is None:
@@ -629,6 +630,8 @@ def save_float_checkpoint(path, weights) -> None:
 def load_checkpoint(path):
     """Read a checkpoint; returns ("quantized", ToyNetwork) or ("float", weight rows)."""
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("checkpoint must be a JSON object")
     kind = payload.get("kind")
     if kind == "quantized":
         layers = []

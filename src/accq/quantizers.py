@@ -56,7 +56,7 @@ class ChannelWeights:
         self.v = np.atleast_1d(np.asarray(self.v, dtype=float))
         if self.v.ndim != 1 or self.v.size < 1:
             raise ValueError("v must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(self.v)):
+        if not np.isfinite(self.v).all():
             raise NonFiniteInputError("v must be finite")
         self.t = float(self.t)
         self.d = float(self.d)
@@ -108,7 +108,7 @@ class QuantResult:
     q: np.ndarray
     qw: np.ndarray
     s: float
-    l1_codes: float
+    l1_codes: int
     bound: Fraction
     bound_ok: bool
     variant: Variant
@@ -124,6 +124,9 @@ class WeightTape:
     range, while saturated weights block the path into v and t and feel only
     the scale through their pinned code.  backward_smooth() differentiates the
     pre-round weights w, the reference for finite-difference checks.
+
+    u * G is w for every variant: STANDARD carries u = v and G = 1, and a
+    degenerate channel carries u = 0.
     """
 
     variant: Variant
@@ -150,7 +153,7 @@ class WeightTape:
         dG = float(np.dot(dw, self.u))
         du = dw * self.G
         dc = (du - np.sign(self.c) * float(np.dot(du, self.u))) / self.n1
-        dv = dc - dc.mean() if self.centered else dc
+        dv = dc - dc.sum() / self.K if self.centered else dc
         if self.gate_on_g:
             dt = dG * self.g * LN2
             dd = 0.0
@@ -203,19 +206,31 @@ def quantize_standard(w, spec: ActQuantSpec) -> tuple[np.ndarray, np.ndarray]:
     return q, qw
 
 
+def channel_budget(K: int, bits: BitWidths, variant: Variant) -> tuple[Variant, Fraction]:
+    """The variant that actually runs on a length-K channel and its exact l1 code budget.
+
+    A2Q+ channels shorter than K_MIN_CENTER fall back to A2Q, since centering
+    would zero them out.  STANDARD gets the A2Q budget, for information only.
+    """
+    if variant is Variant.A2Q_PLUS and K >= K_MIN_CENTER:
+        return variant, a2q_plus_limit(bits.P, bits.N)
+    active = Variant.A2Q if variant is Variant.A2Q_PLUS else variant
+    return active, a2q_limit(bits.P, bits.N, bits.act_signed)
+
+
 def _degenerate(limit: Fraction, s: float, variant: Variant, fell_back: bool, K: int):
     result = QuantResult(
         q=np.zeros(K, dtype=np.int64),
         qw=np.zeros(K),
         s=s,
-        l1_codes=0.0,
+        l1_codes=0,
         bound=limit,
         bound_ok=True,
         variant=variant,
         fell_back=fell_back,
     )
     tape = WeightTape(
-        variant=variant, centered=False, degenerate=True, c=None, n1=0.0, u=None,
+        variant=variant, centered=False, degenerate=True, c=None, n1=0.0, u=np.zeros(K),
         g=0.0, s=s, T=0.0, G=0.0, gate_on_g=True, pre=None, q=None, K=K,
     )
     return result, tape
@@ -227,6 +242,7 @@ def forward_weights(
     """Quantize one channel and return the backprop tape alongside the result."""
     s = ch.s
     lo, hi = int_range(bits.M, signed=True)
+    active, limit = channel_budget(ch.K, bits, variant)
 
     if variant is Variant.STANDARD:
         pre = ch.v / s
@@ -235,29 +251,23 @@ def forward_weights(
         q = np.clip(raw, lo, hi).astype(np.int64)
         qw = s * q.astype(float)
         l1 = int(np.abs(q).sum())
-        limit = a2q_limit(bits.P, bits.N, bits.act_signed)
-        result = QuantResult(q, qw, s, float(l1), limit, Fraction(l1) <= limit, variant)
+        result = QuantResult(q, qw, s, l1, limit, l1 <= limit, variant)
         tape = WeightTape(
-            variant=variant, centered=False, degenerate=False, c=None, n1=0.0, u=None,
-            g=ch.g, s=s, T=math.inf, G=0.0, gate_on_g=True, pre=pre, q=q.astype(float),
+            variant=variant, centered=False, degenerate=False, c=None, n1=0.0, u=ch.v,
+            g=ch.g, s=s, T=math.inf, G=1.0, gate_on_g=True, pre=pre, q=q.astype(float),
             K=ch.K, in_range=in_range,
         )
         return result, tape
 
-    center = variant is Variant.A2Q_PLUS and ch.K >= K_MIN_CENTER
-    fell_back = variant is Variant.A2Q_PLUS and ch.K < K_MIN_CENTER
-    active = Variant.A2Q if fell_back else variant
-
-    if active is Variant.A2Q_PLUS:
-        limit = a2q_plus_limit(bits.P, bits.N)
-    else:
-        limit = a2q_limit(bits.P, bits.N, bits.act_signed)
+    center = active is Variant.A2Q_PLUS
+    fell_back = active is not variant
 
     if center:
-        c = ch.v - ch.v.mean()
+        # sum / K is mean() bit for bit, minus np.mean's per-call overhead
+        c = ch.v - ch.v.sum() / ch.K
         # the leftover sum scales with ||v||, not ||c||, and near-equal entries
         # cancel badly; one refinement pass makes sum(c) eps-small relative to c
-        c = c - c.mean()
+        c = c - c.sum() / ch.K
     else:
         c = ch.v
     n1 = float(np.abs(c).sum())
@@ -278,14 +288,14 @@ def forward_weights(
     # w/s can round up across an integer edge, leaving |s*q| an ulp above |w|;
     # pull such codes one step toward zero so domination holds in float too
     over = np.abs(qw) > np.abs(w)
-    if np.any(over):
+    if over.any():
         q = np.where(over, q - np.sign(q), q)
         qw = s * q.astype(float)
     l1 = int(np.abs(q).sum())
 
     result = QuantResult(
-        q=q, qw=qw, s=s, l1_codes=float(l1), bound=limit,
-        bound_ok=Fraction(l1) <= limit, variant=active, fell_back=fell_back,
+        q=q, qw=qw, s=s, l1_codes=l1, bound=limit,
+        bound_ok=l1 <= limit, variant=active, fell_back=fell_back,
     )
     tape = WeightTape(
         variant=active, centered=center, degenerate=False, c=c, n1=n1, u=u,
@@ -312,8 +322,4 @@ def quantize_a2q_plus(ch: ChannelWeights, bits: BitWidths) -> QuantResult:
 def pre_round_weights(ch: ChannelWeights, bits: BitWidths, variant: Variant) -> np.ndarray:
     """The constrained real weights w before rounding (for audits and checks)."""
     _, tape = forward_weights(ch, bits, variant)
-    if tape.degenerate:
-        return np.zeros(ch.K)
-    if variant is Variant.STANDARD:
-        return ch.v.copy()
     return tape.u * tape.G

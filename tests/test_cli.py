@@ -24,6 +24,15 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def assert_input_error(capsys, *argv) -> None:
+    """Exit 3 with a single `error:` line on stderr and nothing on stdout."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 # ---------------------------------------------------------------- bounds
 
 def test_bounds_frozen_limits(capsys):
@@ -49,6 +58,10 @@ def test_bounds_json(capsys):
     code, out = run(capsys, "bounds", "--P", "12", "--N", "8", "--json")
     assert code == 0
     assert json.loads(out) == {"a2q_limit": "2047/256", "a2q_plus_limit": "4094/255"}
+
+
+def test_bounds_out_of_range_P_exits_3(capsys):
+    assert_input_error(capsys, "bounds", "--P", "1", "--N", "4")
 
 
 def test_bounds_missing_flags_is_usage_error(capsys):
@@ -123,6 +136,12 @@ def test_verify_garbage_codes_exits_3(tmp_path):
     assert cli.main(["verify", "--weights", str(path), "--P", "8", "--N", "2"]) == 3
 
 
+def test_verify_out_of_range_P_exits_3(tmp_path, capsys):
+    path = tmp_path / "ch.csv"
+    path.write_text("1,2,-3,1\n")
+    assert_input_error(capsys, "verify", "--weights", str(path), "--P", "300", "--N", "4")
+
+
 def test_verify_props_self_checks(capsys):
     code, out = run(capsys, "verify", "--props")
     assert code == 0
@@ -165,14 +184,20 @@ def test_train_grid_is_sorted_and_jobs_invariant(capsys):
     assert keys == sorted(keys)
 
 
-def test_train_json_lines(capsys):
-    code, out = run(
-        capsys, "train", "--M", "4", "--N", "4", "--P", "16", "--seed", "0", "--json", *TRAIN_FAST
-    )
+def test_train_json_lines(tmp_path, capsys):
+    args = ["train", "--M", "4", "--N", "4", "--P", "16", "--seed", "0", *TRAIN_FAST]
+    code, out = run(capsys, *args, "--json")
     assert code == 0
     payload = json.loads(out.strip())
+    assert list(payload) == CSV_HEADER.split(",")
     assert payload["variant"] == "a2q"
     assert 0.0 <= payload["sparsity"] <= 1.0
+    # pareto --json prints the same record in the same shape and key order
+    csv_path = tmp_path / "sweep.csv"
+    assert run(capsys, *args, "--out", str(csv_path))[0] == 0
+    code, frontier = run(capsys, "pareto", "--records", str(csv_path), "--json")
+    assert code == 0
+    assert frontier == out
 
 
 def test_train_out_file(tmp_path, capsys):
@@ -235,6 +260,18 @@ def test_analyze_float_checkpoint(checkpoints, capsys):
     code, out = run(capsys, "analyze", "--ckpt", str(fpath), "--M", "8", "--N", "8", "--pmin", "2", "--pmax", "24")
     assert code == 0
     assert len(out.splitlines()) == 23
+
+
+def test_analyze_out_of_range_M_exits_3(checkpoints, capsys):
+    qpath, _ = checkpoints
+    assert_input_error(capsys, "analyze", "--ckpt", str(qpath), "--M", "1", "--N", "4")
+
+
+@pytest.mark.parametrize("payload", [[1, 2], {"kind": "float", "layers": 5}])
+def test_analyze_malformed_checkpoint_exits_3(payload, tmp_path, capsys):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(payload))
+    assert_input_error(capsys, "analyze", "--ckpt", str(path), "--M", "4", "--N", "4")
 
 
 def test_analyze_bad_checkpoint_exits_3(tmp_path):

@@ -16,6 +16,7 @@ from accq.quantizers import (
     ActQuantSpec,
     ChannelWeights,
     Variant,
+    channel_budget,
     forward_weights,
     pre_round_weights,
     quantize_a2q,
@@ -124,6 +125,7 @@ def test_a2q_frozen_norm_gate():
     assert res.qw.tolist() == [3.0, -3.0]
     assert res.bound == Fraction(127, 16)
     assert res.l1_codes == 6.0 and res.bound_ok
+    assert type(res.l1_codes) is int
     assert res.variant is Variant.A2Q and not res.fell_back
 
 
@@ -156,6 +158,23 @@ def test_a2q_plus_single_weight_falls_back():
     assert np.array_equal(plus.q, base.q)
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("signed", [False, True])
+def test_channel_budget_is_the_quantizers_budget(variant, K, signed):
+    bits = _bits(act_signed=signed)
+    ch = ChannelWeights(v=np.arange(1.0, K + 1.0), t=1.0, d=0.0)
+    res, tape = forward_weights(ch, bits, variant)
+    active, limit = channel_budget(K, bits, variant)
+    centered = variant is Variant.A2Q_PLUS and K >= K_MIN_CENTER
+    assert limit == (a2q_plus_limit(bits.P, bits.N) if centered else a2q_limit(bits.P, bits.N, signed))
+    assert limit == res.bound
+    assert active is res.variant
+    assert res.fell_back == (variant is Variant.A2Q_PLUS and K == 1)
+    assert res.fell_back == (active is not variant)
+    assert np.array_equal(pre_round_weights(ch, bits, variant), tape.u * tape.G)
+
+
 def test_degenerate_channels_quantize_to_zero():
     # constant channel: centering annihilates it
     ch = ChannelWeights(v=[3.0, 3.0], t=2.0, d=0.0)
@@ -167,6 +186,7 @@ def test_degenerate_channels_quantize_to_zero():
     _, tape = forward_weights(ChannelWeights([0.0], 0.0, 0.0), _bits(), Variant.A2Q)
     dv, dt, dd = tape.backward(np.ones(1))
     assert dv.tolist() == [0.0] and dt == 0.0 and dd == 0.0
+    assert pre_round_weights(ch, _bits(), Variant.A2Q_PLUS).tolist() == [0.0, 0.0]
 
 
 def test_codes_saturate_at_weight_register():
@@ -193,6 +213,7 @@ def test_standard_variant_through_channel_api():
     assert res.q.tolist() == [5, -1]
     assert res.qw.tolist() == [2.5, -0.5]
     assert res.variant is Variant.STANDARD
+    assert pre_round_weights(ch, _bits(M=4), Variant.STANDARD).tolist() == [2.3, -0.4]
     dv, dt, dd = tape.backward_smooth(np.array([0.7, -0.2]))
     assert dv.tolist() == [0.7, -0.2] and dt == 0.0 and dd == 0.0
 
