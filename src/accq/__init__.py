@@ -1,98 +1,13 @@
 """Accumulator-aware weight quantization toolkit.
 
 Exact l1 budgets that keep integer dot products inside a fixed-width register,
-quantizers that enforce them per channel, projection-based initialization, an
-exact integer accumulation simulator, and a small quantization-aware trainer
-that ties the pieces together.
+quantizers that enforce them per channel, budget-aware initialization and the
+l1-ball projection, an exact integer accumulation simulator, and a small
+quantization-aware trainer that ties the pieces together.
+
+The submodules are the public surface (``accq.bounds``, ``accq.quantizers``,
+``accq.epinit``, ``accq.intsim``, ``accq.props``, ``accq.qat``, ``accq.cli``,
+``accq.errors``); import names from them.
 """
 
-from .bounds import (
-    BitWidths,
-    RationalBound,
-    a2q_limit,
-    a2q_plus_limit,
-    bound_ratio,
-    int_range,
-    min_acc_width,
-)
-from .epinit import ProjectionResult, ep_init, init_scale, project_l1_ball, weight_quant_error
-from .errors import (
-    AccumulatorOverflowError,
-    DivergenceError,
-    EnumerationBudgetError,
-    HypothesisViolationError,
-    InfeasibleError,
-    InvalidBitWidthError,
-    LengthMismatchError,
-    NonFiniteInputError,
-    NonPositiveRadiusError,
-)
-from .intsim import (
-    AccumulatorSpec,
-    AccumWitness,
-    check_accumulator,
-    exact_dot,
-    exhaustive_check,
-    extremal_max_input,
-    extremal_min_input,
-    verify_domination,
-    wrap,
-    wrapping_dot,
-)
-from .props import (
-    DerivationReport,
-    ZeroSumVector,
-    check_aligned_dot_inequality,
-    check_zero_sum_identities,
-    find_overflow_witness,
-    gen_zero_sum,
-    iter_l1_vectors,
-    iter_zero_sum_vectors,
-    self_check,
-)
-from .qat import (
-    CSV_HEADER,
-    DataBundle,
-    FloatRun,
-    QuantLinear,
-    SweepRecord,
-    TeacherStudentSpec,
-    ToyNetwork,
-    TrainConfig,
-    backward,
-    build_network,
-    calibrate,
-    certify_accumulators,
-    channel_cdf,
-    fit,
-    float_baseline,
-    forward,
-    load_checkpoint,
-    make_data,
-    measure_sparsity,
-    min_bound_slack,
-    quantize_network,
-    reg_penalty,
-    save_checkpoint,
-    save_float_checkpoint,
-    sgd_step,
-    train,
-)
-from .quantizers import (
-    K_MIN_CENTER,
-    ActQuantSpec,
-    ChannelWeights,
-    QuantResult,
-    Variant,
-    WeightTape,
-    forward_weights,
-    pre_round_weights,
-    quantize_a2q,
-    quantize_a2q_plus,
-    quantize_standard,
-    round_to_zero,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

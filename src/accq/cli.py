@@ -5,10 +5,11 @@ verify (overflow certificates and the derivation self-checks), train
 (sweeps of the toy trainer, CSV out), analyze (feasibility curve of a
 checkpoint), pareto (frontier extraction from sweep CSV).
 
-Exit codes: 0 success, 2 usage, 3 unreadable or malformed input or an
-out-of-range bit width, 4 verification failure (an overflow or a failed
-derivation), 5 enumeration budget exceeded.  Every subcommand is
-deterministic given its flags, input files, and ACCQ_ENUM_BUDGET.
+Exit codes: 0 success, 2 usage, 3 bad input (an unreadable or malformed
+input, an out-of-range bit width or a negative seed) or a training run that
+diverged, 4 verification failure (an overflow or a failed derivation), 5
+enumeration budget exceeded.  Every subcommand is deterministic given its
+flags, input files, and ACCQ_ENUM_BUDGET.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .bounds import BitWidths, a2q_limit, a2q_plus_limit, bound_ratio, min_acc_width
 from .epinit import project_l1_ball
 from .errors import (
+    DivergenceError,
     EnumerationBudgetError,
     InvalidBitWidthError,
     NonFiniteInputError,
@@ -70,6 +72,13 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     if not vals:
         raise _InputError(f"{flag} is empty")
     return vals
+
+
+def _check_seeds(seeds: list[int]) -> None:
+    # numpy's generators reject negative seeds with a bare ValueError
+    bad = [s for s in seeds if s < 0]
+    if bad:
+        raise _InputError(f"--seed must be non-negative, got {bad[0]}")
 
 
 def _read_text(path: str) -> str:
@@ -150,6 +159,7 @@ def _verify_channel(codes: list[int], ns: argparse.Namespace) -> dict:
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     if ns.props:
+        _check_seeds([ns.seed])
         results = self_check(seed=ns.seed)
         ok = all(flag for _, flag in results)
         for name, flag in results:
@@ -194,6 +204,7 @@ def _build_grid(ns: argparse.Namespace) -> list[TrainConfig]:
     Ms = _parse_int_list(ns.M, "--M")
     Ns = _parse_int_list(ns.N, "--N")
     seeds = _parse_int_list(ns.seed, "--seed")
+    _check_seeds(seeds)
     k_star = max(TeacherStudentSpec().dims()[:-1])
     configs = []
     for variant in variants:
@@ -401,7 +412,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (_InputError, InvalidBitWidthError) as exc:
+    except (_InputError, InvalidBitWidthError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationBudgetError as exc:

@@ -1,11 +1,15 @@
-"""Euclidean-projection initialization for l1-constrained channels.
+"""l1-ball projection and budget-aware channel initialization.
 
-Shrinking a float channel onto an l1 ball before quantization-aware training
-keeps the large entries nearly intact and zeroes the small ones, rather than
-scaling everything down uniformly.  The projection is the classic sort-based
-soft-threshold: sort magnitudes, find the largest prefix whose running average
-still leaves positive mass after paying for the radius, and subtract that
-threshold from every magnitude, clipping at zero.
+project_l1_ball is the Euclidean projection onto an l1 ball: shrinking a float
+channel onto the ball keeps the large entries nearly intact and zeroes the
+small ones, rather than scaling everything down uniformly.  It is the classic
+sort-based soft-threshold: sort magnitudes, find the largest prefix whose
+running average still leaves positive mass after paying for the radius, and
+subtract that threshold from every magnitude, clipping at zero.
+
+ep_init starts a channel inside its l1 budget without projecting: it floors
+the scale so that the budget ball covers the channel's own l1 mass, on which
+the projection is the identity.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BitWidths, a2q_limit
+from .bounds import BitWidths
 from .errors import NonFiniteInputError, NonPositiveRadiusError
-from .quantizers import ChannelWeights, Variant
+from .quantizers import ChannelWeights, Variant, channel_budget
 
 # exponent used when a channel (or its norm) is identically zero; 2^-30 is far
 # below any realistic scale but keeps every downstream log finite
@@ -57,6 +61,10 @@ def project_l1_ball(w, radius: float) -> ProjectionResult:
     positive = mu - (csum - radius) / idx > 0
     rho = int(idx[positive][-1])
     theta = float((csum[rho - 1] - radius) / rho)
+    if theta <= 0.0:
+        # the unsorted sum put w outside the ball but the sorted cumsum puts
+        # it on or inside: w is on the boundary up to rounding
+        return ProjectionResult(w_arr.copy(), 0.0, False)
     v_star = np.sign(w_arr) * np.maximum(mags - theta, 0.0)
     return ProjectionResult(v_star, theta, True)
 
@@ -73,20 +81,28 @@ def init_scale(w, M: int) -> float:
 
 
 def ep_init(w, bits: BitWidths, variant: Variant = Variant.A2Q) -> ChannelWeights:
-    """Turn a float channel into an in-budget (v, t, d) starting point.
+    """Budget-aware (v, t, d) start for one float channel: v = w, g = ||w||_1.
 
-    The projection radius is the scale times the uncentered l1 budget for both
-    constrained variants; the centered quantizer only tightens from there.  The
-    norm exponent starts at log2 of the projected l1 mass so the quantizer's
-    min gate is initially inactive.
+    The plain coverage scale max|w| / (2^{M-1} - 1) works when the l1 budget
+    is loose, but at tight accumulator widths it prices the budget at a few
+    integer units spread over the whole fan-in: projecting onto that ball
+    would collapse the channel to a near one-hot spike, and the norm/scale
+    gradients (both carry a factor of g or s) are too small to ever escape.
+    So the scale is floored at mass / limit, with the limit from
+    quantizers.channel_budget (the centered budget for A2Q+, the A2Q budget
+    when K = 1 falls back), and the channel starts saturating its own integer
+    budget instead.  The ball of radius s * limit then covers the l1 mass, so
+    the projection onto it is the identity and none is run.  g = ||w||_1 keeps
+    the quantizer's min gate on the norm side.
     """
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+    _, limit = channel_budget(w_arr.size, bits, variant)
     s = init_scale(w_arr, bits.M)
-    radius = s * float(a2q_limit(bits.P, bits.N, bits.act_signed))
-    proj = project_l1_ball(w_arr, radius)
-    g = float(np.abs(proj.v_star).sum())
-    t = math.log2(g) if g > 0.0 else ZERO_EXPONENT
-    return ChannelWeights(v=proj.v_star, t=t, d=math.log2(s))
+    mass = float(np.abs(w_arr).sum())
+    if mass > 0.0:
+        s = max(s, mass / float(limit))
+    t = math.log2(mass) if mass > 0.0 else ZERO_EXPONENT
+    return ChannelWeights(v=w_arr.copy(), t=t, d=math.log2(s))
 
 
 def weight_quant_error(qw, w_ref, normalized: bool = False) -> float:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BitWidths, a2q_limit, int_range
-from .epinit import ZERO_EXPONENT, init_scale, project_l1_ball
+from .epinit import ZERO_EXPONENT, ep_init, init_scale
 from .errors import AccumulatorOverflowError, DivergenceError
 from .intsim import (
     AccumulatorSpec,
@@ -236,36 +236,12 @@ def make_data(config: TrainConfig) -> DataBundle:
     return DataBundle(X_train, y_train, X_test, y_test, init)
 
 
-def _init_channel(w: np.ndarray, bits: BitWidths, variant: Variant) -> ChannelWeights:
-    """Budget-aware scale init for one output unit.
-
-    The plain coverage scale max|w| / (2^{M-1} - 1) works when the l1 budget
-    is loose, but at tight accumulator widths it prices the budget at a few
-    integer units spread over the whole fan-in: projecting onto that ball
-    would collapse the channel to a near one-hot spike, and the norm/scale
-    gradients (both carry a factor of g or s) are too small to ever escape.
-    Floor the scale at mass / limit so such channels start saturating their
-    own integer budget instead.  The floor makes the radius s * limit cover
-    the l1 mass, so the projection below moves w by rounding error at most;
-    it stays because dropping it changes results in the last ulp.
-    """
-    _, limit = channel_budget(w.size, bits, variant)
-    s = init_scale(w, bits.M)
-    mass = float(np.abs(w).sum())
-    if mass > 0.0:
-        s = max(s, mass / float(limit))
-    proj = project_l1_ball(w, s * float(limit))
-    n1 = float(np.abs(proj.v_star).sum())
-    t = math.log2(n1) if n1 > 0.0 else ZERO_EXPONENT
-    return ChannelWeights(v=proj.v_star, t=t, d=math.log2(s))
-
-
 def build_network(config: TrainConfig, init_weights) -> ToyNetwork:
-    """Project a float init onto each channel's budget ball and wrap it up."""
+    """Start each channel at its float init row (epinit.ep_init) and wrap it up."""
     layers = []
     for W, bw in zip(init_weights, _layer_bits(config)):
         W = np.asarray(W, dtype=float)
-        chans = [_init_channel(W[i], bw, config.variant) for i in range(W.shape[0])]
+        chans = [ep_init(W[i], bw, config.variant) for i in range(W.shape[0])]
         layers.append(QuantLinear(channels=chans, bits=bw))
     return ToyNetwork(layers=layers, variant=config.variant)
 

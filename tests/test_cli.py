@@ -24,13 +24,14 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def assert_input_error(capsys, *argv) -> None:
-    """Exit 3 with a single `error:` line on stderr and nothing on stdout."""
+def assert_input_error(capsys, *argv) -> str:
+    """Exit 3 with a single `error:` line on stderr and nothing on stdout; returns that line."""
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    return captured.err
 
 
 # ---------------------------------------------------------------- bounds
@@ -151,6 +152,10 @@ def test_verify_props_self_checks(capsys):
     assert "zero_sum_identities" in names
 
 
+def test_verify_props_negative_seed_exits_3(capsys):
+    assert_input_error(capsys, "verify", "--props", "--seed", "-1")
+
+
 # ---------------------------------------------------------------- train
 
 TRAIN_FAST = ["--epochs", "1", "--batch-size", "256"]
@@ -229,6 +234,20 @@ def test_train_unknown_variant_is_usage_error():
 
 def test_train_bad_bits_is_parse_error():
     assert cli.main(["train", "--M", "0", "--N", "4", "--P", "12", *TRAIN_FAST]) == 3
+
+
+def test_train_negative_seed_exits_3(capsys):
+    assert_input_error(capsys, "train", "--M", "4", "--N", "4", "--P", "12", "--seed", "-1", *TRAIN_FAST)
+
+
+@pytest.mark.parametrize(
+    "lr, epochs, reason",
+    [("1e6", "2", "parameter overflow at epoch 0"), ("nan", "1", "non-finite loss at epoch 0")],
+)
+def test_train_divergence_exits_3(lr, epochs, reason, capsys):
+    with np.errstate(all="ignore"):
+        err = assert_input_error(capsys, "train", "--M", "4", "--N", "4", "--P", "12", "--epochs", epochs, "--lr", lr)
+    assert reason in err
 
 
 # ---------------------------------------------------------------- analyze

@@ -1,10 +1,10 @@
-"""l1-ball projection, projected channel initialization, quantization error."""
+"""l1-ball projection, budget-aware channel initialization, quantization error."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accq.bounds import BitWidths, a2q_limit
@@ -54,6 +54,10 @@ def test_projection_validation():
     radius=st.floats(0.01, 50),
 )
 @settings(max_examples=200)
+# one ulp from the boundary the unsorted sum and the sorted cumsum disagree;
+# these gave theta <= 0, growing every magnitude
+@example(w=[-0.7619, -0.5313, 0.6486], radius=1.9418)
+@example(w=[0.557505042499428, 1.035175301935485, 0.79466107521774], radius=2.387341419652653)
 def test_projection_properties(w, radius):
     w_arr = np.asarray(w, dtype=float)
     res = project_l1_ball(w_arr, radius)
@@ -109,13 +113,19 @@ def test_ep_init_inactive_keeps_weights():
     assert ch.d == math.log2(1.5 / 7.0)
 
 
-def test_ep_init_active_projects_to_budget():
+def test_ep_init_floors_the_scale_at_the_budget():
     bits = BitWidths(M=4, N=2, P=4)
-    # s = 3/7, budget 7/4 -> radius 3/4; [3,1] projects to [3/4, 0]
-    ch = ep_init([3.0, 1.0], bits)
-    assert ch.v == pytest.approx([0.75, 0.0])
-    assert ch.t == pytest.approx(math.log2(0.75))
-    assert ch.d == math.log2(3.0 / 7.0)
+    # the max-abs scale 3/7 is floored at mass / limit = 4 / limit, so the
+    # budget ball covers ||w||_1 = 4 and w starts unprojected with g = 4
+    for variant, limit in [(Variant.A2Q, 7 / 4), (Variant.A2Q_PLUS, 14 / 3)]:
+        ch = ep_init([3.0, 1.0], bits, variant)
+        assert ch.v.tolist() == [3.0, 1.0]
+        assert ch.t == 2.0
+        assert ch.d == math.log2(4.0 / limit)
+    # one weight cannot be centered: A2Q+ falls back to the A2Q limit 7/4
+    ch = ep_init([3.0], bits, Variant.A2Q_PLUS)
+    assert ch.v.tolist() == [3.0]
+    assert ch.d == math.log2(12.0 / 7.0)
 
 
 def test_ep_init_zero_channel_uses_sentinels():
@@ -141,8 +151,8 @@ def test_ep_init_starts_inside_the_budget(variant):
         assert res.bound_ok
         if not tape.degenerate:
             # min gate starts on the norm side: the budget is not yet binding
-            # (an active projection sits exactly on it, where the exp2/log2
-            # round trip may land an ulp over; same G either way)
+            # (a channel whose scale was floored sits exactly on it, where the
+            # exp2/log2 round trip may land an ulp over; same G either way)
             assert tape.gate_on_g or math.isclose(tape.g, tape.T, rel_tol=1e-12)
 
 

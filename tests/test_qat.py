@@ -313,6 +313,19 @@ def test_layer_plan_and_topology():
     assert all(layer.act_spec.zero_point == 0 for layer in net.layers)
 
 
+@pytest.mark.parametrize("variant, P", [(Variant.A2Q_PLUS, 5), (Variant.A2Q, 4)])
+def test_build_network_starts_every_channel_at_its_float_row(variant, P):
+    # the scale floor puts every row inside its budget, so none is projected
+    cfg = TrainConfig(variant=variant, bits=BitWidths(M=4, N=4, P=P), seed=0)
+    init = make_data(cfg).init_weights
+    net = build_network(cfg, init)
+    for W, layer in zip(init, net.layers):
+        for row, ch in zip(W, layer.channels):
+            assert ch.v.tobytes() == row.tobytes()
+            assert ch.t == math.log2(float(np.abs(row).sum()))
+            assert not np.shares_memory(ch.v, W)
+
+
 # ---------------------------------------------------------------- reporting
 
 def _net_from_rows(rows, bits=BitWidths(M=4, N=4, P=20), variant=Variant.A2Q):
