@@ -25,19 +25,26 @@ RationalBound = Fraction
 
 _MAX_BITS = 64
 
+# weight codes are trunc(w / s) in float64.  Up to 52 bits every code sits
+# where the float spacing is below 1, so truncation rounds toward zero; from 53
+# bits on it reaches 1, codes can round away from zero (A2Q+ channels overflow
+# from M = 53), and at M = 64 the clip bound 2^63 - 1 rounds up to 2^63
+MAX_WEIGHT_BITS = 52
 
-def _check_bits(value: int, name: str, low: int) -> None:
+
+def _check_bits(value: int, name: str, low: int, high: int = _MAX_BITS) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidBitWidthError(f"{name} must be an int, got {value!r}")
-    if not low <= value <= _MAX_BITS:
-        raise InvalidBitWidthError(f"{name} must be in [{low}, {_MAX_BITS}], got {value}")
+    if not low <= value <= high:
+        raise InvalidBitWidthError(f"{name} must be in [{low}, {high}], got {value}")
 
 
 @dataclass(frozen=True)
 class BitWidths:
     """Bit widths of one quantized dot product.
 
-    M: signed weight bits (>= 2, sign plus at least one magnitude bit)
+    M: signed weight bits (2 to MAX_WEIGHT_BITS: sign plus at least one
+       magnitude bit, and codes that stay exact in float64)
     N: input (activation) bits (>= 1)
     P: accumulator register bits (>= 2)
     act_signed: whether the N-bit inputs are signed
@@ -49,7 +56,7 @@ class BitWidths:
     act_signed: bool = False
 
     def __post_init__(self) -> None:
-        _check_bits(self.M, "M", 2)
+        _check_bits(self.M, "M", 2, MAX_WEIGHT_BITS)
         _check_bits(self.N, "N", 1)
         _check_bits(self.P, "P", 2)
 

@@ -34,7 +34,7 @@ from .errors import (
 from .intsim import AccumulatorSpec, check_accumulator, enumeration_budget, exhaustive_check
 from .props import self_check
 from .qat import CSV_HEADER, TeacherStudentSpec, SweepRecord, TrainConfig, channel_cdf, load_checkpoint, train
-from .quantizers import Variant, pre_round_weights
+from .quantizers import Variant
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -262,11 +262,7 @@ def _checkpoint_rows(path: str) -> list[np.ndarray]:
         raise _InputError(f"bad checkpoint {path}: {exc}") from exc
     if kind == "float":
         return [np.asarray(row, dtype=float) for layer in payload for row in layer]
-    rows = []
-    for layer in payload.layers:
-        for ch in layer.channels:
-            rows.append(pre_round_weights(ch, layer.bits, payload.variant))
-    return rows
+    return [row for layer in payload.layers for row in layer.quantize(payload.variant)[1].w]
 
 
 def cmd_analyze(ns: argparse.Namespace) -> int:

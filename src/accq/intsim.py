@@ -65,6 +65,10 @@ class AccumWitness:
 
 
 def _int_vector(q) -> list[int]:
+    if type(q) is list and all(type(x) is int for x in q):
+        # already this function's output: check_accumulator hands its
+        # converted codes and input vectors to the helpers below
+        return q
     arr = np.asarray(q)
     if arr.dtype.kind in "iu":  # integer dtypes hold exact codes already
         return arr.ravel().tolist()

@@ -39,11 +39,11 @@ from .quantizers import (
     LN2,
     ActQuantSpec,
     ChannelWeights,
-    QuantResult,
+    LayerResult,
+    LayerTape,
     Variant,
     channel_budget,
-    forward_weights,
-    pre_round_weights,
+    quantize_layer,
 )
 
 CSV_HEADER = "variant,M,N,P,seed,final_loss,sparsity,min_slack"
@@ -143,24 +143,53 @@ class SweepRecord:
 
 @dataclass
 class QuantLinear:
-    """One linear layer: per-output-unit channels plus its input quantizer.
+    """One linear layer: C output channels as arrays, plus its input quantizer.
 
-    The float bias vector rides along unquantized; it lands after the
-    accumulator, so channel overflow audits ignore it.
+    Row i of V (C, K) is channel i's direction, t[i] its norm exponent and
+    d[i] its scale exponent (g = 2^t, s = 2^d).  The float bias vector rides
+    along unquantized; it lands after the accumulator, so channel overflow
+    audits ignore it.
     """
 
-    channels: list[ChannelWeights]
+    V: np.ndarray
+    t: np.ndarray
+    d: np.ndarray
     bits: BitWidths
     bias: np.ndarray = None  # type: ignore[assignment]
     act_exp: float = 0.0
 
     def __post_init__(self) -> None:
         if self.bias is None:
-            self.bias = np.zeros(len(self.channels))
+            self.bias = np.zeros(len(self.V))
+
+    @classmethod
+    def from_channels(cls, channels, bits: BitWidths, **kw) -> "QuantLinear":
+        """Stack ChannelWeights of one length into a layer."""
+        return cls(
+            V=np.stack([ch.v for ch in channels]),
+            t=np.array([ch.t for ch in channels]),
+            d=np.array([ch.d for ch in channels]),
+            bits=bits,
+            **kw,
+        )
+
+    @property
+    def channels(self) -> list[ChannelWeights]:
+        """A copy of each row as a ChannelWeights; editing one leaves the layer alone."""
+        return [ChannelWeights(v=v, t=t, d=d) for v, t, d in zip(self.V.copy(), self.t.tolist(), self.d.tolist())]
 
     @property
     def act_spec(self) -> ActQuantSpec:
         return ActQuantSpec(bits=self.bits.N, signed=self.bits.act_signed, scale=2.0 ** self.act_exp)
+
+    def quantize(self, variant: Variant) -> tuple[LayerResult, LayerTape]:
+        return quantize_layer(self.V, self.t, self.d, self.bits, variant)
+
+    def is_finite(self) -> bool:
+        return bool(
+            np.isfinite(self.V).all() and np.isfinite(self.t).all() and np.isfinite(self.d).all()
+            and np.isfinite(self.bias).all() and math.isfinite(self.act_exp)
+        )
 
 
 @dataclass
@@ -170,10 +199,7 @@ class ToyNetwork:
 
     @property
     def topology(self) -> tuple[int, ...]:
-        dims = [self.layers[0].channels[0].K]
-        for layer in self.layers:
-            dims.append(len(layer.channels))
-        return tuple(dims)
+        return (self.layers[0].V.shape[1], *(len(layer.V) for layer in self.layers))
 
 
 @dataclass(frozen=True)
@@ -241,8 +267,7 @@ def build_network(config: TrainConfig, init_weights) -> ToyNetwork:
     layers = []
     for W, bw in zip(init_weights, _layer_bits(config)):
         W = np.asarray(W, dtype=float)
-        chans = [ep_init(W[i], bw, config.variant) for i in range(W.shape[0])]
-        layers.append(QuantLinear(channels=chans, bits=bw))
+        layers.append(QuantLinear.from_channels([ep_init(row, bw, config.variant) for row in W], bw))
     return ToyNetwork(layers=layers, variant=config.variant)
 
 
@@ -257,8 +282,7 @@ def calibrate(net: ToyNetwork, X: np.ndarray) -> None:
         _, hi = int_range(layer.bits.N, layer.bits.act_signed)
         top = float(np.max(np.abs(h))) if h.size else 0.0
         layer.act_exp = math.log2(top / hi) if top > 0.0 else ZERO_EXPONENT
-        W = np.stack([pre_round_weights(ch, layer.bits, net.variant) for ch in layer.channels])
-        h = h @ W.T + layer.bias
+        h = h @ layer.quantize(net.variant)[1].w.T + layer.bias
         if i < len(net.layers) - 1:
             h = np.maximum(h, 0.0)
 
@@ -273,6 +297,8 @@ class _ActTape:
 
 def _act_forward(x: np.ndarray, layer: QuantLinear) -> tuple[np.ndarray, _ActTape]:
     s = 2.0 ** layer.act_exp
+    if s == 0.0:
+        raise OverflowError("activation scale 2^act_exp underflows to 0")
     lo, hi = int_range(layer.bits.N, layer.bits.act_signed)
     pre = x / s
     raw = np.rint(pre)
@@ -294,18 +320,23 @@ class _LayerStore:
     xq: np.ndarray
     act_tape: _ActTape | None
     W: np.ndarray
-    results: list[QuantResult] | None
-    tapes: list
+    result: LayerResult
+    tape: LayerTape
     y: np.ndarray
 
 
 @dataclass
 class LayerGrads:
-    dv: list[np.ndarray]
+    """Per-layer parameter gradients, plus the forward's per-row g = 2^t and
+    budget norm T that sgd_step's hinge reads."""
+
+    dV: np.ndarray
     dt: np.ndarray
     dd: np.ndarray
     db: np.ndarray
     da: float
+    g: np.ndarray
+    T: np.ndarray
 
 
 def forward(net: ToyNetwork, X, quantize: bool = True) -> tuple[np.ndarray, list[_LayerStore]]:
@@ -322,16 +353,10 @@ def forward(net: ToyNetwork, X, quantize: bool = True) -> tuple[np.ndarray, list
             xq, act_tape = _act_forward(h, layer)
         else:
             xq, act_tape = h, None
-        pairs = [forward_weights(ch, layer.bits, net.variant) for ch in layer.channels]
-        tapes = [tape for _, tape in pairs]
-        if quantize:
-            results = [res for res, _ in pairs]
-            W = np.stack([res.qw for res in results])
-        else:
-            results = None
-            W = np.stack([t.u * t.G for t in tapes])
+        result, tape = layer.quantize(net.variant)
+        W = result.qw if quantize else tape.w
         y = xq @ W.T + layer.bias
-        stores.append(_LayerStore(xq=xq, act_tape=act_tape, W=W, results=results, tapes=tapes, y=y))
+        stores.append(_LayerStore(xq=xq, act_tape=act_tape, W=W, result=result, tape=tape, y=y))
         h = y if i == last else np.maximum(y, 0.0)
     return h, stores
 
@@ -348,17 +373,12 @@ def backward(
         d_y = d_h if i == n - 1 else d_h * (st.y > 0.0)
         dW = d_y.T @ st.xq
         d_xq = d_y @ st.W
-        dv, dt, dd = [], [], []
-        for j, tape in enumerate(st.tapes):
-            gj = tape.backward(dW[j]) if quantize else tape.backward_smooth(dW[j])
-            dv.append(gj[0])
-            dt.append(gj[1])
-            dd.append(gj[2])
+        dV, dt, dd = st.tape.backward(dW) if quantize else st.tape.backward_smooth(dW)
         if quantize:
             d_h, da = _act_backward(d_xq, st.act_tape)
         else:
             d_h, da = d_xq, 0.0
-        grads[i] = LayerGrads(dv=dv, dt=np.array(dt), dd=np.array(dd), db=d_y.sum(axis=0), da=da)
+        grads[i] = LayerGrads(dV=dV, dt=dt, dd=dd, db=d_y.sum(axis=0), da=da, g=st.tape.g, T=st.tape.T)
     return grads  # type: ignore[return-value]
 
 
@@ -380,19 +400,18 @@ def sgd_step(net: ToyNetwork, grads: list[LayerGrads], config: TrainConfig) -> N
     wd = config.weight_decay
     lam = config.lambda_reg
     for layer, lg in zip(net.layers, grads):
-        for j, ch in enumerate(layer.channels):
-            dt = float(lg.dt[j])
-            dd = float(lg.dd[j])
-            if lam > 0.0:
-                T = ch.s * float(channel_budget(ch.K, layer.bits, net.variant)[1])
-                g = ch.g
-                if g > T:
-                    dt += lam * g * LN2
-                    dd -= lam * T * LN2
-            ch.v = ch.v - lr * (lg.dv[j] + wd * ch.v)
-            ch.t = ch.t - lr * dt
-            ch.d = ch.d - lr * dd
-        layer.bias = layer.bias - lr * lg.db
+        dt, dd = lg.dt, lg.dd
+        if lam > 0.0:
+            # reg_penalty's hinge max(g - T, 0) on every channel of the layer
+            over = lg.g > lg.T
+            dt = np.where(over, dt + lam * lg.g * LN2, dt)
+            dd = np.where(over, dd - lam * lg.T * LN2, dd)
+        # a diverging step may overflow or meet inf * 0; fit checks the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            layer.V = layer.V - lr * (lg.dV + wd * layer.V)
+            layer.t = layer.t - lr * dt
+            layer.d = layer.d - lr * dd
+            layer.bias = layer.bias - lr * lg.db
         layer.act_exp -= lr * lg.da
 
 
@@ -419,18 +438,17 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
         for start in range(0, n, step):
             idx = perm[start : start + step]
             xb, yb = data.X_train[idx], data.y_train[idx]
-            try:
-                pred, stores = forward(net, xb, quantize=True)
-            except OverflowError as exc:
-                # a runaway exponent breaks 2**t before the loss can go NaN
-                raise DivergenceError(f"parameter overflow at epoch {epoch}") from exc
+            pred, stores = _quantized_forward(net, xb, f"epoch {epoch}")
             loss = mse(pred, yb)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             d_pred = 2.0 * (pred - yb) / pred.size
             grads = backward(net, stores, d_pred, quantize=True)
             sgd_step(net, grads, config)
-    final_loss = mse(forward(net, data.X_test, quantize=True)[0], data.y_test)
+            if not all(layer.is_finite() for layer in net.layers):
+                # the next loss cannot be finite; stop before numpy casts NaNs
+                raise DivergenceError(f"non-finite loss at epoch {epoch}: an SGD step made a parameter non-finite")
+    final_loss = mse(_quantized_forward(net, data.X_test, "the final evaluation")[0], data.y_test)
     if not math.isfinite(final_loss):
         raise DivergenceError("non-finite final loss")
     certify_accumulators(net)
@@ -445,6 +463,15 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
         min_slack=min_bound_slack(net),
     )
     return net, record
+
+
+def _quantized_forward(net: ToyNetwork, X, when: str) -> tuple[np.ndarray, list[_LayerStore]]:
+    try:
+        return forward(net, X, quantize=True)
+    except OverflowError as exc:
+        # a runaway exponent breaks 2**t, or sends a scale to 0, before the
+        # loss can go NaN
+        raise DivergenceError(f"parameter overflow at {when}") from exc
 
 
 def train(config: TrainConfig) -> SweepRecord:
@@ -493,35 +520,20 @@ def float_baseline(config: TrainConfig) -> FloatRun:
     return FloatRun(final_loss=final_loss, weights=tuple(W))
 
 
-def quantize_network(net: ToyNetwork) -> list[list[QuantResult]]:
-    return [
-        [forward_weights(ch, layer.bits, net.variant)[0] for ch in layer.channels]
-        for layer in net.layers
-    ]
+def quantize_network(net: ToyNetwork) -> list[LayerResult]:
+    return [layer.quantize(net.variant)[0] for layer in net.layers]
 
 
 def measure_sparsity(net: ToyNetwork) -> float:
     """Fraction of integer weight codes equal to zero across the quantized layers."""
-    zeros = 0
-    total = 0
-    for results in quantize_network(net):
-        for res in results:
-            zeros += int(np.count_nonzero(res.q == 0))
-            total += res.q.size
-    return zeros / total
+    results = quantize_network(net)
+    zeros = sum(int(np.count_nonzero(res.q == 0)) for res in results)
+    return zeros / sum(res.q.size for res in results)
 
 
 def min_bound_slack(net: ToyNetwork) -> Fraction:
     """Tightest channel's budget minus its integer l1 mass, as an exact rational."""
-    slack: Fraction | None = None
-    for results in quantize_network(net):
-        for res in results:
-            here = res.bound - res.l1_codes
-            if slack is None or here < slack:
-                slack = here
-    if slack is None:
-        raise ValueError("network has no channels")
-    return slack
+    return min(res.bound - max(res.l1_codes) for res in quantize_network(net))
 
 
 def certify_accumulators(net: ToyNetwork, budget: int | None = None) -> None:
@@ -532,18 +544,17 @@ def certify_accumulators(net: ToyNetwork, budget: int | None = None) -> None:
     sweep; the two routes must agree.
     """
     cap = enumeration_budget(budget)
-    for li, layer in enumerate(net.layers):
+    for li, (layer, res) in enumerate(zip(net.layers, quantize_network(net))):
         spec = AccumulatorSpec(P=layer.bits.P)
-        for ci, ch in enumerate(layer.channels):
-            res = forward_weights(ch, layer.bits, net.variant)[0]
-            codes = [int(c) for c in res.q]
+        exhaustive = (1 << layer.bits.N) ** res.q.shape[1] <= cap
+        for ci, codes in enumerate(res.q.tolist()):
             wit = check_accumulator(codes, layer.bits.N, layer.bits.act_signed, spec)
             if wit.overflowed:
                 raise AccumulatorOverflowError(
                     f"layer {li} channel {ci}: worst-case dot range "
                     f"[{wit.true_min}, {wit.true_max}] escapes P={layer.bits.P}"
                 )
-            if ((1 << layer.bits.N) ** len(codes)) <= cap:
+            if exhaustive:
                 wit2 = exhaustive_check(codes, layer.bits.N, layer.bits.act_signed, spec, budget=budget)
                 if wit2.overflowed:
                     raise AccumulatorOverflowError(
@@ -583,7 +594,10 @@ def save_checkpoint(path, net: ToyNetwork) -> None:
                 },
                 "act_exp": layer.act_exp,
                 "bias": layer.bias.tolist(),
-                "channels": [{"v": ch.v.tolist(), "t": ch.t, "d": ch.d} for ch in layer.channels],
+                "channels": [
+                    {"v": v, "t": t, "d": d}
+                    for v, t, d in zip(layer.V.tolist(), layer.t.tolist(), layer.d.tolist())
+                ],
             }
             for layer in net.layers
         ],
@@ -619,11 +633,8 @@ def load_checkpoint(path):
                 for c in entry["channels"]
             ]
             layers.append(
-                QuantLinear(
-                    channels=chans,
-                    bits=bw,
-                    bias=np.asarray(entry["bias"], dtype=float),
-                    act_exp=float(entry["act_exp"]),
+                QuantLinear.from_channels(
+                    chans, bw, bias=np.asarray(entry["bias"], dtype=float), act_exp=float(entry["act_exp"])
                 )
             )
         return "quantized", ToyNetwork(layers=layers, variant=Variant(payload["variant"]))

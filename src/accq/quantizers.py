@@ -1,4 +1,4 @@
-"""Per-channel weight quantizers with l1 accumulator guarantees.
+"""Layer-batched weight quantizers with per-channel l1 accumulator guarantees.
 
 The constrained quantizers reparameterize each output channel as a direction v
 with a separate norm g = 2^t and scale s = 2^d.  The real-valued weights are
@@ -10,6 +10,15 @@ the scale times the applicable l1 code budget.  Integer codes are produced by
 rounding w/s toward zero, which can only shrink magnitudes, so the pre-round l1
 certificate survives rounding.  The zero-sum structure of the centered variant
 is what buys its wider budget.
+
+All channels of a layer share K and bit widths, so the work is done per layer:
+quantize_layer takes the directions as a (C, K) array and t, d as (C,) arrays,
+and returns (C, K) codes plus a LayerTape whose backward passes return
+(dV, dt, dd) arrays.  forward_weights and WeightTape are its C = 1 view for
+callers that hold a single ChannelWeights.  Row reductions use sum(axis=1) and
+np.vecdot, which equal the per-row sum() and np.dot bit for bit, and 2^t, 2^d
+use Python's float pow per row (np.exp2 differs in the last bit), so a layer's
+row i is exactly what channel i gives alone.
 
 Certificates on integer codes are checked exactly (Fraction vs. int), never in
 floats.
@@ -23,6 +32,7 @@ gradient goes to the g side (min treated as left-continuous).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,7 +106,7 @@ class ActQuantSpec:
             raise NonFiniteInputError(f"scale must be positive and finite, got {self.scale!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class QuantResult:
     """Outcome of quantizing one channel.
 
@@ -116,74 +126,112 @@ class QuantResult:
 
 
 @dataclass
-class WeightTape:
-    """Saved forward state for manual backprop through one channel.
+class LayerResult:
+    """Outcome of quantizing a layer; row i of every array is channel i.
+
+    q, qw are (C, K) and s is (C,).  l1_codes and bound_ok hold one Python int
+    and one bool per row: the certificate l1 <= bound against the shared budget
+    is checked in exact integers.
+    """
+
+    q: np.ndarray
+    qw: np.ndarray
+    s: np.ndarray
+    l1_codes: list[int]
+    bound: Fraction
+    bound_ok: list[bool]
+    variant: Variant
+    fell_back: bool = False
+
+
+@dataclass
+class LayerTape:
+    """Saved forward state for manual backprop through a layer of channels.
 
     backward() differentiates the quantized output under the clipped
     straight-through convention: rounding has unit slope inside the code
     range, while saturated weights block the path into v and t and feel only
     the scale through their pinned code.  backward_smooth() differentiates the
-    pre-round weights w, the reference for finite-difference checks.
+    pre-round weights w, the reference for finite-difference checks.  Both take
+    a (C, K) upstream gradient and return (dV (C, K), dt (C,), dd (C,)).
 
-    u * G is w for every variant: STANDARD carries u = v and G = 1, and a
-    degenerate channel carries u = 0.
+    w = u * G is the pre-round weights for every variant: STANDARD carries
+    u = V and G = 1, and a degenerate row (all zero after centering) carries
+    u = 0 and G = 0, which zero every gradient of it.
     """
 
     variant: Variant
     centered: bool
-    degenerate: bool
+    degenerate: np.ndarray
     c: np.ndarray | None
-    n1: float
-    u: np.ndarray | None
-    g: float
-    s: float
-    T: float
-    G: float
-    gate_on_g: bool
-    pre: np.ndarray | None
-    q: np.ndarray | None
-    K: int
-    in_range: np.ndarray | None = None
+    n1: np.ndarray
+    u: np.ndarray
+    g: np.ndarray
+    s: np.ndarray
+    T: np.ndarray
+    G: np.ndarray
+    gate_on_g: np.ndarray
+    w: np.ndarray
+    pre: np.ndarray
+    q: np.ndarray
+    in_range: np.ndarray
 
-    def _zeros(self) -> tuple[np.ndarray, float, float]:
-        return np.zeros(self.K), 0.0, 0.0
+    @property
+    def K(self) -> int:
+        return self.u.shape[1]
 
-    def _through_reparam(self, dw: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """Gradient of w = (c/||c||_1) * min(g, T) w.r.t. v, t, d."""
-        dG = float(np.dot(dw, self.u))
-        du = dw * self.G
-        dc = (du - np.sign(self.c) * float(np.dot(du, self.u))) / self.n1
-        dv = dc - dc.sum() / self.K if self.centered else dc
-        if self.gate_on_g:
-            dt = dG * self.g * LN2
-            dd = 0.0
-        else:
-            dt = 0.0
-            dd = dG * self.T * LN2  # T = s * budget, so dT/dd = T ln 2
-        return dv, dt, dd
+    def _through_reparam(self, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gradient of w = (c/||c||_1) * min(g, T) w.r.t. V, t, d."""
+        dG = np.vecdot(dw, self.u)
+        du = dw * self.G[:, None]
+        dc = (du - np.sign(self.c) * np.vecdot(du, self.u)[:, None]) / self.n1[:, None]
+        dv = dc - (dc.sum(axis=1) / self.K)[:, None] if self.centered else dc
+        # G is g on the gate and T = s * budget off it, and dT/dd = T ln 2
+        d_exp = dG * self.G * LN2
+        return dv, np.where(self.gate_on_g, d_exp, 0.0), np.where(self.gate_on_g, 0.0, d_exp)
 
-    def backward_smooth(self, d_w: np.ndarray) -> tuple[np.ndarray, float, float]:
-        if self.degenerate:
-            return self._zeros()
+    def backward_smooth(self, d_w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         d_w = np.asarray(d_w, dtype=float)
         if self.variant is Variant.STANDARD:
-            return d_w.copy(), 0.0, 0.0
+            zeros = np.zeros(len(d_w))
+            return d_w.copy(), zeros, zeros.copy()
         return self._through_reparam(d_w)
 
-    def backward(self, d_qw: np.ndarray) -> tuple[np.ndarray, float, float]:
-        if self.degenerate:
-            return self._zeros()
+    def backward(self, d_qw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         d_qw = np.asarray(d_qw, dtype=float)
         gated = d_qw * self.in_range
         if self.variant is Variant.STANDARD:
-            dv, dt, dd = gated.copy(), 0.0, 0.0
+            dv, dt, dd = gated, np.zeros(len(d_qw)), np.zeros(len(d_qw))
         else:
             dv, dt, dd = self._through_reparam(gated)
         # d(s*q)/ds: rounding residual q - w/s in range, the saturated code
         # outside, then chain s = 2^d
         resid = np.where(self.in_range, self.q - self.pre, self.q)
-        dd += float(np.dot(d_qw, resid)) * self.s * LN2
-        return dv, dt, dd
+        return dv, dt, dd + np.vecdot(d_qw, resid) * self.s * LN2
+
+
+class WeightTape:
+    """One channel's tape: the C = 1 view of a LayerTape.
+
+    Every per-row field of the layer tape reads as its only row (tape.u is a
+    (K,) vector, tape.g a scalar), and the backward passes take and return
+    one channel's gradients.
+    """
+
+    def __init__(self, layer: LayerTape) -> None:
+        self.layer = layer
+
+    def __getattr__(self, name: str):
+        value = getattr(self.layer, name)
+        return value[0] if isinstance(value, np.ndarray) else value
+
+    def backward_smooth(self, d_w) -> tuple[np.ndarray, float, float]:
+        dv, dt, dd = self.layer.backward_smooth(np.asarray(d_w, dtype=float)[None])
+        return dv[0], float(dt[0]), float(dd[0])
+
+    def backward(self, d_qw) -> tuple[np.ndarray, float, float]:
+        dv, dt, dd = self.layer.backward(np.asarray(d_qw, dtype=float)[None])
+        return dv[0], float(dt[0]), float(dd[0])
 
 
 def round_to_zero(x) -> np.ndarray:
@@ -206,11 +254,14 @@ def quantize_standard(w, spec: ActQuantSpec) -> tuple[np.ndarray, np.ndarray]:
     return q, qw
 
 
+@functools.lru_cache(maxsize=1024)
 def channel_budget(K: int, bits: BitWidths, variant: Variant) -> tuple[Variant, Fraction]:
     """The variant that actually runs on a length-K channel and its exact l1 code budget.
 
     A2Q+ channels shorter than K_MIN_CENTER fall back to A2Q, since centering
     would zero them out.  STANDARD gets the A2Q budget, for information only.
+    Cached: one-row calls pay the Fraction construction otherwise, and the
+    result (an enum member and an immutable Fraction) is safe to share.
     """
     if variant is Variant.A2Q_PLUS and K >= K_MIN_CENTER:
         return variant, a2q_plus_limit(bits.P, bits.N)
@@ -218,20 +269,103 @@ def channel_budget(K: int, bits: BitWidths, variant: Variant) -> tuple[Variant, 
     return active, a2q_limit(bits.P, bits.N, bits.act_signed)
 
 
-def _degenerate(limit: Fraction, s: float, variant: Variant, fell_back: bool, K: int):
-    result = QuantResult(
-        q=np.zeros(K, dtype=np.int64),
-        qw=np.zeros(K),
-        s=s,
-        l1_codes=0,
-        bound=limit,
-        bound_ok=True,
-        variant=variant,
-        fell_back=fell_back,
+def _shrink_rows(q: np.ndarray, rows: list[int], cap: int) -> np.ndarray:
+    """Scale the listed rows' code magnitudes by cap / l1, in exact integers, flooring.
+
+    Only reachable when the budget is wider than float's exact integers, where
+    round-off in T (the budget itself rounds up to a float) and in the l1
+    normalization can leave a row a few codes over its exact budget.
+    """
+    q = q.copy()
+    for i in rows:
+        row = q[i].tolist()
+        total = sum(abs(x) for x in row)
+        q[i] = [abs(x) * cap // total * (1 if x > 0 else -1) for x in row]
+    return q
+
+
+def quantize_layer(
+    V: np.ndarray, t: np.ndarray, d: np.ndarray, bits: BitWidths, variant: Variant
+) -> tuple[LayerResult, LayerTape]:
+    """Quantize a (C, K) layer of channels and return the backprop tape alongside.
+
+    Row i uses direction V[i], norm 2^t[i] and scale 2^d[i]; every row shares
+    K, the bit widths and so one budget Fraction.  Raises OverflowError when a
+    norm or scale exponent leaves float range, a scale that underflows to 0
+    (which weights are divided by) included.
+    """
+    C, K = V.shape
+    lo, hi = int_range(bits.M, signed=True)
+    active, limit = channel_budget(K, bits, variant)
+    center = active is Variant.A2Q_PLUS
+    # 2^t, 2^d and T = s * budget per row in Python floats: np.exp2 differs
+    # from Python's pow in the last bit, Python's pow raises OverflowError
+    # where numpy returns inf, and an overflowing T stays a silent inf
+    s = [2.0 ** e for e in d.tolist()]
+    if 0.0 in s:
+        raise OverflowError("scale 2^d underflows to 0")
+    budget = float(limit)
+    g, s, T = np.array([[2.0 ** e for e in t.tolist()], s, [x * budget for x in s]])
+    s_col = s[:, None]
+
+    if variant is Variant.STANDARD:
+        c = None
+        n1 = np.zeros(C)
+        degenerate = np.zeros(C, dtype=bool)
+        u, G, T, gate_on_g = V, np.ones(C), np.full(C, math.inf), np.ones(C, dtype=bool)
+    else:
+        if center:
+            # sum / K is mean() bit for bit, minus np.mean's per-call overhead
+            c = V - V.sum(axis=1, keepdims=True) / float(K)
+            # the leftover sum scales with ||v||, not ||c||, and near-equal entries
+            # cancel badly; one refinement pass makes sum(c) eps-small relative to c
+            c = c - c.sum(axis=1, keepdims=True) / float(K)
+        else:
+            c = V
+        n1 = np.abs(c).sum(axis=1)
+        gate_on_g = g <= T
+        G = np.minimum(g, T)
+        degenerate = np.zeros(C, dtype=bool)
+        if np.count_nonzero(n1) < C:
+            # an all-zero row (after centering) quantizes to zero codes
+            degenerate = n1 == 0.0
+            n1 = np.where(degenerate, 1.0, n1)
+            G = np.where(degenerate, 0.0, G)
+        u = c / n1[:, None]
+    w = u * G[:, None]
+    pre = w / s_col
+    # STANDARD rounds to nearest; the budgeted variants round toward zero
+    raw = np.rint(pre) if variant is Variant.STANDARD else np.trunc(pre)
+    clipped = raw.clip(lo, hi)
+    in_range = clipped == raw
+    q = clipped.astype(np.int64)
+    qf = q.astype(float)
+    qw = s_col * qf
+    if variant is not Variant.STANDARD:
+        # w/s can round up across an integer edge, leaving |s*q| an ulp above |w|;
+        # pull such codes one step toward zero so domination holds in float too
+        over = np.abs(qw) > np.abs(w)
+        if np.count_nonzero(over):
+            q = np.where(over, q - np.sign(q), q)
+            qf = q.astype(float)
+            qw = s_col * qf
+    l1 = np.abs(q).sum(axis=1).tolist()
+    # the exact certificate: l1 <= limit in integers, i.e. l1 <= floor(limit)
+    cap = limit.numerator // limit.denominator
+    if max(l1) > cap and variant is not Variant.STANDARD:
+        q = _shrink_rows(q, [i for i, x in enumerate(l1) if x > cap], cap)
+        qf = q.astype(float)
+        qw = s_col * qf
+        l1 = np.abs(q).sum(axis=1).tolist()
+
+    result = LayerResult(
+        q=q, qw=qw, s=s, l1_codes=l1, bound=limit,
+        bound_ok=[x <= cap for x in l1], variant=active, fell_back=active is not variant,
     )
-    tape = WeightTape(
-        variant=variant, centered=False, degenerate=True, c=None, n1=0.0, u=np.zeros(K),
-        g=0.0, s=s, T=0.0, G=0.0, gate_on_g=True, pre=None, q=None, K=K,
+    tape = LayerTape(
+        variant=active, centered=center, degenerate=degenerate, c=c, n1=n1, u=u,
+        g=g, s=s, T=T, G=G, gate_on_g=gate_on_g, w=w, pre=pre, q=qf,
+        in_range=in_range,
     )
     return result, tape
 
@@ -239,70 +373,13 @@ def _degenerate(limit: Fraction, s: float, variant: Variant, fell_back: bool, K:
 def forward_weights(
     ch: ChannelWeights, bits: BitWidths, variant: Variant
 ) -> tuple[QuantResult, WeightTape]:
-    """Quantize one channel and return the backprop tape alongside the result."""
-    s = ch.s
-    lo, hi = int_range(bits.M, signed=True)
-    active, limit = channel_budget(ch.K, bits, variant)
-
-    if variant is Variant.STANDARD:
-        pre = ch.v / s
-        raw = np.rint(pre)
-        in_range = (raw >= lo) & (raw <= hi)
-        q = np.clip(raw, lo, hi).astype(np.int64)
-        qw = s * q.astype(float)
-        l1 = int(np.abs(q).sum())
-        result = QuantResult(q, qw, s, l1, limit, l1 <= limit, variant)
-        tape = WeightTape(
-            variant=variant, centered=False, degenerate=False, c=None, n1=0.0, u=ch.v,
-            g=ch.g, s=s, T=math.inf, G=1.0, gate_on_g=True, pre=pre, q=q.astype(float),
-            K=ch.K, in_range=in_range,
-        )
-        return result, tape
-
-    center = active is Variant.A2Q_PLUS
-    fell_back = active is not variant
-
-    if center:
-        # sum / K is mean() bit for bit, minus np.mean's per-call overhead
-        c = ch.v - ch.v.sum() / ch.K
-        # the leftover sum scales with ||v||, not ||c||, and near-equal entries
-        # cancel badly; one refinement pass makes sum(c) eps-small relative to c
-        c = c - c.sum() / ch.K
-    else:
-        c = ch.v
-    n1 = float(np.abs(c).sum())
-    if n1 == 0.0:
-        return _degenerate(limit, s, active, fell_back, ch.K)
-
-    g = ch.g
-    T = s * float(limit)
-    gate_on_g = g <= T
-    G = g if gate_on_g else T
-    u = c / n1
-    w = u * G
-    pre = w / s
-    raw = round_to_zero(pre)
-    in_range = (raw >= lo) & (raw <= hi)
-    q = np.clip(raw, lo, hi).astype(np.int64)
-    qw = s * q.astype(float)
-    # w/s can round up across an integer edge, leaving |s*q| an ulp above |w|;
-    # pull such codes one step toward zero so domination holds in float too
-    over = np.abs(qw) > np.abs(w)
-    if over.any():
-        q = np.where(over, q - np.sign(q), q)
-        qw = s * q.astype(float)
-    l1 = int(np.abs(q).sum())
-
+    """Quantize one channel: quantize_layer on a one-row layer."""
+    res, tape = quantize_layer(ch.v[None], np.array([ch.t]), np.array([ch.d]), bits, variant)
     result = QuantResult(
-        q=q, qw=qw, s=s, l1_codes=l1, bound=limit,
-        bound_ok=l1 <= limit, variant=active, fell_back=fell_back,
+        q=res.q[0], qw=res.qw[0], s=float(res.s[0]), l1_codes=res.l1_codes[0], bound=res.bound,
+        bound_ok=res.bound_ok[0], variant=res.variant, fell_back=res.fell_back,
     )
-    tape = WeightTape(
-        variant=active, centered=center, degenerate=False, c=c, n1=n1, u=u,
-        g=g, s=s, T=T, G=G, gate_on_g=gate_on_g, pre=pre, q=q.astype(float), K=ch.K,
-        in_range=in_range,
-    )
-    return result, tape
+    return result, WeightTape(tape)
 
 
 def quantize_a2q(ch: ChannelWeights, bits: BitWidths) -> QuantResult:
@@ -321,5 +398,4 @@ def quantize_a2q_plus(ch: ChannelWeights, bits: BitWidths) -> QuantResult:
 
 def pre_round_weights(ch: ChannelWeights, bits: BitWidths, variant: Variant) -> np.ndarray:
     """The constrained real weights w before rounding (for audits and checks)."""
-    _, tape = forward_weights(ch, bits, variant)
-    return tape.u * tape.G
+    return forward_weights(ch, bits, variant)[1].w

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accq.bounds import (
+    MAX_WEIGHT_BITS,
     BitWidths,
     a2q_limit,
     a2q_plus_limit,
@@ -95,6 +96,14 @@ def test_bitwidths_validation():
         BitWidths(M=8, N=4, P=1)
     with pytest.raises(InvalidBitWidthError):
         BitWidths(M=8, N=4, P=65)
+
+
+def test_weight_bits_stop_where_float_codes_stop_being_exact():
+    assert MAX_WEIGHT_BITS == 52
+    assert BitWidths(M=52, N=64, P=64).M == 52
+    for M in (53, 64):
+        with pytest.raises(InvalidBitWidthError):
+            BitWidths(M=M, N=4, P=16)
 
 
 def test_rejects_bool_and_non_integer_widths():

@@ -1,6 +1,10 @@
 """CLI: frozen examples, exit codes, determinism, pareto frontier rules."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,10 @@ from accq.qat import (
     save_float_checkpoint,
 )
 from accq.quantizers import Variant
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN_CSV = Path(__file__).parent / "data" / "train_golden.csv"
 
 
 def run(capsys, *argv):
@@ -240,6 +248,20 @@ def test_train_negative_seed_exits_3(capsys):
     assert_input_error(capsys, "train", "--M", "4", "--N", "4", "--P", "12", "--seed", "-1", *TRAIN_FAST)
 
 
+def test_train_csv_matches_golden_file(capsys):
+    # the file pins the CSV bytes across refactors of the quantizer and trainer
+    code, out = run(
+        capsys, "train", "--variant", "a2q,a2q+", "--M", "4", "--N", "4", "--P", "12,32",
+        "--seed", "0,1", "--epochs", "4",
+    )
+    assert code == 0
+    assert out.encode() == GOLDEN_CSV.read_bytes()
+
+
+def test_train_too_wide_weights_exits_3(capsys):
+    assert_input_error(capsys, "train", "--M", "53", "--N", "4", "--P", "12", *TRAIN_FAST)
+
+
 @pytest.mark.parametrize(
     "lr, epochs, reason",
     [("1e6", "2", "parameter overflow at epoch 0"), ("nan", "1", "non-finite loss at epoch 0")],
@@ -248,6 +270,22 @@ def test_train_divergence_exits_3(lr, epochs, reason, capsys):
     with np.errstate(all="ignore"):
         err = assert_input_error(capsys, "train", "--M", "4", "--N", "4", "--P", "12", "--epochs", epochs, "--lr", lr)
     assert reason in err
+
+
+@pytest.mark.parametrize("lr", ["nan", "1e6"])
+def test_train_divergence_prints_one_line_from_a_shell(lr):
+    # a child process shows the stderr a shell user sees: numpy warnings are
+    # not captured there, so any stray one would precede the error line
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    argv = ["train", "--M", "4", "--N", "4", "--P", "12", "--epochs", "2", "--lr", lr]
+    proc = subprocess.run(
+        [sys.executable, "-m", "accq.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 # ---------------------------------------------------------------- analyze
@@ -284,6 +322,11 @@ def test_analyze_float_checkpoint(checkpoints, capsys):
 def test_analyze_out_of_range_M_exits_3(checkpoints, capsys):
     qpath, _ = checkpoints
     assert_input_error(capsys, "analyze", "--ckpt", str(qpath), "--M", "1", "--N", "4")
+
+
+def test_analyze_too_wide_weights_exits_3(checkpoints, capsys):
+    qpath, _ = checkpoints
+    assert_input_error(capsys, "analyze", "--ckpt", str(qpath), "--M", "53", "--N", "4")
 
 
 @pytest.mark.parametrize("payload", [[1, 2], {"kind": "float", "layers": 5}])

@@ -154,8 +154,8 @@ def fd_relative_errors(seed: int, h: float = 1e-4):
         data = make_data(cfg)
         net = build_network(cfg, data.init_weights)
         for layer in net.layers:
-            for j, ch in enumerate(layer.channels):
-                ch.t += -0.3 if j % 2 == 0 else 0.3
+            layer.t[0::2] += -0.3
+            layer.t[1::2] += 0.3
         X, y = data.X_test[:32], data.y_test[:32]
 
         pred, stores = forward(net, X, quantize=False)
@@ -163,13 +163,13 @@ def fd_relative_errors(seed: int, h: float = 1e-4):
         for li, st in enumerate(stores):
             if li < len(stores) - 1 and np.min(np.abs(st.y)) < 10 * h:
                 return None
-            for tape in st.tapes:
-                if tape.degenerate:
-                    return None
-                if np.min(np.abs(tape.c)) < 20 * h:
-                    return None
-                if abs(tape.g - tape.T) < 1e-3 * max(tape.g, tape.T):
-                    return None
+            tape = st.tape
+            if tape.degenerate.any():
+                return None
+            if np.min(np.abs(tape.c)) < 20 * h:
+                return None
+            if (np.abs(tape.g - tape.T) < 1e-3 * np.maximum(tape.g, tape.T)).any():
+                return None
 
         d_pred = 2.0 * (pred - y) / pred.size
         grads = backward(net, stores, d_pred, quantize=False)
@@ -189,18 +189,19 @@ def fd_relative_errors(seed: int, h: float = 1e-4):
             return abs(a - f) / max(abs(a), abs(f), 1e-8)
 
         for layer, lg in zip(net.layers, grads):
-            for j, ch in enumerate(layer.channels):
-                for k in range(ch.K):
-                    def bump_v(d, ch=ch, k=k):
-                        ch.v[k] += d
-                    worst = max(worst, rel(float(lg.dv[j][k]), central(bump_v)))
+            C, K = layer.V.shape
+            for j in range(C):
+                for k in range(K):
+                    def bump_v(d, layer=layer, j=j, k=k):
+                        layer.V[j, k] += d
+                    worst = max(worst, rel(float(lg.dV[j, k]), central(bump_v)))
 
-                def bump_t(d, ch=ch):
-                    ch.t += d
+                def bump_t(d, layer=layer, j=j):
+                    layer.t[j] += d
                 worst = max(worst, rel(float(lg.dt[j]), central(bump_t)))
 
-                def bump_d(d, ch=ch):
-                    ch.d += d
+                def bump_d(d, layer=layer, j=j):
+                    layer.d[j] += d
                 worst = max(worst, rel(float(lg.dd[j]), central(bump_d)))
 
             for k in range(len(layer.bias)):
@@ -237,9 +238,10 @@ def test_every_step_stays_inside_budget():
             idx = perm[start : start + cfg.batch_size]
             pred, stores = forward(net, data.X_train[idx])
             for st in stores:
-                for res in st.results:
-                    assert res.bound_ok
-                    assert Fraction(int(res.l1_codes)) <= res.bound
+                res = st.result
+                for bound_ok, l1_codes in zip(res.bound_ok, res.l1_codes):
+                    assert bound_ok
+                    assert Fraction(int(l1_codes)) <= res.bound
             d_pred = 2.0 * (pred - data.y_train[idx]) / pred.size
             sgd_step(net, backward(net, stores, d_pred), cfg)
 
@@ -283,7 +285,7 @@ def test_degenerate_channel_survives_training():
     pred, stores = forward(net, data.X_train[:32])
     d_pred = 2.0 * (pred - data.y_train[:32]) / pred.size
     sgd_step(net, backward(net, stores, d_pred), cfg)
-    assert np.all(quantize_network(net)[1][0].q == 0)
+    assert np.all(quantize_network(net)[1].q[0] == 0)
 
 
 def test_activation_codes_are_unsigned_and_in_range():
@@ -335,7 +337,7 @@ def _net_from_rows(rows, bits=BitWidths(M=4, N=4, P=20), variant=Variant.A2Q):
         n1 = float(np.abs(v).sum())
         t = math.log2(n1) if n1 else -20.0
         chans.append(ChannelWeights(v=v, t=t, d=0.0))
-    return ToyNetwork(layers=[QuantLinear(channels=chans, bits=bits)], variant=variant)
+    return ToyNetwork(layers=[QuantLinear.from_channels(chans, bits)], variant=variant)
 
 
 def test_measure_sparsity_frozen_examples():
@@ -344,9 +346,9 @@ def test_measure_sparsity_frozen_examples():
     # gate at 2 shrinks [3, 1] to [1.5, 0.5]; round toward zero gives [1, 0]
     half = ToyNetwork(
         layers=[
-            QuantLinear(
-                channels=[ChannelWeights(v=np.array([3.0, 1.0]), t=1.0, d=0.0)],
-                bits=BitWidths(M=4, N=4, P=20),
+            QuantLinear.from_channels(
+                [ChannelWeights(v=np.array([3.0, 1.0]), t=1.0, d=0.0)],
+                BitWidths(M=4, N=4, P=20),
             )
         ],
         variant=Variant.A2Q,
@@ -393,7 +395,7 @@ def test_certify_raises_on_overflowing_network():
     # 3-bit unsigned inputs reach 98 > 7
     bits = BitWidths(M=4, N=3, P=4)
     ch = ChannelWeights(v=np.array([1.0, 1.0]), t=math.log2(14.0), d=0.0)
-    net = ToyNetwork(layers=[QuantLinear(channels=[ch], bits=bits)], variant=Variant.STANDARD)
+    net = ToyNetwork(layers=[QuantLinear.from_channels([ch], bits)], variant=Variant.STANDARD)
     with pytest.raises(AccumulatorOverflowError):
         certify_accumulators(net)
 

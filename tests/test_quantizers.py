@@ -1,16 +1,17 @@
-"""Constrained per-channel quantizers: forward values, certificates, gradients."""
+"""Constrained quantizers: forward values, certificates, gradients, the layer core."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from accq.bounds import BitWidths, a2q_limit, a2q_plus_limit, int_range
+from accq.bounds import MAX_WEIGHT_BITS, BitWidths, a2q_limit, a2q_plus_limit, int_range
 from accq.errors import NonFiniteInputError
-from accq.intsim import verify_domination
+from accq.intsim import AccumulatorSpec, check_accumulator, verify_domination
 from accq.quantizers import (
     K_MIN_CENTER,
     ActQuantSpec,
@@ -21,6 +22,7 @@ from accq.quantizers import (
     pre_round_weights,
     quantize_a2q,
     quantize_a2q_plus,
+    quantize_layer,
     quantize_standard,
     round_to_zero,
 )
@@ -477,3 +479,89 @@ def test_ste_backward_matches_autograd(variant, t_shift):
         checked += 1
     if t_shift > 6.0:
         assert saw_clip
+
+
+# ------------------------------------------------------------------- layer core
+
+
+def _mixed_layer(K: int, bits: BitWidths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows that exercise every branch: all-zero, constant, both gate sides, saturation."""
+    rng = RNG(41)
+    log_T = math.log2(float(a2q_limit(bits.P, bits.N, bits.act_signed)))
+    V = rng.normal(size=(8, K))
+    V[0] = 0.0  # degenerate for every budgeted variant
+    V[1] = 2.5  # constant: degenerate once centered (K > 1)
+    t = np.array([1.0, 1.0, log_T - 2.0, log_T - 0.5, log_T + 0.5, log_T + 3.0, 30.0, 30.0])
+    d = np.array([0.0, -1.0, -2.0, -1.5, 0.25, -3.0, -12.0, 1.0])  # row 6 saturates at M bits
+    return V, t, d
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("K", [1, 2, 7])
+def test_layer_rows_equal_single_channel_calls(variant, K):
+    bits = BitWidths(M=3, N=4, P=10)
+    V, t, d = _mixed_layer(K, bits)
+    rng = RNG(43)
+    up = rng.normal(size=V.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res, tape = quantize_layer(V, t, d, bits, variant)
+        grads = {"backward": tape.backward(up), "backward_smooth": tape.backward_smooth(up)}
+        rows = [forward_weights(ChannelWeights(V[i], t[i], d[i]), bits, variant) for i in range(len(V))]
+        row_grads = {
+            name: [getattr(row_tape, name)(up[i]) for i, (_, row_tape) in enumerate(rows)] for name in grads
+        }
+    budgeted = variant is not Variant.STANDARD
+    assert res.fell_back == (variant is Variant.A2Q_PLUS and K == 1)
+    assert bool(tape.degenerate[0]) == budgeted
+    assert bool(tape.degenerate[1]) == (budgeted and K >= K_MIN_CENTER and variant is Variant.A2Q_PLUS)
+    if budgeted:
+        assert not tape.gate_on_g[5] and tape.gate_on_g[2]
+        assert not tape.in_range[6].all()
+    for i, (one, one_tape) in enumerate(rows):
+        assert res.q[i].tobytes() == one.q.tobytes()
+        assert res.qw[i].tobytes() == one.qw.tobytes()
+        assert (float(res.s[i]), res.l1_codes[i], res.bound_ok[i]) == (one.s, one.l1_codes, one.bound_ok)
+        assert (res.bound, res.variant, res.fell_back) == (one.bound, one.variant, one.fell_back)
+        assert tape.w[i].tobytes() == one_tape.w.tobytes()
+        assert bool(tape.degenerate[i]) == bool(one_tape.degenerate)
+        for name, (dV, dt, dd) in grads.items():
+            dv_i, dt_i, dd_i = row_grads[name][i]
+            assert dV[i].tobytes() == dv_i.tobytes()
+            assert (float(dt[i]), float(dd[i])) == (dt_i, dd_i)
+    for i in np.flatnonzero(tape.degenerate):
+        assert not res.q[i].any() and not tape.w[i].any()
+        for dV, dt, dd in grads.values():
+            assert not dV[i].any() and dt[i] == 0.0 and dd[i] == 0.0
+
+
+@given(
+    M=st.integers(2, MAX_WEIGHT_BITS),
+    N=st.integers(1, 64),
+    P=st.integers(2, 64),
+    signed=st.booleans(),
+    variant=st.sampled_from([Variant.A2Q, Variant.A2Q_PLUS]),
+    rows=st.lists(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
+        min_size=1,
+        max_size=4,
+    ),
+    t_shift=st.floats(-4.0, 4.0),
+    d=st.floats(-30.0, 30.0),
+)
+@example(M=8, N=56, P=64, signed=False, variant=Variant.A2Q, rows=[[-1.0]], t_shift=4.0, d=0.0)
+@settings(max_examples=300, deadline=None)
+def test_certificate_holds_over_every_accepted_width(M, N, P, signed, variant, rows, t_shift, d):
+    # at N=56, P=64 the budget 127.99... rounds up to 128.0 as a float, so the
+    # code -128 fits the float budget but not the exact one
+    K = len(rows[0])
+    V = np.array([(r * K)[:K] for r in rows])
+    bits = BitWidths(M=M, N=N, P=P, act_signed=signed)
+    _, limit = channel_budget(K, bits, variant)
+    t = np.full(len(V), d + math.log2(float(limit)) + t_shift)
+    res, _ = quantize_layer(V, t, np.full(len(V), d), bits, variant)
+    lo, hi = int_range(M, signed=True)
+    assert all(res.bound_ok)
+    assert ((lo <= res.q) & (res.q <= hi)).all()
+    for codes in res.q.tolist():
+        assert not check_accumulator(codes, N, signed, AccumulatorSpec(P)).overflowed
