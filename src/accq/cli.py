@@ -31,7 +31,7 @@ from .errors import (
     NonFiniteInputError,
     NonPositiveRadiusError,
 )
-from .intsim import AccumulatorSpec, check_accumulator, enumeration_budget, exhaustive_check
+from .intsim import AccumulatorSpec, certify
 from .props import self_check
 from .qat import CSV_HEADER, TeacherStudentSpec, SweepRecord, TrainConfig, channel_cdf, load_checkpoint, train
 from .quantizers import Variant
@@ -139,24 +139,6 @@ def cmd_project(ns: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _verify_channel(codes: list[int], ns: argparse.Namespace) -> dict:
-    spec = AccumulatorSpec(P=ns.P)
-    wit = check_accumulator(codes, ns.N, bool(ns.signed), spec)
-    out = {
-        "K": len(codes),
-        "true_max": wit.true_max,
-        "true_min": wit.true_min,
-        "overflowed": wit.overflowed,
-        "exhaustive": False,
-    }
-    space = (1 << ns.N) ** len(codes)
-    if ns.exhaustive or space <= enumeration_budget(None):
-        wit2 = exhaustive_check(codes, ns.N, bool(ns.signed), spec)
-        out["exhaustive"] = True
-        out["overflowed"] = out["overflowed"] or wit2.overflowed
-    return out
-
-
 def cmd_verify(ns: argparse.Namespace) -> int:
     if ns.props:
         _check_seeds([ns.seed])
@@ -172,7 +154,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     lines = [ln for ln in _read_text(ns.weights).splitlines() if ln.strip()]
     if not lines:
         raise _InputError(f"{ns.weights} holds no channels")
-    failed = False
+    rows = []
     for i, line in enumerate(lines):
         try:
             codes = [int(p) for p in line.split(",") if p.strip()]
@@ -180,10 +162,12 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             raise _InputError(f"{ns.weights}:{i + 1}: integer codes expected: {exc}") from exc
         if not codes:
             raise _InputError(f"{ns.weights}:{i + 1}: empty channel")
-        report = {"channel": i, **_verify_channel(codes, ns)}
-        failed = failed or report["overflowed"]
-        print(json.dumps(report))
-    return EXIT_VERIFY if failed else EXIT_OK
+        rows.append(codes)
+    # certify the whole file before printing, so a rejected file prints nothing
+    certs = certify(rows, ns.N, bool(ns.signed), AccumulatorSpec(P=ns.P), exhaustive=ns.exhaustive)
+    for i, cert in enumerate(certs):
+        print(json.dumps({"channel": i, **cert._asdict()}))
+    return EXIT_VERIFY if any(cert.overflowed for cert in certs) else EXIT_OK
 
 
 # ---------------------------------------------------------------- train

@@ -5,6 +5,9 @@ product that feeds a verdict is computed with Python ints (arbitrary precision).
 The exhaustive enumerator switches to vectorized int64 only when the worst-case
 magnitude provably fits, and falls back to exact Python arithmetic otherwise.
 
+certify is the one certificate rule: it gives every row the closed-form
+worst case and decides which rows the exhaustive oracle also enumerates.
+
 Wraparound follows two's complement: a P-bit register holds
 [-2^(P-1), 2^(P-1) - 1] and out-of-range values are reduced mod 2^P back into it.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,18 +69,17 @@ class AccumWitness:
 
 
 def _int_vector(q) -> list[int]:
-    if type(q) is list and all(type(x) is int for x in q):
-        # already this function's output: check_accumulator hands its
-        # converted codes and input vectors to the helpers below
-        return q
-    arr = np.asarray(q)
-    if arr.dtype.kind in "iu":  # integer dtypes hold exact codes already
-        return arr.ravel().tolist()
+    # integer dtypes and Python ints are exact codes already; a sequence goes
+    # through the object dtype, since numpy would turn [2**63, -3] into float64
+    arr = np.asarray(q) if isinstance(q, np.ndarray) else np.asarray(q, dtype=object)
+    items = arr.ravel().tolist()
+    if arr.dtype.kind in "iu" or all(type(x) is int for x in items):
+        return items
     out = []
-    for item in arr.ravel().tolist():
+    for item in items:
         try:
             as_int = int(item)
-        except (ValueError, OverflowError):  # nan / inf
+        except (TypeError, ValueError, OverflowError):  # nan / inf / not a number
             raise NonFiniteInputError(f"integer code expected, got {item!r}") from None
         if as_int != item:
             raise NonFiniteInputError(f"integer code expected, got {item!r}")
@@ -122,13 +125,22 @@ def wrapping_dot(x, q, spec: AccumulatorSpec) -> tuple[int, bool]:
     return wrapped, wrapped != true
 
 
+def _extremes(qs: list[int], c: int, d: int) -> tuple[int, int]:
+    # with alpha = sum of the positive codes and beta = sum of the negative
+    # ones, inputs in [c, d] reach d*alpha + c*beta at most and c*alpha + d*beta
+    # at least, exactly in Python ints
+    alpha = sum([v for v in qs if v > 0])
+    beta = sum(qs) - alpha
+    return d * alpha + c * beta, c * alpha + d * beta
+
+
 def check_accumulator(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> AccumWitness:
     """Exact worst-case check of q against a P-bit register via extremal inputs."""
     qs = _int_vector(q)
-    x_max = extremal_max_input(qs, N, act_signed)
-    x_min = extremal_min_input(qs, N, act_signed)
-    f = exact_dot(x_max, qs)
-    e = exact_dot(x_min, qs)
+    c, d = int_range(N, act_signed)
+    f, e = _extremes(qs, c, d)
+    x_max = [d if v >= 0 else c for v in qs]
+    x_min = [c if v >= 0 else d for v in qs]
     return _witness(f, e, x_max, x_min, spec)
 
 
@@ -226,6 +238,43 @@ def exhaustive_check(
                 e, x_min = dot, combo
 
     return _witness(f, e, list(x_max), list(x_min), spec)
+
+
+class Certificate(NamedTuple):
+    """Verdict on one row of codes; the field order is accq verify's key order."""
+
+    K: int
+    true_max: int
+    true_min: int
+    overflowed: bool
+    exhaustive: bool
+
+
+def certify(
+    rows, N: int, act_signed: bool, spec: AccumulatorSpec, exhaustive: bool = False,
+    budget: int | None = None,
+) -> list[Certificate]:
+    """Certify integer code rows (of any lengths) against a P-bit register.
+
+    Every row gets the exact closed-form worst case.  A row also goes to the
+    exhaustive oracle when exhaustive is set, or when its (2^N)^K input vectors
+    fit the enumeration budget; it overflows when either route says so.  A
+    forced row over the budget raises EnumerationBudgetError before any result
+    is returned.
+    """
+    c, d = int_range(N, act_signed)
+    cap = enumeration_budget(budget)
+    out = []
+    for row in rows:
+        qs = _int_vector(row)
+        f, e = _extremes(qs, c, d)
+        overflowed = f > spec.hi or e < spec.lo
+        enumerated = exhaustive or (1 << (N * len(qs))) <= cap  # (2^N)^K input vectors
+        if enumerated:
+            # the oracle converts the row itself, independently of the closed form
+            overflowed |= exhaustive_check(row, N, act_signed, spec, budget=budget).overflowed
+        out.append(Certificate(len(qs), f, e, overflowed, enumerated))
+    return out
 
 
 def verify_domination(w, s: float, q) -> bool:

@@ -29,15 +29,9 @@ import numpy as np
 from .bounds import BitWidths, a2q_limit, int_range
 from .epinit import ZERO_EXPONENT, ep_init, init_scale
 from .errors import AccumulatorOverflowError, DivergenceError
-from .intsim import (
-    AccumulatorSpec,
-    check_accumulator,
-    enumeration_budget,
-    exhaustive_check,
-)
+from .intsim import AccumulatorSpec, certify
 from .quantizers import (
     LN2,
-    ActQuantSpec,
     ChannelWeights,
     LayerResult,
     LayerTape,
@@ -177,10 +171,6 @@ class QuantLinear:
     def channels(self) -> list[ChannelWeights]:
         """A copy of each row as a ChannelWeights; editing one leaves the layer alone."""
         return [ChannelWeights(v=v, t=t, d=d) for v, t, d in zip(self.V.copy(), self.t.tolist(), self.d.tolist())]
-
-    @property
-    def act_spec(self) -> ActQuantSpec:
-        return ActQuantSpec(bits=self.bits.N, signed=self.bits.act_signed, scale=2.0 ** self.act_exp)
 
     def quantize(self, variant: Variant) -> tuple[LayerResult, LayerTape]:
         return quantize_layer(self.V, self.t, self.d, self.bits, variant)
@@ -539,27 +529,19 @@ def min_bound_slack(net: ToyNetwork) -> Fraction:
 def certify_accumulators(net: ToyNetwork, budget: int | None = None) -> None:
     """Exact post-training overflow audit; raises AccumulatorOverflowError on any hazard.
 
-    Every channel gets the closed-form worst-case check.  Channels whose input
-    space is small enough for the enumeration budget also get the exhaustive
-    sweep; the two routes must agree.
+    One intsim.certify call per layer: every channel gets the closed-form
+    worst-case check, and channels small enough for the enumeration budget
+    also get the exhaustive sweep.
     """
-    cap = enumeration_budget(budget)
     for li, (layer, res) in enumerate(zip(net.layers, quantize_network(net))):
-        spec = AccumulatorSpec(P=layer.bits.P)
-        exhaustive = (1 << layer.bits.N) ** res.q.shape[1] <= cap
-        for ci, codes in enumerate(res.q.tolist()):
-            wit = check_accumulator(codes, layer.bits.N, layer.bits.act_signed, spec)
-            if wit.overflowed:
+        bits = layer.bits
+        certs = certify(res.q.tolist(), bits.N, bits.act_signed, AccumulatorSpec(P=bits.P), budget=budget)
+        for ci, cert in enumerate(certs):
+            if cert.overflowed:
                 raise AccumulatorOverflowError(
-                    f"layer {li} channel {ci}: worst-case dot range "
-                    f"[{wit.true_min}, {wit.true_max}] escapes P={layer.bits.P}"
+                    f"layer {li} channel {ci} overflows P={bits.P}: worst-case dot range "
+                    f"[{cert.true_min}, {cert.true_max}]"
                 )
-            if exhaustive:
-                wit2 = exhaustive_check(codes, layer.bits.N, layer.bits.act_signed, spec, budget=budget)
-                if wit2.overflowed:
-                    raise AccumulatorOverflowError(
-                        f"layer {li} channel {ci}: exhaustive sweep found an overflow"
-                    )
 
 
 def channel_cdf(channels, bits: BitWidths, p_range=range(2, 33)) -> list[tuple[int, float]]:

@@ -92,20 +92,6 @@ class ChannelWeights:
         return cls(v=v, t=math.log2(g), d=math.log2(s))
 
 
-@dataclass(frozen=True)
-class ActQuantSpec:
-    """Scale/zero-point spec for a uniform affine quantizer."""
-
-    bits: int
-    signed: bool
-    scale: float
-    zero_point: int = 0
-
-    def __post_init__(self) -> None:
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise NonFiniteInputError(f"scale must be positive and finite, got {self.scale!r}")
-
-
 @dataclass
 class QuantResult:
     """Outcome of quantizing one channel.
@@ -237,21 +223,6 @@ class WeightTape:
 def round_to_zero(x) -> np.ndarray:
     """Round toward zero (truncate): magnitudes never grow, signs never flip."""
     return np.trunc(np.asarray(x, dtype=float))
-
-
-def quantize_standard(w, spec: ActQuantSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform affine quantizer: s * (clip(round(w/s) + z) - z).
-
-    Rounds half to even.  Returns (integer codes, dequantized values); the codes
-    are the clipped register values including the zero point.
-    """
-    w_arr = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(w_arr)):
-        raise NonFiniteInputError("w must be finite")
-    lo, hi = int_range(spec.bits, spec.signed)
-    q = np.clip(np.rint(w_arr / spec.scale) + spec.zero_point, lo, hi).astype(np.int64)
-    qw = spec.scale * (q - spec.zero_point).astype(float)
-    return q, qw
 
 
 @functools.lru_cache(maxsize=1024)

@@ -40,7 +40,7 @@ from accq.intsim import (
 )
 from accq.props import find_overflow_witness, iter_l1_vectors, iter_zero_sum_vectors
 from accq.qat import CSV_HEADER, SweepRecord, TrainConfig, float_baseline, train
-from accq.quantizers import ChannelWeights, Variant, forward_weights, round_to_zero
+from accq.quantizers import Variant, quantize_layer, round_to_zero
 import accq.cli as cli
 
 from oracles import brute_extremes, project_l1_bisect
@@ -95,23 +95,37 @@ def _channel_batch(rng, n: int, K: int):
     return vs, ts, ds, Ms, sg
 
 
+def _quantized_channels(batch, N: int, P: int, variant: Variant):
+    """Quantize a batch with one quantize_layer call per (M, signedness) group.
+
+    Yields (i, signed, res, tape, row): channel i of the batch is row `row` of
+    that group's result and tape, exactly what it gives quantized alone.
+    """
+    vs, ts, ds, Ms, sg = batch
+    for M in np.unique(Ms).tolist():
+        for signed in (False, True):
+            idx = np.flatnonzero((Ms == M) & (sg == signed))
+            if idx.size:
+                bits = BitWidths(M, N, P, act_signed=signed)
+                res, tape = quantize_layer(vs[idx], ts[idx], ds[idx], bits, variant)
+                for row, i in enumerate(idx.tolist()):
+                    yield i, signed, res, tape, row
+
+
 def test_criterion_02_a2q_overflow_freedom(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240202)
     checked = exhausted = overflows = 0
     for K, N, P in _OVERFLOW_GRID:
         spec = AccumulatorSpec(P)
-        vs, ts, ds, Ms, sg = _channel_batch(rng, _N_RANDOM, K)
-        for i in range(_N_RANDOM):
-            signed = bool(sg[i])
-            ch = ChannelWeights(v=vs[i], t=float(ts[i]), d=float(ds[i]))
-            bits = BitWidths(int(Ms[i]), N, P, act_signed=signed)
-            res, _ = forward_weights(ch, bits, Variant.A2Q)
-            assert res.bound_ok
-            wit = check_accumulator(res.q, N, signed, spec)
+        batch = _channel_batch(rng, _N_RANDOM, K)
+        for i, signed, res, _, row in _quantized_channels(batch, N, P, Variant.A2Q):
+            q = res.q[row]
+            assert res.bound_ok[row]
+            wit = check_accumulator(q, N, signed, spec)
             overflows += wit.overflowed
             if i < _N_EXHAUSTIVE:
-                full = exhaustive_check(res.q, N, signed, spec)
+                full = exhaustive_check(q, N, signed, spec)
                 assert not full.overflowed
                 assert (full.true_max, full.true_min) == (wit.true_max, wit.true_min)
                 exhausted += 1
@@ -130,16 +144,13 @@ def test_criterion_03_a2q_plus_overflow_freedom(capsys):
     checked = exhausted = overflows = fallbacks = 0
     for K, N, P in _OVERFLOW_GRID:
         spec = AccumulatorSpec(P)
-        vs, ts, ds, Ms, sg = _channel_batch(rng, _N_RANDOM, K)
-        for i in range(_N_RANDOM):
-            signed = bool(sg[i])
-            ch = ChannelWeights(v=vs[i], t=float(ts[i]), d=float(ds[i]))
-            bits = BitWidths(int(Ms[i]), N, P, act_signed=signed)
-            res, tape = forward_weights(ch, bits, Variant.A2Q_PLUS)
-            assert res.bound_ok
-            if not tape.degenerate:
-                w = tape.u * tape.G  # constrained real weights before rounding
-                assert verify_domination(w, res.s, res.q)
+        batch = _channel_batch(rng, _N_RANDOM, K)
+        for i, signed, res, tape, row in _quantized_channels(batch, N, P, Variant.A2Q_PLUS):
+            q = res.q[row]
+            assert res.bound_ok[row]
+            if not tape.degenerate[row]:
+                w = tape.w[row]  # constrained real weights before rounding
+                assert verify_domination(w, res.s[row], q)
                 if K < 2:
                     # single-element channels keep the uncentered budget by contract
                     assert res.fell_back
@@ -148,10 +159,10 @@ def test_criterion_03_a2q_plus_overflow_freedom(capsys):
                     assert not res.fell_back
                     tol = K * 1e-12 * max(1.0, float(np.abs(w).sum()))
                     assert abs(float(w.sum())) <= tol
-            wit = check_accumulator(res.q, N, signed, spec)
+            wit = check_accumulator(q, N, signed, spec)
             overflows += wit.overflowed
             if i < _N_EXHAUSTIVE:
-                full = exhaustive_check(res.q, N, signed, spec)
+                full = exhaustive_check(q, N, signed, spec)
                 assert not full.overflowed
                 assert (full.true_max, full.true_min) == (wit.true_max, wit.true_min)
                 exhausted += 1

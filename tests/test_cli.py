@@ -25,6 +25,8 @@ from accq.quantizers import Variant
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_CSV = Path(__file__).parent / "data" / "train_golden.csv"
+VERIFY_CHANNELS = Path(__file__).parent / "data" / "verify_channels.txt"
+VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_golden.jsonl"
 
 
 def run(capsys, *argv):
@@ -133,6 +135,30 @@ def test_verify_forced_exhaustive_over_budget_exits_5(tmp_path, capsys):
         ["verify", "--weights", str(path), "--P", "32", "--N", "8", "--exhaustive"]
     )
     assert code == 5
+
+
+def test_verify_over_budget_prints_no_records(tmp_path, capsys):
+    # the enumerable first channel must not be reported before the wide one fails
+    path = tmp_path / "mixed.csv"
+    path.write_text("1,2\n" + ",".join(["1"] * 9) + "\n")
+    code, out = run(capsys, "verify", "--weights", str(path), "--P", "16", "--N", "4", "--exhaustive")
+    assert code == 5
+    assert out == ""
+
+
+def test_verify_bad_later_line_prints_no_records(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("1,2\n3,x\n")
+    assert_input_error(capsys, "verify", "--weights", str(path), "--P", "8", "--N", "2")
+
+
+def test_verify_matches_golden_file(monkeypatch, capsys):
+    # each line: the flags of one run over VERIFY_CHANNELS, its exit code and its exact stdout
+    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
+    for line in VERIFY_GOLDEN.read_text().splitlines():
+        want = json.loads(line)
+        code, out = run(capsys, "verify", "--weights", str(VERIFY_CHANNELS), *want["flags"])
+        assert (code, out) == (want["exit"], want["stdout"]), want["flags"]
 
 
 def test_verify_missing_file_exits_3(capsys):

@@ -13,6 +13,7 @@ from accq.errors import (
 from accq.intsim import (
     DEFAULT_ENUM_BUDGET,
     AccumulatorSpec,
+    certify,
     check_accumulator,
     enumeration_budget,
     exact_dot,
@@ -212,3 +213,62 @@ def test_witness_inputs_are_valid_codes(q, N, signed):
     hi = (1 << (N - 1)) - 1 if signed else (1 << N) - 1
     for x in (wit.witness_x_max, wit.witness_x_min):
         assert all(lo <= xi <= hi for xi in x)
+    # the witnesses reach the closed-form extremes
+    assert exact_dot(wit.witness_x_max, q) == wit.true_max
+    assert exact_dot(wit.witness_x_min, q) == wit.true_min
+
+
+def test_codes_past_int64_stay_exact_in_any_sequence():
+    # numpy alone turns (2**63 + 1, -3) into float64, losing the trailing 1
+    q = (2**63 + 1, -3)
+    assert exact_dot(q, (1, 0)) == 2**63 + 1
+    for codes in (q, list(q), np.array(q, dtype=object)):
+        assert check_accumulator(codes, 1, False, AccumulatorSpec(P=64)).true_max == 2**63 + 1
+
+
+_CODES = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+)
+_SMALL_BUDGET = 1 << 12  # keeps the exhaustive oracle cheap on huge codes
+
+
+@given(
+    rows=st.lists(st.lists(_CODES, min_size=1, max_size=6), min_size=1, max_size=5),
+    N=st.integers(min_value=1, max_value=8),
+    signed=st.booleans(),
+    P=st.integers(min_value=2, max_value=64),
+)
+@settings(max_examples=200, deadline=None)
+def test_certify_matches_per_row_checks(rows, N, signed, P):
+    spec = AccumulatorSpec(P=P)
+    certs = certify(rows, N, signed, spec, budget=_SMALL_BUDGET)
+    assert len(certs) == len(rows)
+    for q, cert in zip(rows, certs):
+        wit = check_accumulator(q, N, signed, spec)
+        assert cert.K == len(q)
+        assert (cert.true_max, cert.true_min, cert.overflowed) == (
+            wit.true_max, wit.true_min, wit.overflowed
+        )
+        assert cert.exhaustive == ((1 << N) ** len(q) <= _SMALL_BUDGET)
+        if cert.exhaustive:
+            full = exhaustive_check(q, N, signed, spec, budget=_SMALL_BUDGET)
+            assert (full.true_max, full.true_min, full.overflowed) == (
+                cert.true_max, cert.true_min, cert.overflowed
+            )
+
+
+def test_certify_forced_enumeration(monkeypatch):
+    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
+    spec = AccumulatorSpec(P=16)
+    # 16^2 inputs fit any sane budget; forcing changes nothing
+    assert certify([[1, -2]], 4, False, spec, exhaustive=True) == certify([[1, -2]], 4, False, spec)
+    # forced past the budget: the oracle refuses, and no partial result comes back
+    with pytest.raises(EnumerationBudgetError):
+        certify([[1, 2], [1] * 9], 4, False, spec, exhaustive=True)
+    # unforced, the long row gets the closed form only
+    certs = certify([[1, 2], [1] * 9], 4, False, spec)
+    assert [c.exhaustive for c in certs] == [True, False]
+    assert certs[1]._asdict() == {
+        "K": 9, "true_max": 135, "true_min": 0, "overflowed": False, "exhaustive": False,
+    }

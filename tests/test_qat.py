@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from accq.bounds import BitWidths, a2q_limit, a2q_plus_limit
+from accq.bounds import BitWidths, a2q_limit, a2q_plus_limit, int_range
 from accq.errors import AccumulatorOverflowError, DivergenceError
 from accq.qat import (
     CSV_HEADER,
+    _act_forward,
     QuantLinear,
     SweepRecord,
     TeacherStudentSpec,
@@ -288,6 +291,40 @@ def test_degenerate_channel_survives_training():
     assert np.all(quantize_network(net)[1].q[0] == 0)
 
 
+def _act_layer(N: int, signed: bool, act_exp: float) -> QuantLinear:
+    bits = BitWidths(M=4, N=N, P=16, act_signed=signed)
+    return QuantLinear.from_channels([ChannelWeights(v=[1.0], t=0.0, d=0.0)], bits, act_exp=act_exp)
+
+
+def test_act_forward_frozen():
+    layer = _act_layer(4, True, 0.0)
+    xq, tape = _act_forward(np.array([5.7, 100.0]), layer)
+    assert xq.tolist() == [6.0, 7.0]
+    # the saturated code is outside the straight-through window
+    assert tape.mask.tolist() == [True, False]
+    # ties round half to even
+    xq, _ = _act_forward(np.array([2.5, 3.5, -2.5]), layer)
+    assert xq.tolist() == [2.0, 4.0, -2.0]
+
+
+@given(
+    x=st.lists(st.floats(-50, 50), min_size=1, max_size=6),
+    N=st.integers(min_value=2, max_value=8),
+    signed=st.booleans(),
+    act_exp=st.sampled_from([-3.3, -2.0, 0.0, 1.9]),
+)
+@settings(max_examples=150, deadline=None)
+def test_act_forward_codes_in_range_and_idempotent(x, N, signed, act_exp):
+    layer = _act_layer(N, signed, act_exp)
+    xq, tape = _act_forward(np.array(x), layer)
+    lo, hi = int_range(N, signed)
+    assert np.array_equal(tape.codes, np.round(tape.codes))
+    assert np.all((lo <= tape.codes) & (tape.codes <= hi))
+    xq2, tape2 = _act_forward(xq, layer)
+    assert np.array_equal(tape2.codes, tape.codes)
+    assert np.array_equal(xq2, xq)
+
+
 def test_activation_codes_are_unsigned_and_in_range():
     cfg = tiny_config(seed=7)
     data = make_data(cfg)
@@ -312,7 +349,6 @@ def test_layer_plan_and_topology():
     assert (bits[1].M, bits[1].N) == (4, 3)
     assert all(b.P == 16 for b in bits)
     assert not any(b.act_signed for b in bits)
-    assert all(layer.act_spec.zero_point == 0 for layer in net.layers)
 
 
 @pytest.mark.parametrize("variant, P", [(Variant.A2Q_PLUS, 5), (Variant.A2Q, 4)])

@@ -14,7 +14,6 @@ from accq.errors import NonFiniteInputError
 from accq.intsim import AccumulatorSpec, check_accumulator, verify_domination
 from accq.quantizers import (
     K_MIN_CENTER,
-    ActQuantSpec,
     ChannelWeights,
     Variant,
     channel_budget,
@@ -23,7 +22,6 @@ from accq.quantizers import (
     quantize_a2q,
     quantize_a2q_plus,
     quantize_layer,
-    quantize_standard,
     round_to_zero,
 )
 
@@ -45,54 +43,6 @@ def test_round_to_zero_never_grows_or_flips(xs):
     assert np.all(np.abs(r) <= np.abs(x))
     assert np.all((r == 0) | (np.sign(r) == np.sign(x)))
     assert np.array_equal(round_to_zero(r), r)
-
-
-# ---------------------------------------------------------------- standard path
-
-
-def test_quantize_standard_frozen():
-    spec = ActQuantSpec(bits=4, signed=True, scale=1.0)
-    q, qw = quantize_standard([5.7], spec)
-    assert q.tolist() == [6] and qw.tolist() == [6.0]
-    q, qw = quantize_standard([100.0], spec)
-    assert q.tolist() == [7] and qw.tolist() == [7.0]
-    # ties round half to even
-    q, _ = quantize_standard([2.5, 3.5, -2.5], spec)
-    assert q.tolist() == [2, 4, -2]
-
-
-def test_quantize_standard_zero_point():
-    spec = ActQuantSpec(bits=3, signed=False, scale=1.0, zero_point=3)
-    q, qw = quantize_standard([0.6], spec)
-    assert q.tolist() == [4] and qw.tolist() == [1.0]
-    # saturates at the register floor, which decodes below zero
-    q, qw = quantize_standard([-5.0], spec)
-    assert q.tolist() == [0] and qw.tolist() == [-3.0]
-
-
-@given(
-    w=st.lists(st.floats(-50, 50), min_size=1, max_size=6),
-    bits=st.integers(min_value=2, max_value=8),
-    signed=st.booleans(),
-    scale=st.sampled_from([0.1, 0.25, 1.0, 3.7]),
-)
-@settings(max_examples=150)
-def test_quantize_standard_codes_in_range_and_idempotent(w, bits, signed, scale):
-    spec = ActQuantSpec(bits=bits, signed=signed, scale=scale)
-    q, qw = quantize_standard(w, spec)
-    lo, hi = int_range(bits, signed)
-    assert np.all((lo <= q) & (q <= hi))
-    q2, qw2 = quantize_standard(qw, spec)
-    assert np.array_equal(q2, q)
-    assert np.array_equal(qw2, qw)
-
-
-def test_quantize_standard_rejects_nonfinite():
-    spec = ActQuantSpec(bits=4, signed=True, scale=1.0)
-    with pytest.raises(NonFiniteInputError):
-        quantize_standard([float("inf")], spec)
-    with pytest.raises(NonFiniteInputError):
-        ActQuantSpec(bits=4, signed=True, scale=0.0)
 
 
 # ---------------------------------------------------------------- channel form
