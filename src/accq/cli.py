@@ -338,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--exhaustive", action="store_true", help="force the exhaustive sweep (exit 5 if over budget)")
     v.add_argument("--props", action="store_true", help="run the zero-sum derivation self-checks instead")
     v.add_argument("--seed", type=int, default=0, help="seed for --props sampling")
-    _add_common(v)
+    # verify has no other output form; --json is accepted so every subcommand takes it
+    v.add_argument("--json", action="store_true", help="no effect: verify always prints JSON lines")
     v.set_defaults(func=cmd_verify)
 
     t = subs.add_parser("train", help="run toy QAT sweep points and emit SweepRecord CSV")

@@ -118,13 +118,6 @@ def wrap(value: int, P: int) -> int:
     return ((int(value) - lo) % (1 << P)) + lo
 
 
-def wrapping_dot(x, q, spec: AccumulatorSpec) -> tuple[int, bool]:
-    """Dot product as a P-bit register would hold it, plus an overflow flag."""
-    true = exact_dot(x, q)
-    wrapped = wrap(true, spec.P)
-    return wrapped, wrapped != true
-
-
 def _extremes(qs: list[int], c: int, d: int) -> tuple[int, int]:
     # with alpha = sum of the positive codes and beta = sum of the negative
     # ones, inputs in [c, d] reach d*alpha + c*beta at most and c*alpha + d*beta

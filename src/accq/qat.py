@@ -36,7 +36,6 @@ from .quantizers import (
     LayerResult,
     LayerTape,
     Variant,
-    channel_budget,
     quantize_layer,
 )
 
@@ -74,8 +73,6 @@ class TrainConfig:
     edge_bits: int = 8
 
     def __post_init__(self) -> None:
-        if self.variant is Variant.STANDARD:
-            raise ValueError("trainer only runs budgeted variants; use float_baseline for the unconstrained reference")
         if self.bits.act_signed:
             raise ValueError("hidden activations are unsigned after ReLU; bits.act_signed must be False")
 
@@ -372,18 +369,6 @@ def backward(
     return grads  # type: ignore[return-value]
 
 
-def reg_penalty(ch: ChannelWeights, bits: BitWidths, variant: Variant) -> float:
-    """Hinge on the norm overshoot: max(g - T, 0) with T the channel's weight budget.
-
-    Zero whenever the gate is feasible (g <= T), so the penalty only steers
-    channels parked above their budget and never distorts feasible ones.
-    """
-    if variant is Variant.STANDARD:
-        return 0.0
-    T = ch.s * float(channel_budget(ch.K, bits, variant)[1])
-    return max(ch.g - T, 0.0)
-
-
 def sgd_step(net: ToyNetwork, grads: list[LayerGrads], config: TrainConfig) -> None:
     """Plain SGD update; weight decay touches v only, the hinge steers t and d."""
     lr = config.lr
@@ -392,7 +377,8 @@ def sgd_step(net: ToyNetwork, grads: list[LayerGrads], config: TrainConfig) -> N
     for layer, lg in zip(net.layers, grads):
         dt, dd = lg.dt, lg.dd
         if lam > 0.0:
-            # reg_penalty's hinge max(g - T, 0) on every channel of the layer
+            # gradient of the hinge lam * max(g - T, 0) on every channel: zero on a
+            # feasible gate (g <= T), so it steers only channels parked above budget
             over = lg.g > lg.T
             dt = np.where(over, dt + lam * lg.g * LN2, dt)
             dd = np.where(over, dd - lam * lg.T * LN2, dd)

@@ -153,12 +153,14 @@ def test_verify_bad_later_line_prints_no_records(tmp_path, capsys):
 
 
 def test_verify_matches_golden_file(monkeypatch, capsys):
-    # each line: the flags of one run over VERIFY_CHANNELS, its exit code and its exact stdout
+    # each line: the flags of one run over VERIFY_CHANNELS, its exit code and its exact stdout;
+    # verify always prints JSON lines, so dropping --json changes nothing
     monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
     for line in VERIFY_GOLDEN.read_text().splitlines():
         want = json.loads(line)
-        code, out = run(capsys, "verify", "--weights", str(VERIFY_CHANNELS), *want["flags"])
-        assert (code, out) == (want["exit"], want["stdout"]), want["flags"]
+        for flags in (want["flags"], [f for f in want["flags"] if f != "--json"]):
+            code, out = run(capsys, "verify", "--weights", str(VERIFY_CHANNELS), *flags)
+            assert (code, out) == (want["exit"], want["stdout"]), flags
 
 
 def test_verify_missing_file_exits_3(capsys):
@@ -355,7 +357,26 @@ def test_analyze_too_wide_weights_exits_3(checkpoints, capsys):
     assert_input_error(capsys, "analyze", "--ckpt", str(qpath), "--M", "53", "--N", "4")
 
 
-@pytest.mark.parametrize("payload", [[1, 2], {"kind": "float", "layers": 5}])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        {"kind": "float", "layers": 5},
+        # a quantized checkpoint naming the unbudgeted variant, which no longer exists
+        {
+            "kind": "quantized",
+            "variant": "standard",
+            "layers": [
+                {
+                    "bits": {"M": 4, "N": 4, "P": 12, "act_signed": False},
+                    "act_exp": 0.0,
+                    "bias": [0.0],
+                    "channels": [{"v": [1.0, -1.0], "t": 1.0, "d": 0.0}],
+                }
+            ],
+        },
+    ],
+)
 def test_analyze_malformed_checkpoint_exits_3(payload, tmp_path, capsys):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps(payload))

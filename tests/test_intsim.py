@@ -22,7 +22,6 @@ from accq.intsim import (
     extremal_min_input,
     verify_domination,
     wrap,
-    wrapping_dot,
 )
 
 from oracles import brute_extremes
@@ -80,9 +79,9 @@ def test_wrap_is_congruent_and_in_range(v, P):
 
 
 def test_wrapping_dot_frozen():
-    spec = AccumulatorSpec(P=4)
-    assert wrapping_dot([3], [4], spec) == (-4, True)
-    assert wrapping_dot([1, 1], [2, 3], spec) == (5, False)
+    # a P=4 register holds the exact dot product wrapped; it overflowed iff they differ
+    assert wrap(exact_dot([3], [4]), 4) == -4 != exact_dot([3], [4])
+    assert wrap(exact_dot([1, 1], [2, 3]), 4) == 5 == exact_dot([1, 1], [2, 3])
 
 
 def test_check_accumulator_fits():
@@ -100,7 +99,7 @@ def test_check_accumulator_overflow_witness():
     assert wit.witness_x_max == (3,)
     assert not wit.fits_max_side
     # replaying the witness through the wrapping register reproduces the corruption
-    assert wrapping_dot(wit.witness_x_max, [4], AccumulatorSpec(P=4)) == (-4, True)
+    assert wrap(exact_dot(wit.witness_x_max, [4]), 4) == -4 != exact_dot(wit.witness_x_max, [4])
 
 
 @given(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accq.bounds import BitWidths, a2q_limit, a2q_plus_limit, int_range
+from accq import qat
 from accq.errors import AccumulatorOverflowError, DivergenceError
 from accq.qat import (
     CSV_HEADER,
@@ -33,13 +34,12 @@ from accq.qat import (
     min_bound_slack,
     mse,
     quantize_network,
-    reg_penalty,
     save_checkpoint,
     save_float_checkpoint,
     sgd_step,
     train,
 )
-from accq.quantizers import LN2, ChannelWeights, Variant, forward_weights
+from accq.quantizers import LN2, ChannelWeights, Variant, quantize_layer
 
 TINY = TeacherStudentSpec(input_dim=6, hidden=(5, 4), output_dim=3, n_train=96, n_test=48)
 
@@ -72,8 +72,9 @@ def test_record_csv_round_trip():
 
 
 def test_config_rejects_unbudgeted_variant_and_signed_acts():
+    # only the two budgeted variants exist, so no config can name another
     with pytest.raises(ValueError):
-        tiny_config(variant=Variant.STANDARD)
+        Variant("standard")
     with pytest.raises(ValueError):
         tiny_config(bits=BitWidths(M=4, N=3, P=16, act_signed=True))
 
@@ -111,32 +112,59 @@ def _channel_with(g: float, s: float, K: int = 2) -> ChannelWeights:
     return ChannelWeights(v=np.ones(K), t=math.log2(g), d=math.log2(s))
 
 
+def _hinge_step(ch: ChannelWeights, bits: BitWidths, variant: Variant, lam: float = 1e-3):
+    """One sgd_step on a one-channel net whose upstream gradients are all zero.
+
+    With lr = 1 and no weight decay only the hinge lam * max(g - T, 0) moves t
+    and d.  Returns the forward's g and T and the steps dt, dd taken against
+    them (new t = t - dt, new d = d - dd).
+    """
+    layer = QuantLinear.from_channels([ch], bits)
+    net = ToyNetwork(layers=[layer], variant=variant)
+    config = tiny_config(variant=variant, bits=bits, lr=1.0, weight_decay=0.0, lambda_reg=lam)
+    pred, stores = forward(net, np.zeros((1, ch.K)))
+    grads = backward(net, stores, np.zeros_like(pred))
+    sgd_step(net, grads, config)
+    return float(grads[0].g[0]), float(grads[0].T[0]), ch.t - float(layer.t[0]), ch.d - float(layer.d[0])
+
+
 def test_reg_penalty_frozen_examples():
     # P=4, N=1 unsigned gives limit 7/2; s=2 puts the budget T at 7
     bits = BitWidths(M=4, N=1, P=4)
     assert float(a2q_limit(bits.P, bits.N, bits.act_signed)) == 3.5
-    assert reg_penalty(_channel_with(g=5.0, s=2.0), bits, Variant.A2Q) == 0.0
+    g, T, dt, dd = _hinge_step(_channel_with(g=5.0, s=2.0), bits, Variant.A2Q)
+    assert T == 7.0 and g == pytest.approx(5.0, rel=1e-12)
+    assert dt == 0.0 and dd == 0.0
+    lam = 1e-3
+    g, T, dt, dd = _hinge_step(_channel_with(g=10.0, s=2.0), bits, Variant.A2Q, lam)
     # 2**log2(10) lands an ulp off 10, so the hinge is exact only up to that
-    assert reg_penalty(_channel_with(g=10.0, s=2.0), bits, Variant.A2Q) == pytest.approx(3.0, rel=1e-12)
-    assert reg_penalty(_channel_with(g=10.0, s=2.0), bits, Variant.STANDARD) == 0.0
+    assert g - T == pytest.approx(3.0, rel=1e-12)
+    assert dt == pytest.approx(lam * g * LN2, rel=1e-12)
+    assert dd == pytest.approx(-lam * T * LN2, rel=1e-12)
 
 
 def test_reg_penalty_gradient_in_t_is_g_ln2():
     bits = BitWidths(M=4, N=1, P=4)
-    ch = _channel_with(g=10.0, s=2.0)
-    h = 1e-6
-    up = reg_penalty(ChannelWeights(v=ch.v, t=ch.t + h, d=ch.d), bits, Variant.A2Q)
-    dn = reg_penalty(ChannelWeights(v=ch.v, t=ch.t - h, d=ch.d), bits, Variant.A2Q)
-    fd = (up - dn) / (2 * h)
-    assert fd == pytest.approx(10.0 * LN2, rel=1e-6)
+    lam = 1e-3
+    _, _, dt, dd = _hinge_step(_channel_with(g=10.0, s=2.0), bits, Variant.A2Q, lam)
+    assert dt / lam == pytest.approx(10.0 * LN2, rel=1e-6)
+    assert dd / lam == pytest.approx(-7.0 * LN2, rel=1e-6)
 
 
 def test_reg_penalty_uses_the_centered_budget_for_a2q_plus():
     # same g and s, but the zero-sum budget is roughly twice as large
     bits = BitWidths(M=4, N=1, P=4)
-    ch = _channel_with(g=10.0, s=2.0)
     plus_T = 2.0 * float(a2q_plus_limit(bits.P, bits.N))
-    assert reg_penalty(ch, bits, Variant.A2Q_PLUS) == pytest.approx(max(10.0 - plus_T, 0.0))
+    g, T, dt, dd = _hinge_step(_channel_with(g=10.0, s=2.0), bits, Variant.A2Q_PLUS)
+    assert T == plus_T
+    assert max(g - T, 0.0) == 0.0
+    assert dt == 0.0 and dd == 0.0
+    # above the centered budget the hinge pulls d by that budget, not A2Q's
+    lam = 1e-3
+    g, T, dt, dd = _hinge_step(_channel_with(g=40.0, s=2.0), bits, Variant.A2Q_PLUS, lam)
+    assert T == plus_T
+    assert dt == pytest.approx(lam * g * LN2, rel=1e-12)
+    assert dd == pytest.approx(-lam * plus_T * LN2, rel=1e-12)
 
 
 # ---------------------------------------------------------------- gradients
@@ -426,13 +454,18 @@ def test_certify_exhaustive_path_on_tiny_channels():
     certify_accumulators(net)
 
 
-def test_certify_raises_on_overflowing_network():
-    # an unbudgeted channel whose worst case escapes P=4: codes [7, 7] against
-    # 3-bit unsigned inputs reach 98 > 7
+def test_certify_raises_on_overflowing_network(monkeypatch):
+    # real A2Q codes, but quantized for a P=16 register while the layer
+    # certifies at P=4: codes [7, 7] against 3-bit unsigned inputs reach 98 > 7
     bits = BitWidths(M=4, N=3, P=4)
     ch = ChannelWeights(v=np.array([1.0, 1.0]), t=math.log2(14.0), d=0.0)
-    net = ToyNetwork(layers=[QuantLinear.from_channels([ch], bits)], variant=Variant.STANDARD)
-    with pytest.raises(AccumulatorOverflowError):
+    net = ToyNetwork(layers=[QuantLinear.from_channels([ch], bits)], variant=Variant.A2Q)
+    certify_accumulators(net)  # quantized for its own register, the layer is safe
+    wide = BitWidths(M=4, N=3, P=16)
+    results = [quantize_layer(layer.V, layer.t, layer.d, wide, net.variant)[0] for layer in net.layers]
+    assert results[0].q.tolist() == [[7, 7]] and all(results[0].bound_ok)
+    monkeypatch.setattr(qat, "quantize_network", lambda _: results)
+    with pytest.raises(AccumulatorOverflowError, match="layer 0 channel 0 overflows P=4"):
         certify_accumulators(net)
 
 

@@ -18,9 +18,6 @@ from accq.quantizers import (
     Variant,
     channel_budget,
     forward_weights,
-    pre_round_weights,
-    quantize_a2q,
-    quantize_a2q_plus,
     quantize_layer,
     round_to_zero,
 )
@@ -52,10 +49,6 @@ def test_channel_weights_properties():
     ch = ChannelWeights(v=[1.0, -1.0], t=3.0, d=-2.0)
     assert ch.K == 2
     assert ch.g == 8.0 and ch.s == 0.25
-    ch2 = ChannelWeights.from_norm_scale([1.0], g=8.0, s=0.25)
-    assert ch2.t == 3.0 and ch2.d == -2.0
-    with pytest.raises(ValueError):
-        ChannelWeights.from_norm_scale([1.0], g=0.0, s=1.0)
     with pytest.raises(NonFiniteInputError):
         ChannelWeights(v=[float("nan")], t=0.0, d=0.0)
     with pytest.raises(NonFiniteInputError):
@@ -72,7 +65,7 @@ def _bits(M=8, N=4, P=8, act_signed=False):
 def test_a2q_frozen_norm_gate():
     # g = 7 sits under T = 127/16, so the norm gate is active: w = +-3.5
     ch = ChannelWeights(v=[1.0, -1.0], t=math.log2(7.0), d=0.0)
-    res = quantize_a2q(ch, _bits())
+    res = forward_weights(ch, _bits(), Variant.A2Q)[0]
     assert res.q.tolist() == [3, -3]
     assert res.qw.tolist() == [3.0, -3.0]
     assert res.bound == Fraction(127, 16)
@@ -84,7 +77,7 @@ def test_a2q_frozen_norm_gate():
 def test_a2q_frozen_budget_gate():
     # g = 16 exceeds T = 127/16: weights saturate at the budget, w = +-127/32
     ch = ChannelWeights(v=[1.0, -1.0], t=4.0, d=0.0)
-    res = quantize_a2q(ch, _bits())
+    res = forward_weights(ch, _bits(), Variant.A2Q)[0]
     assert res.q.tolist() == [3, -3]
     assert res.bound_ok
 
@@ -92,7 +85,7 @@ def test_a2q_frozen_budget_gate():
 def test_a2q_plus_frozen():
     # mean removal sends [0,1,2] to [-1,0,1]; g = 16 under T = 254/15
     ch = ChannelWeights(v=[0.0, 1.0, 2.0], t=4.0, d=0.0)
-    res = quantize_a2q_plus(ch, _bits())
+    res = forward_weights(ch, _bits(), Variant.A2Q_PLUS)[0]
     assert res.q.tolist() == [-8, 0, 8]
     assert res.bound == Fraction(254, 15)
     assert res.l1_codes == 16.0 and res.bound_ok
@@ -102,8 +95,8 @@ def test_a2q_plus_frozen():
 def test_a2q_plus_single_weight_falls_back():
     assert K_MIN_CENTER == 2
     ch = ChannelWeights(v=[2.0], t=1.0, d=0.0)
-    plus = quantize_a2q_plus(ch, _bits())
-    base = quantize_a2q(ch, _bits())
+    plus = forward_weights(ch, _bits(), Variant.A2Q_PLUS)[0]
+    base = forward_weights(ch, _bits(), Variant.A2Q)[0]
     assert plus.fell_back
     assert plus.variant is Variant.A2Q
     assert plus.bound == base.bound
@@ -124,27 +117,27 @@ def test_channel_budget_is_the_quantizers_budget(variant, K, signed):
     assert active is res.variant
     assert res.fell_back == (variant is Variant.A2Q_PLUS and K == 1)
     assert res.fell_back == (active is not variant)
-    assert np.array_equal(pre_round_weights(ch, bits, variant), tape.u * tape.G)
+    assert np.array_equal(forward_weights(ch, bits, variant)[1].w, tape.u * tape.G)
 
 
 def test_degenerate_channels_quantize_to_zero():
     # constant channel: centering annihilates it
     ch = ChannelWeights(v=[3.0, 3.0], t=2.0, d=0.0)
-    res = quantize_a2q_plus(ch, _bits())
+    res = forward_weights(ch, _bits(), Variant.A2Q_PLUS)[0]
     assert res.q.tolist() == [0, 0] and res.bound_ok
     # zero channel under the uncentered variant
-    res = quantize_a2q(ChannelWeights(v=[0.0, 0.0], t=2.0, d=0.0), _bits())
+    res = forward_weights(ChannelWeights(v=[0.0, 0.0], t=2.0, d=0.0), _bits(), Variant.A2Q)[0]
     assert res.q.tolist() == [0, 0]
     _, tape = forward_weights(ChannelWeights([0.0], 0.0, 0.0), _bits(), Variant.A2Q)
     dv, dt, dd = tape.backward(np.ones(1))
     assert dv.tolist() == [0.0] and dt == 0.0 and dd == 0.0
-    assert pre_round_weights(ch, _bits(), Variant.A2Q_PLUS).tolist() == [0.0, 0.0]
+    assert forward_weights(ch, _bits(), Variant.A2Q_PLUS)[1].w.tolist() == [0.0, 0.0]
 
 
 def test_codes_saturate_at_weight_register():
     # budget is huge but M = 2 only offers codes in [-2, 1]
     ch = ChannelWeights(v=[1.0, 0.0], t=math.log2(1000.0), d=0.0)
-    res = quantize_a2q(ch, _bits(M=2, N=1, P=16))
+    res = forward_weights(ch, _bits(M=2, N=1, P=16), Variant.A2Q)[0]
     assert res.q.tolist() == [1, 0]
     assert res.qw.tolist() == [1.0, 0.0]
 
@@ -152,22 +145,10 @@ def test_codes_saturate_at_weight_register():
 def test_doubling_scale_halves_codes():
     ch0 = ChannelWeights(v=[1.0, -1.0], t=math.log2(7.0), d=0.0)
     ch1 = ChannelWeights(v=[1.0, -1.0], t=math.log2(7.0), d=1.0)
-    r0, r1 = quantize_a2q(ch0, _bits()), quantize_a2q(ch1, _bits())
+    r0, r1 = (forward_weights(ch, _bits(), Variant.A2Q)[0] for ch in (ch0, ch1))
     assert r0.q.tolist() == [3, -3]
     assert r1.q.tolist() == [1, -1]
     assert r1.qw.tolist() == [2.0, -2.0]
-
-
-def test_standard_variant_through_channel_api():
-    ch = ChannelWeights(v=[2.3, -0.4], t=0.0, d=-1.0)
-    res, tape = forward_weights(ch, _bits(M=4), Variant.STANDARD)
-    # plain rounding of v/s with no norm constraint
-    assert res.q.tolist() == [5, -1]
-    assert res.qw.tolist() == [2.5, -0.5]
-    assert res.variant is Variant.STANDARD
-    assert pre_round_weights(ch, _bits(M=4), Variant.STANDARD).tolist() == [2.3, -0.4]
-    dv, dt, dd = tape.backward_smooth(np.array([0.7, -0.2]))
-    assert dv.tolist() == [0.7, -0.2] and dt == 0.0 and dd == 0.0
 
 
 # ------------------------------------------------------- certificates en masse
@@ -205,9 +186,8 @@ def test_rounding_dominated_by_pre_round_weights(variant):
         K = int(rng.integers(2, 9))
         ch = _random_channel(rng, K)
         bits = _bits(P=int(rng.integers(4, 13)))
-        res = forward_weights(ch, bits, variant)[0]
-        w = pre_round_weights(ch, bits, variant)
-        assert verify_domination(w, res.s, res.q)
+        res, tape = forward_weights(ch, bits, variant)
+        assert verify_domination(tape.w, res.s, res.q)
 
 
 def test_centered_pre_round_weights_sum_to_zero():
@@ -215,7 +195,7 @@ def test_centered_pre_round_weights_sum_to_zero():
     for trial in range(200):
         K = int(rng.integers(2, 12))
         ch = _random_channel(rng, K)
-        w = pre_round_weights(ch, _bits(), Variant.A2Q_PLUS)
+        w = forward_weights(ch, _bits(), Variant.A2Q_PLUS)[1].w
         assert abs(w.sum()) <= K * 1e-12 * np.abs(w).sum() + 1e-300
 
 
@@ -235,12 +215,12 @@ def test_requantize_exact_on_dyadic_mass():
         qw = (2.0**d) * np.array([3.0, -3.0, 1.0, 1.0])
         n1 = float(np.abs(qw).sum())
         ch = ChannelWeights(v=qw, t=math.log2(n1), d=d)
-        res = quantize_a2q(ch, _bits(P=10))
+        res = forward_weights(ch, _bits(P=10), Variant.A2Q)[0]
         assert res.qw.tolist() == qw.tolist()
     # zero-sum dyadic case through the centered variant
     qw = np.array([-8.0, 0.0, 8.0])
     ch = ChannelWeights(v=qw, t=4.0, d=0.0)
-    res = quantize_a2q_plus(ch, _bits())
+    res = forward_weights(ch, _bits(), Variant.A2Q_PLUS)[0]
     assert res.qw.tolist() == qw.tolist()
 
 
@@ -271,9 +251,8 @@ def test_requantize_never_grows_codes(variant):
 
 
 def _loss_and_grads(ch, bits, variant, r):
-    res, tape = forward_weights(ch, bits, variant)
-    w = pre_round_weights(ch, bits, variant)
-    return float(np.dot(r, w)), tape.backward_smooth(r)
+    tape = forward_weights(ch, bits, variant)[1]
+    return float(np.dot(r, tape.w)), tape.backward_smooth(r)
 
 
 def _fd(fun, x0, h=1e-5):
@@ -439,7 +418,7 @@ def _mixed_layer(K: int, bits: BitWidths) -> tuple[np.ndarray, np.ndarray, np.nd
     rng = RNG(41)
     log_T = math.log2(float(a2q_limit(bits.P, bits.N, bits.act_signed)))
     V = rng.normal(size=(8, K))
-    V[0] = 0.0  # degenerate for every budgeted variant
+    V[0] = 0.0  # degenerate for every variant
     V[1] = 2.5  # constant: degenerate once centered (K > 1)
     t = np.array([1.0, 1.0, log_T - 2.0, log_T - 0.5, log_T + 0.5, log_T + 3.0, 30.0, 30.0])
     d = np.array([0.0, -1.0, -2.0, -1.5, 0.25, -3.0, -12.0, 1.0])  # row 6 saturates at M bits
@@ -461,13 +440,11 @@ def test_layer_rows_equal_single_channel_calls(variant, K):
         row_grads = {
             name: [getattr(row_tape, name)(up[i]) for i, (_, row_tape) in enumerate(rows)] for name in grads
         }
-    budgeted = variant is not Variant.STANDARD
     assert res.fell_back == (variant is Variant.A2Q_PLUS and K == 1)
-    assert bool(tape.degenerate[0]) == budgeted
-    assert bool(tape.degenerate[1]) == (budgeted and K >= K_MIN_CENTER and variant is Variant.A2Q_PLUS)
-    if budgeted:
-        assert not tape.gate_on_g[5] and tape.gate_on_g[2]
-        assert not tape.in_range[6].all()
+    assert tape.degenerate[0]
+    assert bool(tape.degenerate[1]) == (K >= K_MIN_CENTER and variant is Variant.A2Q_PLUS)
+    assert not tape.gate_on_g[5] and tape.gate_on_g[2]
+    assert not tape.in_range[6].all()
     for i, (one, one_tape) in enumerate(rows):
         assert res.q[i].tobytes() == one.q.tobytes()
         assert res.qw[i].tobytes() == one.qw.tobytes()
