@@ -19,10 +19,6 @@ from fractions import Fraction
 
 from .errors import InvalidBitWidthError
 
-# RationalBound in the external contract is an exact rational in lowest terms;
-# stdlib Fraction already is one.
-RationalBound = Fraction
-
 _MAX_BITS = 64
 
 # weight codes are trunc(w / s) in float64.  Up to 52 bits every code sits

@@ -6,10 +6,10 @@ verify (overflow certificates and the derivation self-checks), train
 checkpoint), pareto (frontier extraction from sweep CSV).
 
 Exit codes: 0 success, 2 usage, 3 bad input (an unreadable or malformed
-input, an out-of-range bit width or a negative seed) or a training run that
-diverged, 4 verification failure (an overflow or a failed derivation), 5
-enumeration budget exceeded.  Every subcommand is deterministic given its
-flags, input files, and ACCQ_ENUM_BUDGET.
+input, an out-of-range bit width, batch size or epoch count, or a negative
+seed) or a training run that diverged, 4 verification failure (an overflow
+or a failed derivation), 5 enumeration budget exceeded.  Every subcommand is
+deterministic given its flags, input files, and ACCQ_ENUM_BUDGET.
 """
 
 from __future__ import annotations
@@ -245,8 +245,12 @@ def _checkpoint_rows(path: str) -> list[np.ndarray]:
     except (ValueError, KeyError, TypeError) as exc:
         raise _InputError(f"bad checkpoint {path}: {exc}") from exc
     if kind == "float":
-        return [np.asarray(row, dtype=float) for layer in payload for row in layer]
-    return [row for layer in payload.layers for row in layer.quantize(payload.variant)[1].w]
+        rows = [np.asarray(row, dtype=float) for layer in payload for row in layer]
+    else:
+        rows = [row for layer in payload.layers for row in layer.quantize(payload.variant).w]
+    if not rows:
+        raise _InputError(f"{path} holds no channels")
+    return rows
 
 
 def cmd_analyze(ns: argparse.Namespace) -> int:

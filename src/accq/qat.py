@@ -30,16 +30,12 @@ from .bounds import BitWidths, a2q_limit, int_range
 from .epinit import ZERO_EXPONENT, ep_init, init_scale
 from .errors import AccumulatorOverflowError, DivergenceError
 from .intsim import AccumulatorSpec, certify
-from .quantizers import (
-    LN2,
-    ChannelWeights,
-    LayerResult,
-    LayerTape,
-    Variant,
-    quantize_layer,
-)
+from .quantizers import LN2, ChannelWeights, QuantizedLayer, Variant, quantize_layer
 
 CSV_HEADER = "variant,M,N,P,seed,final_loss,sparsity,min_slack"
+
+# weight and activation bits of the first and last layers
+EDGE_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -70,11 +66,14 @@ class TrainConfig:
     batch_size: int = 256
     seed: int = 0
     dataset: TeacherStudentSpec = field(default_factory=TeacherStudentSpec)
-    edge_bits: int = 8
 
     def __post_init__(self) -> None:
         if self.bits.act_signed:
             raise ValueError("hidden activations are unsigned after ReLU; bits.act_signed must be False")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,7 @@ class QuantLinear:
         """A copy of each row as a ChannelWeights; editing one leaves the layer alone."""
         return [ChannelWeights(v=v, t=t, d=d) for v, t, d in zip(self.V.copy(), self.t.tolist(), self.d.tolist())]
 
-    def quantize(self, variant: Variant) -> tuple[LayerResult, LayerTape]:
+    def quantize(self, variant: Variant) -> QuantizedLayer:
         return quantize_layer(self.V, self.t, self.d, self.bits, variant)
 
     def is_finite(self) -> bool:
@@ -210,8 +209,8 @@ def _layer_bits(config: TrainConfig) -> list[BitWidths]:
     plans = []
     for i in range(n_layers):
         edge = i == 0 or i == n_layers - 1
-        M = config.edge_bits if edge else config.bits.M
-        N = config.edge_bits if edge else config.bits.N
+        M = EDGE_BITS if edge else config.bits.M
+        N = EDGE_BITS if edge else config.bits.N
         plans.append(BitWidths(M=M, N=N, P=config.bits.P, act_signed=False))
     return plans
 
@@ -269,7 +268,7 @@ def calibrate(net: ToyNetwork, X: np.ndarray) -> None:
         _, hi = int_range(layer.bits.N, layer.bits.act_signed)
         top = float(np.max(np.abs(h))) if h.size else 0.0
         layer.act_exp = math.log2(top / hi) if top > 0.0 else ZERO_EXPONENT
-        h = h @ layer.quantize(net.variant)[1].w.T + layer.bias
+        h = h @ layer.quantize(net.variant).w.T + layer.bias
         if i < len(net.layers) - 1:
             h = np.maximum(h, 0.0)
 
@@ -307,8 +306,7 @@ class _LayerStore:
     xq: np.ndarray
     act_tape: _ActTape | None
     W: np.ndarray
-    result: LayerResult
-    tape: LayerTape
+    quant: QuantizedLayer
     y: np.ndarray
 
 
@@ -340,10 +338,10 @@ def forward(net: ToyNetwork, X, quantize: bool = True) -> tuple[np.ndarray, list
             xq, act_tape = _act_forward(h, layer)
         else:
             xq, act_tape = h, None
-        result, tape = layer.quantize(net.variant)
-        W = result.qw if quantize else tape.w
+        quant = layer.quantize(net.variant)
+        W = quant.qw if quantize else quant.w
         y = xq @ W.T + layer.bias
-        stores.append(_LayerStore(xq=xq, act_tape=act_tape, W=W, result=result, tape=tape, y=y))
+        stores.append(_LayerStore(xq=xq, act_tape=act_tape, W=W, quant=quant, y=y))
         h = y if i == last else np.maximum(y, 0.0)
     return h, stores
 
@@ -360,12 +358,12 @@ def backward(
         d_y = d_h if i == n - 1 else d_h * (st.y > 0.0)
         dW = d_y.T @ st.xq
         d_xq = d_y @ st.W
-        dV, dt, dd = st.tape.backward(dW) if quantize else st.tape.backward_smooth(dW)
+        dV, dt, dd = st.quant.backward(dW) if quantize else st.quant.backward_smooth(dW)
         if quantize:
             d_h, da = _act_backward(d_xq, st.act_tape)
         else:
             d_h, da = d_xq, 0.0
-        grads[i] = LayerGrads(dV=dV, dt=dt, dd=dd, db=d_y.sum(axis=0), da=da, g=st.tape.g, T=st.tape.T)
+        grads[i] = LayerGrads(dV=dV, dt=dt, dd=dd, db=d_y.sum(axis=0), da=da, g=st.quant.g, T=st.quant.T)
     return grads  # type: ignore[return-value]
 
 
@@ -406,24 +404,17 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
     data = make_data(config)
     net = build_network(config, data.init_weights)
     calibrate(net, data.X_train[: min(256, len(data.X_train))])
-    order = np.random.default_rng([config.seed, 1])
-    n = len(data.X_train)
-    step = max(1, config.batch_size)
-    for epoch in range(config.epochs):
-        perm = order.permutation(n)
-        for start in range(0, n, step):
-            idx = perm[start : start + step]
-            xb, yb = data.X_train[idx], data.y_train[idx]
-            pred, stores = _quantized_forward(net, xb, f"epoch {epoch}")
-            loss = mse(pred, yb)
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            d_pred = 2.0 * (pred - yb) / pred.size
-            grads = backward(net, stores, d_pred, quantize=True)
-            sgd_step(net, grads, config)
-            if not all(layer.is_finite() for layer in net.layers):
-                # the next loss cannot be finite; stop before numpy casts NaNs
-                raise DivergenceError(f"non-finite loss at epoch {epoch}: an SGD step made a parameter non-finite")
+    for epoch, xb, yb in _batches(config, data):
+        pred, stores = _quantized_forward(net, xb, f"epoch {epoch}")
+        loss = mse(pred, yb)
+        if not math.isfinite(loss):
+            raise DivergenceError(f"non-finite loss at epoch {epoch}")
+        d_pred = 2.0 * (pred - yb) / pred.size
+        grads = backward(net, stores, d_pred, quantize=True)
+        sgd_step(net, grads, config)
+        if not all(layer.is_finite() for layer in net.layers):
+            # the next loss cannot be finite; stop before numpy casts NaNs
+            raise DivergenceError(f"non-finite loss at epoch {epoch}: an SGD step made a parameter non-finite")
     final_loss = mse(_quantized_forward(net, data.X_test, "the final evaluation")[0], data.y_test)
     if not math.isfinite(final_loss):
         raise DivergenceError("non-finite final loss")
@@ -439,6 +430,20 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
         min_slack=min_bound_slack(net),
     )
     return net, record
+
+
+def _batches(config: TrainConfig, data: DataBundle):
+    """Yield (epoch, x, y) per minibatch: the one batch order fit and float_baseline share.
+
+    Each epoch draws a permutation of the training set from the
+    default_rng([seed, 1]) stream and slices it into batch_size runs.
+    """
+    order = np.random.default_rng([config.seed, 1])
+    for epoch in range(config.epochs):
+        perm = order.permutation(len(data.X_train))
+        for start in range(0, len(perm), config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            yield epoch, data.X_train[idx], data.y_train[idx]
 
 
 def _quantized_forward(net: ToyNetwork, X, when: str) -> tuple[np.ndarray, list[_LayerStore]]:
@@ -460,9 +465,6 @@ def float_baseline(config: TrainConfig) -> FloatRun:
     data = make_data(config)
     W = [w.copy() for w in data.init_weights]
     b = [np.zeros(w.shape[0]) for w in W]
-    order = np.random.default_rng([config.seed, 1])
-    n = len(data.X_train)
-    step = max(1, config.batch_size)
     n_layers = len(W)
 
     def run(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -475,29 +477,25 @@ def float_baseline(config: TrainConfig) -> FloatRun:
             h = y if i == n_layers - 1 else np.maximum(y, 0.0)
         return h, xs, ys
 
-    for epoch in range(config.epochs):
-        perm = order.permutation(n)
-        for start in range(0, n, step):
-            idx = perm[start : start + step]
-            xb, yb = data.X_train[idx], data.y_train[idx]
-            pred, xs, ys = run(xb)
-            loss = mse(pred, yb)
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite float baseline loss at epoch {epoch}")
-            d_h = 2.0 * (pred - yb) / pred.size
-            for i in reversed(range(n_layers)):
-                d_y = d_h if i == n_layers - 1 else d_h * (ys[i] > 0.0)
-                dWi = d_y.T @ xs[i]
-                dbi = d_y.sum(axis=0)
-                d_h = d_y @ W[i]
-                W[i] = W[i] - config.lr * (dWi + config.weight_decay * W[i])
-                b[i] = b[i] - config.lr * dbi
+    for epoch, xb, yb in _batches(config, data):
+        pred, xs, ys = run(xb)
+        loss = mse(pred, yb)
+        if not math.isfinite(loss):
+            raise DivergenceError(f"non-finite float baseline loss at epoch {epoch}")
+        d_h = 2.0 * (pred - yb) / pred.size
+        for i in reversed(range(n_layers)):
+            d_y = d_h if i == n_layers - 1 else d_h * (ys[i] > 0.0)
+            dWi = d_y.T @ xs[i]
+            dbi = d_y.sum(axis=0)
+            d_h = d_y @ W[i]
+            W[i] = W[i] - config.lr * (dWi + config.weight_decay * W[i])
+            b[i] = b[i] - config.lr * dbi
     final_loss = mse(run(data.X_test)[0], data.y_test)
     return FloatRun(final_loss=final_loss, weights=tuple(W))
 
 
-def quantize_network(net: ToyNetwork) -> list[LayerResult]:
-    return [layer.quantize(net.variant)[0] for layer in net.layers]
+def quantize_network(net: ToyNetwork) -> list[QuantizedLayer]:
+    return [layer.quantize(net.variant) for layer in net.layers]
 
 
 def measure_sparsity(net: ToyNetwork) -> float:

@@ -13,13 +13,15 @@ is what buys its wider budget.
 
 All channels of a layer share K and bit widths, so the work is done per layer:
 quantize_layer takes the directions as a (C, K) array and t, d as (C,) arrays,
-and returns (C, K) codes plus a LayerTape whose backward passes return
-(dV, dt, dd) arrays.  forward_weights and WeightTape are its C = 1 view over
-one ChannelWeights, kept for the benchmark's quantize_audit workload and for
-tests; nothing in the package calls them.  Row reductions use sum(axis=1) and
-np.vecdot, which equal the per-row sum() and np.dot bit for bit, and 2^t, 2^d
-use Python's float pow per row (np.exp2 differs in the last bit), so a layer's
-row i is exactly what channel i gives alone.
+and returns one QuantizedLayer: the (C, K) codes, their certificate and the
+forward state whose backward passes return (dV, dt, dd) arrays.
+forward_weights returns WeightTape, the single C = 1 row view of that record,
+for one ChannelWeights; both are kept for the benchmark's quantize_audit
+workload and for tests, and nothing in the package calls them.  Row
+reductions use sum(axis=1) and np.vecdot, which equal the per-row sum() and
+np.dot bit for bit, and 2^t, 2^d use Python's float pow per row (np.exp2
+differs in the last bit), so a layer's row i is exactly what channel i gives
+alone.
 
 Certificates on integer codes are checked exactly (Fraction vs. int), never in
 floats.
@@ -87,12 +89,26 @@ class ChannelWeights:
 
 
 @dataclass
-class LayerResult:
-    """Outcome of quantizing a layer; row i of every array is channel i.
+class QuantizedLayer:
+    """One quantized layer of channels; row i of every per-row array is channel i.
 
-    q, qw are (C, K) and s is (C,).  bound is the integer-domain l1 budget (the
-    active T divided by s).  l1_codes and bound_ok hold one Python int and one
-    bool per row: the certificate l1 <= bound is checked in exact integers.
+    Codes and certificate: q (C, K) int64 codes, qw = s * q and s (C,).  bound
+    is the integer-domain l1 budget (the active T divided by s), variant the
+    one that ran and fell_back whether it differs from the one asked for.
+    l1_codes and bound_ok hold one Python int and one bool per row: the
+    certificate l1 <= bound is checked in exact integers.
+
+    Backprop state: w = u * G is the pre-round weights, with u = c / n1 the
+    l1-normalized (centered, for A2Q+) direction, G = min(g, T) per row and
+    pre = w / s.  A degenerate row (all zero after centering) carries u = 0
+    and G = 0, which zero every gradient of it.
+
+    backward() differentiates the quantized output under the clipped
+    straight-through convention: rounding has unit slope inside the code
+    range, while saturated weights block the path into v and t and feel only
+    the scale through their pinned code.  backward_smooth() differentiates the
+    pre-round weights w, the reference for finite-difference checks.  Both take
+    a (C, K) upstream gradient and return (dV (C, K), dt (C,), dd (C,)).
     """
 
     q: np.ndarray
@@ -102,37 +118,17 @@ class LayerResult:
     bound: Fraction
     bound_ok: list[bool]
     variant: Variant
-    fell_back: bool = False
-
-
-@dataclass
-class LayerTape:
-    """Saved forward state for manual backprop through a layer of channels.
-
-    backward() differentiates the quantized output under the clipped
-    straight-through convention: rounding has unit slope inside the code
-    range, while saturated weights block the path into v and t and feel only
-    the scale through their pinned code.  backward_smooth() differentiates the
-    pre-round weights w, the reference for finite-difference checks.  Both take
-    a (C, K) upstream gradient and return (dV (C, K), dt (C,), dd (C,)).
-
-    w = u * G is the pre-round weights; a degenerate row (all zero after
-    centering) carries u = 0 and G = 0, which zero every gradient of it.
-    """
-
-    centered: bool
+    fell_back: bool
     degenerate: np.ndarray
     c: np.ndarray
     n1: np.ndarray
     u: np.ndarray
     g: np.ndarray
-    s: np.ndarray
     T: np.ndarray
     G: np.ndarray
     gate_on_g: np.ndarray
     w: np.ndarray
     pre: np.ndarray
-    q: np.ndarray
     in_range: np.ndarray
 
     @property
@@ -145,7 +141,7 @@ class LayerTape:
         dG = np.vecdot(dw, self.u)
         du = dw * self.G[:, None]
         dc = (du - np.sign(self.c) * np.vecdot(du, self.u)[:, None]) / self.n1[:, None]
-        dv = dc - (dc.sum(axis=1) / self.K)[:, None] if self.centered else dc
+        dv = dc - (dc.sum(axis=1) / self.K)[:, None] if self.variant is Variant.A2Q_PLUS else dc
         # G is g on the gate and T = s * budget off it, and dT/dd = T ln 2
         d_exp = dG * self.G * LN2
         return dv, np.where(self.gate_on_g, d_exp, 0.0), np.where(self.gate_on_g, 0.0, d_exp)
@@ -159,23 +155,20 @@ class LayerTape:
         return dv, dt, dd + np.vecdot(d_qw, resid) * self.s * LN2
 
 
-class _Row:
-    """The C = 1 view of a one-row LayerResult or LayerTape.
+class WeightTape:
+    """The C = 1 view of a one-row QuantizedLayer, with one channel's backward passes.
 
     Every per-row field reads as its only row (q is a (K,) vector, l1_codes
-    an int, a tape's g a scalar); layer-wide fields read as they are.
+    an int, g a scalar); layer-wide fields read as they are.  The backward
+    passes take and return one channel's gradients.
     """
 
-    def __init__(self, layer) -> None:
+    def __init__(self, layer: QuantizedLayer) -> None:
         self.layer = layer
 
     def __getattr__(self, name: str):
         value = getattr(self.layer, name)
         return value[0] if isinstance(value, (np.ndarray, list)) else value
-
-
-class WeightTape(_Row):
-    """One channel's tape: the backward passes take and return one channel's gradients."""
 
     def backward_smooth(self, d_w) -> tuple[np.ndarray, float, float]:
         dv, dt, dd = self.layer.backward_smooth(np.asarray(d_w, dtype=float)[None])
@@ -222,8 +215,8 @@ def _shrink_rows(q: np.ndarray, rows: list[int], cap: int) -> np.ndarray:
 
 def quantize_layer(
     V: np.ndarray, t: np.ndarray, d: np.ndarray, bits: BitWidths, variant: Variant
-) -> tuple[LayerResult, LayerTape]:
-    """Quantize a (C, K) layer of channels and return the backprop tape alongside.
+) -> QuantizedLayer:
+    """Quantize a (C, K) layer of channels into one record of codes, certificate and tape.
 
     Row i uses direction V[i], norm 2^t[i] and scale 2^d[i]; every row shares
     K, the bit widths and so one budget Fraction.  Raises OverflowError when a
@@ -233,7 +226,6 @@ def quantize_layer(
     C, K = V.shape
     lo, hi = int_range(bits.M, signed=True)
     active, limit = channel_budget(K, bits, variant)
-    center = active is Variant.A2Q_PLUS
     # 2^t, 2^d and T = s * budget per row in Python floats: np.exp2 differs
     # from Python's pow in the last bit, Python's pow raises OverflowError
     # where numpy returns inf, and an overflowing T stays a silent inf
@@ -244,7 +236,7 @@ def quantize_layer(
     g, s, T = np.array([[2.0 ** e for e in t.tolist()], s, [x * budget for x in s]])
     s_col = s[:, None]
 
-    if center:
+    if active is Variant.A2Q_PLUS:
         # sum / K is mean() bit for bit, minus np.mean's per-call overhead
         c = V - V.sum(axis=1, keepdims=True) / float(K)
         # the leftover sum scales with ||v||, not ||c||, and near-equal entries
@@ -268,40 +260,33 @@ def quantize_layer(
     clipped = raw.clip(lo, hi)
     in_range = clipped == raw
     q = clipped.astype(np.int64)
-    qf = q.astype(float)
-    qw = s_col * qf
+    qw = s_col * q
     # w/s can round up across an integer edge, leaving |s*q| an ulp above |w|;
     # pull such codes one step toward zero so domination holds in float too
     over = np.abs(qw) > np.abs(w)
     if np.count_nonzero(over):
         q = np.where(over, q - np.sign(q), q)
-        qf = q.astype(float)
-        qw = s_col * qf
+        qw = s_col * q
     l1 = np.abs(q).sum(axis=1).tolist()
     # the exact certificate: l1 <= limit in integers, i.e. l1 <= floor(limit)
     cap = limit.numerator // limit.denominator
     if max(l1) > cap:
         q = _shrink_rows(q, [i for i, x in enumerate(l1) if x > cap], cap)
-        qf = q.astype(float)
-        qw = s_col * qf
+        qw = s_col * q
         l1 = np.abs(q).sum(axis=1).tolist()
 
-    result = LayerResult(
-        q=q, qw=qw, s=s, l1_codes=l1, bound=limit,
-        bound_ok=[x <= cap for x in l1], variant=active, fell_back=active is not variant,
+    return QuantizedLayer(
+        q=q, qw=qw, s=s, l1_codes=l1, bound=limit, bound_ok=[x <= cap for x in l1],
+        variant=active, fell_back=active is not variant, degenerate=degenerate, c=c, n1=n1, u=u,
+        g=g, T=T, G=G, gate_on_g=gate_on_g, w=w, pre=pre, in_range=in_range,
     )
-    tape = LayerTape(
-        centered=center, degenerate=degenerate, c=c, n1=n1, u=u,
-        g=g, s=s, T=T, G=G, gate_on_g=gate_on_g, w=w, pre=pre, q=qf,
-        in_range=in_range,
-    )
-    return result, tape
 
 
-def forward_weights(ch: ChannelWeights, bits: BitWidths, variant: Variant) -> tuple[_Row, WeightTape]:
-    """Quantize one channel: quantize_layer on a one-row layer, read through _Row.
+def forward_weights(ch: ChannelWeights, bits: BitWidths, variant: Variant) -> tuple[WeightTape, WeightTape]:
+    """Quantize one channel: quantize_layer on a one-row layer, read through WeightTape.
 
-    Kept for the benchmark's quantize_audit workload and for tests.
+    The one view is returned twice, as the (result, tape) pair the benchmark's
+    quantize_audit workload unpacks; kept for that workload and for tests.
     """
-    res, tape = quantize_layer(ch.v[None], np.array([ch.t]), np.array([ch.d]), bits, variant)
-    return _Row(res), WeightTape(tape)
+    row = WeightTape(quantize_layer(ch.v[None], np.array([ch.t]), np.array([ch.d]), bits, variant))
+    return row, row

@@ -98,8 +98,8 @@ def _channel_batch(rng, n: int, K: int):
 def _quantized_channels(batch, N: int, P: int, variant: Variant):
     """Quantize a batch with one quantize_layer call per (M, signedness) group.
 
-    Yields (i, signed, res, tape, row): channel i of the batch is row `row` of
-    that group's result and tape, exactly what it gives quantized alone.
+    Yields (i, signed, res, row): channel i of the batch is row `row` of that
+    group's QuantizedLayer, exactly what it gives quantized alone.
     """
     vs, ts, ds, Ms, sg = batch
     for M in np.unique(Ms).tolist():
@@ -107,9 +107,9 @@ def _quantized_channels(batch, N: int, P: int, variant: Variant):
             idx = np.flatnonzero((Ms == M) & (sg == signed))
             if idx.size:
                 bits = BitWidths(M, N, P, act_signed=signed)
-                res, tape = quantize_layer(vs[idx], ts[idx], ds[idx], bits, variant)
+                res = quantize_layer(vs[idx], ts[idx], ds[idx], bits, variant)
                 for row, i in enumerate(idx.tolist()):
-                    yield i, signed, res, tape, row
+                    yield i, signed, res, row
 
 
 def test_criterion_02_a2q_overflow_freedom(capsys):
@@ -119,7 +119,7 @@ def test_criterion_02_a2q_overflow_freedom(capsys):
     for K, N, P in _OVERFLOW_GRID:
         spec = AccumulatorSpec(P)
         batch = _channel_batch(rng, _N_RANDOM, K)
-        for i, signed, res, _, row in _quantized_channels(batch, N, P, Variant.A2Q):
+        for i, signed, res, row in _quantized_channels(batch, N, P, Variant.A2Q):
             q = res.q[row]
             assert res.bound_ok[row]
             wit = check_accumulator(q, N, signed, spec)
@@ -145,11 +145,11 @@ def test_criterion_03_a2q_plus_overflow_freedom(capsys):
     for K, N, P in _OVERFLOW_GRID:
         spec = AccumulatorSpec(P)
         batch = _channel_batch(rng, _N_RANDOM, K)
-        for i, signed, res, tape, row in _quantized_channels(batch, N, P, Variant.A2Q_PLUS):
+        for i, signed, res, row in _quantized_channels(batch, N, P, Variant.A2Q_PLUS):
             q = res.q[row]
             assert res.bound_ok[row]
-            if not tape.degenerate[row]:
-                w = tape.w[row]  # constrained real weights before rounding
+            if not res.degenerate[row]:
+                w = res.w[row]  # constrained real weights before rounding
                 assert verify_domination(w, res.s[row], q)
                 if K < 2:
                     # single-element channels keep the uncentered budget by contract

@@ -3,7 +3,9 @@
 The benchmark calls and patches accq names of its own choosing (spans.TRACED,
 the workload calls and their checks).  This runs its tracer and one seed-1
 item of every workload through it, so removing or changing a name the
-benchmark needs fails here.  benchmarks/ is only imported, never edited.
+benchmark needs fails here, and every seed-1 quantize_audit item untraced,
+which reads the one-channel view on every shape the benchmark quantizes.
+benchmarks/ is only imported, never edited.
 """
 
 import importlib
@@ -61,3 +63,19 @@ def test_workload_runs_and_checks_clean(name, tracer, tmp_path):
     assert work > 0
     assert workload.cycle_errors([out]) == []
     assert WORKLOADS[name] <= {span.name for span in tracer.spans}
+
+
+def test_quantize_audit_checks_clean_on_every_seed1_item(tmp_path):
+    items = inputs.generate("quantize_audit", 1, tmp_path)
+    assert len(items) == 48
+    # K=1 under A2Q+ is the fallback to the uncentered budget
+    assert {(item.w.size, item.variant, item.signed) for item in items} == {
+        (K, variant, signed)
+        for K in (1, 2, 16, 64, 256, 1024)
+        for variant in ("a2q", "a2q+")
+        for signed in (False, True)
+    }
+    workload = workloads.make("quantize_audit", items)
+    for item in items:
+        work, errors = workload.check(item, workload.call(item))
+        assert (work, errors) == (1, [])

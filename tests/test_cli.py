@@ -276,6 +276,12 @@ def test_train_negative_seed_exits_3(capsys):
     assert_input_error(capsys, "train", "--M", "4", "--N", "4", "--P", "12", "--seed", "-1", *TRAIN_FAST)
 
 
+@pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--batch-size", "-4"), ("--epochs", "-1")])
+def test_train_out_of_range_schedule_exits_3(flag, value, capsys):
+    err = assert_input_error(capsys, "train", "--M", "4", "--N", "4", "--P", "12", *TRAIN_FAST, flag, value)
+    assert flag.removeprefix("--").replace("-", "_") in err
+
+
 def test_train_csv_matches_golden_file(capsys):
     # the file pins the CSV bytes across refactors of the quantizer and trainer
     code, out = run(
@@ -375,6 +381,10 @@ def test_analyze_too_wide_weights_exits_3(checkpoints, capsys):
                 }
             ],
         },
+        # well-formed but without a single channel to put on the curve
+        {"kind": "float", "layers": []},
+        {"kind": "float", "layers": [{"channels": []}]},
+        {"kind": "quantized", "variant": "a2q", "layers": []},
     ],
 )
 def test_analyze_malformed_checkpoint_exits_3(payload, tmp_path, capsys):

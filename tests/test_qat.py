@@ -15,6 +15,7 @@ from accq.errors import AccumulatorOverflowError, DivergenceError
 from accq.qat import (
     CSV_HEADER,
     _act_forward,
+    _batches,
     QuantLinear,
     SweepRecord,
     TeacherStudentSpec,
@@ -194,12 +195,12 @@ def fd_relative_errors(seed: int, h: float = 1e-4):
         for li, st in enumerate(stores):
             if li < len(stores) - 1 and np.min(np.abs(st.y)) < 10 * h:
                 return None
-            tape = st.tape
-            if tape.degenerate.any():
+            quant = st.quant
+            if quant.degenerate.any():
                 return None
-            if np.min(np.abs(tape.c)) < 20 * h:
+            if np.min(np.abs(quant.c)) < 20 * h:
                 return None
-            if (np.abs(tape.g - tape.T) < 1e-3 * np.maximum(tape.g, tape.T)).any():
+            if (np.abs(quant.g - quant.T) < 1e-3 * np.maximum(quant.g, quant.T)).any():
                 return None
 
         d_pred = 2.0 * (pred - y) / pred.size
@@ -262,19 +263,15 @@ def test_every_step_stays_inside_budget():
     data = make_data(cfg)
     net = build_network(cfg, data.init_weights)
     calibrate(net, data.X_train[:32])
-    order = np.random.default_rng([cfg.seed, 1])
-    for _ in range(cfg.epochs):
-        perm = order.permutation(len(data.X_train))
-        for start in range(0, len(perm), cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            pred, stores = forward(net, data.X_train[idx])
-            for st in stores:
-                res = st.result
-                for bound_ok, l1_codes in zip(res.bound_ok, res.l1_codes):
-                    assert bound_ok
-                    assert Fraction(int(l1_codes)) <= res.bound
-            d_pred = 2.0 * (pred - data.y_train[idx]) / pred.size
-            sgd_step(net, backward(net, stores, d_pred), cfg)
+    for _, xb, yb in _batches(cfg, data):
+        pred, stores = forward(net, xb)
+        for st in stores:
+            res = st.quant
+            for bound_ok, l1_codes in zip(res.bound_ok, res.l1_codes):
+                assert bound_ok
+                assert Fraction(int(l1_codes)) <= res.bound
+        d_pred = 2.0 * (pred - yb) / pred.size
+        sgd_step(net, backward(net, stores, d_pred), cfg)
 
 
 @pytest.mark.parametrize("variant", [Variant.A2Q, Variant.A2Q_PLUS])
@@ -462,7 +459,7 @@ def test_certify_raises_on_overflowing_network(monkeypatch):
     net = ToyNetwork(layers=[QuantLinear.from_channels([ch], bits)], variant=Variant.A2Q)
     certify_accumulators(net)  # quantized for its own register, the layer is safe
     wide = BitWidths(M=4, N=3, P=16)
-    results = [quantize_layer(layer.V, layer.t, layer.d, wide, net.variant)[0] for layer in net.layers]
+    results = [quantize_layer(layer.V, layer.t, layer.d, wide, net.variant) for layer in net.layers]
     assert results[0].q.tolist() == [[7, 7]] and all(results[0].bound_ok)
     monkeypatch.setattr(qat, "quantize_network", lambda _: results)
     with pytest.raises(AccumulatorOverflowError, match="layer 0 channel 0 overflows P=4"):

@@ -434,30 +434,30 @@ def test_layer_rows_equal_single_channel_calls(variant, K):
     up = rng.normal(size=V.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res, tape = quantize_layer(V, t, d, bits, variant)
-        grads = {"backward": tape.backward(up), "backward_smooth": tape.backward_smooth(up)}
-        rows = [forward_weights(ChannelWeights(V[i], t[i], d[i]), bits, variant) for i in range(len(V))]
+        layer = quantize_layer(V, t, d, bits, variant)
+        grads = {"backward": layer.backward(up), "backward_smooth": layer.backward_smooth(up)}
+        rows = [forward_weights(ChannelWeights(V[i], t[i], d[i]), bits, variant)[0] for i in range(len(V))]
         row_grads = {
-            name: [getattr(row_tape, name)(up[i]) for i, (_, row_tape) in enumerate(rows)] for name in grads
+            name: [getattr(row, name)(up[i]) for i, row in enumerate(rows)] for name in grads
         }
-    assert res.fell_back == (variant is Variant.A2Q_PLUS and K == 1)
-    assert tape.degenerate[0]
-    assert bool(tape.degenerate[1]) == (K >= K_MIN_CENTER and variant is Variant.A2Q_PLUS)
-    assert not tape.gate_on_g[5] and tape.gate_on_g[2]
-    assert not tape.in_range[6].all()
-    for i, (one, one_tape) in enumerate(rows):
-        assert res.q[i].tobytes() == one.q.tobytes()
-        assert res.qw[i].tobytes() == one.qw.tobytes()
-        assert (float(res.s[i]), res.l1_codes[i], res.bound_ok[i]) == (one.s, one.l1_codes, one.bound_ok)
-        assert (res.bound, res.variant, res.fell_back) == (one.bound, one.variant, one.fell_back)
-        assert tape.w[i].tobytes() == one_tape.w.tobytes()
-        assert bool(tape.degenerate[i]) == bool(one_tape.degenerate)
+    assert layer.fell_back == (variant is Variant.A2Q_PLUS and K == 1)
+    assert layer.degenerate[0]
+    assert bool(layer.degenerate[1]) == (K >= K_MIN_CENTER and variant is Variant.A2Q_PLUS)
+    assert not layer.gate_on_g[5] and layer.gate_on_g[2]
+    assert not layer.in_range[6].all()
+    for i, one in enumerate(rows):
+        assert layer.q[i].tobytes() == one.q.tobytes()
+        assert layer.qw[i].tobytes() == one.qw.tobytes()
+        assert (float(layer.s[i]), layer.l1_codes[i], layer.bound_ok[i]) == (one.s, one.l1_codes, one.bound_ok)
+        assert (layer.bound, layer.variant, layer.fell_back) == (one.bound, one.variant, one.fell_back)
+        assert layer.w[i].tobytes() == one.w.tobytes()
+        assert bool(layer.degenerate[i]) == bool(one.degenerate)
         for name, (dV, dt, dd) in grads.items():
             dv_i, dt_i, dd_i = row_grads[name][i]
             assert dV[i].tobytes() == dv_i.tobytes()
             assert (float(dt[i]), float(dd[i])) == (dt_i, dd_i)
-    for i in np.flatnonzero(tape.degenerate):
-        assert not res.q[i].any() and not tape.w[i].any()
+    for i in np.flatnonzero(layer.degenerate):
+        assert not layer.q[i].any() and not layer.w[i].any()
         for dV, dt, dd in grads.values():
             assert not dV[i].any() and dt[i] == 0.0 and dd[i] == 0.0
 
@@ -486,7 +486,7 @@ def test_certificate_holds_over_every_accepted_width(M, N, P, signed, variant, r
     bits = BitWidths(M=M, N=N, P=P, act_signed=signed)
     _, limit = channel_budget(K, bits, variant)
     t = np.full(len(V), d + math.log2(float(limit)) + t_shift)
-    res, _ = quantize_layer(V, t, np.full(len(V), d), bits, variant)
+    res = quantize_layer(V, t, np.full(len(V), d), bits, variant)
     lo, hi = int_range(M, signed=True)
     assert all(res.bound_ok)
     assert ((lo <= res.q) & (res.q <= hi)).all()
