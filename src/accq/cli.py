@@ -33,7 +33,16 @@ from .errors import (
 )
 from .intsim import AccumulatorSpec, certify
 from .props import self_check
-from .qat import CSV_HEADER, TeacherStudentSpec, SweepRecord, TrainConfig, channel_cdf, load_checkpoint, train
+from .qat import (
+    CSV_HEADER,
+    SweepRecord,
+    TeacherStudentSpec,
+    TrainConfig,
+    channel_cdf,
+    load_checkpoint,
+    quantize_network,
+    train,
+)
 from .quantizers import Variant
 
 EXIT_OK = 0
@@ -245,9 +254,12 @@ def _checkpoint_rows(path: str) -> list[np.ndarray]:
     except (ValueError, KeyError, TypeError) as exc:
         raise _InputError(f"bad checkpoint {path}: {exc}") from exc
     if kind == "float":
-        rows = [np.asarray(row, dtype=float) for layer in payload for row in layer]
+        rows = [row for layer in payload for row in layer]
     else:
-        rows = [row for layer in payload.layers for row in layer.quantize(payload.variant).w]
+        try:
+            rows = [row for res in quantize_network(payload) for row in res.w]
+        except OverflowError as exc:
+            raise _InputError(f"bad checkpoint {path}: a norm or scale exponent leaves float range") from exc
     if not rows:
         raise _InputError(f"{path} holds no channels")
     return rows

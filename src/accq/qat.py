@@ -14,15 +14,21 @@ ReLU outputs, so every activation tensor is quantized unsigned; no signed
 activation path exists in the toy net.  Biases stay in float: they are added
 after the integer dot product, outside the P-bit accumulation loop, so they
 never touch the overflow analysis.
+
+Layers that share a fan-in K form one group, and each step quantizes, backprops
+through the quantizer and updates each group's stacked channels in one call,
+every layer reading its own rows.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from .bounds import BitWidths, a2q_limit, int_range
 from .epinit import ZERO_EXPONENT, ep_init, init_scale
 from .errors import AccumulatorOverflowError, DivergenceError
 from .intsim import AccumulatorSpec, certify
-from .quantizers import LN2, ChannelWeights, QuantizedLayer, Variant, quantize_layer
+from .quantizers import LN2, BitPlan, ChannelWeights, QuantizedLayer, Variant, finite_vector, quantize_layer
 
 CSV_HEADER = "variant,M,N,P,seed,final_loss,sparsity,min_slack"
 
@@ -168,24 +174,75 @@ class QuantLinear:
         """A copy of each row as a ChannelWeights; editing one leaves the layer alone."""
         return [ChannelWeights(v=v, t=t, d=d) for v, t, d in zip(self.V.copy(), self.t.tolist(), self.d.tolist())]
 
-    def quantize(self, variant: Variant) -> QuantizedLayer:
-        return quantize_layer(self.V, self.t, self.d, self.bits, variant)
+    @functools.cached_property
+    def act_range(self) -> tuple[int, int]:
+        """Inclusive [lo, hi] of the input activation codes, derived once (bits stay fixed)."""
+        return int_range(self.bits.N, self.bits.act_signed)
 
-    def is_finite(self) -> bool:
-        return bool(
-            np.isfinite(self.V).all() and np.isfinite(self.t).all() and np.isfinite(self.d).all()
-            and np.isfinite(self.bias).all() and math.isfinite(self.act_exp)
-        )
+
+class FanInGroup(NamedTuple):
+    """Layers that share a fan-in K, quantized as one stack of their rows in layer order.
+
+    rows[j] is the slice of the stack that holds layer layers[j]; plan gives
+    each run of rows its layer's bit widths.
+    """
+
+    layers: tuple[int, ...]
+    rows: tuple[slice, ...]
+    plan: BitPlan
+
+
+def _fan_in_groups(layers: list[QuantLinear]) -> list[FanInGroup]:
+    by_k: dict[int, list[int]] = {}
+    for i, layer in enumerate(layers):
+        by_k.setdefault(layer.V.shape[1], []).append(i)
+    groups = []
+    for idx in by_k.values():
+        rows, start = [], 0
+        for i in idx:
+            rows.append(slice(start, start + len(layers[i].V)))
+            start = rows[-1].stop
+        plan = tuple((layers[i].bits, len(layers[i].V)) for i in idx)
+        groups.append(FanInGroup(layers=tuple(idx), rows=tuple(rows), plan=plan))
+    return groups
 
 
 @dataclass
 class ToyNetwork:
+    """The layers in order, and their fan-in groups in order of each group's first layer.
+
+    groups is derived once, at construction: a layer's shape and bit widths
+    never change.
+    """
+
     layers: list[QuantLinear]
     variant: Variant
+    groups: list[FanInGroup] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.groups = _fan_in_groups(self.layers)
 
     @property
     def topology(self) -> tuple[int, ...]:
         return (self.layers[0].V.shape[1], *(len(layer.V) for layer in self.layers))
+
+
+def _stack(layers: list[QuantLinear]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (
+        np.concatenate([layer.V for layer in layers]),
+        np.concatenate([layer.t for layer in layers]),
+        np.concatenate([layer.d for layer in layers]),
+    )
+
+
+def _quantize_groups(net: ToyNetwork) -> list[tuple[QuantizedLayer, slice]]:
+    """Per layer, its group's record and its rows in it: one quantize_layer call per group."""
+    out: list = [None] * len(net.layers)
+    for group in net.groups:
+        quant = quantize_layer(*_stack([net.layers[i] for i in group.layers]), group.plan, net.variant)
+        for i, rows in zip(group.layers, group.rows):
+            out[i] = (quant, rows)
+    return out
 
 
 @dataclass(frozen=True)
@@ -264,11 +321,12 @@ def calibrate(net: ToyNetwork, X: np.ndarray) -> None:
     moves the exponents by gradient from this starting point.
     """
     h = np.asarray(X, dtype=float)
-    for i, layer in enumerate(net.layers):
-        _, hi = int_range(layer.bits.N, layer.bits.act_signed)
+    quants = _quantize_groups(net)
+    for i, (layer, (quant, rows)) in enumerate(zip(net.layers, quants)):
+        _, hi = layer.act_range
         top = float(np.max(np.abs(h))) if h.size else 0.0
         layer.act_exp = math.log2(top / hi) if top > 0.0 else ZERO_EXPONENT
-        h = h @ layer.quantize(net.variant).w.T + layer.bias
+        h = h @ quant.w[rows].T + layer.bias
         if i < len(net.layers) - 1:
             h = np.maximum(h, 0.0)
 
@@ -285,11 +343,11 @@ def _act_forward(x: np.ndarray, layer: QuantLinear) -> tuple[np.ndarray, _ActTap
     s = 2.0 ** layer.act_exp
     if s == 0.0:
         raise OverflowError("activation scale 2^act_exp underflows to 0")
-    lo, hi = int_range(layer.bits.N, layer.bits.act_signed)
+    lo, hi = layer.act_range
     pre = x / s
     raw = np.rint(pre)
     mask = (raw >= lo) & (raw <= hi)
-    codes = np.clip(raw, lo, hi)
+    codes = raw.clip(lo, hi)
     return s * codes, _ActTape(mask=mask, codes=codes, pre=pre, s=s)
 
 
@@ -297,31 +355,38 @@ def _act_backward(d_xq: np.ndarray, tape: _ActTape) -> tuple[np.ndarray, float]:
     # straight-through inside the clip window; the scale sees the rounding
     # residual in range and the saturated code outside
     dx = d_xq * tape.mask
-    d_s = float(np.sum(d_xq * np.where(tape.mask, tape.codes - tape.pre, tape.codes)))
+    d_s = float((d_xq * np.where(tape.mask, tape.codes - tape.pre, tape.codes)).sum())
     return dx, d_s * tape.s * LN2
 
 
 @dataclass
 class _LayerStore:
+    """One layer's forward state; quant is its fan-in group's record and rows its rows there."""
+
     xq: np.ndarray
     act_tape: _ActTape | None
     W: np.ndarray
     quant: QuantizedLayer
+    rows: slice
     y: np.ndarray
 
 
-@dataclass
-class LayerGrads:
-    """Per-layer parameter gradients, plus the forward's per-row g = 2^t and
-    budget norm T that sgd_step's hinge reads."""
+class GroupGrads(NamedTuple):
+    """One fan-in group's parameter gradients.
 
+    dV, dt and dd are stacked like the group's rows, with the forward's per-row
+    g = 2^t and budget norm T that sgd_step's hinge reads; db and da hold one
+    bias and one activation-exponent gradient per layer of the group.
+    """
+
+    group: FanInGroup
     dV: np.ndarray
     dt: np.ndarray
     dd: np.ndarray
-    db: np.ndarray
-    da: float
     g: np.ndarray
     T: np.ndarray
+    db: list[np.ndarray]
+    da: list[float]
 
 
 def forward(net: ToyNetwork, X, quantize: bool = True) -> tuple[np.ndarray, list[_LayerStore]]:
@@ -333,65 +398,90 @@ def forward(net: ToyNetwork, X, quantize: bool = True) -> tuple[np.ndarray, list
     h = np.asarray(X, dtype=float)
     stores: list[_LayerStore] = []
     last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
+    quants = _quantize_groups(net)
+    for i, (layer, (quant, rows)) in enumerate(zip(net.layers, quants)):
         if quantize:
             xq, act_tape = _act_forward(h, layer)
         else:
             xq, act_tape = h, None
-        quant = layer.quantize(net.variant)
-        W = quant.qw if quantize else quant.w
+        W = (quant.qw if quantize else quant.w)[rows]
         y = xq @ W.T + layer.bias
-        stores.append(_LayerStore(xq=xq, act_tape=act_tape, W=W, quant=quant, y=y))
+        stores.append(_LayerStore(xq=xq, act_tape=act_tape, W=W, quant=quant, rows=rows, y=y))
         h = y if i == last else np.maximum(y, 0.0)
     return h, stores
 
 
 def backward(
     net: ToyNetwork, stores: list[_LayerStore], d_pred, quantize: bool = True
-) -> list[LayerGrads]:
-    """Manual backprop matching forward(); returns per-layer parameter grads."""
+) -> list[GroupGrads]:
+    """Manual backprop matching forward(); returns the parameter grads per fan-in group."""
     n = len(net.layers)
-    grads: list[LayerGrads | None] = [None] * n
+    dW: list = [None] * n
+    db: list = [None] * n
+    da = [0.0] * n
     d_h = np.asarray(d_pred, dtype=float)
     for i in reversed(range(n)):
         st = stores[i]
         d_y = d_h if i == n - 1 else d_h * (st.y > 0.0)
-        dW = d_y.T @ st.xq
+        dW[i] = d_y.T @ st.xq
         d_xq = d_y @ st.W
-        dV, dt, dd = st.quant.backward(dW) if quantize else st.quant.backward_smooth(dW)
+        db[i] = d_y.sum(axis=0)
         if quantize:
-            d_h, da = _act_backward(d_xq, st.act_tape)
+            d_h, da[i] = _act_backward(d_xq, st.act_tape)
         else:
-            d_h, da = d_xq, 0.0
-        grads[i] = LayerGrads(dV=dV, dt=dt, dd=dd, db=d_y.sum(axis=0), da=da, g=st.quant.g, T=st.quant.T)
-    return grads  # type: ignore[return-value]
+            d_h = d_xq
+    grads = []
+    for group in net.groups:
+        quant = stores[group.layers[0]].quant
+        d_qw = np.concatenate([dW[i] for i in group.layers])
+        dV, dt, dd = quant.backward(d_qw) if quantize else quant.backward_smooth(d_qw)
+        grads.append(
+            GroupGrads(
+                group=group, dV=dV, dt=dt, dd=dd, g=quant.g, T=quant.T,
+                db=[db[i] for i in group.layers], da=[da[i] for i in group.layers],
+            )
+        )
+    return grads
 
 
-def sgd_step(net: ToyNetwork, grads: list[LayerGrads], config: TrainConfig) -> None:
-    """Plain SGD update; weight decay touches v only, the hinge steers t and d."""
+def sgd_step(net: ToyNetwork, grads: list[GroupGrads], config: TrainConfig) -> bool:
+    """Plain SGD update; weight decay touches v only, the hinge steers t and d.
+
+    Returns whether every parameter it updated is still finite.
+    """
     lr = config.lr
     wd = config.weight_decay
     lam = config.lambda_reg
-    for layer, lg in zip(net.layers, grads):
-        dt, dd = lg.dt, lg.dd
+    finite = True
+    for gg in grads:
+        layers = [net.layers[i] for i in gg.group.layers]
+        V, t, d = _stack(layers)
+        dt, dd = gg.dt, gg.dd
         if lam > 0.0:
             # gradient of the hinge lam * max(g - T, 0) on every channel: zero on a
             # feasible gate (g <= T), so it steers only channels parked above budget
-            over = lg.g > lg.T
-            dt = np.where(over, dt + lam * lg.g * LN2, dt)
-            dd = np.where(over, dd - lam * lg.T * LN2, dd)
-        # a diverging step may overflow or meet inf * 0; fit checks the result
+            over = gg.g > gg.T
+            dt = np.where(over, dt + lam * gg.g * LN2, dt)
+            dd = np.where(over, dd - lam * gg.T * LN2, dd)
+        # a diverging step may overflow or meet inf * 0; the return value reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            layer.V = layer.V - lr * (lg.dV + wd * layer.V)
-            layer.t = layer.t - lr * dt
-            layer.d = layer.d - lr * dd
-            layer.bias = layer.bias - lr * lg.db
-        layer.act_exp -= lr * lg.da
+            V = V - lr * (gg.dV + wd * V)
+            t = t - lr * dt
+            d = d - lr * dd
+            for layer, rows, db, da in zip(layers, gg.group.rows, gg.db, gg.da):
+                layer.V, layer.t, layer.d = V[rows], t[rows], d[rows]
+                layer.bias = layer.bias - lr * db
+                layer.act_exp -= lr * da
+                finite = finite and math.isfinite(layer.act_exp) and bool(np.isfinite(layer.bias).all())
+        finite = finite and all(bool(np.isfinite(x).all()) for x in (V, t, d))
+    return finite
 
 
 def mse(pred, target) -> float:
     diff = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
-    return float(np.mean(diff * diff))
+    sq = diff * diff
+    # sum / size is np.mean bit for bit, minus its per-call overhead
+    return float(sq.sum() / sq.size)
 
 
 def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
@@ -411,8 +501,7 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
         d_pred = 2.0 * (pred - yb) / pred.size
         grads = backward(net, stores, d_pred, quantize=True)
-        sgd_step(net, grads, config)
-        if not all(layer.is_finite() for layer in net.layers):
+        if not sgd_step(net, grads, config):
             # the next loss cannot be finite; stop before numpy casts NaNs
             raise DivergenceError(f"non-finite loss at epoch {epoch}: an SGD step made a parameter non-finite")
     final_loss = mse(_quantized_forward(net, data.X_test, "the final evaluation")[0], data.y_test)
@@ -495,7 +584,8 @@ def float_baseline(config: TrainConfig) -> FloatRun:
 
 
 def quantize_network(net: ToyNetwork) -> list[QuantizedLayer]:
-    return [layer.quantize(net.variant) for layer in net.layers]
+    """Each layer's quantized record, from one quantize_layer call per fan-in group."""
+    return [quant.row_slice(rows) for quant, rows in _quantize_groups(net)]
 
 
 def measure_sparsity(net: ToyNetwork) -> float:
@@ -507,7 +597,7 @@ def measure_sparsity(net: ToyNetwork) -> float:
 
 def min_bound_slack(net: ToyNetwork) -> Fraction:
     """Tightest channel's budget minus its integer l1 mass, as an exact rational."""
-    return min(res.bound - max(res.l1_codes) for res in quantize_network(net))
+    return min(b - l1 for res in quantize_network(net) for b, l1 in zip(res.bound, res.l1_codes))
 
 
 def certify_accumulators(net: ToyNetwork, budget: int | None = None) -> None:
@@ -605,7 +695,5 @@ def load_checkpoint(path):
             )
         return "quantized", ToyNetwork(layers=layers, variant=Variant(payload["variant"]))
     if kind == "float":
-        return "float", [
-            [np.asarray(c["w"], dtype=float) for c in entry["channels"]] for entry in payload["layers"]
-        ]
+        return "float", [[finite_vector(c["w"], "w") for c in entry["channels"]] for entry in payload["layers"]]
     raise ValueError(f"unrecognized checkpoint kind: {kind!r}")

@@ -11,10 +11,12 @@ rounding w/s toward zero, which can only shrink magnitudes, so the pre-round l1
 certificate survives rounding.  The zero-sum structure of the centered variant
 is what buys its wider budget.
 
-All channels of a layer share K and bit widths, so the work is done per layer:
-quantize_layer takes the directions as a (C, K) array and t, d as (C,) arrays,
-and returns one QuantizedLayer: the (C, K) codes, their certificate and the
-forward state whose backward passes return (dV, dt, dd) arrays.
+Rows that share K are quantized together: quantize_layer takes the directions
+as a (C, K) array, t and d as (C,) arrays, and one BitWidths for every row or a
+bit plan of (BitWidths, rows) runs, so the trainer quantizes every layer of a
+fan-in in one call.  It returns one QuantizedLayer: the (C, K) codes, their
+per-row certificates and the forward state whose backward passes return
+(dV, dt, dd) arrays.
 forward_weights returns WeightTape, the single C = 1 row view of that record,
 for one ChannelWeights; both are kept for the benchmark's quantize_audit
 workload and for tests, and nothing in the package calls them.  Row
@@ -34,10 +36,10 @@ gradient goes to the g side (min treated as left-continuous).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -56,7 +58,17 @@ class Variant(enum.Enum):
     A2Q_PLUS = "a2q+"
 
 
-@dataclass
+def finite_vector(x, name: str) -> np.ndarray:
+    """x as a nonempty 1-d float vector (a scalar is one entry); ValueError or NonFiniteInputError otherwise."""
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError(f"{name} must be a nonempty 1-d vector")
+    if not np.isfinite(v).all():
+        raise NonFiniteInputError(f"{name} must be finite")
+    return v
+
+
+@dataclasses.dataclass
 class ChannelWeights:
     """One output channel in direction/norm/scale form (g = 2^t, s = 2^d)."""
 
@@ -65,11 +77,7 @@ class ChannelWeights:
     d: float
 
     def __post_init__(self) -> None:
-        self.v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        if self.v.ndim != 1 or self.v.size < 1:
-            raise ValueError("v must be a nonempty 1-d vector")
-        if not np.isfinite(self.v).all():
-            raise NonFiniteInputError("v must be finite")
+        self.v = finite_vector(self.v, "v")
         self.t = float(self.t)
         self.d = float(self.d)
         if not (math.isfinite(self.t) and math.isfinite(self.d)):
@@ -88,15 +96,16 @@ class ChannelWeights:
         return 2.0 ** self.d
 
 
-@dataclass
+@dataclasses.dataclass
 class QuantizedLayer:
     """One quantized layer of channels; row i of every per-row array is channel i.
 
-    Codes and certificate: q (C, K) int64 codes, qw = s * q and s (C,).  bound
-    is the integer-domain l1 budget (the active T divided by s), variant the
-    one that ran and fell_back whether it differs from the one asked for.
-    l1_codes and bound_ok hold one Python int and one bool per row: the
-    certificate l1 <= bound is checked in exact integers.
+    Codes and certificate: q (C, K) int64 codes, qw = s * q and s (C,).
+    variant is the one that ran and fell_back whether it differs from the one
+    asked for; every row shares both.  bound, l1_codes and bound_ok hold one
+    Fraction, Python int and bool per row: the integer-domain l1 budget (the
+    active T divided by s), the codes' l1 mass and the certificate
+    l1 <= bound, checked in exact integers.
 
     Backprop state: w = u * G is the pre-round weights, with u = c / n1 the
     l1-normalized (centered, for A2Q+) direction, G = min(g, T) per row and
@@ -115,7 +124,7 @@ class QuantizedLayer:
     qw: np.ndarray
     s: np.ndarray
     l1_codes: list[int]
-    bound: Fraction
+    bound: list[Fraction]
     bound_ok: list[bool]
     variant: Variant
     fell_back: bool
@@ -135,6 +144,10 @@ class QuantizedLayer:
     def K(self) -> int:
         return self.u.shape[1]
 
+    def row_slice(self, sl: slice) -> QuantizedLayer:
+        """The record of a run of rows: every per-row field sliced, views where numpy allows."""
+        return dataclasses.replace(self, **{name: getattr(self, name)[sl] for name in _ROW_FIELDS})
+
     def backward_smooth(self, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gradient of w = (c/||c||_1) * min(g, T) w.r.t. V, t, d."""
         dw = np.asarray(dw, dtype=float)
@@ -153,6 +166,9 @@ class QuantizedLayer:
         # outside, then chain s = 2^d
         resid = np.where(self.in_range, self.q - self.pre, self.q)
         return dv, dt, dd + np.vecdot(d_qw, resid) * self.s * LN2
+
+
+_ROW_FIELDS = tuple(f.name for f in dataclasses.fields(QuantizedLayer) if f.name not in ("variant", "fell_back"))
 
 
 class WeightTape:
@@ -198,7 +214,34 @@ def channel_budget(K: int, bits: BitWidths, variant: Variant) -> tuple[Variant, 
     return Variant.A2Q, a2q_limit(bits.P, bits.N, bits.act_signed)
 
 
-def _shrink_rows(q: np.ndarray, rows: list[int], cap: int) -> np.ndarray:
+# a bit plan: runs of (bit widths, row count) that cover a layer's rows in order
+BitPlan = tuple[tuple[BitWidths, int], ...]
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan_rows(K: int, plan: BitPlan, variant: Variant):
+    """Per-row constants of a bit plan, derived once: (active variant, bound, budget, cap, lo, hi).
+
+    bound holds each row's exact l1 budget, budget the same as a float (for T)
+    and cap its integer floor.  lo and hi are the weight-code clip limits:
+    Python ints when every row shares M, else (C, 1) columns.
+    """
+    active = channel_budget(K, plan[0][0], variant)[0]
+    bound, budget, cap, ranges = [], [], [], []
+    for bits, n in plan:
+        limit = channel_budget(K, bits, variant)[1]
+        bound += [limit] * n
+        budget += [float(limit)] * n
+        cap += [limit.numerator // limit.denominator] * n
+        ranges += [int_range(bits.M, signed=True)] * n
+    if len(set(ranges)) == 1:
+        lo, hi = ranges[0]
+    else:
+        lo, hi = np.array(ranges, dtype=float).T[:, :, None]
+    return active, bound, budget, cap, lo, hi
+
+
+def _shrink_rows(q: np.ndarray, rows: list[int], cap: list[int]) -> np.ndarray:
     """Scale the listed rows' code magnitudes by cap / l1, in exact integers, flooring.
 
     Only reachable when the budget is wider than float's exact integers, where
@@ -209,31 +252,33 @@ def _shrink_rows(q: np.ndarray, rows: list[int], cap: int) -> np.ndarray:
     for i in rows:
         row = q[i].tolist()
         total = sum(abs(x) for x in row)
-        q[i] = [abs(x) * cap // total * (1 if x > 0 else -1) for x in row]
+        q[i] = [abs(x) * cap[i] // total * (1 if x > 0 else -1) for x in row]
     return q
 
 
 def quantize_layer(
-    V: np.ndarray, t: np.ndarray, d: np.ndarray, bits: BitWidths, variant: Variant
+    V: np.ndarray, t: np.ndarray, d: np.ndarray, bits: BitWidths | BitPlan, variant: Variant
 ) -> QuantizedLayer:
-    """Quantize a (C, K) layer of channels into one record of codes, certificate and tape.
+    """Quantize a (C, K) stack of channels into one record of codes, certificates and tape.
 
-    Row i uses direction V[i], norm 2^t[i] and scale 2^d[i]; every row shares
-    K, the bit widths and so one budget Fraction.  Raises OverflowError when a
-    norm or scale exponent leaves float range, a scale that underflows to 0
-    (which weights are divided by) included.
+    Row i uses direction V[i], norm 2^t[i] and scale 2^d[i].  bits is one
+    BitWidths for every row, or a bit plan whose runs give consecutive rows
+    their own widths; every row shares K and so the variant that runs.  Raises
+    OverflowError when a norm or scale exponent leaves float range, a scale
+    that underflows to 0 (which weights are divided by) included.
     """
     C, K = V.shape
-    lo, hi = int_range(bits.M, signed=True)
-    active, limit = channel_budget(K, bits, variant)
+    plan = ((bits, C),) if isinstance(bits, BitWidths) else bits
+    active, bound, budget, cap, lo, hi = _plan_rows(K, plan, variant)
+    if len(bound) != C:
+        raise ValueError(f"the bit plan covers {len(bound)} rows, the layer has {C}")
     # 2^t, 2^d and T = s * budget per row in Python floats: np.exp2 differs
     # from Python's pow in the last bit, Python's pow raises OverflowError
     # where numpy returns inf, and an overflowing T stays a silent inf
     s = [2.0 ** e for e in d.tolist()]
     if 0.0 in s:
         raise OverflowError("scale 2^d underflows to 0")
-    budget = float(limit)
-    g, s, T = np.array([[2.0 ** e for e in t.tolist()], s, [x * budget for x in s]])
+    g, s, T = np.array([[2.0 ** e for e in t.tolist()], s, [x * b for x, b in zip(s, budget)]])
     s_col = s[:, None]
 
     if active is Variant.A2Q_PLUS:
@@ -269,14 +314,15 @@ def quantize_layer(
         qw = s_col * q
     l1 = np.abs(q).sum(axis=1).tolist()
     # the exact certificate: l1 <= limit in integers, i.e. l1 <= floor(limit)
-    cap = limit.numerator // limit.denominator
-    if max(l1) > cap:
-        q = _shrink_rows(q, [i for i, x in enumerate(l1) if x > cap], cap)
+    ok = [x <= y for x, y in zip(l1, cap)]
+    if not all(ok):
+        q = _shrink_rows(q, [i for i, fits in enumerate(ok) if not fits], cap)
         qw = s_col * q
         l1 = np.abs(q).sum(axis=1).tolist()
+        ok = [x <= y for x, y in zip(l1, cap)]
 
     return QuantizedLayer(
-        q=q, qw=qw, s=s, l1_codes=l1, bound=limit, bound_ok=[x <= cap for x in l1],
+        q=q, qw=qw, s=s, l1_codes=l1, bound=list(bound), bound_ok=ok,
         variant=active, fell_back=active is not variant, degenerate=degenerate, c=c, n1=n1, u=u,
         g=g, T=T, G=G, gate_on_g=gate_on_g, w=w, pre=pre, in_range=in_range,
     )

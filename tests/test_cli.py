@@ -385,6 +385,23 @@ def test_analyze_too_wide_weights_exits_3(checkpoints, capsys):
         {"kind": "float", "layers": []},
         {"kind": "float", "layers": [{"channels": []}]},
         {"kind": "quantized", "variant": "a2q", "layers": []},
+        # a quantized channel whose norm 2^t leaves float range
+        {
+            "kind": "quantized",
+            "variant": "a2q",
+            "layers": [
+                {
+                    "bits": {"M": 4, "N": 4, "P": 12, "act_signed": False},
+                    "act_exp": 0.0,
+                    "bias": [0.0],
+                    "channels": [{"v": [1.0, -1.0], "t": 5000.0, "d": 0.0}],
+                }
+            ],
+        },
+        # float channels that are empty, non-finite or not one row of weights
+        {"kind": "float", "layers": [{"channels": [{"w": []}]}]},
+        {"kind": "float", "layers": [{"channels": [{"w": [1.0, float("nan")]}]}]},
+        {"kind": "float", "layers": [{"channels": [{"w": [[1.0, 2.0], [3.0, 4.0]]}]}]},
     ],
 )
 def test_analyze_malformed_checkpoint_exits_3(payload, tmp_path, capsys):

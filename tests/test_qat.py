@@ -195,7 +195,7 @@ def fd_relative_errors(seed: int, h: float = 1e-4):
         for li, st in enumerate(stores):
             if li < len(stores) - 1 and np.min(np.abs(st.y)) < 10 * h:
                 return None
-            quant = st.quant
+            quant = st.quant.row_slice(st.rows)
             if quant.degenerate.any():
                 return None
             if np.min(np.abs(quant.c)) < 20 * h:
@@ -220,26 +220,29 @@ def fd_relative_errors(seed: int, h: float = 1e-4):
         def rel(a: float, f: float) -> float:
             return abs(a - f) / max(abs(a), abs(f), 1e-8)
 
-        for layer, lg in zip(net.layers, grads):
-            C, K = layer.V.shape
-            for j in range(C):
-                for k in range(K):
-                    def bump_v(d, layer=layer, j=j, k=k):
-                        layer.V[j, k] += d
-                    worst = max(worst, rel(float(lg.dV[j, k]), central(bump_v)))
+        for gg in grads:
+            for li, rows, db in zip(gg.group.layers, gg.group.rows, gg.db):
+                layer = net.layers[li]
+                dV, dt, dd = gg.dV[rows], gg.dt[rows], gg.dd[rows]
+                C, K = layer.V.shape
+                for j in range(C):
+                    for k in range(K):
+                        def bump_v(d, layer=layer, j=j, k=k):
+                            layer.V[j, k] += d
+                        worst = max(worst, rel(float(dV[j, k]), central(bump_v)))
 
-                def bump_t(d, layer=layer, j=j):
-                    layer.t[j] += d
-                worst = max(worst, rel(float(lg.dt[j]), central(bump_t)))
+                    def bump_t(d, layer=layer, j=j):
+                        layer.t[j] += d
+                    worst = max(worst, rel(float(dt[j]), central(bump_t)))
 
-                def bump_d(d, layer=layer, j=j):
-                    layer.d[j] += d
-                worst = max(worst, rel(float(lg.dd[j]), central(bump_d)))
+                    def bump_d(d, layer=layer, j=j):
+                        layer.d[j] += d
+                    worst = max(worst, rel(float(dd[j]), central(bump_d)))
 
-            for k in range(len(layer.bias)):
-                def bump_b(d, layer=layer, k=k):
-                    layer.bias[k] += d
-                worst = max(worst, rel(float(lg.db[k]), central(bump_b)))
+                for k in range(len(layer.bias)):
+                    def bump_b(d, layer=layer, k=k):
+                        layer.bias[k] += d
+                    worst = max(worst, rel(float(db[k]), central(bump_b)))
     return worst
 
 
@@ -266,10 +269,10 @@ def test_every_step_stays_inside_budget():
     for _, xb, yb in _batches(cfg, data):
         pred, stores = forward(net, xb)
         for st in stores:
-            res = st.quant
-            for bound_ok, l1_codes in zip(res.bound_ok, res.l1_codes):
+            res = st.quant.row_slice(st.rows)
+            for bound_ok, l1_codes, bound in zip(res.bound_ok, res.l1_codes, res.bound, strict=True):
                 assert bound_ok
-                assert Fraction(int(l1_codes)) <= res.bound
+                assert Fraction(int(l1_codes)) <= bound
         d_pred = 2.0 * (pred - yb) / pred.size
         sgd_step(net, backward(net, stores, d_pred), cfg)
 
@@ -375,6 +378,48 @@ def test_layer_plan_and_topology():
     assert all(b.P == 16 for b in bits)
     assert not any(b.act_signed for b in bits)
 
+
+
+# fit rows captured before the trainer quantized each fan-in group in one call:
+# TINY's fan-ins 6, 5 and 4 make three one-layer groups, and SPLIT's 4, 6 and 4
+# put its first and last layers in one group on either side of the middle one
+SPLIT = TeacherStudentSpec(input_dim=4, hidden=(6, 4), output_dim=3, n_train=96, n_test=48)
+GROUPED_FIT_ROWS = {
+    "tiny": (TINY, [(0,), (1,), (2,)], [
+        "a2q,4,3,10,0,0.9561406337098861,0.6774193548387096,255/256",
+        "a2q,4,3,10,1,0.9070593944390816,0.6935483870967742,255/256",
+        "a2q,4,3,16,0,0.44458323496506974,0.03225806451612903,511/256",
+        "a2q,4,3,16,1,0.8970279775271679,0.08064516129032258,511/256",
+        "a2q+,4,3,10,0,0.9897266719225998,0.5483870967741935,512/255",
+        "a2q+,4,3,10,1,0.8968034558430422,0.5161290322580645,512/255",
+        "a2q+,4,3,16,0,0.7693155874408407,0.04838709677419355,509/255",
+        "a2q+,4,3,16,1,0.9899725940483116,0.03225806451612903,509/255",
+    ]),
+    "split": (SPLIT, [(0, 2), (1,)], [
+        "a2q,4,3,10,0,0.5644707960437866,0.5833333333333334,255/256",
+        "a2q,4,3,10,1,0.21725205741899686,0.6666666666666666,255/256",
+        "a2q,4,3,16,0,0.3704735179298784,0.016666666666666666,511/256",
+        "a2q,4,3,16,1,0.20135575607700482,0.06666666666666667,255/256",
+        "a2q+,4,3,10,0,0.5264156316396308,0.43333333333333335,257/255",
+        "a2q+,4,3,10,1,0.2164615648476066,0.36666666666666664,257/255",
+        "a2q+,4,3,16,0,0.45845651214267275,0.05,509/255",
+        "a2q+,4,3,16,1,0.20790900111391444,0.06666666666666667,509/255",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", GROUPED_FIT_ROWS)
+def test_fit_rows_across_fan_in_groups_are_pinned(name):
+    dataset, groups, want = GROUPED_FIT_ROWS[name]
+    cfg = tiny_config(dataset=dataset)
+    assert [group.layers for group in build_network(cfg, make_data(cfg).init_weights).groups] == groups
+    rows = [
+        fit(tiny_config(variant=variant, P=P, seed=seed, epochs=6, dataset=dataset))[1].csv_row()
+        for variant in (Variant.A2Q, Variant.A2Q_PLUS)
+        for P in (10, 16)
+        for seed in (0, 1)
+    ]
+    assert rows == want
 
 @pytest.mark.parametrize("variant, P", [(Variant.A2Q_PLUS, 5), (Variant.A2Q, 4)])
 def test_build_network_starts_every_channel_at_its_float_row(variant, P):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from accq.bounds import MAX_WEIGHT_BITS, BitWidths, a2q_limit, a2q_plus_limit, int_range
 from accq.errors import NonFiniteInputError
 from accq.intsim import AccumulatorSpec, check_accumulator, verify_domination
+from accq import quantizers
 from accq.quantizers import (
     K_MIN_CENTER,
     ChannelWeights,
@@ -449,7 +450,7 @@ def test_layer_rows_equal_single_channel_calls(variant, K):
         assert layer.q[i].tobytes() == one.q.tobytes()
         assert layer.qw[i].tobytes() == one.qw.tobytes()
         assert (float(layer.s[i]), layer.l1_codes[i], layer.bound_ok[i]) == (one.s, one.l1_codes, one.bound_ok)
-        assert (layer.bound, layer.variant, layer.fell_back) == (one.bound, one.variant, one.fell_back)
+        assert (layer.bound[i], layer.variant, layer.fell_back) == (one.bound, one.variant, one.fell_back)
         assert layer.w[i].tobytes() == one.w.tobytes()
         assert bool(layer.degenerate[i]) == bool(one.degenerate)
         for name, (dV, dt, dd) in grads.items():
@@ -492,3 +493,100 @@ def test_certificate_holds_over_every_accepted_width(M, N, P, signed, variant, r
     assert ((lo <= res.q) & (res.q <= hi)).all()
     for codes in res.q.tolist():
         assert not check_accumulator(codes, N, signed, AccumulatorSpec(P)).overflowed
+
+
+# ------------------------------------------------------------------- bit plans
+
+
+def _plan_run(rng, K: int, bits: BitWidths, variant: Variant, n: int):
+    """n rows for one run of a bit plan: both gate sides, all-zero and constant rows."""
+    log_budget = math.log2(float(channel_budget(K, bits, variant)[1]))
+    V = rng.normal(size=(n, K)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 1))
+    kind = rng.integers(0, 4, size=n)
+    V[kind == 0] = 0.0  # degenerate for every variant
+    V[kind == 1] = 2.5  # constant: degenerate once centered (K > 1)
+    d = rng.uniform(-12.0, 2.0, size=n)
+    return V, d + log_budget + rng.uniform(-3.0, 3.0, size=n), d
+
+
+def _assert_stack_equals_per_plan(runs, variant: Variant, up: np.ndarray):
+    """One quantize_layer call over the stacked runs against one call per run, bit for bit."""
+    V, t, d = (np.concatenate([run[i] for run in runs]) for i in (1, 2, 3))
+    plan = tuple((bits, len(v)) for bits, v, _, _ in runs)
+    stack = quantize_layer(V, t, d, plan, variant)
+    grads = {name: getattr(stack, name)(up) for name in ("backward", "backward_smooth")}
+    start = 0
+    for bits, v, tt, dd in runs:
+        one = quantize_layer(v, tt, dd, bits, variant)
+        rows = slice(start, start + len(v))
+        start = rows.stop
+        for name in ("q", "qw", "w"):
+            assert getattr(stack, name)[rows].tobytes() == getattr(one, name).tobytes()
+        for name in ("l1_codes", "bound", "bound_ok"):
+            assert getattr(stack, name)[rows] == getattr(one, name)
+        assert (stack.variant, stack.fell_back) == (one.variant, one.fell_back)
+        for name, stacked in grads.items():
+            for got, want in zip(stacked, getattr(one, name)(up[rows]), strict=True):
+                assert got[rows].tobytes() == want.tobytes()
+    return stack
+
+
+@given(
+    K=st.sampled_from([1, 2, 3, 7]),
+    variant=st.sampled_from(list(Variant)),
+    runs=st.lists(
+        st.tuples(
+            st.builds(
+                BitWidths,
+                M=st.sampled_from([8, 4, 2, MAX_WEIGHT_BITS]),
+                N=st.sampled_from([8, 4, 1]),
+                P=st.sampled_from([6, 12, 20, 40, 64]),
+                act_signed=st.booleans(),
+            ),
+            st.integers(1, 4),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_stacked_plan_equals_per_plan_calls(K, variant, runs, seed):
+    rng = RNG(seed)
+    stack = [(bits, *_plan_run(rng, K, bits, variant, n)) for bits, n in runs]
+    rows = sum(n for _, n in runs)
+    _assert_stack_equals_per_plan(stack, variant, rng.normal(size=(rows, K)))
+
+
+@pytest.mark.parametrize("K, variant", [(1, Variant.A2Q_PLUS), (3, Variant.A2Q)])
+def test_stacked_plan_covers_fallback_degenerate_saturated_and_repair(K, variant, monkeypatch):
+    repaired = []
+    shrink = quantizers._shrink_rows
+    monkeypatch.setattr(
+        quantizers, "_shrink_rows", lambda q, rows, cap: repaired.extend(rows) or shrink(q, rows, cap)
+    )
+    # rows whose float budget rounds past the exact one, so the exact repair runs:
+    # at N=56, P=64 the budget 127.99... is 128.0 as a float, and the K=3 row
+    # sits near MAX_WEIGHT_BITS on a 2^51-wide budget
+    if K == 1:
+        wide = BitWidths(M=8, N=56, P=64)
+        v_wide, t_wide, d_wide = [-1.0], math.log2(float(a2q_limit(64, 56))) + 4.0, 0.0
+    else:
+        wide = BitWidths(M=51, N=11, P=62)
+        v_wide = [0.05152225767379732, -0.06548663487401189, -0.04248630749019092]
+        t_wide, d_wide = 68.20844335365167, 15.091276450899699
+    saturating = BitWidths(M=2, N=4, P=20)  # a budget of 2^15 codes against a 2-bit register
+    small = BitWidths(M=4, N=1, P=8)
+    runs = [
+        (wide, np.array([v_wide]), np.array([t_wide]), np.array([d_wide])),
+        (saturating, RNG(7).normal(size=(2, K)), np.array([30.0, 25.0]), np.array([-12.0, -3.0])),
+        (small, np.array([[0.0] * K, [1.5] * K]), np.array([0.0, 2.0]), np.array([0.0, -1.0])),
+    ]
+    stack = _assert_stack_equals_per_plan(runs, variant, RNG(8).normal(size=(5, K)))
+    assert repaired == [0] * 2  # once stacked, once alone
+    assert stack.fell_back == (variant is Variant.A2Q_PLUS)
+    assert not stack.in_range[1:3].all()
+    assert stack.degenerate[3]
+    assert stack.bound == [a2q_limit(64, 56) if K == 1 else a2q_limit(62, 11)] + [a2q_limit(20, 4)] * 2 + [
+        a2q_limit(8, 1)
+    ] * 2
