@@ -6,8 +6,9 @@ verify (overflow certificates and the derivation self-checks), train
 checkpoint), pareto (frontier extraction from sweep CSV).
 
 Exit codes: 0 success, 2 usage, 3 bad input (an unreadable or malformed
-input, an out-of-range bit width, batch size or epoch count, or a negative
-seed) or a training run that diverged, 4 verification failure (an overflow
+input, an out-of-range bit width, batch size or epoch count, a negative
+seed, or an ACCQ_ENUM_BUDGET that is not a non-negative integer) or a
+training run that diverged, 4 verification failure (an overflow
 or a failed derivation), 5 enumeration budget exceeded.  Every subcommand is
 deterministic given its flags, input files, and ACCQ_ENUM_BUDGET.
 """
@@ -15,6 +16,7 @@ deterministic given its flags, input files, and ACCQ_ENUM_BUDGET.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -28,6 +30,7 @@ from .errors import (
     DivergenceError,
     EnumerationBudgetError,
     InvalidBitWidthError,
+    InvalidBudgetError,
     NonFiniteInputError,
     NonPositiveRadiusError,
 )
@@ -316,6 +319,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="machine output as JSON lines")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="accq",
@@ -335,13 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--ratio", action="store_true", help="print the zero-sum budget ratio for --N")
     b.add_argument("--width", action="store_true", help="print the smallest safe accumulator width")
     _add_common(b)
-    b.set_defaults(func=cmd_bounds)
 
     p = subs.add_parser("project", help="project a weight vector onto an l1 ball")
     p.add_argument("--weights", required=True, help='comma-separated floats, e.g. "3,1"')
     p.add_argument("--radius", type=float, required=True, help="l1 budget")
     _add_common(p)
-    p.set_defaults(func=cmd_project)
 
     v = subs.add_parser("verify", help="overflow certificates for integer channels, or the derivation self-checks")
     v.add_argument("--weights", help="file of channels, one comma-separated integer-code row per line")
@@ -356,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0, help="seed for --props sampling")
     # verify has no other output form; --json is accepted so every subcommand takes it
     v.add_argument("--json", action="store_true", help="no effect: verify always prints JSON lines")
-    v.set_defaults(func=cmd_verify)
 
     t = subs.add_parser("train", help="run toy QAT sweep points and emit SweepRecord CSV")
     t.add_argument("--variant", default="a2q", help="comma list: a2q, a2q+ (alias a2q_plus)")
@@ -372,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--jobs", type=int, default=1, help="worker processes for independent sweep points")
     t.add_argument("--out", help="write CSV here instead of stdout")
     _add_common(t)
-    t.set_defaults(func=cmd_train)
 
     a = subs.add_parser("analyze", help="feasibility curve of a checkpoint: fraction of channels inside the budget per P")
     a.add_argument("--ckpt", required=True, help="checkpoint JSON (quantized or float)")
@@ -385,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--pmin", type=int, default=2)
     a.add_argument("--pmax", type=int, default=32)
     _add_common(a)
-    a.set_defaults(func=cmd_analyze)
 
     f = subs.add_parser(
         "pareto",
@@ -397,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     f.add_argument("--records", required=True, help='sweep CSV path, or "-" for stdin')
     _add_common(f)
-    f.set_defaults(func=cmd_pareto)
 
     for sub in (b, p, v, t, a, f):
         sub.set_defaults(parser=sub)
@@ -405,11 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
-    except (_InputError, InvalidBitWidthError, DivergenceError) as exc:
+        # looked up at call time, so a patched cmd_* module attribute is the one run
+        return globals()[f"cmd_{ns.cmd}"](ns)
+    except (_InputError, InvalidBitWidthError, InvalidBudgetError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationBudgetError as exc:

@@ -24,6 +24,10 @@ class EnumerationBudgetError(RuntimeError):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
+class InvalidBudgetError(ValueError):
+    """ACCQ_ENUM_BUDGET is set to something other than a non-negative base-10 integer."""
+
+
 class InfeasibleError(ValueError):
     """The requested object cannot exist (e.g. a nonzero zero-sum vector of length 1)."""
 

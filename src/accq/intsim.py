@@ -1,9 +1,9 @@
 """Exact simulation of fixed-width integer accumulation.
 
 Overflow verdicts must never themselves be victims of overflow, so every dot
-product that feeds a verdict is computed with Python ints (arbitrary precision).
-The exhaustive enumerator switches to vectorized int64 only when the worst-case
-magnitude provably fits, and falls back to exact Python arithmetic otherwise.
+product that feeds a verdict is exact: Python ints in the closed form, and in
+the exhaustive enumerator the narrowest of int16, int32 and int64 that provably
+holds every sum, else Python ints (an object array).
 
 certify is the one certificate rule: it gives every row the closed-form
 worst case and decides which rows the exhaustive oracle also enumerates.
@@ -14,7 +14,6 @@ Wraparound follows two's complement: a P-bit register holds
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,10 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import _check_bits, int_range
-from .errors import EnumerationBudgetError, LengthMismatchError, NonFiniteInputError
+from .errors import EnumerationBudgetError, InvalidBudgetError, LengthMismatchError, NonFiniteInputError
 
 DEFAULT_ENUM_BUDGET = 1 << 24
 ENUM_BUDGET_ENV = "ACCQ_ENUM_BUDGET"
+_BLOCK = 1 << 18  # most sums one enumerated block holds
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,7 @@ def check_accumulator(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Acc
     qs = _int_vector(q)
     c, d = int_range(N, act_signed)
     f, e = _extremes(qs, c, d)
-    x_max = [d if v >= 0 else c for v in qs]
-    x_min = [c if v >= 0 else d for v in qs]
-    return _witness(f, e, x_max, x_min, spec)
+    return _witness(f, e, [d if v >= 0 else c for v in qs], [c if v >= 0 else d for v in qs], spec)
 
 
 def _witness(f: int, e: int, x_max, x_min, spec: AccumulatorSpec) -> AccumWitness:
@@ -156,20 +154,39 @@ def _witness(f: int, e: int, x_max, x_min, spec: AccumulatorSpec) -> AccumWitnes
 
 
 def enumeration_budget(budget: int | None = None) -> int:
-    """Active exhaustive-enumeration budget; env ACCQ_ENUM_BUDGET overrides the default."""
+    """Active exhaustive-enumeration budget; env ACCQ_ENUM_BUDGET (0 never enumerates) overrides the default."""
     if budget is not None:
         return int(budget)
     raw = os.environ.get(ENUM_BUDGET_ENV)
+    if raw and not (raw.isascii() and raw.isdigit()):
+        raise InvalidBudgetError(f"{ENUM_BUDGET_ENV} must be a non-negative base-10 integer, got {raw!r}")
     return int(raw) if raw else DEFAULT_ENUM_BUDGET
 
 
-def _dots_int64(qs: list[int], vals: np.ndarray) -> np.ndarray:
-    # outer-sum expansion; the last element varies fastest in the flat index
-    dots = np.zeros(1, dtype=np.int64)
-    for qi in qs:
-        contrib = (qi * vals).astype(np.int64)
-        dots = (dots[:, None] + contrib[None, :]).ravel()
-    return dots
+def _outer_sums(table: np.ndarray) -> np.ndarray:
+    # every sum taking one entry per row of the table, the last row varying fastest
+    out = table[-1] if len(table) else np.zeros(1, dtype=table.dtype)
+    for row in table[-2::-1]:
+        out = (row[:, None] + out).ravel()
+    return out
+
+
+def _blocks(table: np.ndarray):
+    # (first flat index, sums) in flat order; a space over _BLOCK reuses one buffer
+    K, R = table.shape
+    if R ** K <= _BLOCK:
+        yield 0, _outer_sums(table)
+        return
+    T = next(t for t in range(K, -1, -1) if R ** t <= _BLOCK)
+    tail = _outer_sums(table[K - T:])
+    lead = _outer_sums(table[:K - T])
+    n, per = len(tail), _BLOCK // len(tail)
+    buf = np.empty(min(per, len(lead)) * n, dtype=table.dtype)
+    for start in range(0, len(lead), per):
+        chunk = lead[start:start + per, None]
+        block = buf[:len(chunk) * n]
+        np.add(chunk, tail, out=block.reshape(len(chunk), n))
+        yield start * n, block
 
 
 def _decode_index(flat: int, K: int, R: int, c: int) -> tuple[int, ...]:
@@ -187,6 +204,9 @@ def exhaustive_check(
     Independent oracle for check_accumulator: no extremal shortcut, every dot
     value is materialized and compared.  Raises EnumerationBudgetError when
     (2^N)^K exceeds the budget (default 2^24, env ACCQ_ENUM_BUDGET overrides).
+    Sums are int16, int32 or int64 when B = K * max|q| * max(|c|, |d|) is below
+    2^15, 2^31 or 2^62, Python ints beyond, and come in blocks of at most 2^18.
+    The witnesses are the first extremes, the last element varying fastest.
     """
     qs = _int_vector(q)
     K = len(qs)
@@ -197,40 +217,20 @@ def exhaustive_check(
     if total > limit:
         raise EnumerationBudgetError(f"{total} input vectors exceed budget {limit}")
 
-    max_abs = max((abs(v) for v in qs), default=0) * max(abs(c), abs(d))
-    if K * max_abs < (1 << 62):
-        vals = np.arange(c, d + 1, dtype=np.int64)
-        if total > (1 << 22) and K > 1:
-            # split on the first element to keep peak memory at R^(K-1)
-            tail = _dots_int64(qs[1:], vals)
-            f = e = None
-            jmax = jmin = 0
-            for i0 in range(R):
-                block = qs[0] * int(vals[i0]) + tail
-                bmax_j = int(block.argmax())
-                bmin_j = int(block.argmin())
-                if f is None or int(block[bmax_j]) > f:
-                    f, jmax = int(block[bmax_j]), i0 * len(tail) + bmax_j
-                if e is None or int(block[bmin_j]) < e:
-                    e, jmin = int(block[bmin_j]), i0 * len(tail) + bmin_j
-        else:
-            dots = _dots_int64(qs, vals)
-            jmax, jmin = int(dots.argmax()), int(dots.argmin())
-            f, e = int(dots[jmax]), int(dots[jmin])
-        x_max = _decode_index(jmax, K, R, c)
-        x_min = _decode_index(jmin, K, R, c)
-    else:
-        # magnitudes too large for int64: exact but slow Python path
-        f = e = None
-        x_max = x_min = tuple([0] * K)
-        for combo in itertools.product(range(c, d + 1), repeat=K):
-            dot = sum(a * b for a, b in zip(combo, qs))
-            if f is None or dot > f:
-                f, x_max = dot, combo
-            if e is None or dot < e:
-                e, x_min = dot, combo
-
-    return _witness(f, e, list(x_max), list(x_min), spec)
+    bits = (K * max(map(abs, qs), default=0) * max(abs(c), abs(d))).bit_length()
+    dtype = np.int16 if bits <= 15 else np.int32 if bits <= 31 else np.int64 if bits <= 62 else object
+    # products formed wide, then narrowed: B bounds them, not the input values themselves
+    wide = object if dtype is object else np.int64
+    table = (np.array(qs, dtype=wide).reshape(K, 1) * np.arange(c, d + 1, dtype=wide)).astype(dtype)
+    f = e = None
+    for first, block in _blocks(table):
+        jmax, jmin = int(block.argmax()), int(block.argmin())
+        # strict improvement only, so the first maximizer and minimizer win
+        if f is None or block[jmax] > f:
+            f, flat_max = int(block[jmax]), first + jmax
+        if e is None or block[jmin] < e:
+            e, flat_min = int(block[jmin]), first + jmin
+    return _witness(f, e, _decode_index(flat_max, K, R, c), _decode_index(flat_min, K, R, c), spec)
 
 
 class Certificate(NamedTuple):

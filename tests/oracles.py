@@ -11,19 +11,32 @@ import itertools
 import numpy as np
 
 
+def _inputs(q, N: int, signed: bool):
+    lo, hi = (-(1 << (N - 1)), (1 << (N - 1)) - 1) if signed else (0, (1 << N) - 1)
+    return itertools.product(range(lo, hi + 1), repeat=len(q))
+
+
 def brute_extremes(q, N: int, signed: bool) -> tuple[int, int]:
     """Max and min dot product by materializing every input vector (tiny K only)."""
-    if signed:
-        lo, hi = -(1 << (N - 1)), (1 << (N - 1)) - 1
-    else:
-        lo, hi = 0, (1 << N) - 1
     best_hi = None
     best_lo = None
-    for x in itertools.product(range(lo, hi + 1), repeat=len(q)):
+    for x in _inputs(q, N, signed):
         dot = sum(a * b for a, b in zip(x, q))
         best_hi = dot if best_hi is None else max(best_hi, dot)
         best_lo = dot if best_lo is None else min(best_lo, dot)
     return best_hi, best_lo
+
+
+def brute_witness(q, N: int, signed: bool) -> tuple[int, int, tuple, tuple]:
+    """Max, min, and the first input vector reaching each, in itertools.product order."""
+    best_hi = best_lo = None
+    for x in _inputs(q, N, signed):
+        dot = sum(a * b for a, b in zip(x, q))
+        if best_hi is None or dot > best_hi:
+            best_hi, x_hi = dot, x
+        if best_lo is None or dot < best_lo:
+            best_lo, x_lo = dot, x
+    return best_hi, best_lo, x_hi, x_lo
 
 
 def exact_min_width(k: int, M: int, N: int, signed: bool) -> int:

@@ -8,11 +8,15 @@ which reads the one-channel view on every shape the benchmark quantizes.
 benchmarks/ is only imported, never edited.
 """
 
+import contextlib
 import importlib
+import io
 import sys
 from pathlib import Path
 
 import pytest
+
+from accq import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 sys.path[:0] = [str(BENCH)]
@@ -25,7 +29,7 @@ import workloads  # noqa: E402
 WORKLOADS = {
     "train_sweep": {"qat.forward", "qat.backward", "qat.sgd_step", "qat.certify_accumulators"},
     "verify_wide": {"cli.cmd_verify"},
-    "verify_exhaustive": {"cli.cmd_verify"},
+    "verify_exhaustive": {"cli.cmd_verify", "intsim.exhaustive_check"},
     "quantize_audit": {"epinit.ep_init", "quantizers.forward_weights", "intsim.check_accumulator"},
 }
 
@@ -41,6 +45,10 @@ def _originals() -> dict:
 
 @pytest.fixture
 def tracer():
+    # an untraced call first, so the traced runs go through the parser the CLI
+    # has already built and kept, and must still reach the patched cmd_verify
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["bounds", "--ratio", "--N", "4"])
     before = _originals()
     tracer = spans.Tracer()
     tracer.install()
@@ -63,6 +71,11 @@ def test_workload_runs_and_checks_clean(name, tracer, tmp_path):
     assert work > 0
     assert workload.cycle_errors([out]) == []
     assert WORKLOADS[name] <= {span.name for span in tracer.spans}
+    if name == "verify_exhaustive":
+        # every enumerated channel's whole input space reaches the oracle
+        inputs_enumerated = sum((1 << item.N) ** rec["K"] for rec in item.expected if rec["exhaustive"])
+        assert inputs_enumerated > 0
+        assert tracer.counters["intsim.exhaustive_check.inputs"] == inputs_enumerated
 
 
 def test_quantize_audit_checks_clean_on_every_seed1_item(tmp_path):

@@ -306,13 +306,15 @@ def test_train_divergence_exits_3(lr, epochs, reason, capsys):
     assert reason in err
 
 
-@pytest.mark.parametrize("lr", ["nan", "1e6"])
-def test_train_divergence_prints_one_line_from_a_shell(lr):
-    # a child process shows the stderr a shell user sees: numpy warnings are
-    # not captured there, so any stray one would precede the error line
+def assert_shell_input_error(argv, **env_vars) -> str:
+    """Like assert_input_error, from a child process; returns the error line.
+
+    A child process shows the stderr a shell user sees: numpy warnings and
+    tracebacks are not captured there, so any stray one would show up.
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONWARNINGS", None)
-    argv = ["train", "--M", "4", "--N", "4", "--P", "12", "--epochs", "2", "--lr", lr]
+    env.update(env_vars)
     proc = subprocess.run(
         [sys.executable, "-m", "accq.cli", *argv], capture_output=True, text=True, env=env, timeout=300
     )
@@ -320,6 +322,26 @@ def test_train_divergence_prints_one_line_from_a_shell(lr):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    return lines[0]
+
+
+@pytest.mark.parametrize("lr", ["nan", "1e6"])
+def test_train_divergence_prints_one_line_from_a_shell(lr):
+    assert_shell_input_error(["train", "--M", "4", "--N", "4", "--P", "12", "--epochs", "2", "--lr", lr])
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--weights", str(VERIFY_CHANNELS), "--P", "12", "--N", "4"],
+        ["train", "--M", "4", "--N", "4", "--P", "12", "--epochs", "1"],
+    ],
+    ids=["verify", "train"],
+)
+def test_malformed_enum_budget_exits_3_from_a_shell(argv, raw):
+    err = assert_shell_input_error(argv, ACCQ_ENUM_BUDGET=raw)
+    assert "ACCQ_ENUM_BUDGET" in err and repr(raw) in err
 
 
 # ---------------------------------------------------------------- analyze

@@ -1,12 +1,15 @@
 """Exact integer accumulation, overflow witnesses, two's-complement wrapping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accq.errors import (
     EnumerationBudgetError,
+    InvalidBudgetError,
     LengthMismatchError,
     NonFiniteInputError,
 )
@@ -24,7 +27,7 @@ from accq.intsim import (
     wrap,
 )
 
-from oracles import brute_extremes
+from oracles import brute_extremes, brute_witness
 
 
 def test_spec_register_range():
@@ -138,13 +141,67 @@ def test_exhaustive_agrees_with_extremal(q, N, signed, P):
 
 
 def test_exhaustive_int64_split_path_matches():
-    # 16^6 input vectors forces the chunked integer path under the default budget
+    # 16^6 input vectors take the blocked path under the default budget
     q = [3, -5, 2, -2, 4, -1]
     fast = check_accumulator(q, 4, False, AccumulatorSpec(P=10))
     full = exhaustive_check(q, 4, False, AccumulatorSpec(P=10))
     assert (full.true_max, full.true_min) == (fast.true_max, fast.true_min)
     assert exact_dot(full.witness_x_max, q) == full.true_max
     assert exact_dot(full.witness_x_min, q) == full.true_min
+
+
+def test_exhaustive_memory_stays_bounded():
+    # the whole default budget, 16^6 input vectors, in blocks of one reused buffer
+    tracemalloc.start()
+    try:
+        wit = exhaustive_check([3, -5, 2, -2, 4, -1], 4, False, AccumulatorSpec(P=10), budget=1 << 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (wit.true_max, wit.true_min) == (9 * 15, -8 * 15)
+    assert peak <= 8 << 20
+
+
+@pytest.mark.parametrize(
+    "q, signed, x_max, x_min",
+    [
+        ([1, 0, 0, 0, 0, 1], False, (15, 0, 0, 0, 0, 15), (0,) * 6),
+        ([1, 0, 0, 0, 0, -1], True, (7,) + (-8,) * 5, (-8,) * 5 + (7,)),
+    ],
+)
+def test_exhaustive_witnesses_are_first_across_blocks(q, signed, x_max, x_min):
+    # 16^6 input vectors span many blocks, and each extreme recurs in several
+    wit = exhaustive_check(q, 4, signed, AccumulatorSpec(P=8), budget=1 << 24)
+    assert (wit.witness_x_max, wit.witness_x_min) == (x_max, x_min)
+    assert (wit.true_max, wit.true_min) == (exact_dot(x_max, q), exact_dot(x_min, q))
+
+
+@st.composite
+def _enumerable_channels(draw):
+    # zero, tied and repeated codes at every magnitude; (2^N)^K <= 2^12 keeps
+    # the brute force quick
+    N = draw(st.integers(min_value=1, max_value=4))
+    K = draw(st.integers(min_value=1, max_value=min(5, 12 // N)))
+    scale = draw(st.sampled_from([3, 1 << 12, 1 << 28, 1 << 59, 1 << 70]))
+    pool = draw(st.lists(st.integers(min_value=-scale, max_value=scale), min_size=1, max_size=3))
+    q = draw(st.lists(st.sampled_from(pool + [0]), min_size=K, max_size=K))
+    return q, N, draw(st.booleans())
+
+
+# each side of every element-type edge: the worst sum K * max|q| * max(|c|, |d|)
+# is reached exactly, at 2^15 - 1, 2^15, 2^31 - 1, 2^31, 2^62 - 1 and 2^62
+@given(channel=_enumerable_channels())
+@example(channel=([4681], 3, False))
+@example(channel=([-2048, -2048], 4, True))
+@example(channel=([2**31 - 1], 1, False))
+@example(channel=([-(2**27), -(2**27)], 4, True))
+@example(channel=([(2**62 - 1) // 3] * 3, 1, False))
+@example(channel=([-(2**59), -(2**59)], 3, True))
+@settings(max_examples=200, deadline=None)
+def test_exhaustive_witnesses_are_the_first_extremes(channel):
+    q, N, signed = channel
+    wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
+    assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == brute_witness(q, N, signed)
 
 
 def test_exhaustive_bigint_fallback_matches():
@@ -168,6 +225,21 @@ def test_enumeration_budget_guard(monkeypatch):
         exhaustive_check([1, 1], 2, False, AccumulatorSpec(P=8))
     monkeypatch.setenv("ACCQ_ENUM_BUDGET", "64")
     exhaustive_check([1, 1], 2, False, AccumulatorSpec(P=8))
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "-1", " 7", "1e3", "0x10"])
+def test_malformed_budget_env_is_a_typed_error(monkeypatch, raw):
+    monkeypatch.setenv("ACCQ_ENUM_BUDGET", raw)
+    with pytest.raises(InvalidBudgetError):
+        enumeration_budget()
+    with pytest.raises(InvalidBudgetError):
+        certify([[1, 2]], 2, False, AccumulatorSpec(P=8))
+
+
+def test_zero_budget_env_never_enumerates(monkeypatch):
+    monkeypatch.setenv("ACCQ_ENUM_BUDGET", "0")
+    assert enumeration_budget() == 0
+    assert [c.exhaustive for c in certify([[1, 2]], 2, False, AccumulatorSpec(P=8))] == [False]
 
 
 def test_explicit_budget_beats_env(monkeypatch):
