@@ -13,7 +13,6 @@ against integer code norms without any float round-off.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,9 +100,9 @@ def min_acc_width(k_star: int, M: int, N: int, act_signed: bool = False) -> int:
     """Most conservative accumulator width for a K*-long M-bit x N-bit dot product.
 
     Returns ceil(alpha + phi(alpha) + 1) with alpha = log2(K*) + N + M - 1 - 1{signed}
-    and phi(alpha) = log2(1 + 2^-alpha).  Computed in double precision, ceiling
-    applied last; phi(alpha) < 1 always, so the ceiling is unambiguous unless the
-    sum sits within 1e-9 of an integer, in which case we round up (conservative).
+    and phi(alpha) = log2(1 + 2^-alpha).  Since alpha + phi(alpha) =
+    log2(2^alpha + 1) and 2^alpha = K* * 2^(N + M - 1 - 1{signed}) is an
+    integer A, the ceiling is the bit length of A, computed in exact integers.
 
     The result can over-reserve for unsigned inputs (the derivation bounds
     2^N - 1 by 2^N): one bit typically, two in the N = 1 corner where that
@@ -113,10 +112,4 @@ def min_acc_width(k_star: int, M: int, N: int, act_signed: bool = False) -> int:
         raise InvalidBitWidthError(f"k_star must be a positive int, got {k_star!r}")
     _check_bits(M, "M", 2)
     _check_bits(N, "N", 1)
-    alpha = math.log2(k_star) + N + M - 1 - (1 if act_signed else 0)
-    phi = math.log2(1.0 + 2.0 ** (-alpha))
-    total = alpha + phi + 1.0
-    nearest = round(total)
-    if abs(total - nearest) <= 1e-9:
-        return int(nearest) + 1
-    return math.ceil(total)
+    return (k_star << (N + M - 1 - (1 if act_signed else 0))).bit_length() + 1

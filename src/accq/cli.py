@@ -260,7 +260,8 @@ def _checkpoint_rows(path: str) -> list[np.ndarray]:
         rows = [row for layer in payload for row in layer]
     else:
         try:
-            rows = [row for res in quantize_network(payload) for row in res.w]
+            # one record per fan-in group; channel_cdf only counts rows, so their order is free
+            rows = [row for quant in quantize_network(payload) for row in quant.w]
         except OverflowError as exc:
             raise _InputError(f"bad checkpoint {path}: a norm or scale exponent leaves float range") from exc
     if not rows:

@@ -14,6 +14,7 @@ Wraparound follows two's complement: a P-bit register holds
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -153,10 +154,8 @@ def _witness(f: int, e: int, x_max, x_min, spec: AccumulatorSpec) -> AccumWitnes
     )
 
 
-def enumeration_budget(budget: int | None = None) -> int:
+def enumeration_budget() -> int:
     """Active exhaustive-enumeration budget; env ACCQ_ENUM_BUDGET (0 never enumerates) overrides the default."""
-    if budget is not None:
-        return int(budget)
     raw = os.environ.get(ENUM_BUDGET_ENV)
     if raw and not (raw.isascii() and raw.isdigit()):
         raise InvalidBudgetError(f"{ENUM_BUDGET_ENV} must be a non-negative base-10 integer, got {raw!r}")
@@ -171,12 +170,31 @@ def _outer_sums(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocks(table: np.ndarray):
-    # (first flat index, sums) in flat order; a space over _BLOCK reuses one buffer
-    K, R = table.shape
+def _products(qs: list[int], lo: int, hi: int, dtype) -> np.ndarray:
+    # each code times every input in [lo, hi), formed wide and then narrowed:
+    # B bounds the products, not the input values themselves
+    wide = object if dtype is object else np.int64
+    return (np.array(qs, dtype=wide).reshape(len(qs), 1) * np.arange(lo, hi, dtype=wide)).astype(dtype)
+
+
+def _blocks(qs: list[int], c: int, R: int, dtype):
+    # (first flat index, sums) in flat order, at most _BLOCK sums each
+    K = len(qs)
     if R ** K <= _BLOCK:
-        yield 0, _outer_sums(table)
+        yield 0, _outer_sums(_products(qs, c, c + R, dtype))
         return
+    if R > _BLOCK:
+        # one input's range alone overflows a block: take the leading inputs one
+        # vector at a time and the last input's range in chunks
+        for lead, xs in enumerate(itertools.product(range(c, c + R), repeat=K - 1)):
+            base = sum(q * x for q, x in zip(qs, xs))
+            for start in range(0, R, _BLOCK):
+                block = _products(qs[-1:], c + start, c + min(start + _BLOCK, R), dtype)[0]
+                block += base
+                yield lead * R + start, block
+        return
+    # a space over _BLOCK reuses one buffer
+    table = _products(qs, c, c + R, dtype)
     T = next(t for t in range(K, -1, -1) if R ** t <= _BLOCK)
     tail = _outer_sums(table[K - T:])
     lead = _outer_sums(table[:K - T])
@@ -196,9 +214,7 @@ def _decode_index(flat: int, K: int, R: int, c: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def exhaustive_check(
-    q, N: int, act_signed: bool, spec: AccumulatorSpec, budget: int | None = None
-) -> AccumWitness:
+def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> AccumWitness:
     """Enumerate every N-bit input vector and take the exact max/min dot product.
 
     Independent oracle for check_accumulator: no extremal shortcut, every dot
@@ -213,17 +229,14 @@ def exhaustive_check(
     c, d = int_range(N, act_signed)
     R = d - c + 1
     total = R ** K
-    limit = enumeration_budget(budget)
+    limit = enumeration_budget()
     if total > limit:
         raise EnumerationBudgetError(f"{total} input vectors exceed budget {limit}")
 
     bits = (K * max(map(abs, qs), default=0) * max(abs(c), abs(d))).bit_length()
     dtype = np.int16 if bits <= 15 else np.int32 if bits <= 31 else np.int64 if bits <= 62 else object
-    # products formed wide, then narrowed: B bounds them, not the input values themselves
-    wide = object if dtype is object else np.int64
-    table = (np.array(qs, dtype=wide).reshape(K, 1) * np.arange(c, d + 1, dtype=wide)).astype(dtype)
     f = e = None
-    for first, block in _blocks(table):
+    for first, block in _blocks(qs, c, R, dtype):
         jmax, jmin = int(block.argmax()), int(block.argmin())
         # strict improvement only, so the first maximizer and minimizer win
         if f is None or block[jmax] > f:
@@ -244,8 +257,7 @@ class Certificate(NamedTuple):
 
 
 def certify(
-    rows, N: int, act_signed: bool, spec: AccumulatorSpec, exhaustive: bool = False,
-    budget: int | None = None,
+    rows, N: int, act_signed: bool, spec: AccumulatorSpec, exhaustive: bool = False
 ) -> list[Certificate]:
     """Certify integer code rows (of any lengths) against a P-bit register.
 
@@ -256,7 +268,7 @@ def certify(
     is returned.
     """
     c, d = int_range(N, act_signed)
-    cap = enumeration_budget(budget)
+    cap = enumeration_budget()
     out = []
     for row in rows:
         qs = _int_vector(row)
@@ -265,7 +277,7 @@ def certify(
         enumerated = exhaustive or (1 << (N * len(qs))) <= cap  # (2^N)^K input vectors
         if enumerated:
             # the oracle converts the row itself, independently of the closed form
-            overflowed |= exhaustive_check(row, N, act_signed, spec, budget=budget).overflowed
+            overflowed |= exhaustive_check(row, N, act_signed, spec).overflowed
         out.append(Certificate(len(qs), f, e, overflowed, enumerated))
     return out
 

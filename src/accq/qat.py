@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -37,8 +37,6 @@ from .epinit import ZERO_EXPONENT, ep_init, init_scale
 from .errors import AccumulatorOverflowError, DivergenceError
 from .intsim import AccumulatorSpec, certify
 from .quantizers import LN2, BitPlan, ChannelWeights, QuantizedLayer, Variant, finite_vector, quantize_layer
-
-CSV_HEADER = "variant,M,N,P,seed,final_loss,sparsity,min_slack"
 
 # weight and activation bits of the first and last layers
 EDGE_BITS = 8
@@ -84,7 +82,11 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One sweep point.  The CSV form is stable and byte-reproducible."""
+    """One sweep point.  The CSV form is stable and byte-reproducible.
+
+    The fields are the CSV columns in order, and each field's type parses its
+    column back.
+    """
 
     variant: str
     M: int
@@ -99,42 +101,25 @@ class SweepRecord:
         return (self.variant, self.M, self.N, self.P, self.seed)
 
     def csv_row(self) -> str:
-        # repr() round-trips floats exactly; Fraction prints as n/d (or n)
-        return (
-            f"{self.variant},{self.M},{self.N},{self.P},{self.seed},"
-            f"{self.final_loss!r},{self.sparsity!r},{self.min_slack}"
-        )
+        # str() of a float is its repr, which round-trips exactly; a Fraction
+        # prints as n/d (or n)
+        return ",".join(str(getattr(self, name)) for name in _COLUMNS)
 
     def to_json(self) -> str:
         """One JSON object, keys in CSV column order; min_slack as its n/d string."""
-        return json.dumps(
-            {
-                "variant": self.variant,
-                "M": self.M,
-                "N": self.N,
-                "P": self.P,
-                "seed": self.seed,
-                "final_loss": self.final_loss,
-                "sparsity": self.sparsity,
-                "min_slack": str(self.min_slack),
-            }
-        )
+        return json.dumps({name: getattr(self, name) for name in _COLUMNS}, default=str)
 
     @classmethod
     def from_csv_row(cls, line: str) -> "SweepRecord":
         parts = line.strip().split(",")
-        if len(parts) != 8:
-            raise ValueError(f"expected 8 CSV fields, got {len(parts)}: {line!r}")
-        return cls(
-            variant=parts[0],
-            M=int(parts[1]),
-            N=int(parts[2]),
-            P=int(parts[3]),
-            seed=int(parts[4]),
-            final_loss=float(parts[5]),
-            sparsity=float(parts[6]),
-            min_slack=Fraction(parts[7]),
-        )
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(f"expected {len(_COLUMNS)} CSV fields, got {len(parts)}: {line!r}")
+        return cls(*(parse(part) for parse, part in zip(_COLUMNS.values(), parts)))
+
+
+# column name -> its parser, in field order
+_COLUMNS = get_type_hints(SweepRecord)
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass
@@ -235,11 +220,18 @@ def _stack(layers: list[QuantLinear]) -> tuple[np.ndarray, np.ndarray, np.ndarra
     )
 
 
-def _quantize_groups(net: ToyNetwork) -> list[tuple[QuantizedLayer, slice]]:
-    """Per layer, its group's record and its rows in it: one quantize_layer call per group."""
+def quantize_network(net: ToyNetwork) -> list[QuantizedLayer]:
+    """One quantize_layer record per fan-in group, in net.groups order."""
+    return [
+        quantize_layer(*_stack([net.layers[i] for i in group.layers]), group.plan, net.variant)
+        for group in net.groups
+    ]
+
+
+def _layer_rows(net: ToyNetwork, quants: list[QuantizedLayer]) -> list[tuple[QuantizedLayer, slice]]:
+    """Per layer, its group's record and its rows in it."""
     out: list = [None] * len(net.layers)
-    for group in net.groups:
-        quant = quantize_layer(*_stack([net.layers[i] for i in group.layers]), group.plan, net.variant)
+    for group, quant in zip(net.groups, quants):
         for i, rows in zip(group.layers, group.rows):
             out[i] = (quant, rows)
     return out
@@ -317,18 +309,14 @@ def build_network(config: TrainConfig, init_weights) -> ToyNetwork:
 def calibrate(net: ToyNetwork, X: np.ndarray) -> None:
     """Set each activation scale so the observed peak lands on the top code.
 
-    Runs the smooth weights with no activation quantization; training then
-    moves the exponents by gradient from this starting point.
+    Reads each layer's input off the smooth pass of forward (pre-round
+    weights, no activation quantization), which act_exp does not enter;
+    training then moves the exponents by gradient from this starting point.
     """
-    h = np.asarray(X, dtype=float)
-    quants = _quantize_groups(net)
-    for i, (layer, (quant, rows)) in enumerate(zip(net.layers, quants)):
+    for layer, st in zip(net.layers, forward(net, X, quantize=False)[1]):
         _, hi = layer.act_range
-        top = float(np.max(np.abs(h))) if h.size else 0.0
+        top = float(np.max(np.abs(st.xq))) if st.xq.size else 0.0
         layer.act_exp = math.log2(top / hi) if top > 0.0 else ZERO_EXPONENT
-        h = h @ quant.w[rows].T + layer.bias
-        if i < len(net.layers) - 1:
-            h = np.maximum(h, 0.0)
 
 
 @dataclass
@@ -398,7 +386,7 @@ def forward(net: ToyNetwork, X, quantize: bool = True) -> tuple[np.ndarray, list
     h = np.asarray(X, dtype=float)
     stores: list[_LayerStore] = []
     last = len(net.layers) - 1
-    quants = _quantize_groups(net)
+    quants = _layer_rows(net, quantize_network(net))
     for i, (layer, (quant, rows)) in enumerate(zip(net.layers, quants)):
         if quantize:
             xq, act_tape = _act_forward(h, layer)
@@ -507,7 +495,7 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
     final_loss = mse(_quantized_forward(net, data.X_test, "the final evaluation")[0], data.y_test)
     if not math.isfinite(final_loss):
         raise DivergenceError("non-finite final loss")
-    certify_accumulators(net)
+    quants = certify_accumulators(net)
     record = SweepRecord(
         variant=config.variant.value,
         M=config.bits.M,
@@ -515,8 +503,8 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
         P=config.bits.P,
         seed=config.seed,
         final_loss=final_loss,
-        sparsity=measure_sparsity(net),
-        min_slack=min_bound_slack(net),
+        sparsity=measure_sparsity(quants),
+        min_slack=min_bound_slack(quants),
     )
     return net, record
 
@@ -583,39 +571,36 @@ def float_baseline(config: TrainConfig) -> FloatRun:
     return FloatRun(final_loss=final_loss, weights=tuple(W))
 
 
-def quantize_network(net: ToyNetwork) -> list[QuantizedLayer]:
-    """Each layer's quantized record, from one quantize_layer call per fan-in group."""
-    return [quant.row_slice(rows) for quant, rows in _quantize_groups(net)]
+def measure_sparsity(quants: list[QuantizedLayer]) -> float:
+    """Fraction of integer weight codes equal to zero across the quantized records."""
+    zeros = sum(int(np.count_nonzero(quant.q == 0)) for quant in quants)
+    return zeros / sum(quant.q.size for quant in quants)
 
 
-def measure_sparsity(net: ToyNetwork) -> float:
-    """Fraction of integer weight codes equal to zero across the quantized layers."""
-    results = quantize_network(net)
-    zeros = sum(int(np.count_nonzero(res.q == 0)) for res in results)
-    return zeros / sum(res.q.size for res in results)
-
-
-def min_bound_slack(net: ToyNetwork) -> Fraction:
+def min_bound_slack(quants: list[QuantizedLayer]) -> Fraction:
     """Tightest channel's budget minus its integer l1 mass, as an exact rational."""
-    return min(b - l1 for res in quantize_network(net) for b, l1 in zip(res.bound, res.l1_codes))
+    return min(b - l1 for quant in quants for b, l1 in zip(quant.bound, quant.l1_codes))
 
 
-def certify_accumulators(net: ToyNetwork, budget: int | None = None) -> None:
+def certify_accumulators(net: ToyNetwork) -> list[QuantizedLayer]:
     """Exact post-training overflow audit; raises AccumulatorOverflowError on any hazard.
 
-    One intsim.certify call per layer: every channel gets the closed-form
-    worst-case check, and channels small enough for the enumeration budget
-    also get the exhaustive sweep.
+    Quantizes the network once and makes one intsim.certify call per layer, on
+    that layer's rows: every channel gets the closed-form worst case, and
+    channels small enough for the enumeration budget also get the exhaustive
+    sweep.  Returns the group records it certified.
     """
-    for li, (layer, res) in enumerate(zip(net.layers, quantize_network(net))):
+    quants = quantize_network(net)
+    for li, (layer, (quant, rows)) in enumerate(zip(net.layers, _layer_rows(net, quants))):
         bits = layer.bits
-        certs = certify(res.q.tolist(), bits.N, bits.act_signed, AccumulatorSpec(P=bits.P), budget=budget)
+        certs = certify(quant.q[rows].tolist(), bits.N, bits.act_signed, AccumulatorSpec(P=bits.P))
         for ci, cert in enumerate(certs):
             if cert.overflowed:
                 raise AccumulatorOverflowError(
                     f"layer {li} channel {ci} overflows P={bits.P}: worst-case dot range "
                     f"[{cert.true_min}, {cert.true_max}]"
                 )
+    return quants
 
 
 def channel_cdf(channels, bits: BitWidths, p_range=range(2, 33)) -> list[tuple[int, float]]:

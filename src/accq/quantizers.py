@@ -144,10 +144,6 @@ class QuantizedLayer:
     def K(self) -> int:
         return self.u.shape[1]
 
-    def row_slice(self, sl: slice) -> QuantizedLayer:
-        """The record of a run of rows: every per-row field sliced, views where numpy allows."""
-        return dataclasses.replace(self, **{name: getattr(self, name)[sl] for name in _ROW_FIELDS})
-
     def backward_smooth(self, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gradient of w = (c/||c||_1) * min(g, T) w.r.t. V, t, d."""
         dw = np.asarray(dw, dtype=float)
@@ -166,9 +162,6 @@ class QuantizedLayer:
         # outside, then chain s = 2^d
         resid = np.where(self.in_range, self.q - self.pre, self.q)
         return dv, dt, dd + np.vecdot(d_qw, resid) * self.s * LN2
-
-
-_ROW_FIELDS = tuple(f.name for f in dataclasses.fields(QuantizedLayer) if f.name not in ("variant", "fell_back"))
 
 
 class WeightTape:

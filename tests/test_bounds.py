@@ -136,7 +136,7 @@ def test_min_acc_width_never_below_exact_requirement():
 
 
 def test_min_acc_width_exact_for_signed_inputs():
-    for k in (1, 2, 5, 33, 1024):
+    for k in (1, 2, 5, 33, 1024, 2**30 - 1):
         for M in (2, 4, 8):
             for N in (1, 2, 4, 8):
                 assert min_acc_width(k, M, N, act_signed=True) == exact_min_width(

@@ -150,16 +150,22 @@ def test_exhaustive_int64_split_path_matches():
     assert exact_dot(full.witness_x_min, q) == full.true_min
 
 
-def test_exhaustive_memory_stays_bounded():
-    # the whole default budget, 16^6 input vectors, in blocks of one reused buffer
-    tracemalloc.start()
-    try:
-        wit = exhaustive_check([3, -5, 2, -2, 4, -1], 4, False, AccumulatorSpec(P=10), budget=1 << 24)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (wit.true_max, wit.true_min) == (9 * 15, -8 * 15)
-    assert peak <= 8 << 20
+def test_exhaustive_memory_stays_bounded(monkeypatch):
+    # the whole default budget in blocks: 16^6 input vectors through one reused
+    # buffer, and 2^24 values of a single input in chunks of its range
+    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
+    for q, N, P, extremes, max_peak in [
+        ([3, -5, 2, -2, 4, -1], 4, 10, (9 * 15, -8 * 15), 8 << 20),
+        ([5], 24, 40, (5 * ((1 << 24) - 1), 0), 16 << 20),
+    ]:
+        tracemalloc.start()
+        try:
+            wit = exhaustive_check(q, N, False, AccumulatorSpec(P=P))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (wit.true_max, wit.true_min) == extremes
+        assert peak <= max_peak
 
 
 @pytest.mark.parametrize(
@@ -169,9 +175,10 @@ def test_exhaustive_memory_stays_bounded():
         ([1, 0, 0, 0, 0, -1], True, (7,) + (-8,) * 5, (-8,) * 5 + (7,)),
     ],
 )
-def test_exhaustive_witnesses_are_first_across_blocks(q, signed, x_max, x_min):
+def test_exhaustive_witnesses_are_first_across_blocks(monkeypatch, q, signed, x_max, x_min):
     # 16^6 input vectors span many blocks, and each extreme recurs in several
-    wit = exhaustive_check(q, 4, signed, AccumulatorSpec(P=8), budget=1 << 24)
+    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
+    wit = exhaustive_check(q, 4, signed, AccumulatorSpec(P=8))
     assert (wit.witness_x_max, wit.witness_x_min) == (x_max, x_min)
     assert (wit.true_max, wit.true_min) == (exact_dot(x_max, q), exact_dot(x_min, q))
 
@@ -216,8 +223,10 @@ def test_exhaustive_bigint_fallback_matches():
 
 def test_enumeration_budget_guard(monkeypatch):
     monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
-    assert enumeration_budget(None) == DEFAULT_ENUM_BUDGET
-    assert enumeration_budget(100) == 100
+    assert enumeration_budget() == DEFAULT_ENUM_BUDGET
+    monkeypatch.setenv("ACCQ_ENUM_BUDGET", "100")
+    assert enumeration_budget() == 100
+    monkeypatch.delenv("ACCQ_ENUM_BUDGET")
     with pytest.raises(EnumerationBudgetError):
         exhaustive_check([1] * 9, 4, False, AccumulatorSpec(P=16))
     monkeypatch.setenv("ACCQ_ENUM_BUDGET", "8")
@@ -242,9 +251,12 @@ def test_zero_budget_env_never_enumerates(monkeypatch):
     assert [c.exhaustive for c in certify([[1, 2]], 2, False, AccumulatorSpec(P=8))] == [False]
 
 
-def test_explicit_budget_beats_env(monkeypatch):
+def test_env_budget_is_the_only_budget(monkeypatch):
     monkeypatch.setenv("ACCQ_ENUM_BUDGET", "2")
-    wit = exhaustive_check([1, -1], 2, False, AccumulatorSpec(P=8), budget=16)
+    with pytest.raises(EnumerationBudgetError):
+        exhaustive_check([1, -1], 2, False, AccumulatorSpec(P=8))
+    monkeypatch.setenv("ACCQ_ENUM_BUDGET", "16")
+    wit = exhaustive_check([1, -1], 2, False, AccumulatorSpec(P=8))
     assert wit.true_max == 3
 
 
@@ -313,20 +325,22 @@ _SMALL_BUDGET = 1 << 12  # keeps the exhaustive oracle cheap on huge codes
 @settings(max_examples=200, deadline=None)
 def test_certify_matches_per_row_checks(rows, N, signed, P):
     spec = AccumulatorSpec(P=P)
-    certs = certify(rows, N, signed, spec, budget=_SMALL_BUDGET)
-    assert len(certs) == len(rows)
-    for q, cert in zip(rows, certs):
-        wit = check_accumulator(q, N, signed, spec)
-        assert cert.K == len(q)
-        assert (cert.true_max, cert.true_min, cert.overflowed) == (
-            wit.true_max, wit.true_min, wit.overflowed
-        )
-        assert cert.exhaustive == ((1 << N) ** len(q) <= _SMALL_BUDGET)
-        if cert.exhaustive:
-            full = exhaustive_check(q, N, signed, spec, budget=_SMALL_BUDGET)
-            assert (full.true_max, full.true_min, full.overflowed) == (
-                cert.true_max, cert.true_min, cert.overflowed
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setenv("ACCQ_ENUM_BUDGET", str(_SMALL_BUDGET))
+        certs = certify(rows, N, signed, spec)
+        assert len(certs) == len(rows)
+        for q, cert in zip(rows, certs):
+            wit = check_accumulator(q, N, signed, spec)
+            assert cert.K == len(q)
+            assert (cert.true_max, cert.true_min, cert.overflowed) == (
+                wit.true_max, wit.true_min, wit.overflowed
             )
+            assert cert.exhaustive == ((1 << N) ** len(q) <= _SMALL_BUDGET)
+            if cert.exhaustive:
+                full = exhaustive_check(q, N, signed, spec)
+                assert (full.true_max, full.true_min, full.overflowed) == (
+                    cert.true_max, cert.true_min, cert.overflowed
+                )
 
 
 def test_certify_forced_enumeration(monkeypatch):

@@ -195,12 +195,13 @@ def fd_relative_errors(seed: int, h: float = 1e-4):
         for li, st in enumerate(stores):
             if li < len(stores) - 1 and np.min(np.abs(st.y)) < 10 * h:
                 return None
-            quant = st.quant.row_slice(st.rows)
-            if quant.degenerate.any():
+            quant, rows = st.quant, st.rows
+            if quant.degenerate[rows].any():
                 return None
-            if np.min(np.abs(quant.c)) < 20 * h:
+            if np.min(np.abs(quant.c[rows])) < 20 * h:
                 return None
-            if (np.abs(quant.g - quant.T) < 1e-3 * np.maximum(quant.g, quant.T)).any():
+            g, T = quant.g[rows], quant.T[rows]
+            if (np.abs(g - T) < 1e-3 * np.maximum(g, T)).any():
                 return None
 
         d_pred = 2.0 * (pred - y) / pred.size
@@ -269,8 +270,10 @@ def test_every_step_stays_inside_budget():
     for _, xb, yb in _batches(cfg, data):
         pred, stores = forward(net, xb)
         for st in stores:
-            res = st.quant.row_slice(st.rows)
-            for bound_ok, l1_codes, bound in zip(res.bound_ok, res.l1_codes, res.bound, strict=True):
+            quant, rows = st.quant, st.rows
+            for bound_ok, l1_codes, bound in zip(
+                quant.bound_ok[rows], quant.l1_codes[rows], quant.bound[rows], strict=True
+            ):
                 assert bound_ok
                 assert Fraction(int(l1_codes)) <= bound
         d_pred = 2.0 * (pred - yb) / pred.size
@@ -283,7 +286,7 @@ def test_fit_record_is_audited(variant):
     assert rec.variant == variant.value
     assert 0.0 <= rec.sparsity <= 1.0
     assert rec.min_slack >= 0
-    assert rec.min_slack == min_bound_slack(net)
+    assert rec.min_slack == min_bound_slack(quantize_network(net))
     certify_accumulators(net)
 
 
@@ -316,7 +319,9 @@ def test_degenerate_channel_survives_training():
     pred, stores = forward(net, data.X_train[:32])
     d_pred = 2.0 * (pred - data.y_train[:32]) / pred.size
     sgd_step(net, backward(net, stores, d_pred), cfg)
-    assert np.all(quantize_network(net)[1].q[0] == 0)
+    gi, group = next((gi, group) for gi, group in enumerate(net.groups) if 1 in group.layers)
+    rows = group.rows[group.layers.index(1)]
+    assert np.all(quantize_network(net)[gi].q[rows][0] == 0)
 
 
 def _act_layer(N: int, signed: bool, act_exp: float) -> QuantLinear:
@@ -421,6 +426,30 @@ def test_fit_rows_across_fan_in_groups_are_pinned(name):
     ]
     assert rows == want
 
+
+@pytest.mark.parametrize("dataset", [TINY, SPLIT])
+def test_fit_quantizes_once_per_pass(monkeypatch, dataset):
+    # one quantize_layer call per fan-in group for calibration, each SGD step,
+    # the final evaluation and the certificate; sparsity and slack reuse the last
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return quantize_layer(*args)
+
+    monkeypatch.setattr(qat, "quantize_layer", counting)
+    cfg = tiny_config(dataset=dataset)
+    net, rec = fit(cfg)
+    steps = cfg.epochs * math.ceil(dataset.n_train / cfg.batch_size)
+    assert len(calls) == (steps + 3) * len(net.groups)
+    quants = certify_accumulators(net)
+    assert [quant.q.shape[0] for quant in quants] == [
+        sum(len(net.layers[i].V) for i in group.layers) for group in net.groups
+    ]
+    assert rec.sparsity == measure_sparsity(quants)
+    assert rec.min_slack == min_bound_slack(quants)
+
+
 @pytest.mark.parametrize("variant, P", [(Variant.A2Q_PLUS, 5), (Variant.A2Q, 4)])
 def test_build_network_starts_every_channel_at_its_float_row(variant, P):
     # the scale floor puts every row inside its budget, so none is projected
@@ -447,8 +476,8 @@ def _net_from_rows(rows, bits=BitWidths(M=4, N=4, P=20), variant=Variant.A2Q):
 
 
 def test_measure_sparsity_frozen_examples():
-    assert measure_sparsity(_net_from_rows([[0.0, 0.0], [0.0, 0.0]])) == 1.0
-    assert measure_sparsity(_net_from_rows([[1.0, 1.0], [2.0, 2.0]])) == 0.0
+    assert measure_sparsity(quantize_network(_net_from_rows([[0.0, 0.0], [0.0, 0.0]]))) == 1.0
+    assert measure_sparsity(quantize_network(_net_from_rows([[1.0, 1.0], [2.0, 2.0]]))) == 0.0
     # gate at 2 shrinks [3, 1] to [1.5, 0.5]; round toward zero gives [1, 0]
     half = ToyNetwork(
         layers=[
@@ -459,13 +488,13 @@ def test_measure_sparsity_frozen_examples():
         ],
         variant=Variant.A2Q,
     )
-    assert measure_sparsity(half) == 0.5
+    assert measure_sparsity(quantize_network(half)) == 0.5
 
 
 def test_min_bound_slack_is_exact():
     net = _net_from_rows([[1.0, 1.0]], bits=BitWidths(M=4, N=4, P=8))
     # codes [1, 1]: mass 2 against budget 127/16
-    assert min_bound_slack(net) == Fraction(127, 16) - 2
+    assert min_bound_slack(quantize_network(net)) == Fraction(127, 16) - 2
 
 
 def test_channel_cdf_frozen_at_mass_100():
