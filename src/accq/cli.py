@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -166,8 +167,14 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     lines = [ln for ln in _read_text(ns.weights).splitlines() if ln.strip()]
     if not lines:
         raise _InputError(f"{ns.weights} holds no channels")
+    # a line of ASCII decimal codes of at most 18 digits each fits int64 and
+    # parses whole in numpy; any other line keeps int()'s leniency and errors
+    strict = re.compile(r"[+-]?[0-9]{1,18}(?:,[+-]?[0-9]{1,18})*").fullmatch
     rows = []
     for i, line in enumerate(lines):
+        if strict(line):
+            rows.append(np.fromstring(line, dtype=np.int64, sep=","))
+            continue
         try:
             codes = [int(p) for p in line.split(",") if p.strip()]
         except ValueError as exc:

@@ -593,7 +593,7 @@ def certify_accumulators(net: ToyNetwork) -> list[QuantizedLayer]:
     quants = quantize_network(net)
     for li, (layer, (quant, rows)) in enumerate(zip(net.layers, _layer_rows(net, quants))):
         bits = layer.bits
-        certs = certify(quant.q[rows].tolist(), bits.N, bits.act_signed, AccumulatorSpec(P=bits.P))
+        certs = certify(quant.q[rows], bits.N, bits.act_signed, AccumulatorSpec(P=bits.P))
         for ci, cert in enumerate(certs):
             if cert.overflowed:
                 raise AccumulatorOverflowError(

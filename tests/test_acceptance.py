@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 try:
     import cvxpy
@@ -31,6 +32,7 @@ from accq.bounds import (
 from accq.epinit import init_scale, project_l1_ball, weight_quant_error
 from accq.intsim import (
     AccumulatorSpec,
+    certify,
     check_accumulator,
     exact_dot,
     exhaustive_check,
@@ -95,11 +97,11 @@ def _channel_batch(rng, n: int, K: int):
     return vs, ts, ds, Ms, sg
 
 
-def _quantized_channels(batch, N: int, P: int, variant: Variant):
+def _quantized_groups(batch, N: int, P: int, variant: Variant):
     """Quantize a batch with one quantize_layer call per (M, signedness) group.
 
-    Yields (i, signed, res, row): channel i of the batch is row `row` of that
-    group's QuantizedLayer, exactly what it gives quantized alone.
+    Yields (idx, signed, res): row r of res is channel idx[r] of the batch,
+    exactly what it gives quantized alone.
     """
     vs, ts, ds, Ms, sg = batch
     for M in np.unique(Ms).tolist():
@@ -107,9 +109,28 @@ def _quantized_channels(batch, N: int, P: int, variant: Variant):
             idx = np.flatnonzero((Ms == M) & (sg == signed))
             if idx.size:
                 bits = BitWidths(M, N, P, act_signed=signed)
-                res = quantize_layer(vs[idx], ts[idx], ds[idx], bits, variant)
-                for row, i in enumerate(idx.tolist()):
-                    yield i, signed, res, row
+                yield idx, signed, quantize_layer(vs[idx], ts[idx], ds[idx], bits, variant)
+
+
+def _closed_form_certs(q, N: int, signed: bool, spec: AccumulatorSpec):
+    # a zero budget gives every row the closed form only; the first rows of
+    # each config are enumerated separately, through exhaustive_check
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setenv("ACCQ_ENUM_BUDGET", "0")
+        return certify(q, N, signed, spec)
+
+
+def _check_overflow_freedom(res, idx, N: int, signed: bool, spec: AccumulatorSpec) -> tuple[int, int]:
+    """Certify one group in one call and enumerate its first channels; returns (overflows, enumerated)."""
+    assert all(res.bound_ok)
+    certs = _closed_form_certs(res.q, N, signed, spec)
+    exhausted = 0
+    for row in np.flatnonzero(idx < _N_EXHAUSTIVE).tolist():
+        full = exhaustive_check(res.q[row], N, signed, spec)
+        assert not full.overflowed
+        assert (full.true_max, full.true_min) == (certs[row].true_max, certs[row].true_min)
+        exhausted += 1
+    return sum(cert.overflowed for cert in certs), exhausted
 
 
 def test_criterion_02_a2q_overflow_freedom(capsys):
@@ -119,17 +140,11 @@ def test_criterion_02_a2q_overflow_freedom(capsys):
     for K, N, P in _OVERFLOW_GRID:
         spec = AccumulatorSpec(P)
         batch = _channel_batch(rng, _N_RANDOM, K)
-        for i, signed, res, row in _quantized_channels(batch, N, P, Variant.A2Q):
-            q = res.q[row]
-            assert res.bound_ok[row]
-            wit = check_accumulator(q, N, signed, spec)
-            overflows += wit.overflowed
-            if i < _N_EXHAUSTIVE:
-                full = exhaustive_check(q, N, signed, spec)
-                assert not full.overflowed
-                assert (full.true_max, full.true_min) == (wit.true_max, wit.true_min)
-                exhausted += 1
-            checked += 1
+        for idx, signed, res in _quantized_groups(batch, N, P, Variant.A2Q):
+            over, full = _check_overflow_freedom(res, idx, N, signed, spec)
+            overflows += over
+            exhausted += full
+            checked += idx.size
     assert overflows == 0
     _passed(
         capsys, t0, 300.0, "criterion 2",
@@ -145,28 +160,23 @@ def test_criterion_03_a2q_plus_overflow_freedom(capsys):
     for K, N, P in _OVERFLOW_GRID:
         spec = AccumulatorSpec(P)
         batch = _channel_batch(rng, _N_RANDOM, K)
-        for i, signed, res, row in _quantized_channels(batch, N, P, Variant.A2Q_PLUS):
-            q = res.q[row]
-            assert res.bound_ok[row]
-            if not res.degenerate[row]:
-                w = res.w[row]  # constrained real weights before rounding
-                assert verify_domination(w, res.s[row], q)
+        for idx, signed, res in _quantized_groups(batch, N, P, Variant.A2Q_PLUS):
+            live = ~res.degenerate
+            if live.any():
+                w = res.w[live]  # constrained real weights before rounding
+                assert verify_domination(w, res.s[live], res.q[live])
                 if K < 2:
                     # single-element channels keep the uncentered budget by contract
                     assert res.fell_back
-                    fallbacks += 1
+                    fallbacks += int(live.sum())
                 else:
                     assert not res.fell_back
-                    tol = K * 1e-12 * max(1.0, float(np.abs(w).sum()))
-                    assert abs(float(w.sum())) <= tol
-            wit = check_accumulator(q, N, signed, spec)
-            overflows += wit.overflowed
-            if i < _N_EXHAUSTIVE:
-                full = exhaustive_check(q, N, signed, spec)
-                assert not full.overflowed
-                assert (full.true_max, full.true_min) == (wit.true_max, wit.true_min)
-                exhausted += 1
-            checked += 1
+                    tol = K * 1e-12 * np.maximum(1.0, np.abs(w).sum(axis=1))
+                    assert np.all(np.abs(w.sum(axis=1)) <= tol)
+            over, full = _check_overflow_freedom(res, idx, N, signed, spec)
+            overflows += over
+            exhausted += full
+            checked += idx.size
     assert overflows == 0
     _passed(
         capsys, t0, 300.0, "criterion 3",

@@ -179,6 +179,39 @@ def test_verify_out_of_range_P_exits_3(tmp_path, capsys):
     assert_input_error(capsys, "verify", "--weights", str(path), "--P", "300", "--N", "4")
 
 
+# exit code, stdout and stderr of lines that are not a plain list of at most
+# 18-digit ASCII codes (the fast parse's pattern), or that sit on its edge,
+# as recorded from the int()-per-token parser that predates the fast parse
+_VERIFY_PARITY = [
+    ('space', ' 3\n', 0, '{"channel": 0, "K": 1, "true_max": 45, "true_min": 0, "overflowed": false, "exhaustive": true}\n', ''),
+    ('plus', '+4\n', 0, '{"channel": 0, "K": 1, "true_max": 60, "true_min": 0, "overflowed": false, "exhaustive": true}\n', ''),
+    ('minus_zero', '-0\n', 0, '{"channel": 0, "K": 1, "true_max": 0, "true_min": 0, "overflowed": false, "exhaustive": true}\n', ''),
+    ('underscore', '1_0\n', 0, '{"channel": 0, "K": 1, "true_max": 150, "true_min": 0, "overflowed": false, "exhaustive": true}\n', ''),
+    ('double_comma', '1,,2\n', 0, '{"channel": 0, "K": 2, "true_max": 45, "true_min": 0, "overflowed": false, "exhaustive": true}\n', ''),
+    ('trailing_comma', '1,2,\n', 0, '{"channel": 0, "K": 2, "true_max": 45, "true_min": 0, "overflowed": false, "exhaustive": true}\n', ''),
+    ('arabic_indic', '٣\n', 0, '{"channel": 0, "K": 1, "true_max": 45, "true_min": 0, "overflowed": false, "exhaustive": true}\n', ''),
+    ('crlf', '1,-2\r\n3,4\r\n', 0, '{"channel": 0, "K": 2, "true_max": 15, "true_min": -30, "overflowed": false, "exhaustive": true}\n{"channel": 1, "K": 2, "true_max": 105, "true_min": 0, "overflowed": false, "exhaustive": true}\n', ''),
+    ('digits_19', '1234567890123456789\n', 4, '{"channel": 0, "K": 1, "true_max": 18518518351851851835, "true_min": 0, "overflowed": true, "exhaustive": true}\n', ''),
+    ('int64_max_plus_1', '9223372036854775808\n', 4, '{"channel": 0, "K": 1, "true_max": 138350580552821637120, "true_min": 0, "overflowed": true, "exhaustive": true}\n', ''),
+    ('digits_18', '-999999999999999999,999999999999999999\n', 4, '{"channel": 0, "K": 2, "true_max": 14999999999999999985, "true_min": -14999999999999999985, "overflowed": true, "exhaustive": true}\n', ''),
+    ('mixed', '1,2,3,4,5,6,7,8\n 9,-9,9,-9,9,-9,9,-9\n-7,+7,007,0,0,0,0,0\n', 0, '{"channel": 0, "K": 8, "true_max": 540, "true_min": 0, "overflowed": false, "exhaustive": false}\n{"channel": 1, "K": 8, "true_max": 540, "true_min": -540, "overflowed": false, "exhaustive": false}\n{"channel": 2, "K": 8, "true_max": 210, "true_min": -105, "overflowed": false, "exhaustive": false}\n', ''),
+    ('exponent', '1e3\n', 3, '', "error: {path}:1: integer codes expected: invalid literal for int() with base 10: '1e3'\n"),
+    ('letter', 'x\n', 3, '', "error: {path}:1: integer codes expected: invalid literal for int() with base 10: 'x'\n"),
+    ('bad_later_line', '1,2\n3,x\n', 3, '', "error: {path}:2: integer codes expected: invalid literal for int() with base 10: 'x'\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, code, out, err", [case[1:] for case in _VERIFY_PARITY], ids=[case[0] for case in _VERIFY_PARITY]
+)
+def test_verify_lenient_lines_keep_their_output(tmp_path, capsys, text, code, out, err):
+    path = tmp_path / "channels.txt"
+    path.write_bytes(text.encode())
+    got = cli.main(["verify", "--weights", str(path), "--P", "16", "--N", "4"])
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err) == (code, out, err.replace("{path}", str(path)))
+
+
 def test_verify_props_self_checks(capsys):
     code, out = run(capsys, "verify", "--props")
     assert code == 0

@@ -1,5 +1,6 @@
 """Exact integer accumulation, overflow witnesses, two's-complement wrapping."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -189,14 +190,15 @@ def _enumerable_channels(draw):
     # the brute force quick
     N = draw(st.integers(min_value=1, max_value=4))
     K = draw(st.integers(min_value=1, max_value=min(5, 12 // N)))
-    scale = draw(st.sampled_from([3, 1 << 12, 1 << 28, 1 << 59, 1 << 70]))
+    scale = draw(st.sampled_from([3, 1 << 12, 1 << 28, 1 << 59, 1 << 70, 1 << 126]))
     pool = draw(st.lists(st.integers(min_value=-scale, max_value=scale), min_size=1, max_size=3))
     q = draw(st.lists(st.sampled_from(pool + [0]), min_size=K, max_size=K))
     return q, N, draw(st.booleans())
 
 
 # each side of every element-type edge: the worst sum K * max|q| * max(|c|, |d|)
-# is reached exactly, at 2^15 - 1, 2^15, 2^31 - 1, 2^31, 2^62 - 1 and 2^62
+# is reached exactly, at 2^15 - 1, 2^15, 2^31 - 1, 2^31, 2^62 - 1 and 2^62;
+# then two int64 limbs whose high limbs tie, and sums past two limbs
 @given(channel=_enumerable_channels())
 @example(channel=([4681], 3, False))
 @example(channel=([-2048, -2048], 4, True))
@@ -204,6 +206,8 @@ def _enumerable_channels(draw):
 @example(channel=([-(2**27), -(2**27)], 4, True))
 @example(channel=([(2**62 - 1) // 3] * 3, 1, False))
 @example(channel=([-(2**59), -(2**59)], 3, True))
+@example(channel=([2**62 + 1, -(2**62 + 1), 2**62], 1, False))
+@example(channel=([2**130, -(2**129), 0], 2, True))
 @settings(max_examples=200, deadline=None)
 def test_exhaustive_witnesses_are_the_first_extremes(channel):
     q, N, signed = channel
@@ -219,6 +223,31 @@ def test_exhaustive_bigint_fallback_matches():
     full = exhaustive_check([big, -big], 1, False, spec)
     assert (full.true_max, full.true_min) == (fast.true_max, fast.true_min)
     assert full.true_max == big
+
+
+def test_exhaustive_two_limb_sums_stay_fast(monkeypatch):
+    # B = 2^63 needs more than int64, but each limb of the sums fits it: 2^24
+    # inputs in fixed width, where Python-int sums took seconds
+    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
+    spec = AccumulatorSpec(P=64)
+    t0 = time.perf_counter()
+    full = exhaustive_check([1 << 40], 24, True, spec)
+    elapsed = time.perf_counter() - t0
+    fast = check_accumulator([1 << 40], 24, True, spec)
+    assert (full.true_max, full.true_min) == (fast.true_max, fast.true_min)
+    assert elapsed < 0.5
+
+
+def test_exhaustive_empty_row_is_one_empty_input():
+    # K = 0 has one input vector whatever N is; its range is never formed
+    tracemalloc.start()
+    try:
+        wit = exhaustive_check([], 40, False, AccumulatorSpec(P=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == (0, 0, (), ())
+    assert peak <= 1 << 20
 
 
 def test_enumeration_budget_guard(monkeypatch):
@@ -357,3 +386,62 @@ def test_certify_forced_enumeration(monkeypatch):
     assert certs[1]._asdict() == {
         "K": 9, "true_max": 135, "true_min": 0, "overflowed": False, "exhaustive": False,
     }
+
+
+_INT64_CODES = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+)
+
+
+@st.composite
+def _code_blocks(draw):
+    # a (C, K) block of int64 codes
+    K = draw(st.integers(min_value=1, max_value=6))
+    return draw(st.lists(st.lists(_INT64_CODES, min_size=K, max_size=K), min_size=1, max_size=5))
+
+
+# B = K * max|q| * max(|c|, |d|) on each side of the int64 route's 2^62 guard
+@given(
+    block=_code_blocks(),
+    ragged=st.lists(st.lists(_INT64_CODES, max_size=6), max_size=3),
+    N=st.integers(min_value=1, max_value=64),
+    signed=st.booleans(),
+    P=st.integers(min_value=2, max_value=64),
+)
+@example(block=[[2**62 - 1]], ragged=[], N=1, signed=False, P=64)
+@example(block=[[2**62]], ragged=[], N=1, signed=False, P=64)
+@example(block=[[(2**62 - 1) // 3] * 3], ragged=[[1, 2**62]], N=1, signed=False, P=63)
+@example(block=[[2**60, -(2**60)], [3, -3]], ragged=[], N=2, signed=True, P=62)
+@example(block=[[-(2**63)]], ragged=[[]], N=1, signed=True, P=64)
+@settings(max_examples=200, deadline=None)
+def test_certify_int64_route_matches_python_ints(block, ragged, N, signed, P):
+    spec = AccumulatorSpec(P=P)
+    rows = block + ragged
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setenv("ACCQ_ENUM_BUDGET", str(_SMALL_BUDGET))
+        want = certify(rows, N, signed, spec)  # lists of Python ints: no int64 anywhere
+        as_arrays = certify([np.array(row, dtype=np.int64) for row in rows], N, signed, spec)
+        as_block = certify(np.array(block, dtype=np.int64), N, signed, spec)
+    assert as_arrays == want
+    assert as_block == want[: len(block)]
+    # plain Python values, so accq verify's JSON cannot tell the routes apart
+    for cert in as_arrays + as_block:
+        assert [type(v) for v in cert] == [int, int, int, bool, bool]
+
+
+def test_verify_domination_over_row_stacks():
+    w = np.array([[0.5, -0.7], [0.35, 0.0]])
+    s = np.array([0.25, 0.1])
+    assert verify_domination(w, s, np.array([[2, -2], [3, 0]]))
+    # one row failing fails the stack: 4 * 0.1 > 0.35, and a sign flip
+    assert not verify_domination(w, s, np.array([[2, -2], [4, 0]]))
+    assert not verify_domination(w, s, np.array([[2, 2], [3, 0]]))
+    # every row agrees with its one-row verdict, codes given as lists too
+    assert verify_domination(w, s, [[2, -2], [3, 0]]) == all(
+        verify_domination(wr, sr, qr) for wr, sr, qr in zip(w, s, [[2, -2], [3, 0]])
+    )
+    with pytest.raises(LengthMismatchError):
+        verify_domination(w, s, np.array([[2, -2, 0], [3, 0, 0]]))
+    with pytest.raises(NonFiniteInputError):
+        verify_domination(w, np.array([0.25, 0.0]), np.array([[2, -2], [3, 0]]))
