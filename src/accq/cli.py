@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -35,7 +34,7 @@ from .errors import (
     NonFiniteInputError,
     NonPositiveRadiusError,
 )
-from .intsim import AccumulatorSpec, certify
+from .intsim import AccumulatorSpec, Certificate, certify
 from .props import self_check
 from .qat import (
     CSV_HEADER,
@@ -96,7 +95,8 @@ def _check_seeds(seeds: list[int]) -> None:
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        # fold "\r\n" and "\r" to "\n" as read_text does, which POSIX stdin does not
+        return sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
     try:
         return Path(path).read_text()
     except OSError as exc:
@@ -152,6 +152,70 @@ def cmd_project(ns: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- verify
 
+# byte classes of the whole-file check, as bit flags: 1 ",", 2 sign, 4 digit, 8 other, 16 "\n"
+_BYTE_CLASS = bytes(
+    1 if ch == 44 else 2 if ch in b"+-" else 4 if 48 <= ch <= 57 else 16 if ch == 10 else 8 for ch in range(256)
+)
+# the classes that may not follow each byte of a strict file: "," or "\n"
+# after "," or a sign, a sign after a sign or a digit, "," after "\n"
+_BAD_NEXT = bytes({1: 1 | 16, 2: 1 | 2 | 16, 4: 2, 8: 0, 16: 1}[cls] for cls in _BYTE_CLASS)
+_LINE_MARK = (1 << 63) - 1  # int64's top value, 19 digits long
+# byte for byte json.dumps({"channel": i, **cert._asdict()}) of a Certificate,
+# keyed in its field order; _cert_lines fills every field
+_RECORD = "{" + ", ".join(f'"{key}": %s' for key in ("channel", *Certificate._fields)) + "}\n"
+_JSON_BOOL = ("false", "true")
+
+
+def _whole_file_rows(text: str) -> list[np.ndarray] | None:
+    """Every channel of a file whose lines all read [+-]?[0-9]{1,18}(,[+-]?[0-9]{1,18})* or are empty, else None.
+
+    Two byte translations check every line at once, and one np.fromstring
+    parses them all, since codes of at most 18 ASCII digits fit int64.  Each
+    row is a view of the flat array.
+    """
+    body = text.strip("\n")
+    raw = body.encode()
+    classes = raw.translate(_BYTE_CLASS)
+    # a digit ends the text and no comma starts it; no byte is other and no token has 19 digits
+    if not classes.endswith(b"\4") or classes[0] & 1 or b"\x08" in classes or b"\4" * 19 in classes:
+        return None
+    # no byte is followed by a class it may not precede; substring tests for
+    # the seven such pairs took 0.8 ms on a 52 kB file, this test 0.06 ms
+    bad_next = np.frombuffer(raw.translate(_BAD_NEXT), dtype=np.uint8)
+    if (bad_next[:-1] & np.frombuffer(classes, dtype=np.uint8)[1:]).any():
+        return None
+    # blank lines drop out, and no strict code has 19 digits, so none can be
+    # the mark that ends each line
+    flat = np.fromstring(f",{_LINE_MARK},".join(filter(None, body.split("\n"))), dtype=np.int64, sep=",")
+    marks = np.flatnonzero(flat == _LINE_MARK).tolist()
+    return [flat[start + 1 : end] for start, end in zip([-1, *marks], [*marks, flat.size])]
+
+
+def _line_rows(text: str, path: str) -> list[list[int]]:
+    """Every channel of any file, code by code with int(), with errors naming the physical line."""
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            codes = [int(p) for p in line.split(",") if p.strip()]
+        except ValueError as exc:
+            raise _InputError(f"{path}:{lineno}: integer codes expected: {exc}") from exc
+        if not codes:
+            raise _InputError(f"{path}:{lineno}: empty channel")
+        rows.append(codes)
+    if not rows:
+        raise _InputError(f"{path} holds no channels")
+    return rows
+
+
+def _cert_lines(certs) -> str:
+    return "".join(
+        _RECORD % (i, c.K, c.true_max, c.true_min, _JSON_BOOL[c.overflowed], _JSON_BOOL[c.exhaustive])
+        for i, c in enumerate(certs)
+    )
+
+
 def cmd_verify(ns: argparse.Namespace) -> int:
     if ns.props:
         _check_seeds([ns.seed])
@@ -164,28 +228,17 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         ns.parser.error("need --weights FILE or --props")
     if ns.P is None or ns.N is None:
         ns.parser.error("need --P and --N")
-    lines = [ln for ln in _read_text(ns.weights).splitlines() if ln.strip()]
-    if not lines:
-        raise _InputError(f"{ns.weights} holds no channels")
-    # a line of ASCII decimal codes of at most 18 digits each fits int64 and
-    # parses whole in numpy; any other line keeps int()'s leniency and errors
-    strict = re.compile(r"[+-]?[0-9]{1,18}(?:,[+-]?[0-9]{1,18})*").fullmatch
-    rows = []
-    for i, line in enumerate(lines):
-        if strict(line):
-            rows.append(np.fromstring(line, dtype=np.int64, sep=","))
-            continue
-        try:
-            codes = [int(p) for p in line.split(",") if p.strip()]
-        except ValueError as exc:
-            raise _InputError(f"{ns.weights}:{i + 1}: integer codes expected: {exc}") from exc
-        if not codes:
-            raise _InputError(f"{ns.weights}:{i + 1}: empty channel")
-        rows.append(codes)
-    # certify the whole file before printing, so a rejected file prints nothing
+    # lines split at "\n" alone and keep their numbers in the file, blank ones
+    # included; a file whose lines are all strict or empty is checked and
+    # parsed whole, any other goes line by line, code by code
+    text = _read_text(ns.weights)
+    rows = _whole_file_rows(text)
+    if rows is None:
+        rows = _line_rows(text, ns.weights)
+    # certify the whole file before printing, so a rejected file prints nothing,
+    # then print it in one write
     certs = certify(rows, ns.N, bool(ns.signed), AccumulatorSpec(P=ns.P), exhaustive=ns.exhaustive)
-    for i, cert in enumerate(certs):
-        print(json.dumps({"channel": i, **cert._asdict()}))
+    sys.stdout.write(_cert_lines(certs))
     return EXIT_VERIFY if any(cert.overflowed for cert in certs) else EXIT_OK
 
 

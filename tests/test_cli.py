@@ -1,16 +1,23 @@
 """CLI: frozen examples, exit codes, determinism, pareto frontier rules."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from accq import cli
 from accq.bounds import BitWidths
+from accq.intsim import Certificate
 from accq.qat import (
     CSV_HEADER,
     SweepRecord,
@@ -181,7 +188,9 @@ def test_verify_out_of_range_P_exits_3(tmp_path, capsys):
 
 # exit code, stdout and stderr of lines that are not a plain list of at most
 # 18-digit ASCII codes (the fast parse's pattern), or that sit on its edge,
-# as recorded from the int()-per-token parser that predates the fast parse
+# as recorded from the int()-per-token parser that predates the fast parse;
+# the last two, recorded once lines split at "\n" alone and kept their
+# physical numbers, are the ones that parser reported otherwise
 _VERIFY_PARITY = [
     ('space', ' 3\n', 0, '{"channel": 0, "K": 1, "true_max": 45, "true_min": 0, "overflowed": false, "exhaustive": true}\n', ''),
     ('plus', '+4\n', 0, '{"channel": 0, "K": 1, "true_max": 60, "true_min": 0, "overflowed": false, "exhaustive": true}\n', ''),
@@ -198,6 +207,8 @@ _VERIFY_PARITY = [
     ('exponent', '1e3\n', 3, '', "error: {path}:1: integer codes expected: invalid literal for int() with base 10: '1e3'\n"),
     ('letter', 'x\n', 3, '', "error: {path}:1: integer codes expected: invalid literal for int() with base 10: 'x'\n"),
     ('bad_later_line', '1,2\n3,x\n', 3, '', "error: {path}:2: integer codes expected: invalid literal for int() with base 10: 'x'\n"),
+    ('blank_line_counts', '1,2\n\n3,x\n', 3, '', "error: {path}:3: integer codes expected: invalid literal for int() with base 10: 'x'\n"),
+    ('form_feed_is_no_newline', '1,2\x0c3,4\n', 3, '', "error: {path}:1: integer codes expected: invalid literal for int() with base 10: '2\\x0c3'\n"),
 ]
 
 
@@ -210,6 +221,82 @@ def test_verify_lenient_lines_keep_their_output(tmp_path, capsys, text, code, ou
     got = cli.main(["verify", "--weights", str(path), "--P", "16", "--N", "4"])
     captured = capsys.readouterr()
     assert (got, captured.out, captured.err) == (code, out, err.replace("{path}", str(path)))
+
+
+_STRICT_LINE = re.compile(r"[+-]?[0-9]{1,18}(,[+-]?[0-9]{1,18})*")
+_DIGITS = "0123456789"
+
+
+@st.composite
+def _channel_files(draw):
+    # lines of codes, some with 17 to 20 digits, some blank, with or without
+    # a final newline, then up to two stray bytes that may make a blank line
+    # or break a token
+    token = st.builds(
+        str.__add__,
+        st.sampled_from(["", "+", "-"]),
+        st.one_of(st.text(_DIGITS, min_size=1, max_size=3), st.text(_DIGITS, min_size=17, max_size=20)),
+    )
+    line = st.one_of(st.lists(token, min_size=1, max_size=4).map(",".join), st.just(""))
+    lines = draw(st.lists(line, min_size=1, max_size=5))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        text = text[:at] + draw(st.sampled_from(_DIGITS + ",+-\n x\x0c")) + text[at:]
+    return text
+
+
+def _verify_outcome(path: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--weights", path, "--P", "24", "--N", "4", "--signed"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(text=st.one_of(_channel_files(), st.text(_DIGITS + ",+-\n x\x0c", max_size=30)))
+@example(text="1\n,2\n")
+@example(text="1,\n2")
+@example(text="1+\n\n2")
+@example(text="\n\n-1,2\n\n\n3\n\n")
+@settings(max_examples=300, deadline=None)
+def test_verify_whole_file_path_matches_line_by_line(text):
+    # the whole-file check takes exactly the files with a line of codes and
+    # every line strict or empty
+    lines = [line for line in text.split("\n") if line]
+    rows = cli._whole_file_rows(text)
+    assert (rows is not None) == bool(lines and all(_STRICT_LINE.fullmatch(line) for line in lines))
+    if rows is not None:
+        assert [row.tolist() for row in rows] == [[int(p) for p in line.split(",")] for line in lines]
+    # and on any file, the forced line-by-line path prints and exits the same
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        path = os.path.join(tmp, "channels.txt")
+        Path(path).write_bytes(text.encode())
+        monkeypatch.setenv("ACCQ_ENUM_BUDGET", str(1 << 12))
+        whole = _verify_outcome(path)
+        monkeypatch.setattr(cli, "_whole_file_rows", lambda text: None)
+        assert _verify_outcome(path) == whole
+
+
+def test_verify_stdin_reads_line_breaks_as_a_file_does(tmp_path, monkeypatch, capsys):
+    text = "1,-2\r\n3,4\r5,6\n"
+    path = tmp_path / "channels.txt"
+    path.write_bytes(text.encode())
+    from_file = run(capsys, "verify", "--weights", str(path), "--P", "16", "--N", "4")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, "verify", "--weights", "-", "--P", "16", "--N", "4") == from_file
+    assert len(from_file[1].splitlines()) == 3
+
+
+def test_verify_record_template_is_json_dumps():
+    certs = [
+        Certificate(K=3, true_max=2**70, true_min=-(2**65), overflowed=True, exhaustive=False),
+        Certificate(K=1, true_max=0, true_min=-5, overflowed=False, exhaustive=True),
+    ]
+    want = "".join(json.dumps({"channel": i, **cert._asdict()}) + "\n" for i, cert in enumerate(certs))
+    assert cli._cert_lines(certs) == want
+    # the template has a key for every field of a Certificate, in field order
+    filled = cli._RECORD % ((0,) * cli._RECORD.count("%s"))
+    assert tuple(json.loads(filled)) == ("channel", *Certificate._fields)
 
 
 def test_verify_props_self_checks(capsys):
@@ -339,18 +426,26 @@ def test_train_divergence_exits_3(lr, epochs, reason, capsys):
     assert reason in err
 
 
+def run_shell(module: str, *argv, **env_vars) -> subprocess.CompletedProcess:
+    """python -m module argv in a child process, with src/ importable."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    env.update(env_vars)
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_python_m_accq_runs_the_cli():
+    proc = run_shell("accq", "bounds", "--ratio", "--N", "4")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "32/15\n", "")
+
+
 def assert_shell_input_error(argv, **env_vars) -> str:
     """Like assert_input_error, from a child process; returns the error line.
 
     A child process shows the stderr a shell user sees: numpy warnings and
     tracebacks are not captured there, so any stray one would show up.
     """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    env.pop("PYTHONWARNINGS", None)
-    env.update(env_vars)
-    proc = subprocess.run(
-        [sys.executable, "-m", "accq.cli", *argv], capture_output=True, text=True, env=env, timeout=300
-    )
+    proc = run_shell("accq.cli", *argv, **env_vars)
     assert proc.returncode == 3
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()

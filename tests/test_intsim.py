@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from accq import intsim
 from accq.errors import (
     EnumerationBudgetError,
     InvalidBudgetError,
@@ -420,6 +421,8 @@ def test_certify_int64_route_matches_python_ints(block, ragged, N, signed, P):
     rows = block + ragged
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setenv("ACCQ_ENUM_BUDGET", str(_SMALL_BUDGET))
+        # a call of fewer than 256 codes would skip the int64 route, so it is taken at any size here
+        monkeypatch.setattr(intsim, "_INT64_MIN_CODES", 1)
         want = certify(rows, N, signed, spec)  # lists of Python ints: no int64 anywhere
         as_arrays = certify([np.array(row, dtype=np.int64) for row in rows], N, signed, spec)
         as_block = certify(np.array(block, dtype=np.int64), N, signed, spec)
