@@ -6,17 +6,19 @@ verify (overflow certificates and the derivation self-checks), train
 checkpoint), pareto (frontier extraction from sweep CSV).
 
 Exit codes: 0 success, 2 usage, 3 bad input (an unreadable or malformed
-input, an out-of-range bit width, batch size or epoch count, a negative
-seed, or an ACCQ_ENUM_BUDGET that is not a non-negative integer) or a
-training run that diverged, 4 verification failure (an overflow
-or a failed derivation), 5 enumeration budget exceeded.  Every subcommand is
-deterministic given its flags, input files, and ACCQ_ENUM_BUDGET.
+input, an unwritable --out file, an out-of-range bit width, batch size or
+epoch count, a negative seed, or an ACCQ_ENUM_BUDGET that is not a
+non-negative integer) or a training run that diverged, 4 verification
+failure (an overflow or a failed derivation), 5 enumeration budget exceeded.
+Every subcommand is deterministic given its flags, input files, and
+ACCQ_ENUM_BUDGET.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -94,13 +96,18 @@ def _check_seeds(seeds: list[int]) -> None:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        # fold "\r\n" and "\r" to "\n" as read_text does, which POSIX stdin does not
-        return sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
     try:
+        if path == "-":
+            # fold "\r\n" and "\r" to "\n" as read_text does, which POSIX stdin does not
+            text = sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
+            # the C locale reads stdin's non-UTF-8 bytes as lone surrogates, which encode() rejects
+            text.encode()
+            return text
         return Path(path).read_text()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeError as exc:
+        raise _InputError(f"cannot read {path}: not UTF-8 text") from exc
 
 
 # ---------------------------------------------------------------- bounds
@@ -261,27 +268,23 @@ def _build_grid(ns: argparse.Namespace) -> list[TrainConfig]:
     Ns = _parse_int_list(ns.N, "--N")
     seeds = _parse_int_list(ns.seed, "--seed")
     _check_seeds(seeds)
+    Ps = None if ns.P == "auto" else _parse_int_list(ns.P, "--P")
     k_star = max(TeacherStudentSpec().dims()[:-1])
-    configs = []
-    for variant in variants:
-        for M in Ms:
-            for N in Ns:
-                Ps = _auto_P(M, N, k_star) if ns.P == "auto" else _parse_int_list(ns.P, "--P")
-                for P in Ps:
-                    for seed in seeds:
-                        configs.append(
-                            TrainConfig(
-                                variant=variant,
-                                bits=BitWidths(M=M, N=N, P=P),
-                                lr=ns.lr,
-                                weight_decay=ns.weight_decay,
-                                lambda_reg=ns.lambda_reg,
-                                epochs=ns.epochs,
-                                batch_size=ns.batch_size,
-                                seed=seed,
-                            )
-                        )
-    return configs
+    # the auto P list depends on (M, N), so the widths are listed first
+    widths = [(M, N, P) for M, N in itertools.product(Ms, Ns) for P in Ps or _auto_P(M, N, k_star)]
+    return [
+        TrainConfig(
+            variant=variant,
+            bits=BitWidths(M=M, N=N, P=P),
+            lr=ns.lr,
+            weight_decay=ns.weight_decay,
+            lambda_reg=ns.lambda_reg,
+            epochs=ns.epochs,
+            batch_size=ns.batch_size,
+            seed=seed,
+        )
+        for variant, (M, N, P), seed in itertools.product(variants, widths, seeds)
+    ]
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
@@ -301,7 +304,10 @@ def cmd_train(ns: argparse.Namespace) -> int:
         lines = [CSV_HEADER] + [r.csv_row() for r in records]
     text = "\n".join(lines) + "\n"
     if ns.out:
-        Path(ns.out).write_text(text)
+        try:
+            Path(ns.out).write_text(text)
+        except OSError as exc:
+            raise _InputError(f"cannot write {ns.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -314,7 +320,8 @@ def _checkpoint_rows(path: str) -> list[np.ndarray]:
         kind, payload = load_checkpoint(path)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the parser recurses
         raise _InputError(f"bad checkpoint {path}: {exc}") from exc
     if kind == "float":
         rows = [row for layer in payload for row in layer]
@@ -380,6 +387,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="machine output as JSON lines")
 
 
+def _add_signedness(sub: argparse.ArgumentParser) -> None:
+    grp = sub.add_mutually_exclusive_group()
+    grp.add_argument("--signed", action="store_true", help="signed activations")
+    grp.add_argument("--unsigned", dest="signed", action="store_false", help="unsigned activations (default)")
+    sub.set_defaults(signed=False)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -393,10 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--N", type=int, help="activation bits")
     b.add_argument("--M", type=int, help="weight bits (for --width)")
     b.add_argument("--K", type=int, help="dot-product length (for --width)")
-    grp = b.add_mutually_exclusive_group()
-    grp.add_argument("--signed", action="store_true", help="signed activations")
-    grp.add_argument("--unsigned", dest="signed", action="store_false", help="unsigned activations (default)")
-    b.set_defaults(signed=False)
+    _add_signedness(b)
     b.add_argument("--ratio", action="store_true", help="print the zero-sum budget ratio for --N")
     b.add_argument("--width", action="store_true", help="print the smallest safe accumulator width")
     _add_common(b)
@@ -410,10 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--weights", help="file of channels, one comma-separated integer-code row per line")
     v.add_argument("--P", type=int, help="accumulator bits")
     v.add_argument("--N", type=int, help="activation bits")
-    grp = v.add_mutually_exclusive_group()
-    grp.add_argument("--signed", action="store_true")
-    grp.add_argument("--unsigned", dest="signed", action="store_false")
-    v.set_defaults(signed=False)
+    _add_signedness(v)
     v.add_argument("--exhaustive", action="store_true", help="force the exhaustive sweep (exit 5 if over budget)")
     v.add_argument("--props", action="store_true", help="run the zero-sum derivation self-checks instead")
     v.add_argument("--seed", type=int, default=0, help="seed for --props sampling")
@@ -439,10 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--ckpt", required=True, help="checkpoint JSON (quantized or float)")
     a.add_argument("--M", type=int, required=True, help="weight bits for the init scale")
     a.add_argument("--N", type=int, required=True, help="activation bits of the budget")
-    grp = a.add_mutually_exclusive_group()
-    grp.add_argument("--signed", action="store_true")
-    grp.add_argument("--unsigned", dest="signed", action="store_false")
-    a.set_defaults(signed=False)
+    _add_signedness(a)
     a.add_argument("--pmin", type=int, default=2)
     a.add_argument("--pmax", type=int, default=32)
     _add_common(a)

@@ -57,9 +57,11 @@ def project_l1_ball(w, radius: float) -> ProjectionResult:
     mu = np.sort(mags)[::-1]
     csum = np.cumsum(mu)
     idx = np.arange(1, w_arr.size + 1)
-    # rho: largest prefix length whose entries stay positive after the shift
-    positive = mu - (csum - radius) / idx > 0
-    rho = int(idx[positive][-1])
+    # rho: largest prefix length whose entries stay positive after the shift;
+    # rho >= 1 in exact arithmetic, but when one magnitude dwarfs the radius
+    # csum[0] - radius can round to mu[0] and leave no entry positive
+    positive = np.flatnonzero(mu - (csum - radius) / idx > 0)
+    rho = int(positive[-1]) + 1 if positive.size else 1
     theta = float((csum[rho - 1] - radius) / rho)
     if theta <= 0.0:
         # the unsorted sum put w outside the ball but the sorted cumsum puts

@@ -1,12 +1,13 @@
 """Exact simulation of fixed-width integer accumulation.
 
 Overflow verdicts must never themselves be victims of overflow, so every dot
-product that feeds a verdict is exact.  The closed form runs in int64, all rows
-in one numpy pass, for integer arrays whose bound B = K * max|q| * max(|c|, |d|)
-is below 2^62, when the call holds at least 256 such codes, and in Python ints
-for any other row.  The exhaustive enumerator holds its sums in the narrowest
-of int16, int32 and int64 that provably fits, else in two int64 limbs, else in
-Python ints (an object array).
+product that feeds a verdict is exact.  The closed form takes one route per
+call: one int64 numpy pass over all rows when every row is a non-empty integer
+array within int64, the call holds at least 256 codes and the bound
+B = K * max|q| * max(|c|, |d|), from its longest row and its largest code, is
+below 2^62; Python ints for every row otherwise.  The exhaustive enumerator
+holds its sums in the narrowest of int16, int32 and int64 that provably fits,
+else in two int64 limbs, else in Python ints (an object array).
 
 certify is the one certificate rule: it gives every row the closed-form
 worst case and decides which rows the exhaustive oracle also enumerates.
@@ -315,45 +316,28 @@ def _int64_codes(arr) -> bool:
 
 def _closed_forms(rows, c: int, d: int) -> tuple[list[int], list[int], list[int]]:
     # K, max and min of every row's dot product over inputs in [c, d], exactly.
-    # Non-empty integer-array rows with B = K * max|q| * max(|c|, |d|) < 2^62
-    # take one int64 pass, where every partial sum is bounded by B, when they
-    # hold _INT64_MIN_CODES codes or more; the other rows take _extremes in
-    # Python ints
-    n = len(rows)
+    # One int64 pass covers the whole call when every row is a non-empty
+    # integer array within int64, the call holds _INT64_MIN_CODES codes or
+    # more, and the longest K times the largest |q| times max(|c|, |d|), which
+    # bounds every row's B and so every partial sum, is below 2^62; otherwise
+    # every row takes _extremes in Python ints
     reach = max(-c, d)
     if isinstance(rows, np.ndarray):
-        fast = list(range(n)) if rows.shape[1] and _int64_codes(rows) else []
-        sizes = [rows.shape[1]] * len(fast)
+        sizes = [rows.shape[1]] * len(rows) if rows.shape[1] and _int64_codes(rows) else []
+    elif all(_int64_codes(row) and row.ndim == 1 and row.size for row in rows):
+        sizes = [row.size for row in rows]
     else:
-        fast = [i for i, row in enumerate(rows) if _int64_codes(row) and row.ndim == 1 and row.size]
-        sizes = [rows[i].size for i in fast]
-    Ks, fs, es = [None] * n, [None] * n, [None] * n
+        sizes = []
     if sum(sizes) >= _INT64_MIN_CODES and reach < _INT64_GUARD:
-        flat = rows.reshape(-1) if isinstance(rows, np.ndarray) else np.concatenate([rows[i] for i in fast])
+        flat = rows.reshape(-1) if isinstance(rows, np.ndarray) else np.concatenate(rows)
         flat = flat.astype(np.int64, copy=False)
-        starts = np.cumsum([0] + sizes[:-1])
-        alpha = np.add.reduceat(np.maximum(flat, 0), starts)
-        beta = np.add.reduceat(np.minimum(flat, 0), starts)
-        # rows past the guard wrap silently here and are redone below
-        tops = (d * alpha + c * beta).tolist()
-        bottoms = (c * alpha + d * beta).tolist()
         if max(sizes) * max(int(flat.max()), -int(flat.min())) * reach < _INT64_GUARD:
-            # the largest B of any row is within the guard
-            if len(fast) == n:
-                return sizes, tops, bottoms
-            guarded = [True] * len(fast)
-        else:
-            highs = np.maximum.reduceat(flat, starts).tolist()
-            lows = np.minimum.reduceat(flat, starts).tolist()
-            guarded = [K * max(hi, -lo) * reach < _INT64_GUARD for K, hi, lo in zip(sizes, highs, lows)]
-        for i, K, f, e, ok in zip(fast, sizes, tops, bottoms, guarded):
-            if ok:
-                Ks[i], fs[i], es[i] = K, f, e
-    for i in [i for i, K in enumerate(Ks) if K is None]:
-        qs = _int_vector(rows[i])
-        Ks[i] = len(qs)
-        fs[i], es[i] = _extremes(qs, c, d)
-    return Ks, fs, es
+            starts = np.cumsum([0] + sizes[:-1])
+            alpha = np.add.reduceat(np.maximum(flat, 0), starts)
+            beta = np.add.reduceat(np.minimum(flat, 0), starts)
+            return sizes, (d * alpha + c * beta).tolist(), (c * alpha + d * beta).tolist()
+    out = [(len(qs), *_extremes(qs, c, d)) for qs in map(_int_vector, rows)]
+    return [K for K, _, _ in out], [f for _, f, _ in out], [e for _, _, e in out]
 
 
 def certify(
@@ -362,13 +346,14 @@ def certify(
     """Certify integer code rows (of any lengths) against a P-bit register.
 
     rows is a (C, K) array or a sequence of rows.  Every row gets the exact
-    closed-form worst case: in int64, over all rows at once, for integer-array
-    rows whose B = K * max|q| * max(|c|, |d|) is below 2^62 when they hold at
-    least 256 codes, in Python ints for the rest.  A row also goes to the
-    exhaustive oracle when exhaustive is set, or when its (2^N)^K input vectors
-    fit the enumeration budget; it overflows when either route says so.  A
-    forced row over the budget raises EnumerationBudgetError before any result
-    is returned.
+    closed-form worst case, all of them on one route: in int64, over all rows
+    at once, when every row is a non-empty integer array within int64, the
+    call holds at least 256 codes and B = K * max|q| * max(|c|, |d|), taken
+    over its longest row and largest code, is below 2^62; in Python ints,
+    row by row, otherwise.  A row also goes to the exhaustive oracle when
+    exhaustive is set, or when its (2^N)^K input vectors fit the enumeration
+    budget; it overflows when either route says so.  A forced row over the
+    budget raises EnumerationBudgetError before any result is returned.
     """
     c, d = int_range(N, act_signed)
     cap = enumeration_budget()

@@ -15,9 +15,9 @@ activation path exists in the toy net.  Biases stay in float: they are added
 after the integer dot product, outside the P-bit accumulation loop, so they
 never touch the overflow analysis.
 
-Layers that share a fan-in K form one group, and each step quantizes, backprops
-through the quantizer and updates each group's stacked channels in one call,
-every layer reading its own rows.
+Layers that share a fan-in K form one group, which owns their V, t and d as one
+stack that each layer views by rows; each step quantizes, backprops through the
+quantizer and updates that stack in place, in one call per group.
 """
 
 from __future__ import annotations
@@ -127,9 +127,11 @@ class QuantLinear:
     """One linear layer: C output channels as arrays, plus its input quantizer.
 
     Row i of V (C, K) is channel i's direction, t[i] its norm exponent and
-    d[i] its scale exponent (g = 2^t, s = 2^d).  The float bias vector rides
-    along unquantized; it lands after the accumulator, so channel overflow
-    audits ignore it.
+    d[i] its scale exponent (g = 2^t, s = 2^d).  Once the layer is part of a
+    ToyNetwork, V, t and d are row views of its fan-in group's stack, so an
+    in-place edit of them is what the next quantization reads.  The float
+    bias vector rides along unquantized; it lands after the accumulator, so
+    channel overflow audits ignore it.
     """
 
     V: np.ndarray
@@ -166,15 +168,20 @@ class QuantLinear:
 
 
 class FanInGroup(NamedTuple):
-    """Layers that share a fan-in K, quantized as one stack of their rows in layer order.
+    """Layers that share a fan-in K, and the one stack of their channels in layer order.
 
-    rows[j] is the slice of the stack that holds layer layers[j]; plan gives
-    each run of rows its layer's bit widths.
+    V (C, K), t and d (C,) hold every row of the group; rows[j] is the slice
+    of them that holds layer layers[j], whose own V, t and d are views of it.
+    plan gives each run of rows its layer's bit widths.  sgd_step updates V, t
+    and d in place, so they keep their identity for the life of the network.
     """
 
     layers: tuple[int, ...]
     rows: tuple[slice, ...]
     plan: BitPlan
+    V: np.ndarray
+    t: np.ndarray
+    d: np.ndarray
 
 
 def _fan_in_groups(layers: list[QuantLinear]) -> list[FanInGroup]:
@@ -183,12 +190,15 @@ def _fan_in_groups(layers: list[QuantLinear]) -> list[FanInGroup]:
         by_k.setdefault(layer.V.shape[1], []).append(i)
     groups = []
     for idx in by_k.values():
+        members = [layers[i] for i in idx]
+        V, t, d = (np.concatenate([getattr(layer, name) for layer in members], dtype=float) for name in "Vtd")
         rows, start = [], 0
-        for i in idx:
-            rows.append(slice(start, start + len(layers[i].V)))
+        for layer in members:
+            rows.append(slice(start, start + len(layer.V)))
             start = rows[-1].stop
-        plan = tuple((layers[i].bits, len(layers[i].V)) for i in idx)
-        groups.append(FanInGroup(layers=tuple(idx), rows=tuple(rows), plan=plan))
+            layer.V, layer.t, layer.d = V[rows[-1]], t[rows[-1]], d[rows[-1]]
+        plan = tuple((layer.bits, len(layer.V)) for layer in members)
+        groups.append(FanInGroup(layers=tuple(idx), rows=tuple(rows), plan=plan, V=V, t=t, d=d))
     return groups
 
 
@@ -197,7 +207,7 @@ class ToyNetwork:
     """The layers in order, and their fan-in groups in order of each group's first layer.
 
     groups is derived once, at construction: a layer's shape and bit widths
-    never change.
+    never change, and from then on the groups own every layer's channels.
     """
 
     layers: list[QuantLinear]
@@ -212,20 +222,9 @@ class ToyNetwork:
         return (self.layers[0].V.shape[1], *(len(layer.V) for layer in self.layers))
 
 
-def _stack(layers: list[QuantLinear]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (
-        np.concatenate([layer.V for layer in layers]),
-        np.concatenate([layer.t for layer in layers]),
-        np.concatenate([layer.d for layer in layers]),
-    )
-
-
 def quantize_network(net: ToyNetwork) -> list[QuantizedLayer]:
     """One quantize_layer record per fan-in group, in net.groups order."""
-    return [
-        quantize_layer(*_stack([net.layers[i] for i in group.layers]), group.plan, net.variant)
-        for group in net.groups
-    ]
+    return [quantize_layer(group.V, group.t, group.d, group.plan, net.variant) for group in net.groups]
 
 
 def _layer_rows(net: ToyNetwork, quants: list[QuantizedLayer]) -> list[tuple[QuantizedLayer, slice]]:
@@ -442,8 +441,7 @@ def sgd_step(net: ToyNetwork, grads: list[GroupGrads], config: TrainConfig) -> b
     lam = config.lambda_reg
     finite = True
     for gg in grads:
-        layers = [net.layers[i] for i in gg.group.layers]
-        V, t, d = _stack(layers)
+        V, t, d = gg.group.V, gg.group.t, gg.group.d
         dt, dd = gg.dt, gg.dd
         if lam > 0.0:
             # gradient of the hinge lam * max(g - T, 0) on every channel: zero on a
@@ -453,11 +451,12 @@ def sgd_step(net: ToyNetwork, grads: list[GroupGrads], config: TrainConfig) -> b
             dd = np.where(over, dd - lam * gg.T * LN2, dd)
         # a diverging step may overflow or meet inf * 0; the return value reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            V = V - lr * (gg.dV + wd * V)
-            t = t - lr * dt
-            d = d - lr * dd
-            for layer, rows, db, da in zip(layers, gg.group.rows, gg.db, gg.da):
-                layer.V, layer.t, layer.d = V[rows], t[rows], d[rows]
+            # in place, so every layer's row views see the step
+            V -= lr * (gg.dV + wd * V)
+            t -= lr * dt
+            d -= lr * dd
+            for i, db, da in zip(gg.group.layers, gg.db, gg.da):
+                layer = net.layers[i]
                 layer.bias = layer.bias - lr * db
                 layer.act_exp -= lr * da
                 finite = finite and math.isfinite(layer.act_exp) and bool(np.isfinite(layer.bias).all())

@@ -110,7 +110,9 @@ class QuantizedLayer:
     Backprop state: w = u * G is the pre-round weights, with u = c / n1 the
     l1-normalized (centered, for A2Q+) direction, G = min(g, T) per row and
     pre = w / s.  A degenerate row (all zero after centering) carries u = 0
-    and G = 0, which zero every gradient of it.
+    and G = 0, which zero every gradient of it.  For A2Q, c is the V passed
+    in, not a copy: the trainer passes its live group stack, which the next
+    SGD step updates in place, and reads no record after that step.
 
     backward() differentiates the quantized output under the clipped
     straight-through convention: rounding has unit slope inside the code

@@ -108,6 +108,13 @@ def test_project_json(capsys):
     assert payload["theta"] == 1.0
 
 
+@pytest.mark.parametrize("weights, radius", [("1e20,1", "1"), ("1e17,3", "2")])
+def test_project_wide_range_weights_exit_0(capsys, weights, radius):
+    code, out = run(capsys, "project", "--radius", radius, "--weights", weights, "--json")
+    assert code == 0
+    assert sum(abs(v) for v in json.loads(out)["v_star"]) <= float(radius)
+
+
 def test_project_bad_input_is_parse_error(capsys):
     assert cli.main(["project", "--radius", "0", "--weights", "1,2"]) == 3
     assert cli.main(["project", "--radius", "1", "--weights", "a,b"]) == 3
@@ -426,12 +433,14 @@ def test_train_divergence_exits_3(lr, epochs, reason, capsys):
     assert reason in err
 
 
-def run_shell(module: str, *argv, **env_vars) -> subprocess.CompletedProcess:
-    """python -m module argv in a child process, with src/ importable."""
+def run_shell(module: str, *argv, stdin=None, **env_vars) -> subprocess.CompletedProcess:
+    """python -m module argv in a child process, with src/ importable; stdin is a file object or None."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONWARNINGS", None)
     env.update(env_vars)
-    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], stdin=stdin, capture_output=True, text=True, env=env, timeout=300
+    )
 
 
 def test_python_m_accq_runs_the_cli():
@@ -439,13 +448,13 @@ def test_python_m_accq_runs_the_cli():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "32/15\n", "")
 
 
-def assert_shell_input_error(argv, **env_vars) -> str:
+def assert_shell_input_error(argv, stdin=None, **env_vars) -> str:
     """Like assert_input_error, from a child process; returns the error line.
 
     A child process shows the stderr a shell user sees: numpy warnings and
     tracebacks are not captured there, so any stray one would show up.
     """
-    proc = run_shell("accq.cli", *argv, **env_vars)
+    proc = run_shell("accq.cli", *argv, stdin=stdin, **env_vars)
     assert proc.returncode == 3
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
@@ -470,6 +479,39 @@ def test_train_divergence_prints_one_line_from_a_shell(lr):
 def test_malformed_enum_budget_exits_3_from_a_shell(argv, raw):
     err = assert_shell_input_error(argv, ACCQ_ENUM_BUDGET=raw)
     assert "ACCQ_ENUM_BUDGET" in err and repr(raw) in err
+
+
+NOT_UTF8 = b"1,2\n\xff\xfe,3\n"
+
+
+@pytest.mark.parametrize("cmd", [["verify", "--P", "12", "--N", "4", "--weights"], ["pareto", "--records"]])
+def test_non_utf8_file_exits_3_from_a_shell(cmd, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(NOT_UTF8)
+    assert "not UTF-8" in assert_shell_input_error([*cmd, str(path)])
+
+
+# the C locale reads stdin's bad bytes as lone surrogates; strict decoding raises on them
+@pytest.mark.parametrize("io_encoding", [None, "utf-8:strict"])
+def test_non_utf8_stdin_exits_3_from_a_shell(io_encoding, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(NOT_UTF8)
+    env = {"PYTHONIOENCODING": io_encoding} if io_encoding else {}
+    with path.open("rb") as stdin:
+        err = assert_shell_input_error(["verify", "--P", "12", "--N", "4", "--weights", "-"], stdin=stdin, **env)
+    assert "not UTF-8" in err
+
+
+def test_train_unwritable_out_exits_3_from_a_shell(tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    err = assert_shell_input_error(["train", "--M", "4", "--N", "4", "--P", "12", "--epochs", "1", "--out", str(out)])
+    assert str(out) in err
+
+
+def test_analyze_deeply_nested_checkpoint_exits_3_from_a_shell(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert_shell_input_error(["analyze", "--ckpt", str(path), "--M", "4", "--N", "4"])
 
 
 # ---------------------------------------------------------------- analyze

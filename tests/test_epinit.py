@@ -89,6 +89,18 @@ def test_projection_matches_bisection_oracle(w, radius):
     assert np.sum((got - w_arr) ** 2) <= np.sum((ref - w_arr) ** 2) + 1e-9
 
 
+# one magnitude dwarfs the radius: csum[0] - radius rounds to mu[0], which left
+# no positive prefix entry, and the lookup of the last one raised IndexError
+@pytest.mark.parametrize("w, radius", [([1e20, 1.0], 1.0), ([1e17, 3.0], 2.0), ([-1e20, 1.0], 1.0)])
+def test_projection_survives_a_magnitude_that_dwarfs_the_radius(w, radius):
+    w_arr = np.asarray(w)
+    res = project_l1_ball(w_arr, radius)
+    assert res.active
+    assert np.all(np.sign(res.v_star) * np.sign(w_arr) >= 0)
+    assert np.all(np.abs(res.v_star) <= np.abs(w_arr))
+    assert float(np.abs(res.v_star).sum()) <= radius * (1 + 1e-12)
+
+
 def test_projection_is_idempotent_up_to_roundoff():
     rng = np.random.default_rng(3)
     for _ in range(50):

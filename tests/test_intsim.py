@@ -415,6 +415,10 @@ def _code_blocks(draw):
 @example(block=[[(2**62 - 1) // 3] * 3], ragged=[[1, 2**62]], N=1, signed=False, P=63)
 @example(block=[[2**60, -(2**60)], [3, -3]], ragged=[], N=2, signed=True, P=62)
 @example(block=[[-(2**63)]], ragged=[[]], N=1, signed=True, P=64)
+# mixed calls take Python ints for every row: int64 rows with one list row, and
+# int64 rows with one row past the guard
+@example(block=[[3, -5], [7, 1]], ragged=[[2, -1]], N=4, signed=False, P=16)
+@example(block=[[3, -5], [7, 1]], ragged=[[2**62, -1]], N=2, signed=True, P=64)
 @settings(max_examples=200, deadline=None)
 def test_certify_int64_route_matches_python_ints(block, ragged, N, signed, P):
     spec = AccumulatorSpec(P=P)
@@ -426,10 +430,12 @@ def test_certify_int64_route_matches_python_ints(block, ragged, N, signed, P):
         want = certify(rows, N, signed, spec)  # lists of Python ints: no int64 anywhere
         as_arrays = certify([np.array(row, dtype=np.int64) for row in rows], N, signed, spec)
         as_block = certify(np.array(block, dtype=np.int64), N, signed, spec)
+        mixed = certify([np.array(row, dtype=np.int64) for row in block] + ragged, N, signed, spec)
     assert as_arrays == want
     assert as_block == want[: len(block)]
+    assert mixed == want
     # plain Python values, so accq verify's JSON cannot tell the routes apart
-    for cert in as_arrays + as_block:
+    for cert in as_arrays + as_block + mixed:
         assert [type(v) for v in cert] == [int, int, int, bool, bool]
 
 

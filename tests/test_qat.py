@@ -450,6 +450,35 @@ def test_fit_quantizes_once_per_pass(monkeypatch, dataset):
     assert rec.min_slack == min_bound_slack(quants)
 
 
+@pytest.mark.parametrize("dataset", [TINY, SPLIT])
+def test_fan_in_groups_own_every_layers_channels(dataset):
+    # each layer's V, t and d are views of its group's rows from construction
+    # on, and SGD steps update the group's arrays in place
+    cfg = tiny_config(dataset=dataset)
+    data = make_data(cfg)
+    net = build_network(cfg, data.init_weights)
+    stacks = [(group.V, group.t, group.d) for group in net.groups]
+
+    def assert_layers_are_views():
+        for group, stack in zip(net.groups, stacks):
+            assert all(now is then for now, then in zip((group.V, group.t, group.d), stack))
+            for i, rows in zip(group.layers, group.rows):
+                for mine, whole in zip((net.layers[i].V, net.layers[i].t, net.layers[i].d), stack):
+                    assert np.shares_memory(mine, whole)
+                    assert np.array_equal(mine, whole[rows])
+
+    assert_layers_are_views()
+    calibrate(net, data.X_train[:32])
+    before = [V.copy() for V, _, _ in stacks]
+    for step, (_, xb, yb) in enumerate(_batches(cfg, data)):
+        if step == 3:
+            break
+        pred, stores = forward(net, xb)
+        assert sgd_step(net, backward(net, stores, 2.0 * (pred - yb) / pred.size), cfg)
+        assert_layers_are_views()
+    assert all(not np.array_equal(V, old) for (V, _, _), old in zip(stacks, before))
+
+
 @pytest.mark.parametrize("variant, P", [(Variant.A2Q_PLUS, 5), (Variant.A2Q, 4)])
 def test_build_network_starts_every_channel_at_its_float_row(variant, P):
     # the scale floor puts every row inside its budget, so none is projected
