@@ -20,6 +20,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -292,6 +293,15 @@ def cmd_train(ns: argparse.Namespace) -> int:
         configs = _build_grid(ns)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    if ns.out:
+        # fail before training; appending keeps an existing file's bytes
+        made = not os.path.lexists(ns.out)
+        try:
+            open(ns.out, "a").close()
+        except OSError as exc:
+            raise _InputError(f"cannot write {ns.out}: {exc}") from exc
+        if made:
+            os.remove(ns.out)
     if ns.jobs > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
             records = list(pool.map(train, configs))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -33,7 +33,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .bounds import BitWidths, a2q_limit, int_range
-from .epinit import ZERO_EXPONENT, ep_init, init_scale
+from .epinit import ZERO_EXPONENT, ep_init_layer, init_scale
 from .errors import AccumulatorOverflowError, DivergenceError
 from .intsim import AccumulatorSpec, certify
 from .quantizers import LN2, BitPlan, ChannelWeights, QuantizedLayer, Variant, finite_vector, quantize_layer
@@ -145,17 +145,6 @@ class QuantLinear:
         if self.bias is None:
             self.bias = np.zeros(len(self.V))
 
-    @classmethod
-    def from_channels(cls, channels, bits: BitWidths, **kw) -> "QuantLinear":
-        """Stack ChannelWeights of one length into a layer."""
-        return cls(
-            V=np.stack([ch.v for ch in channels]),
-            t=np.array([ch.t for ch in channels]),
-            d=np.array([ch.d for ch in channels]),
-            bits=bits,
-            **kw,
-        )
-
     @property
     def channels(self) -> list[ChannelWeights]:
         """A copy of each row as a ChannelWeights; editing one leaves the layer alone."""
@@ -252,15 +241,10 @@ class FloatRun:
 
 
 def _layer_bits(config: TrainConfig) -> list[BitWidths]:
-    dims = config.dataset.dims()
-    n_layers = len(dims) - 1
-    plans = []
-    for i in range(n_layers):
-        edge = i == 0 or i == n_layers - 1
-        M = EDGE_BITS if edge else config.bits.M
-        N = EDGE_BITS if edge else config.bits.N
-        plans.append(BitWidths(M=M, N=N, P=config.bits.P, act_signed=False))
-    return plans
+    n_layers = len(config.dataset.dims()) - 1
+    edge = BitWidths(M=EDGE_BITS, N=EDGE_BITS, P=config.bits.P)
+    inner = BitWidths(M=config.bits.M, N=config.bits.N, P=config.bits.P)
+    return [edge if i in (0, n_layers - 1) else inner for i in range(n_layers)]
 
 
 def make_data(config: TrainConfig) -> DataBundle:
@@ -297,11 +281,11 @@ def make_data(config: TrainConfig) -> DataBundle:
 
 
 def build_network(config: TrainConfig, init_weights) -> ToyNetwork:
-    """Start each channel at its float init row (epinit.ep_init) and wrap it up."""
-    layers = []
-    for W, bw in zip(init_weights, _layer_bits(config)):
-        W = np.asarray(W, dtype=float)
-        layers.append(QuantLinear.from_channels([ep_init(row, bw, config.variant) for row in W], bw))
+    """Start each layer at its float init (epinit.ep_init_layer) and wrap them up."""
+    layers = [
+        QuantLinear(*ep_init_layer(W, bw, config.variant), bits=bw)
+        for W, bw in zip(init_weights, _layer_bits(config))
+    ]
     return ToyNetwork(layers=layers, variant=config.variant)
 
 
@@ -626,12 +610,7 @@ def save_checkpoint(path, net: ToyNetwork) -> None:
         "variant": net.variant.value,
         "layers": [
             {
-                "bits": {
-                    "M": layer.bits.M,
-                    "N": layer.bits.N,
-                    "P": layer.bits.P,
-                    "act_signed": layer.bits.act_signed,
-                },
+                "bits": asdict(layer.bits),
                 "act_exp": layer.act_exp,
                 "bias": layer.bias.tolist(),
                 "channels": [
@@ -668,15 +647,11 @@ def load_checkpoint(path):
         for entry in payload["layers"]:
             b = entry["bits"]
             bw = BitWidths(M=int(b["M"]), N=int(b["N"]), P=int(b["P"]), act_signed=bool(b["act_signed"]))
-            chans = [
-                ChannelWeights(v=np.asarray(c["v"], dtype=float), t=float(c["t"]), d=float(c["d"]))
-                for c in entry["channels"]
-            ]
-            layers.append(
-                QuantLinear.from_channels(
-                    chans, bw, bias=np.asarray(entry["bias"], dtype=float), act_exp=float(entry["act_exp"])
-                )
-            )
+            # np.stack rejects a layer with no channels or with ragged ones
+            V = np.stack([finite_vector(c["v"], "v") for c in entry["channels"]])
+            t, d = (finite_vector([c[name] for c in entry["channels"]], name) for name in "td")
+            bias = np.asarray(entry["bias"], dtype=float)
+            layers.append(QuantLinear(V=V, t=t, d=d, bits=bw, bias=bias, act_exp=float(entry["act_exp"])))
         return "quantized", ToyNetwork(layers=layers, variant=Variant(payload["variant"]))
     if kind == "float":
         return "float", [[finite_vector(c["w"], "w") for c in entry["channels"]] for entry in payload["layers"]]

@@ -190,11 +190,6 @@ class WeightTape:
         return dv[0], float(dt[0]), float(dd[0])
 
 
-def round_to_zero(x) -> np.ndarray:
-    """Round toward zero (truncate): magnitudes never grow, signs never flip."""
-    return np.trunc(np.asarray(x, dtype=float))
-
-
 @functools.lru_cache(maxsize=1024)
 def channel_budget(K: int, bits: BitWidths, variant: Variant) -> tuple[Variant, Fraction]:
     """The variant that actually runs on a length-K channel and its exact l1 code budget.

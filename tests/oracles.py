@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 
+from accq.errors import NonFiniteInputError
+
 
 def _inputs(q, N: int, signed: bool):
     lo, hi = (-(1 << (N - 1)), (1 << (N - 1)) - 1) if signed else (0, (1 << N) - 1)
@@ -83,3 +85,29 @@ def project_l1_bisect(w, radius: float, iters: int = 200) -> np.ndarray:
 
 def central_diff(fn, x0: float, h: float = 1e-4) -> float:
     return (fn(x0 + h) - fn(x0 - h)) / (2.0 * h)
+
+
+def round_to_zero(x) -> np.ndarray:
+    """Round toward zero (truncate): magnitudes never grow, signs never flip."""
+    return np.trunc(np.asarray(x, dtype=float))
+
+
+def weight_quant_error(qw, w_ref, normalized: bool = False) -> float:
+    """Half squared error between quantized and reference weights.
+
+    normalized divides by the reference's half squared norm; 0/0 is defined as 0
+    (an all-zero channel quantized to zeros is a perfect match).
+    """
+    qw_arr = np.asarray(qw, dtype=float)
+    w_arr = np.asarray(w_ref, dtype=float)
+    if qw_arr.shape != w_arr.shape:
+        raise ValueError(f"shape mismatch: {qw_arr.shape} vs {w_arr.shape}")
+    if not (np.all(np.isfinite(qw_arr)) and np.all(np.isfinite(w_arr))):
+        raise NonFiniteInputError("inputs must be finite")
+    err = 0.5 * float(np.sum((qw_arr - w_arr) ** 2))
+    if not normalized:
+        return err
+    ref = 0.5 * float(np.sum(w_arr**2))
+    if ref == 0.0:
+        return 0.0
+    return err / ref

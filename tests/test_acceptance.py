@@ -29,7 +29,7 @@ from accq.bounds import (
     int_range,
     min_acc_width,
 )
-from accq.epinit import init_scale, project_l1_ball, weight_quant_error
+from accq.epinit import init_scale, project_l1_ball
 from accq.intsim import (
     AccumulatorSpec,
     certify,
@@ -42,10 +42,10 @@ from accq.intsim import (
 )
 from accq.props import find_overflow_witness, iter_l1_vectors, iter_zero_sum_vectors
 from accq.qat import CSV_HEADER, SweepRecord, TrainConfig, float_baseline, train
-from accq.quantizers import Variant, quantize_layer, round_to_zero
+from accq.quantizers import Variant, quantize_layer
 import accq.cli as cli
 
-from oracles import brute_extremes, project_l1_bisect
+from oracles import brute_extremes, project_l1_bisect, round_to_zero, weight_quant_error
 from test_qat import fd_relative_errors
 
 

@@ -4,8 +4,9 @@ The benchmark calls and patches accq names of its own choosing (spans.TRACED,
 the workload calls and their checks).  This runs its tracer and one seed-1
 item of every workload through it, so removing or changing a name the
 benchmark needs fails here, and every seed-1 quantize_audit item untraced,
-which reads the one-channel view on every shape the benchmark quantizes.
-benchmarks/ is only imported, never edited.
+which reads the one-channel view on every shape the benchmark quantizes, and
+the whole seed-1 train_sweep grid, whose CSV digest is a standing byte-identity
+gate.  benchmarks/ is only imported, never edited.
 """
 
 import contextlib
@@ -24,6 +25,9 @@ sys.path[:0] = [str(BENCH)]
 import inputs  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
+
+# sha256 of the CSV that one pass over train_sweep's seed-1 grid prints
+TRAIN_SWEEP_SEED1_SHA256 = "4502cdf80adba2bf26aa1e8ceac84bf2a38a33c23cedbc23f006e5f84ea51a35"
 
 # per workload, layers its traced call must pass through
 WORKLOADS = {
@@ -92,3 +96,12 @@ def test_quantize_audit_checks_clean_on_every_seed1_item(tmp_path):
     for item in items:
         work, errors = workload.check(item, workload.call(item))
         assert (work, errors) == (1, [])
+
+
+def test_train_sweep_seed1_grid_csv_is_byte_identical():
+    specs = inputs.train_sweep(1)
+    assert len(specs) == 4
+    workload = workloads.make("train_sweep", specs)
+    outs = [workload.call(spec) for spec in specs]
+    assert workload.cycle_errors(outs) == []
+    assert workload.digest == TRAIN_SWEEP_SEED1_SHA256

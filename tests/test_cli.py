@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from accq import cli
 from accq.bounds import BitWidths
+from accq.errors import DivergenceError
 from accq.intsim import Certificate
 from accq.qat import (
     CSV_HEADER,
@@ -113,6 +114,15 @@ def test_project_wide_range_weights_exit_0(capsys, weights, radius):
     code, out = run(capsys, "project", "--radius", radius, "--weights", weights, "--json")
     assert code == 0
     assert sum(abs(v) for v in json.loads(out)["v_star"]) <= float(radius)
+
+
+@pytest.mark.parametrize("weights, radius, v_star", [("1e20,1", "1", [1.0, 0.0]), ("1e17,3", "2", [2.0, 0.0])])
+def test_project_keeps_the_budget_when_a_magnitude_dwarfs_it(capsys, weights, radius, v_star):
+    code, out = run(capsys, "project", "--radius", radius, "--weights", weights, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["v_star"] == v_star
+    assert payload["active"] is True
 
 
 def test_project_bad_input_is_parse_error(capsys):
@@ -380,6 +390,37 @@ def test_train_out_file(tmp_path, capsys):
     assert lines[0] == CSV_HEADER and len(lines) == 2
 
 
+def _train_must_not_run(monkeypatch):
+    def fail(config):
+        raise AssertionError("train ran before the --out path was checked")
+
+    monkeypatch.setattr(cli, "train", fail)
+
+
+@pytest.mark.parametrize("where", ["missing dir", "a directory"])
+def test_train_unwritable_out_exits_3_before_training(where, tmp_path, capsys, monkeypatch):
+    _train_must_not_run(monkeypatch)
+    out = "/nonexistent-dir/x.csv" if where == "missing dir" else str(tmp_path)
+    err = assert_input_error(capsys, "train", "--M", "4", "--N", "4", "--P", "12", "--out", out)
+    assert f"cannot write {out}" in err
+
+
+def test_train_out_check_leaves_the_path_as_it_was(tmp_path, capsys, monkeypatch):
+    # a run that fails after the check neither truncates an existing file nor
+    # leaves a new one behind
+    def diverge(config):
+        raise DivergenceError("non-finite loss at epoch 0")
+
+    monkeypatch.setattr(cli, "train", diverge)
+    old = tmp_path / "old.csv"
+    old.write_text("kept\n")
+    new = tmp_path / "new.csv"
+    for path in (old, new):
+        assert_input_error(capsys, "train", "--M", "4", "--N", "4", "--P", "12", "--out", str(path))
+    assert old.read_text() == "kept\n"
+    assert not new.exists()
+
+
 def test_train_auto_P_spans_eleven_widths(capsys):
     code, out = run(
         capsys, "train", "--M", "4", "--N", "4", "--P", "auto", "--seed", "0", *TRAIN_FAST
@@ -600,6 +641,41 @@ def test_analyze_malformed_checkpoint_exits_3(payload, tmp_path, capsys):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps(payload))
     assert_input_error(capsys, "analyze", "--ckpt", str(path), "--M", "4", "--N", "4")
+
+
+def _quantized_checkpoint(channels) -> dict:
+    return {
+        "kind": "quantized",
+        "variant": "a2q",
+        "layers": [
+            {
+                "bits": {"M": 4, "N": 4, "P": 12, "act_signed": False},
+                "act_exp": 0.0,
+                "bias": [0.0] * len(channels),
+                "channels": channels,
+            }
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "channels",
+    [
+        [{"v": [1.0, -1.0], "t": 1.0, "d": 0.0}, {"v": [1.0], "t": 1.0, "d": 0.0}],
+        [{"v": [], "t": 1.0, "d": 0.0}],
+        [{"v": [[1.0, -1.0], [2.0, 0.5]], "t": 1.0, "d": 0.0}],
+        [{"v": [1.0, float("nan")], "t": 1.0, "d": 0.0}],
+        [{"v": [1.0, -1.0], "t": float("nan"), "d": 0.0}],
+        [{"v": [1.0, -1.0], "t": 1.0, "d": "x"}],
+        [],
+    ],
+    ids=["ragged v", "empty v", "2-d v", "nan in v", "nan t", "d not a number", "no channels"],
+)
+def test_analyze_malformed_quantized_layer_exits_3(channels, tmp_path, capsys):
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(_quantized_checkpoint(channels)))
+    err = assert_input_error(capsys, "analyze", "--ckpt", str(path), "--M", "4", "--N", "4")
+    assert err.startswith(f"error: bad checkpoint {path}")
 
 
 def test_analyze_bad_checkpoint_exits_3(tmp_path):

@@ -8,17 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accq.bounds import BitWidths, a2q_limit
-from accq.epinit import (
-    ZERO_EXPONENT,
-    ep_init,
-    init_scale,
-    project_l1_ball,
-    weight_quant_error,
-)
+from accq.epinit import ZERO_EXPONENT, ep_init, ep_init_layer, init_scale, project_l1_ball
 from accq.errors import NonFiniteInputError, NonPositiveRadiusError
-from accq.quantizers import Variant, forward_weights, round_to_zero
+from accq.quantizers import Variant, forward_weights
 
-from oracles import project_l1_bisect
+from oracles import project_l1_bisect, round_to_zero, weight_quant_error
 
 
 def test_projection_frozen():
@@ -101,6 +95,23 @@ def test_projection_survives_a_magnitude_that_dwarfs_the_radius(w, radius):
     assert float(np.abs(res.v_star).sum()) <= radius * (1 + 1e-12)
 
 
+# the active result keeps the whole budget: csum - radius rounded the radius
+# away here, which gave [0, 0] with theta 1e20
+@pytest.mark.parametrize(
+    "w, radius, v_star",
+    [
+        ([1e20, 1.0], 1.0, [1.0, 0.0]),
+        ([-1e20, 1.0], 1.0, [-1.0, 0.0]),
+        ([1e17, 3.0], 2.0, [2.0, 0.0]),
+        ([1e20, 1e20], 1.0, [0.5, 0.5]),
+    ],
+)
+def test_projection_keeps_the_budget_when_a_magnitude_dwarfs_it(w, radius, v_star):
+    res = project_l1_ball(w, radius)
+    assert res.active and res.theta > 0.0
+    assert res.v_star.tolist() == v_star
+
+
 def test_projection_is_idempotent_up_to_roundoff():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -145,6 +156,60 @@ def test_ep_init_zero_channel_uses_sentinels():
     assert ch.v.tolist() == [0.0, 0.0]
     assert ch.t == ZERO_EXPONENT
     assert ch.d == ZERO_EXPONENT
+
+
+def _magnitudes(lo_exp: int, hi_exp: int):
+    """Signed floats whose magnitudes span 10^lo_exp to 10^hi_exp, and zero."""
+    scaled = st.builds(
+        lambda m, e, neg: (-m if neg else m) * 10.0**e, st.floats(1.0, 9.99), st.integers(lo_exp, hi_exp), st.booleans()
+    )
+    return st.one_of(st.just(0.0), scaled)
+
+
+@st.composite
+def _layers(draw):
+    C, K = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rows = [
+        [0.0] * K if draw(st.booleans()) else draw(st.lists(_magnitudes(-300, 300), min_size=K, max_size=K))
+        for _ in range(C)
+    ]
+    return np.array(rows)
+
+
+@given(
+    W=_layers(),
+    M=st.integers(2, 8),
+    N=st.integers(1, 8),
+    P=st.integers(2, 32),
+    variant=st.sampled_from(Variant),
+)
+@settings(max_examples=300, deadline=None)
+# K = 1 under A2Q+ falls back to the A2Q budget
+@example(W=np.array([[3.0], [0.0]]), M=4, N=2, P=4, variant=Variant.A2Q_PLUS)
+def test_ep_init_is_the_one_row_view_of_ep_init_layer(W, M, N, P, variant):
+    bits = BitWidths(M=M, N=N, P=P)
+    V, t, d = ep_init_layer(W, bits, variant)
+    assert V.tobytes() == W.tobytes() and not np.shares_memory(V, W)
+    for i, row in enumerate(W):
+        ch = ep_init(row, bits, variant)
+        assert ch.v.tobytes() == V[i].tobytes()
+        assert np.array([ch.t, ch.d]).tobytes() == np.array([t[i], d[i]]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad, P",
+    [([1e308, 1e308], 16), ([float("nan"), 1.0], 16), ([float("inf"), 0.0], 16), ([1e308, 0.0], 2)],
+    ids=["mass overflows", "nan", "inf", "scale floor overflows"],
+)
+def test_ep_init_layer_rejects_a_row_that_is_not_finite(bad, P):
+    # at P = 2, N = 8 the A2Q budget is 1/255, so the floor mass / limit leaves float range
+    bits = BitWidths(M=4, N=8, P=P)
+    W = np.array([[1.0, 2.0], bad])
+    with pytest.raises(NonFiniteInputError):
+        ep_init_layer(W, bits)
+    with pytest.raises(NonFiniteInputError):
+        ep_init(W[1], bits)
+    ep_init(W[0], bits)
 
 
 @pytest.mark.parametrize("variant", [Variant.A2Q, Variant.A2Q_PLUS])

@@ -108,6 +108,12 @@ def test_different_seeds_differ():
 
 # ---------------------------------------------------------------- regularizer
 
+def _layer(chans, bits: BitWidths, **kw) -> QuantLinear:
+    """A layer whose rows are the given channels."""
+    V = np.stack([ch.v for ch in chans])
+    return QuantLinear(V=V, t=np.array([ch.t for ch in chans]), d=np.array([ch.d for ch in chans]), bits=bits, **kw)
+
+
 def _channel_with(g: float, s: float, K: int = 2) -> ChannelWeights:
     # v direction is irrelevant to the hinge; only g = 2^t and s = 2^d matter
     return ChannelWeights(v=np.ones(K), t=math.log2(g), d=math.log2(s))
@@ -120,7 +126,7 @@ def _hinge_step(ch: ChannelWeights, bits: BitWidths, variant: Variant, lam: floa
     and d.  Returns the forward's g and T and the steps dt, dd taken against
     them (new t = t - dt, new d = d - dd).
     """
-    layer = QuantLinear.from_channels([ch], bits)
+    layer = _layer([ch], bits)
     net = ToyNetwork(layers=[layer], variant=variant)
     config = tiny_config(variant=variant, bits=bits, lr=1.0, weight_decay=0.0, lambda_reg=lam)
     pred, stores = forward(net, np.zeros((1, ch.K)))
@@ -326,7 +332,7 @@ def test_degenerate_channel_survives_training():
 
 def _act_layer(N: int, signed: bool, act_exp: float) -> QuantLinear:
     bits = BitWidths(M=4, N=N, P=16, act_signed=signed)
-    return QuantLinear.from_channels([ChannelWeights(v=[1.0], t=0.0, d=0.0)], bits, act_exp=act_exp)
+    return _layer([ChannelWeights(v=[1.0], t=0.0, d=0.0)], bits, act_exp=act_exp)
 
 
 def test_act_forward_frozen():
@@ -486,6 +492,7 @@ def test_build_network_starts_every_channel_at_its_float_row(variant, P):
     init = make_data(cfg).init_weights
     net = build_network(cfg, init)
     for W, layer in zip(init, net.layers):
+        assert not np.shares_memory(layer.V, W)
         for row, ch in zip(W, layer.channels):
             assert ch.v.tobytes() == row.tobytes()
             assert ch.t == math.log2(float(np.abs(row).sum()))
@@ -501,7 +508,7 @@ def _net_from_rows(rows, bits=BitWidths(M=4, N=4, P=20), variant=Variant.A2Q):
         n1 = float(np.abs(v).sum())
         t = math.log2(n1) if n1 else -20.0
         chans.append(ChannelWeights(v=v, t=t, d=0.0))
-    return ToyNetwork(layers=[QuantLinear.from_channels(chans, bits)], variant=variant)
+    return ToyNetwork(layers=[_layer(chans, bits)], variant=variant)
 
 
 def test_measure_sparsity_frozen_examples():
@@ -510,10 +517,7 @@ def test_measure_sparsity_frozen_examples():
     # gate at 2 shrinks [3, 1] to [1.5, 0.5]; round toward zero gives [1, 0]
     half = ToyNetwork(
         layers=[
-            QuantLinear.from_channels(
-                [ChannelWeights(v=np.array([3.0, 1.0]), t=1.0, d=0.0)],
-                BitWidths(M=4, N=4, P=20),
-            )
+            _layer([ChannelWeights(v=np.array([3.0, 1.0]), t=1.0, d=0.0)], BitWidths(M=4, N=4, P=20))
         ],
         variant=Variant.A2Q,
     )
@@ -559,7 +563,7 @@ def test_certify_raises_on_overflowing_network(monkeypatch):
     # certifies at P=4: codes [7, 7] against 3-bit unsigned inputs reach 98 > 7
     bits = BitWidths(M=4, N=3, P=4)
     ch = ChannelWeights(v=np.array([1.0, 1.0]), t=math.log2(14.0), d=0.0)
-    net = ToyNetwork(layers=[QuantLinear.from_channels([ch], bits)], variant=Variant.A2Q)
+    net = ToyNetwork(layers=[_layer([ch], bits)], variant=Variant.A2Q)
     certify_accumulators(net)  # quantized for its own register, the layer is safe
     wide = BitWidths(M=4, N=3, P=16)
     results = [quantize_layer(layer.V, layer.t, layer.d, wide, net.variant) for layer in net.layers]

@@ -20,8 +20,9 @@ from accq.quantizers import (
     channel_budget,
     forward_weights,
     quantize_layer,
-    round_to_zero,
 )
+
+from oracles import round_to_zero
 
 RNG = np.random.default_rng
 
