@@ -351,7 +351,11 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if ns.pmin < 2 or ns.pmax < ns.pmin:
         ns.parser.error("need 2 <= pmin <= pmax")
     bits = BitWidths(M=ns.M, N=ns.N, P=max(ns.pmax, 2), act_signed=bool(ns.signed))
-    curve = channel_cdf(rows, bits, p_range=range(ns.pmin, ns.pmax + 1))
+    try:
+        curve = channel_cdf(rows, bits, p_range=range(ns.pmin, ns.pmax + 1))
+    except NonFiniteInputError as exc:
+        # a nonzero channel too small for its max-abs scale at M
+        raise _InputError(f"bad checkpoint {ns.ckpt}: {exc}") from exc
     for P, frac in curve:
         if ns.json:
             print(json.dumps({"P": P, "fraction": frac}))

@@ -72,12 +72,23 @@ def project_l1_ball(w, radius: float) -> ProjectionResult:
 
 
 def _max_abs_scale(top: float, M: int) -> float:
-    """The scale that maps a largest magnitude top onto the top M-bit code (2^ZERO_EXPONENT for top 0)."""
-    return top / ((1 << (M - 1)) - 1) if top else 2.0 ** ZERO_EXPONENT
+    """The scale that maps a largest magnitude top onto the top M-bit code (2^ZERO_EXPONENT for top 0).
+
+    Raises NonFiniteInputError when a nonzero top is so small that the scale underflows to 0.
+    """
+    if not top:
+        return 2.0 ** ZERO_EXPONENT
+    scale = top / ((1 << (M - 1)) - 1)
+    if scale == 0.0:
+        raise NonFiniteInputError(f"w's max-abs scale underflows to 0 (largest magnitude {top!r})")
+    return scale
 
 
 def init_scale(w, M: int) -> float:
-    """Per-channel scale mapping the largest float magnitude onto the top M-bit code."""
+    """Per-channel scale mapping the largest float magnitude onto the top M-bit code.
+
+    NonFiniteInputError when w is not finite or its nonzero scale underflows to 0.
+    """
     return _max_abs_scale(float(np.abs(finite_vector(w, "w")).max()), M)
 
 
@@ -96,8 +107,9 @@ def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[n
     keeps the quantizer's min gate on the norm side.
 
     Reductions run in numpy, each row's floor and log2 in Python floats, which
-    keeps the one-row view ep_init cheap.  A row that is not finite, or whose
-    mass or floor leaves float range, raises NonFiniteInputError.
+    keeps the one-row view ep_init cheap.  A row that is not finite, whose
+    mass or floor leaves float range, or whose max-abs scale underflows to 0
+    (a nonzero row of subnormal magnitudes), raises NonFiniteInputError.
     """
     V = np.array(W, dtype=float)
     limit = float(channel_budget(V.shape[1], bits, variant)[1])

@@ -15,9 +15,11 @@ activation path exists in the toy net.  Biases stay in float: they are added
 after the integer dot product, outside the P-bit accumulation loop, so they
 never touch the overflow analysis.
 
-Layers that share a fan-in K form one group, which owns their V, t and d as one
-stack that each layer views by rows; each step quantizes, backprops through the
-quantizer and updates that stack in place, in one call per group.
+Layers that share a fan-in K form one group, which owns their V, t, d and bias
+in one flat float buffer that each layer views by rows; each step quantizes and
+backprops through the quantizer in one call per group, writes the group's
+gradients into one stack, and updates and checks the buffer in place in one
+pass.  A layer's activation exponent stays its own float.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .bounds import BitWidths, a2q_limit, int_range
 from .epinit import ZERO_EXPONENT, ep_init_layer, init_scale
-from .errors import AccumulatorOverflowError, DivergenceError
+from .errors import AccumulatorOverflowError, DivergenceError, NonFiniteInputError
 from .intsim import AccumulatorSpec, certify
 from .quantizers import LN2, BitPlan, ChannelWeights, QuantizedLayer, Variant, finite_vector, quantize_layer
 
@@ -127,11 +129,12 @@ class QuantLinear:
     """One linear layer: C output channels as arrays, plus its input quantizer.
 
     Row i of V (C, K) is channel i's direction, t[i] its norm exponent and
-    d[i] its scale exponent (g = 2^t, s = 2^d).  Once the layer is part of a
-    ToyNetwork, V, t and d are row views of its fan-in group's stack, so an
-    in-place edit of them is what the next quantization reads.  The float
-    bias vector rides along unquantized; it lands after the accumulator, so
-    channel overflow audits ignore it.
+    d[i] its scale exponent (g = 2^t, s = 2^d).  The float bias (C,) rides
+    along unquantized; it lands after the accumulator, so channel overflow
+    audits ignore it.  Once the layer is part of a ToyNetwork, V, t, d and
+    bias are row views of its fan-in group's buffer, so an in-place edit of
+    them is what the next step reads.  act_exp, the input quantizer's scale
+    exponent, is a plain float the layer keeps.
     """
 
     V: np.ndarray
@@ -144,6 +147,10 @@ class QuantLinear:
     def __post_init__(self) -> None:
         if self.bias is None:
             self.bias = np.zeros(len(self.V))
+        for name in ("t", "d", "bias"):
+            # the group buffer would broadcast a short one over the layer's rows
+            if np.shape(getattr(self, name)) != (len(self.V),):
+                raise ValueError(f"{name} has shape {np.shape(getattr(self, name))}, its layer {len(self.V)} channels")
 
     @property
     def channels(self) -> list[ChannelWeights]:
@@ -157,20 +164,24 @@ class QuantLinear:
 
 
 class FanInGroup(NamedTuple):
-    """Layers that share a fan-in K, and the one stack of their channels in layer order.
+    """Layers that share a fan-in K, and the one buffer of their channels in layer order.
 
-    V (C, K), t and d (C,) hold every row of the group; rows[j] is the slice
-    of them that holds layer layers[j], whose own V, t and d are views of it.
-    plan gives each run of rows its layer's bit widths.  sgd_step updates V, t
-    and d in place, so they keep their identity for the life of the network.
+    flat is one contiguous float buffer laid out [V | t | d | b]: V (C, K),
+    t, d and the biases b (C,) are views of it that hold every row of the
+    group.  rows[j] is the slice of them that holds layer layers[j], whose own
+    V, t, d and bias are views of it.  plan gives each run of rows its layer's
+    bit widths.  sgd_step updates the views in place and checks flat once, so
+    every array keeps its identity for the life of the network.
     """
 
     layers: tuple[int, ...]
     rows: tuple[slice, ...]
     plan: BitPlan
+    flat: np.ndarray
     V: np.ndarray
     t: np.ndarray
     d: np.ndarray
+    b: np.ndarray
 
 
 def _fan_in_groups(layers: list[QuantLinear]) -> list[FanInGroup]:
@@ -178,16 +189,21 @@ def _fan_in_groups(layers: list[QuantLinear]) -> list[FanInGroup]:
     for i, layer in enumerate(layers):
         by_k.setdefault(layer.V.shape[1], []).append(i)
     groups = []
-    for idx in by_k.values():
+    for K, idx in by_k.items():
         members = [layers[i] for i in idx]
-        V, t, d = (np.concatenate([getattr(layer, name) for layer in members], dtype=float) for name in "Vtd")
+        C = sum(len(layer.V) for layer in members)
+        flat = np.empty(C * (K + 3))
+        V = flat[: C * K].reshape(C, K)
+        t, d, b = flat[C * K :].reshape(3, C)
         rows, start = [], 0
         for layer in members:
             rows.append(slice(start, start + len(layer.V)))
             start = rows[-1].stop
-            layer.V, layer.t, layer.d = V[rows[-1]], t[rows[-1]], d[rows[-1]]
+            for name, whole in zip(("V", "t", "d", "bias"), (V, t, d, b)):
+                whole[rows[-1]] = getattr(layer, name)
+                setattr(layer, name, whole[rows[-1]])
         plan = tuple((layer.bits, len(layer.V)) for layer in members)
-        groups.append(FanInGroup(layers=tuple(idx), rows=tuple(rows), plan=plan, V=V, t=t, d=d))
+        groups.append(FanInGroup(layers=tuple(idx), rows=tuple(rows), plan=plan, flat=flat, V=V, t=t, d=d, b=b))
     return groups
 
 
@@ -196,15 +212,21 @@ class ToyNetwork:
     """The layers in order, and their fan-in groups in order of each group's first layer.
 
     groups is derived once, at construction: a layer's shape and bit widths
-    never change, and from then on the groups own every layer's channels.
+    never change, and from then on the groups own every layer's channels and
+    bias.  homes[i] is layer i's (group index, rows) there.
     """
 
     layers: list[QuantLinear]
     variant: Variant
     groups: list[FanInGroup] = field(init=False, repr=False, compare=False)
+    homes: list[tuple[int, slice]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.groups = _fan_in_groups(self.layers)
+        self.homes = [None] * len(self.layers)  # type: ignore[list-item]
+        for gi, group in enumerate(self.groups):
+            for i, rows in zip(group.layers, group.rows):
+                self.homes[i] = (gi, rows)
 
     @property
     def topology(self) -> tuple[int, ...]:
@@ -218,11 +240,7 @@ def quantize_network(net: ToyNetwork) -> list[QuantizedLayer]:
 
 def _layer_rows(net: ToyNetwork, quants: list[QuantizedLayer]) -> list[tuple[QuantizedLayer, slice]]:
     """Per layer, its group's record and its rows in it."""
-    out: list = [None] * len(net.layers)
-    for group, quant in zip(net.groups, quants):
-        for i, rows in zip(group.layers, group.rows):
-            out[i] = (quant, rows)
-    return out
+    return [(quants[gi], rows) for gi, rows in net.homes]
 
 
 @dataclass(frozen=True)
@@ -317,17 +335,21 @@ def _act_forward(x: np.ndarray, layer: QuantLinear) -> tuple[np.ndarray, _ActTap
     lo, hi = layer.act_range
     pre = x / s
     raw = np.rint(pre)
-    mask = (raw >= lo) & (raw <= hi)
-    codes = raw.clip(lo, hi)
+    # ndarray.clip's Python wrapper costs more than the two ufuncs; NaN stays
+    # NaN in the codes and out of the mask either way
+    codes = np.minimum(np.maximum(raw, lo), hi)
+    mask = codes == raw
     return s * codes, _ActTape(mask=mask, codes=codes, pre=pre, s=s)
 
 
-def _act_backward(d_xq: np.ndarray, tape: _ActTape) -> tuple[np.ndarray, float]:
+def _act_backward(d_xq: np.ndarray, tape: _ActTape, input_grad: bool) -> tuple[np.ndarray | None, float]:
+    """(gradient into the layer's input, or None without input_grad; gradient of act_exp)."""
     # straight-through inside the clip window; the scale sees the rounding
     # residual in range and the saturated code outside
-    dx = d_xq * tape.mask
-    d_s = float((d_xq * np.where(tape.mask, tape.codes - tape.pre, tape.codes)).sum())
-    return dx, d_s * tape.s * LN2
+    dx = d_xq * tape.mask if input_grad else None
+    resid = np.subtract(tape.codes, tape.pre, where=tape.mask, out=tape.codes.copy())
+    resid *= d_xq
+    return dx, float(resid.sum()) * tape.s * LN2
 
 
 @dataclass
@@ -345,9 +367,9 @@ class _LayerStore:
 class GroupGrads(NamedTuple):
     """One fan-in group's parameter gradients.
 
-    dV, dt and dd are stacked like the group's rows, with the forward's per-row
-    g = 2^t and budget norm T that sgd_step's hinge reads; db and da hold one
-    bias and one activation-exponent gradient per layer of the group.
+    dV, dt, dd and the bias gradient db are stacked like the group's rows,
+    with the forward's per-row g = 2^t and budget norm T that sgd_step's hinge
+    reads; da holds one activation-exponent gradient per layer of the group.
     """
 
     group: FanInGroup
@@ -356,7 +378,7 @@ class GroupGrads(NamedTuple):
     dd: np.ndarray
     g: np.ndarray
     T: np.ndarray
-    db: list[np.ndarray]
+    db: np.ndarray
     da: list[float]
 
 
@@ -376,7 +398,8 @@ def forward(net: ToyNetwork, X, quantize: bool = True) -> tuple[np.ndarray, list
         else:
             xq, act_tape = h, None
         W = (quant.qw if quantize else quant.w)[rows]
-        y = xq @ W.T + layer.bias
+        y = xq @ W.T
+        y += layer.bias
         stores.append(_LayerStore(xq=xq, act_tape=act_tape, W=W, quant=quant, rows=rows, y=y))
         h = y if i == last else np.maximum(y, 0.0)
     return h, stores
@@ -385,31 +408,36 @@ def forward(net: ToyNetwork, X, quantize: bool = True) -> tuple[np.ndarray, list
 def backward(
     net: ToyNetwork, stores: list[_LayerStore], d_pred, quantize: bool = True
 ) -> list[GroupGrads]:
-    """Manual backprop matching forward(); returns the parameter grads per fan-in group."""
+    """Manual backprop matching forward(); returns the parameter grads per fan-in group.
+
+    Each layer writes its weight and bias gradients straight into its rows of
+    its group's stacks.  Nothing reads the first layer's input gradient, so it
+    is not formed.
+    """
     n = len(net.layers)
-    dW: list = [None] * n
-    db: list = [None] * n
+    d_qw = [np.empty(group.V.shape) for group in net.groups]
+    db = [np.empty(len(group.b)) for group in net.groups]
     da = [0.0] * n
     d_h = np.asarray(d_pred, dtype=float)
     for i in reversed(range(n)):
         st = stores[i]
+        gi, rows = net.homes[i]
         d_y = d_h if i == n - 1 else d_h * (st.y > 0.0)
-        dW[i] = d_y.T @ st.xq
+        np.matmul(d_y.T, st.xq, out=d_qw[gi][rows])
         d_xq = d_y @ st.W
-        db[i] = d_y.sum(axis=0)
+        d_y.sum(axis=0, out=db[gi][rows])
         if quantize:
-            d_h, da[i] = _act_backward(d_xq, st.act_tape)
+            d_h, da[i] = _act_backward(d_xq, st.act_tape, input_grad=i > 0)
         else:
             d_h = d_xq
     grads = []
-    for group in net.groups:
+    for group, dW, dbias in zip(net.groups, d_qw, db):
         quant = stores[group.layers[0]].quant
-        d_qw = np.concatenate([dW[i] for i in group.layers])
-        dV, dt, dd = quant.backward(d_qw) if quantize else quant.backward_smooth(d_qw)
+        dV, dt, dd = quant.backward(dW) if quantize else quant.backward_smooth(dW)
         grads.append(
             GroupGrads(
                 group=group, dV=dV, dt=dt, dd=dd, g=quant.g, T=quant.T,
-                db=[db[i] for i in group.layers], da=[da[i] for i in group.layers],
+                db=dbias, da=[da[i] for i in group.layers],
             )
         )
     return grads
@@ -418,33 +446,36 @@ def backward(
 def sgd_step(net: ToyNetwork, grads: list[GroupGrads], config: TrainConfig) -> bool:
     """Plain SGD update; weight decay touches v only, the hinge steers t and d.
 
-    Returns whether every parameter it updated is still finite.
+    Updates each group's V, t, d and bias in place, so every layer's row
+    views see the step, and returns whether every parameter it updated is
+    still finite: one check of each group's buffer, one per act_exp.
     """
     lr = config.lr
     wd = config.weight_decay
     lam = config.lambda_reg
     finite = True
-    for gg in grads:
-        V, t, d = gg.group.V, gg.group.t, gg.group.d
-        dt, dd = gg.dt, gg.dd
-        if lam > 0.0:
-            # gradient of the hinge lam * max(g - T, 0) on every channel: zero on a
-            # feasible gate (g <= T), so it steers only channels parked above budget
-            over = gg.g > gg.T
-            dt = np.where(over, dt + lam * gg.g * LN2, dt)
-            dd = np.where(over, dd - lam * gg.T * LN2, dd)
-        # a diverging step may overflow or meet inf * 0; the return value reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            # in place, so every layer's row views see the step
+    # a diverging step may overflow or meet inf * 0; the return value reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gg in grads:
+            group = gg.group
+            V, t, d, b = group.V, group.t, group.d, group.b
+            dt, dd = gg.dt, gg.dd
+            if lam > 0.0:
+                # gradient of the hinge lam * max(g - T, 0) on every channel: zero on a
+                # feasible gate (g <= T), so it steers only channels parked above budget
+                over = gg.g > gg.T
+                if over.any():
+                    dt = np.where(over, dt + lam * gg.g * LN2, dt)
+                    dd = np.where(over, dd - lam * gg.T * LN2, dd)
             V -= lr * (gg.dV + wd * V)
             t -= lr * dt
             d -= lr * dd
-            for i, db, da in zip(gg.group.layers, gg.db, gg.da):
+            b -= lr * gg.db
+            for i, da in zip(group.layers, gg.da):
                 layer = net.layers[i]
-                layer.bias = layer.bias - lr * db
                 layer.act_exp -= lr * da
-                finite = finite and math.isfinite(layer.act_exp) and bool(np.isfinite(layer.bias).all())
-        finite = finite and all(bool(np.isfinite(x).all()) for x in (V, t, d))
+                finite = finite and math.isfinite(layer.act_exp)
+            finite = finite and bool(np.isfinite(group.flat).all())
     return finite
 
 
@@ -467,10 +498,12 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
     calibrate(net, data.X_train[: min(256, len(data.X_train))])
     for epoch, xb, yb in _batches(config, data):
         pred, stores = _quantized_forward(net, xb, f"epoch {epoch}")
-        loss = mse(pred, yb)
+        # mse and its gradient from one difference, in mse's operations
+        diff = pred - yb
+        loss = float((diff * diff).sum() / diff.size)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        d_pred = 2.0 * (pred - yb) / pred.size
+        d_pred = 2.0 * diff / diff.size
         grads = backward(net, stores, d_pred, quantize=True)
         if not sgd_step(net, grads, config):
             # the next loss cannot be finite; stop before numpy casts NaNs
@@ -496,14 +529,16 @@ def _batches(config: TrainConfig, data: DataBundle):
     """Yield (epoch, x, y) per minibatch: the one batch order fit and float_baseline share.
 
     Each epoch draws a permutation of the training set from the
-    default_rng([seed, 1]) stream and slices it into batch_size runs.
+    default_rng([seed, 1]) stream, gathers the set in that order once and
+    yields batch_size runs of it as views: batch j is X_train[perm[j*B:(j+1)*B]].
     """
     order = np.random.default_rng([config.seed, 1])
     for epoch in range(config.epochs):
         perm = order.permutation(len(data.X_train))
+        X, y = data.X_train[perm], data.y_train[perm]
         for start in range(0, len(perm), config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            yield epoch, data.X_train[idx], data.y_train[idx]
+            stop = start + config.batch_size
+            yield epoch, X[start:stop], y[start:stop]
 
 
 def _quantized_forward(net: ToyNetwork, X, when: str) -> tuple[np.ndarray, list[_LayerStore]]:
@@ -650,8 +685,11 @@ def load_checkpoint(path):
             # np.stack rejects a layer with no channels or with ragged ones
             V = np.stack([finite_vector(c["v"], "v") for c in entry["channels"]])
             t, d = (finite_vector([c[name] for c in entry["channels"]], name) for name in "td")
-            bias = np.asarray(entry["bias"], dtype=float)
-            layers.append(QuantLinear(V=V, t=t, d=d, bits=bw, bias=bias, act_exp=float(entry["act_exp"])))
+            bias = finite_vector(entry["bias"], "bias")
+            act_exp = float(entry["act_exp"])
+            if not math.isfinite(act_exp):
+                raise NonFiniteInputError("act_exp must be finite")
+            layers.append(QuantLinear(V=V, t=t, d=d, bits=bw, bias=bias, act_exp=act_exp))
         return "quantized", ToyNetwork(layers=layers, variant=Variant(payload["variant"]))
     if kind == "float":
         return "float", [[finite_vector(c["w"], "w") for c in entry["channels"]] for entry in payload["layers"]]

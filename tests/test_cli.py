@@ -678,6 +678,37 @@ def test_analyze_malformed_quantized_layer_exits_3(channels, tmp_path, capsys):
     assert err.startswith(f"error: bad checkpoint {path}")
 
 
+def _one_channel_layer(**fields) -> dict:
+    payload = _quantized_checkpoint([{"v": [1.0, -1.0], "t": 1.0, "d": 0.0}])
+    payload["layers"][0].update(fields)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"bias": [0.0, 0.0]},
+        {"bias": []},
+        {"bias": [float("nan")]},
+        {"act_exp": float("nan")},
+    ],
+    ids=["bias longer than the layer", "empty bias", "nan bias", "nan act_exp"],
+)
+def test_analyze_malformed_bias_or_act_exp_exits_3(fields, tmp_path):
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(_one_channel_layer(**fields)))
+    err = assert_shell_input_error(["analyze", "--ckpt", str(path), "--M", "4", "--N", "4"])
+    assert err.startswith(f"error: bad checkpoint {path}")
+
+
+def test_analyze_subnormal_float_channel_exits_3(tmp_path):
+    # its max-abs scale at M = 4 underflows to 0, which the mass is divided by
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"kind": "float", "layers": [{"channels": [{"w": [5e-324, 0.0]}]}]}))
+    err = assert_shell_input_error(["analyze", "--ckpt", str(path), "--M", "4", "--N", "4"])
+    assert err.startswith(f"error: bad checkpoint {path}") and "underflows" in err
+
+
 def test_analyze_bad_checkpoint_exits_3(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

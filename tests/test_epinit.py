@@ -212,6 +212,21 @@ def test_ep_init_layer_rejects_a_row_that_is_not_finite(bad, P):
     ep_init(W[0], bits)
 
 
+@pytest.mark.parametrize("M", [4, 8])
+def test_a_subnormal_row_whose_scale_underflows_is_rejected(M):
+    # max|w| / (2^{M-1} - 1) rounds to 0 for the smallest subnormal
+    w = [5e-324, 0.0]
+    bits = BitWidths(M=M, N=4, P=16)
+    with pytest.raises(NonFiniteInputError, match="underflows"):
+        init_scale(w, M)
+    with pytest.raises(NonFiniteInputError, match="underflows"):
+        ep_init(w, bits)
+    with pytest.raises(NonFiniteInputError, match="underflows"):
+        ep_init_layer(np.array([[1.0, 2.0], w]), bits, Variant.A2Q_PLUS)
+    # a subnormal maximum whose scale stays above 0 is still a scale
+    assert init_scale([1e-320, 0.0], 4) == 1e-320 / 7
+
+
 @pytest.mark.parametrize("variant", [Variant.A2Q, Variant.A2Q_PLUS])
 def test_ep_init_starts_inside_the_budget(variant):
     rng = np.random.default_rng(5)

@@ -228,9 +228,9 @@ def fd_relative_errors(seed: int, h: float = 1e-4):
             return abs(a - f) / max(abs(a), abs(f), 1e-8)
 
         for gg in grads:
-            for li, rows, db in zip(gg.group.layers, gg.group.rows, gg.db):
+            for li, rows in zip(gg.group.layers, gg.group.rows):
                 layer = net.layers[li]
-                dV, dt, dd = gg.dV[rows], gg.dt[rows], gg.dd[rows]
+                dV, dt, dd, db = gg.dV[rows], gg.dt[rows], gg.dd[rows], gg.db[rows]
                 C, K = layer.V.shape
                 for j in range(C):
                     for k in range(K):
@@ -456,33 +456,111 @@ def test_fit_quantizes_once_per_pass(monkeypatch, dataset):
     assert rec.min_slack == min_bound_slack(quants)
 
 
+def _assert_groups_own_their_layers(net: ToyNetwork, buffers=None) -> None:
+    """Every layer's V, t, d and bias are its rows of its group's views of one flat buffer.
+
+    buffers, when given, are the group arrays the net started with, which must
+    still be the ones it holds.
+    """
+    for gi, group in enumerate(net.groups):
+        wholes = (group.V, group.t, group.d, group.b)
+        if buffers is not None:
+            assert all(now is then for now, then in zip((group.flat, *wholes), buffers[gi]))
+        C, K = group.V.shape
+        assert group.flat.shape == (C * (K + 3),) and group.flat.flags.c_contiguous
+        for whole, start in zip(wholes, (0, C * K, C * K + C, C * K + 2 * C)):
+            assert whole.base is group.flat
+            assert np.array_equal(whole.reshape(-1), group.flat[start : start + whole.size])
+        for i, rows in zip(group.layers, group.rows):
+            layer = net.layers[i]
+            assert net.homes[i] == (gi, rows)
+            for mine, whole in zip((layer.V, layer.t, layer.d, layer.bias), wholes):
+                assert np.shares_memory(mine, whole)
+                assert np.array_equal(mine, whole[rows])
+
+
 @pytest.mark.parametrize("dataset", [TINY, SPLIT])
-def test_fan_in_groups_own_every_layers_channels(dataset):
-    # each layer's V, t and d are views of its group's rows from construction
-    # on, and SGD steps update the group's arrays in place
+def test_fan_in_groups_own_every_layers_channels(dataset, tmp_path):
+    # each layer's V, t, d and bias are views of its group's rows from
+    # construction on, and SGD steps update the group's arrays in place
     cfg = tiny_config(dataset=dataset)
     data = make_data(cfg)
     net = build_network(cfg, data.init_weights)
-    stacks = [(group.V, group.t, group.d) for group in net.groups]
+    buffers = [(group.flat, group.V, group.t, group.d, group.b) for group in net.groups]
 
-    def assert_layers_are_views():
-        for group, stack in zip(net.groups, stacks):
-            assert all(now is then for now, then in zip((group.V, group.t, group.d), stack))
-            for i, rows in zip(group.layers, group.rows):
-                for mine, whole in zip((net.layers[i].V, net.layers[i].t, net.layers[i].d), stack):
-                    assert np.shares_memory(mine, whole)
-                    assert np.array_equal(mine, whole[rows])
-
-    assert_layers_are_views()
+    _assert_groups_own_their_layers(net, buffers)
     calibrate(net, data.X_train[:32])
-    before = [V.copy() for V, _, _ in stacks]
+    before = [group.flat.copy() for group in net.groups]
     for step, (_, xb, yb) in enumerate(_batches(cfg, data)):
         if step == 3:
             break
         pred, stores = forward(net, xb)
         assert sgd_step(net, backward(net, stores, 2.0 * (pred - yb) / pred.size), cfg)
-        assert_layers_are_views()
-    assert all(not np.array_equal(V, old) for (V, _, _), old in zip(stacks, before))
+        _assert_groups_own_their_layers(net, buffers)
+    for group, old in zip(net.groups, before):
+        assert not np.array_equal(group.V, old[: group.V.size].reshape(group.V.shape))
+        assert not np.array_equal(group.b, old[-len(group.b) :])
+
+    path = tmp_path / "net.json"
+    save_checkpoint(path, net)
+    _, loaded = load_checkpoint(path)
+    _assert_groups_own_their_layers(loaded)
+    assert [group.flat.tobytes() for group in loaded.groups] == [group.flat.tobytes() for group in net.groups]
+
+
+def _grads_after_one_batch(cfg):
+    data = make_data(cfg)
+    net = build_network(cfg, data.init_weights)
+    calibrate(net, data.X_train[:32])
+    xb, yb = data.X_train[:32], data.y_train[:32]
+    pred, stores = forward(net, xb)
+    return net, backward(net, stores, 2.0 * (pred - yb) / pred.size)
+
+
+@pytest.mark.parametrize("part", ["bias", "act_exp"])
+def test_sgd_step_reports_a_non_finite_bias_or_act_exp(part):
+    # one poisoned gradient entry leaves every V, t and d finite, so the
+    # step's one buffer check and its act_exp checks must catch it alone
+    cfg = tiny_config(dataset=SPLIT)
+    net, grads = _grads_after_one_batch(cfg)
+    assert sgd_step(net, grads, cfg)
+    net, grads = _grads_after_one_batch(cfg)
+    gg = grads[-1]
+    if part == "bias":
+        db = gg.db.copy()
+        db[-1] = np.inf
+        grads[-1] = gg._replace(db=db)
+    else:
+        grads[-1] = gg._replace(da=[*gg.da[:-1], np.inf])
+    assert not sgd_step(net, grads, cfg)
+    for group in net.groups:
+        assert all(np.isfinite(x).all() for x in (group.V, group.t, group.d))
+    last = net.layers[grads[-1].group.layers[-1]]
+    assert np.isfinite(last.bias).all() == (part != "bias")
+    assert math.isfinite(last.act_exp) == (part != "act_exp")
+
+
+@pytest.mark.parametrize("batch_size", [40, 32, 96, 200])
+def test_batches_yield_the_permuted_rows(batch_size):
+    # each batch is bit for bit X_train[perm[a:b]], the last one partial when
+    # batch_size does not divide n_train
+    cfg = tiny_config(batch_size=batch_size, epochs=2)
+    data = make_data(cfg)
+    order = np.random.default_rng([cfg.seed, 1])
+    want = []
+    for epoch in range(cfg.epochs):
+        perm = order.permutation(len(data.X_train))
+        for a in range(0, len(perm), batch_size):
+            idx = perm[a : a + batch_size]
+            want.append((epoch, data.X_train[idx], data.y_train[idx]))
+    got = list(_batches(cfg, data))
+    assert len(got) == len(want) == cfg.epochs * math.ceil(TINY.n_train / batch_size)
+    for (epoch, x, y), (epoch_w, x_w, y_w) in zip(got, want):
+        assert epoch == epoch_w
+        assert x.shape == x_w.shape and x.tobytes() == x_w.tobytes()
+        assert y.shape == y_w.shape and y.tobytes() == y_w.tobytes()
+    if TINY.n_train % batch_size:
+        assert len(got[-1][1]) == TINY.n_train % batch_size
 
 
 @pytest.mark.parametrize("variant, P", [(Variant.A2Q_PLUS, 5), (Variant.A2Q, 4)])
@@ -605,6 +683,15 @@ def test_float_checkpoint_round_trip(tmp_path):
         assert np.array_equal(np.stack(got), W)
     payload = json.loads(path.read_text())
     assert payload["kind"] == "float"
+
+
+@pytest.mark.parametrize("name", ["t", "d", "bias"])
+@pytest.mark.parametrize("value", [np.zeros(1), np.zeros(3), np.zeros((2, 1))])
+def test_a_layer_rejects_a_row_vector_that_is_not_one_per_channel(name, value):
+    # the fan-in group's buffer would broadcast it over the layer's rows
+    fields = {"V": np.ones((2, 2)), "t": np.zeros(2), "d": np.zeros(2), "bias": np.zeros(2), name: value}
+    with pytest.raises(ValueError, match=name):
+        QuantLinear(bits=BitWidths(M=4, N=4, P=16), **fields)
 
 
 def test_load_checkpoint_rejects_unknown_kind(tmp_path):
