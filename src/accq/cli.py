@@ -12,6 +12,12 @@ non-negative integer) or a training run that diverged, 4 verification
 failure (an overflow or a failed derivation), 5 enumeration budget exceeded.
 Every subcommand is deterministic given its flags, input files, and
 ACCQ_ENUM_BUDGET.
+
+Each subcommand imports what it runs, inside its cmd_* function: this module
+loads only accq.bounds, accq.errors and accq.intsim, which is all that bounds
+and verify (without --props) use, so a one-file `accq verify` never compiles
+the trainer.  project imports accq.epinit, train, analyze and pareto
+accq.qat, verify --props accq.props, and train --jobs N > 1 the process pool.
 """
 
 from __future__ import annotations
@@ -22,13 +28,12 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bounds import BitWidths, a2q_limit, a2q_plus_limit, bound_ratio, min_acc_width
-from .epinit import project_l1_ball
 from .errors import (
     DivergenceError,
     EnumerationBudgetError,
@@ -38,18 +43,9 @@ from .errors import (
     NonPositiveRadiusError,
 )
 from .intsim import AccumulatorSpec, Certificate, certify
-from .props import self_check
-from .qat import (
-    CSV_HEADER,
-    SweepRecord,
-    TeacherStudentSpec,
-    TrainConfig,
-    channel_cdf,
-    load_checkpoint,
-    quantize_network,
-    train,
-)
-from .quantizers import Variant
+
+if TYPE_CHECKING:
+    from .qat import TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,7 +53,8 @@ EXIT_PARSE = 3
 EXIT_VERIFY = 4
 EXIT_BUDGET = 5
 
-_VARIANTS = {"a2q": Variant.A2Q, "a2q+": Variant.A2Q_PLUS, "a2q_plus": Variant.A2Q_PLUS}
+# names to quantizers.Variant values, which _build_grid turns into members
+_VARIANTS = {"a2q": "a2q", "a2q+": "a2q+", "a2q_plus": "a2q+"}
 
 
 class _InputError(Exception):
@@ -142,6 +139,8 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- project
 
 def cmd_project(ns: argparse.Namespace) -> int:
+    from .epinit import project_l1_ball
+
     w = _parse_floats(ns.weights)
     try:
         res = project_l1_ball(w, ns.radius)
@@ -226,6 +225,8 @@ def _cert_lines(certs) -> str:
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     if ns.props:
+        from .props import self_check
+
         _check_seeds([ns.seed])
         results = self_check(seed=ns.seed)
         ok = all(flag for _, flag in results)
@@ -253,18 +254,24 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- train
 
 def _auto_P(M: int, N: int, k_star: int) -> list[int]:
-    # widest lossless register for the sweep's fan-in, then down 10 bits
+    # the narrowest register no interior (M, N) layer at the sweep's fan-in
+    # can overflow, then down 10 bits; the 8-bit edge layers need more
+    # (min_acc_width(16, 8, 8) = 21 against min_acc_width(16, 4, 4) = 13),
+    # so every auto P constrains the edges more than the interior
     p_star = min_acc_width(k_star, M, N, False)
     return sorted({max(2, p_star - i) for i in range(11)})
 
 
 def _build_grid(ns: argparse.Namespace) -> list[TrainConfig]:
+    from .qat import TeacherStudentSpec, TrainConfig
+    from .quantizers import Variant
+
     variants = []
     for name in ns.variant.split(","):
         key = name.strip().lower()
         if key not in _VARIANTS:
             ns.parser.error(f"unknown variant {name!r} (choose from {sorted(_VARIANTS)})")
-        variants.append(_VARIANTS[key])
+        variants.append(Variant(_VARIANTS[key]))
     Ms = _parse_int_list(ns.M, "--M")
     Ns = _parse_int_list(ns.N, "--N")
     seeds = _parse_int_list(ns.seed, "--seed")
@@ -289,6 +296,8 @@ def _build_grid(ns: argparse.Namespace) -> list[TrainConfig]:
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
+    from .qat import CSV_HEADER, SweepRecord, train
+
     try:
         configs = _build_grid(ns)
     except ValueError as exc:
@@ -303,6 +312,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
         if made:
             os.remove(ns.out)
     if ns.jobs > 1 and len(configs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
             records = list(pool.map(train, configs))
     else:
@@ -326,6 +337,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- analyze
 
 def _checkpoint_rows(path: str) -> list[np.ndarray]:
+    from .qat import load_checkpoint, quantize_network
+
     try:
         kind, payload = load_checkpoint(path)
     except OSError as exc:
@@ -347,6 +360,8 @@ def _checkpoint_rows(path: str) -> list[np.ndarray]:
 
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
+    from .qat import channel_cdf
+
     rows = _checkpoint_rows(ns.ckpt)
     if ns.pmin < 2 or ns.pmax < ns.pmin:
         ns.parser.error("need 2 <= pmin <= pmax")
@@ -367,6 +382,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- pareto
 
 def cmd_pareto(ns: argparse.Namespace) -> int:
+    from .qat import CSV_HEADER, SweepRecord
+
     lines = [ln for ln in _read_text(ns.records).splitlines() if ln.strip()]
     if not lines:
         raise _InputError(f"{ns.records} is empty")

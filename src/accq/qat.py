@@ -38,7 +38,16 @@ from .bounds import BitWidths, a2q_limit, int_range
 from .epinit import ZERO_EXPONENT, ep_init_layer, init_scale
 from .errors import AccumulatorOverflowError, DivergenceError, NonFiniteInputError
 from .intsim import AccumulatorSpec, certify
-from .quantizers import LN2, BitPlan, ChannelWeights, QuantizedLayer, Variant, finite_vector, quantize_layer
+from .quantizers import (
+    LN2,
+    ChannelWeights,
+    PlanRows,
+    QuantizedLayer,
+    Variant,
+    _plan_rows,
+    _quantize_rows,
+    finite_vector,
+)
 
 # weight and activation bits of the first and last layers
 EDGE_BITS = 8
@@ -169,14 +178,16 @@ class FanInGroup(NamedTuple):
     flat is one contiguous float buffer laid out [V | t | d | b]: V (C, K),
     t, d and the biases b (C,) are views of it that hold every row of the
     group.  rows[j] is the slice of them that holds layer layers[j], whose own
-    V, t, d and bias are views of it.  plan gives each run of rows its layer's
-    bit widths.  sgd_step updates the views in place and checks flat once, so
-    every array keeps its identity for the life of the network.
+    V, t, d and bias are views of it.  plan_rows holds the group's PlanRows:
+    each row's budget and clip limits, derived once from its layers' bit
+    widths and the network's variant.  sgd_step updates the views in place
+    and checks flat once, so every array keeps its identity for the life of
+    the network.
     """
 
     layers: tuple[int, ...]
     rows: tuple[slice, ...]
-    plan: BitPlan
+    plan_rows: PlanRows
     flat: np.ndarray
     V: np.ndarray
     t: np.ndarray
@@ -184,7 +195,7 @@ class FanInGroup(NamedTuple):
     b: np.ndarray
 
 
-def _fan_in_groups(layers: list[QuantLinear]) -> list[FanInGroup]:
+def _fan_in_groups(layers: list[QuantLinear], variant: Variant) -> list[FanInGroup]:
     by_k: dict[int, list[int]] = {}
     for i, layer in enumerate(layers):
         by_k.setdefault(layer.V.shape[1], []).append(i)
@@ -203,7 +214,12 @@ def _fan_in_groups(layers: list[QuantLinear]) -> list[FanInGroup]:
                 whole[rows[-1]] = getattr(layer, name)
                 setattr(layer, name, whole[rows[-1]])
         plan = tuple((layer.bits, len(layer.V)) for layer in members)
-        groups.append(FanInGroup(layers=tuple(idx), rows=tuple(rows), plan=plan, flat=flat, V=V, t=t, d=d, b=b))
+        groups.append(
+            FanInGroup(
+                layers=tuple(idx), rows=tuple(rows), plan_rows=_plan_rows(K, plan, variant),
+                flat=flat, V=V, t=t, d=d, b=b,
+            )
+        )
     return groups
 
 
@@ -212,8 +228,9 @@ class ToyNetwork:
     """The layers in order, and their fan-in groups in order of each group's first layer.
 
     groups is derived once, at construction: a layer's shape and bit widths
-    never change, and from then on the groups own every layer's channels and
-    bias.  homes[i] is layer i's (group index, rows) there.
+    and the network's variant never change, and from then on the groups own
+    every layer's channels and bias.  homes[i] is layer i's (group index,
+    rows) there.
     """
 
     layers: list[QuantLinear]
@@ -222,7 +239,7 @@ class ToyNetwork:
     homes: list[tuple[int, slice]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.groups = _fan_in_groups(self.layers)
+        self.groups = _fan_in_groups(self.layers, self.variant)
         self.homes = [None] * len(self.layers)  # type: ignore[list-item]
         for gi, group in enumerate(self.groups):
             for i, rows in zip(group.layers, group.rows):
@@ -234,8 +251,8 @@ class ToyNetwork:
 
 
 def quantize_network(net: ToyNetwork) -> list[QuantizedLayer]:
-    """One quantize_layer record per fan-in group, in net.groups order."""
-    return [quantize_layer(group.V, group.t, group.d, group.plan, net.variant) for group in net.groups]
+    """One quantize_layer record per fan-in group, in net.groups order, from the group's derived plan rows."""
+    return [_quantize_rows(group.V, group.t, group.d, group.plan_rows) for group in net.groups]
 
 
 def _layer_rows(net: ToyNetwork, quants: list[QuantizedLayer]) -> list[tuple[QuantizedLayer, slice]]:

@@ -41,6 +41,7 @@ import enum
 import functools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,13 +209,32 @@ def channel_budget(K: int, bits: BitWidths, variant: Variant) -> tuple[Variant, 
 BitPlan = tuple[tuple[BitWidths, int], ...]
 
 
-@functools.lru_cache(maxsize=1024)
-def _plan_rows(K: int, plan: BitPlan, variant: Variant):
-    """Per-row constants of a bit plan, derived once: (active variant, bound, budget, cap, lo, hi).
+class PlanRows(NamedTuple):
+    """Per-row constants of a bit plan under one variant, at one K.
 
-    bound holds each row's exact l1 budget, budget the same as a float (for T)
-    and cap its integer floor.  lo and hi are the weight-code clip limits:
-    Python ints when every row shares M, else (C, 1) columns.
+    active is the variant that runs and fell_back whether it differs from
+    the one asked for.  bound holds each row's exact l1 budget, budget the
+    same as a float (for T) and cap its integer floor.  lo and hi are the
+    weight-code clip limits: Python ints when every row shares M, else (C, 1)
+    columns.
+    """
+
+    active: Variant
+    fell_back: bool
+    bound: list[Fraction]
+    budget: list[float]
+    cap: list[int]
+    lo: int | np.ndarray
+    hi: int | np.ndarray
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan_rows(K: int, plan: BitPlan, variant: Variant) -> PlanRows:
+    """The plan's PlanRows, derived once per (K, plan, variant).
+
+    The cache key hashes every BitWidths of the plan, so a caller that
+    quantizes the same plan every step derives its rows once and calls
+    _quantize_rows with them.
     """
     active = channel_budget(K, plan[0][0], variant)[0]
     bound, budget, cap, ranges = [], [], [], []
@@ -228,7 +248,7 @@ def _plan_rows(K: int, plan: BitPlan, variant: Variant):
         lo, hi = ranges[0]
     else:
         lo, hi = np.array(ranges, dtype=float).T[:, :, None]
-    return active, bound, budget, cap, lo, hi
+    return PlanRows(active, active is not variant, bound, budget, cap, lo, hi)
 
 
 def _shrink_rows(q: np.ndarray, rows: list[int], cap: list[int]) -> np.ndarray:
@@ -259,9 +279,16 @@ def quantize_layer(
     """
     C, K = V.shape
     plan = ((bits, C),) if isinstance(bits, BitWidths) else bits
-    active, bound, budget, cap, lo, hi = _plan_rows(K, plan, variant)
-    if len(bound) != C:
-        raise ValueError(f"the bit plan covers {len(bound)} rows, the layer has {C}")
+    plan_rows = _plan_rows(K, plan, variant)
+    if len(plan_rows.bound) != C:
+        raise ValueError(f"the bit plan covers {len(plan_rows.bound)} rows, the layer has {C}")
+    return _quantize_rows(V, t, d, plan_rows)
+
+
+def _quantize_rows(V: np.ndarray, t: np.ndarray, d: np.ndarray, plan_rows: PlanRows) -> QuantizedLayer:
+    """quantize_layer's core, given the PlanRows of a plan that covers V's rows."""
+    C, K = V.shape
+    active, fell_back, bound, budget, cap, lo, hi = plan_rows
     # 2^t, 2^d and T = s * budget per row in Python floats: np.exp2 differs
     # from Python's pow in the last bit, Python's pow raises OverflowError
     # where numpy returns inf, and an overflowing T stays a silent inf
@@ -314,7 +341,7 @@ def quantize_layer(
 
     return QuantizedLayer(
         q=q, qw=qw, s=s, l1_codes=l1, bound=list(bound), bound_ok=ok,
-        variant=active, fell_back=active is not variant, degenerate=degenerate, c=c, n1=n1, u=u,
+        variant=active, fell_back=fell_back, degenerate=degenerate, c=c, n1=n1, u=u,
         g=g, T=T, G=G, gate_on_g=gate_on_g, w=w, pre=pre, in_range=in_range,
     )
 

@@ -10,7 +10,10 @@ is deterministic, so every number printed here reproduces exactly.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -408,31 +411,43 @@ def test_criterion_08_gradient_check(capsys):
 # criterion 9: the toy trainer reproduces the directional claims
 
 
+def _strict_warnings() -> None:
+    """Make a pool worker fail on the warnings the suite's filterwarnings makes errors.
+
+    pytest installs those filters only in its own process, and a spawned
+    worker does not inherit them.
+    """
+    warnings.simplefilter("error", RuntimeWarning)
+    warnings.simplefilter("error", DeprecationWarning)
+
+
 def test_criterion_09_trainer_directional_claims(capsys):
     t0 = time.perf_counter()
     seeds = range(10)
     variants = (Variant.A2Q, Variant.A2Q_PLUS)
-    loss: dict[tuple, float] = {}
-    spars: dict[tuple, float] = {}
-    float_loss: dict[int, float] = {}
-    for seed in seeds:
-        for variant in variants:
-            for P in (12, 16, 32):
-                cfg = TrainConfig(
-                    variant=variant,
-                    bits=BitWidths(4, 4, P, act_signed=False),
-                    epochs=200,
-                    seed=seed,
-                )
-                rec = train(cfg)
-                loss[(variant, P, seed)] = rec.final_loss
-                spars[(variant, P, seed)] = rec.sparsity
-        float_loss[seed] = float_baseline(
-            TrainConfig(
-                variant=Variant.A2Q, bits=BitWidths(4, 4, 32, act_signed=False),
-                epochs=200, seed=seed,
-            )
-        ).final_loss
+    points = list(itertools.product(seeds, variants, (12, 16, 32)))
+    configs = [
+        TrainConfig(variant=variant, bits=BitWidths(4, 4, P, act_signed=False), epochs=200, seed=seed)
+        for seed, variant, P in points
+    ]
+    float_configs = [
+        TrainConfig(variant=Variant.A2Q, bits=BitWidths(4, 4, 32, act_signed=False), epochs=200, seed=seed)
+        for seed in seeds
+    ]
+    # every run is a pure function of its config, so two worker processes
+    # return the records a serial loop would; spawned workers start from a
+    # fresh import, not from a fork of this test process, and run every fit
+    # under the same warnings-as-errors filters as this one
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn, initializer=_strict_warnings) as pool:
+        for category in (RuntimeWarning, DeprecationWarning):
+            with pytest.raises(category):
+                pool.submit(warnings.warn, "probe", category).result()
+        float_runs = pool.map(float_baseline, float_configs)
+        records = list(pool.map(train, configs))
+        float_loss = {seed: run.final_loss for seed, run in zip(seeds, float_runs)}
+    loss = {(variant, P, seed): rec.final_loss for (seed, variant, P), rec in zip(points, records)}
+    spars = {(variant, P, seed): rec.sparsity for (seed, variant, P), rec in zip(points, records)}
 
     # (a) at the tight register the centered budget should win most seeds
     a_wins = sum(

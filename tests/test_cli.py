@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from accq import cli
+from accq import cli, qat
 from accq.bounds import BitWidths
 from accq.errors import DivergenceError
 from accq.intsim import Certificate
@@ -394,7 +394,7 @@ def _train_must_not_run(monkeypatch):
     def fail(config):
         raise AssertionError("train ran before the --out path was checked")
 
-    monkeypatch.setattr(cli, "train", fail)
+    monkeypatch.setattr(qat, "train", fail)
 
 
 @pytest.mark.parametrize("where", ["missing dir", "a directory"])
@@ -411,7 +411,7 @@ def test_train_out_check_leaves_the_path_as_it_was(tmp_path, capsys, monkeypatch
     def diverge(config):
         raise DivergenceError("non-finite loss at epoch 0")
 
-    monkeypatch.setattr(cli, "train", diverge)
+    monkeypatch.setattr(qat, "train", diverge)
     old = tmp_path / "old.csv"
     old.write_text("kept\n")
     new = tmp_path / "new.csv"
@@ -474,19 +474,56 @@ def test_train_divergence_exits_3(lr, epochs, reason, capsys):
     assert reason in err
 
 
-def run_shell(module: str, *argv, stdin=None, **env_vars) -> subprocess.CompletedProcess:
-    """python -m module argv in a child process, with src/ importable; stdin is a file object or None."""
+def run_python(*argv, stdin=None, **env_vars) -> subprocess.CompletedProcess:
+    """python argv in a child process, with src/ importable; stdin is a file object or None."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONWARNINGS", None)
     env.update(env_vars)
     return subprocess.run(
-        [sys.executable, "-m", module, *argv], stdin=stdin, capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, *argv], stdin=stdin, capture_output=True, text=True, env=env, timeout=300
     )
+
+
+def run_shell(module: str, *argv, stdin=None, **env_vars) -> subprocess.CompletedProcess:
+    """python -m module argv in a child process, with src/ importable; stdin is a file object or None."""
+    return run_python("-m", module, *argv, stdin=stdin, **env_vars)
 
 
 def test_python_m_accq_runs_the_cli():
     proc = run_shell("accq", "bounds", "--ratio", "--N", "4")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "32/15\n", "")
+
+
+# what a fresh interpreter holds after import accq.cli, one bounds run and one
+# verify run, whose small channels also take the exhaustive oracle
+LOADED_BY_VERIFY = """
+import json, sys
+from accq import cli
+codes = [
+    cli.main(["bounds", "--width", "--K", "16", "--M", "4", "--N", "4"]),
+    cli.main(["verify", "--weights", sys.argv[1], "--P", "16", "--N", "4"]),
+]
+print(json.dumps({
+    "codes": codes,
+    "accq": sorted(m for m in sys.modules if m == "accq" or m.startswith("accq.")),
+    "pools": sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules),
+}))
+"""
+
+
+def test_verify_and_bounds_load_only_the_certificate(tmp_path):
+    # each subcommand imports what it runs, so the certificate path never
+    # loads the trainer, the quantizers, the projection or a process pool
+    path = tmp_path / "channels.txt"
+    path.write_text("1,2,-3,1\n7,-8,0,5\n")
+    proc = run_python("-c", LOADED_BY_VERIFY, str(path))
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {
+        "codes": [0, 0],
+        "accq": ["accq", "accq.bounds", "accq.cli", "accq.errors", "accq.intsim"],
+        "pools": [],
+    }
 
 
 def assert_shell_input_error(argv, stdin=None, **env_vars) -> str:

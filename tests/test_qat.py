@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accq.bounds import BitWidths, a2q_limit, a2q_plus_limit, int_range
-from accq import qat
+from accq import qat, quantizers
 from accq.errors import AccumulatorOverflowError, DivergenceError
 from accq.qat import (
     CSV_HEADER,
@@ -435,15 +435,16 @@ def test_fit_rows_across_fan_in_groups_are_pinned(name):
 
 @pytest.mark.parametrize("dataset", [TINY, SPLIT])
 def test_fit_quantizes_once_per_pass(monkeypatch, dataset):
-    # one quantize_layer call per fan-in group for calibration, each SGD step,
-    # the final evaluation and the certificate; sparsity and slack reuse the last
+    # one quantizer call per fan-in group for calibration, each SGD step, the
+    # final evaluation and the certificate; sparsity and slack reuse the last
     calls = []
+    core = quantizers._quantize_rows
 
     def counting(*args):
         calls.append(args)
-        return quantize_layer(*args)
+        return core(*args)
 
-    monkeypatch.setattr(qat, "quantize_layer", counting)
+    monkeypatch.setattr(qat, "_quantize_rows", counting)
     cfg = tiny_config(dataset=dataset)
     net, rec = fit(cfg)
     steps = cfg.epochs * math.ceil(dataset.n_train / cfg.batch_size)
@@ -454,6 +455,23 @@ def test_fit_quantizes_once_per_pass(monkeypatch, dataset):
     ]
     assert rec.sparsity == measure_sparsity(quants)
     assert rec.min_slack == min_bound_slack(quants)
+
+
+@pytest.mark.parametrize("dataset", [TINY, SPLIT])
+def test_fit_steps_never_hash_the_bit_plan(monkeypatch, dataset):
+    # each group's plan rows are derived when the network is built, so the
+    # BitWidths hashes and comparisons of a fit do not grow with its steps
+    calls = []
+    for name in ("__hash__", "__eq__"):
+        original = getattr(BitWidths, name)
+        monkeypatch.setattr(BitWidths, name, lambda self, *args, _f=original: calls.append(1) or _f(self, *args))
+    fit(tiny_config(dataset=dataset, epochs=1))  # warm the caches, so both runs below hit them
+    counts = []
+    for epochs in (1, 4):
+        calls.clear()
+        fit(tiny_config(dataset=dataset, epochs=epochs))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def _assert_groups_own_their_layers(net: ToyNetwork, buffers=None) -> None:
