@@ -6,9 +6,9 @@ verify (overflow certificates and the derivation self-checks), train
 checkpoint), pareto (frontier extraction from sweep CSV).
 
 Exit codes: 0 success, 2 usage, 3 bad input (an unreadable or malformed
-input, an unwritable --out file, an out-of-range bit width, batch size or
-epoch count, a negative seed, or an ACCQ_ENUM_BUDGET that is not a
-non-negative integer) or a training run that diverged, 4 verification
+input, an unwritable --out file, an out-of-range bit width, batch size,
+epoch count or --jobs count, a negative seed, or an ACCQ_ENUM_BUDGET that is
+not a non-negative integer) or a training run that diverged, 4 verification
 failure (an overflow or a failed derivation), 5 enumeration budget exceeded.
 Every subcommand is deterministic given its flags, input files, and
 ACCQ_ENUM_BUDGET.
@@ -298,6 +298,8 @@ def _build_grid(ns: argparse.Namespace) -> list[TrainConfig]:
 def cmd_train(ns: argparse.Namespace) -> int:
     from .qat import CSV_HEADER, SweepRecord, train
 
+    if ns.jobs < 1:
+        raise _InputError(f"--jobs must be at least 1, got {ns.jobs}")
     try:
         configs = _build_grid(ns)
     except ValueError as exc:
@@ -362,9 +364,9 @@ def _checkpoint_rows(path: str) -> list[np.ndarray]:
 def cmd_analyze(ns: argparse.Namespace) -> int:
     from .qat import channel_cdf
 
-    rows = _checkpoint_rows(ns.ckpt)
     if ns.pmin < 2 or ns.pmax < ns.pmin:
         ns.parser.error("need 2 <= pmin <= pmax")
+    rows = _checkpoint_rows(ns.ckpt)
     bits = BitWidths(M=ns.M, N=ns.N, P=max(ns.pmax, 2), act_signed=bool(ns.signed))
     try:
         curve = channel_cdf(rows, bits, p_range=range(ns.pmin, ns.pmax + 1))

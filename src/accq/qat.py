@@ -17,9 +17,12 @@ never touch the overflow analysis.
 
 Layers that share a fan-in K form one group, which owns their V, t, d and bias
 in one flat float buffer that each layer views by rows; each step quantizes and
-backprops through the quantizer in one call per group, writes the group's
-gradients into one stack, and updates and checks the buffer in place in one
-pass.  A layer's activation exponent stays its own float.
+backprops through the quantizer in one call per group.  backward builds each
+group's gradients in one fresh buffer laid out like that one, and writes them
+and every temporary it makes in place; the forward's stores, tapes and
+quantizer records are only read.  sgd_step adds weight decay and the hinge into
+that buffer, steps the group's buffer by it in one expression and checks it.
+A layer's activation exponent stays its own float.
 """
 
 from __future__ import annotations
@@ -195,6 +198,11 @@ class FanInGroup(NamedTuple):
     b: np.ndarray
 
 
+def _flat_views(flat: np.ndarray, C: int, K: int) -> tuple[np.ndarray, ...]:
+    """V (C, K) and t, d, b (C,) as views of a buffer laid out [V | t | d | b]."""
+    return (flat[: C * K].reshape(C, K), *flat[C * K :].reshape(3, C))
+
+
 def _fan_in_groups(layers: list[QuantLinear], variant: Variant) -> list[FanInGroup]:
     by_k: dict[int, list[int]] = {}
     for i, layer in enumerate(layers):
@@ -204,8 +212,7 @@ def _fan_in_groups(layers: list[QuantLinear], variant: Variant) -> list[FanInGro
         members = [layers[i] for i in idx]
         C = sum(len(layer.V) for layer in members)
         flat = np.empty(C * (K + 3))
-        V = flat[: C * K].reshape(C, K)
-        t, d, b = flat[C * K :].reshape(3, C)
+        V, t, d, b = _flat_views(flat, C, K)
         rows, start = [], 0
         for layer in members:
             rows.append(slice(start, start + len(layer.V)))
@@ -354,19 +361,18 @@ def _act_forward(x: np.ndarray, layer: QuantLinear) -> tuple[np.ndarray, _ActTap
     raw = np.rint(pre)
     # ndarray.clip's Python wrapper costs more than the two ufuncs; NaN stays
     # NaN in the codes and out of the mask either way
-    codes = np.minimum(np.maximum(raw, lo), hi)
+    codes = np.maximum(raw, lo)
+    np.minimum(codes, hi, out=codes)
     mask = codes == raw
     return s * codes, _ActTape(mask=mask, codes=codes, pre=pre, s=s)
 
 
-def _act_backward(d_xq: np.ndarray, tape: _ActTape, input_grad: bool) -> tuple[np.ndarray | None, float]:
-    """(gradient into the layer's input, or None without input_grad; gradient of act_exp)."""
-    # straight-through inside the clip window; the scale sees the rounding
-    # residual in range and the saturated code outside
-    dx = d_xq * tape.mask if input_grad else None
-    resid = np.subtract(tape.codes, tape.pre, where=tape.mask, out=tape.codes.copy())
+def _act_backward(d_xq: np.ndarray, tape: _ActTape) -> float:
+    """The gradient of act_exp: the scale sees the rounding residual in range and the saturated code outside."""
+    resid = tape.codes - tape.pre
+    np.copyto(resid, tape.codes, where=~tape.mask)
     resid *= d_xq
-    return dx, float(resid.sum()) * tape.s * LN2
+    return float(np.add.reduce(resid, axis=None)) * tape.s * LN2
 
 
 @dataclass
@@ -382,14 +388,16 @@ class _LayerStore:
 
 
 class GroupGrads(NamedTuple):
-    """One fan-in group's parameter gradients.
+    """One fan-in group's parameter gradients, in one buffer laid out like its flat.
 
-    dV, dt, dd and the bias gradient db are stacked like the group's rows,
-    with the forward's per-row g = 2^t and budget norm T that sgd_step's hinge
-    reads; da holds one activation-exponent gradient per layer of the group.
+    flat is [dV | dt | dd | db], of which dV, dt, dd and the bias gradient db
+    are views; g = 2^t and the budget norm T are the forward's per-row values
+    that sgd_step's hinge reads; da holds one activation-exponent gradient per
+    layer of the group.  sgd_step adds its regularizers into flat in place.
     """
 
     group: FanInGroup
+    flat: np.ndarray
     dV: np.ndarray
     dt: np.ndarray
     dd: np.ndarray
@@ -427,72 +435,67 @@ def backward(
 ) -> list[GroupGrads]:
     """Manual backprop matching forward(); returns the parameter grads per fan-in group.
 
-    Each layer writes its weight and bias gradients straight into its rows of
-    its group's stacks.  Nothing reads the first layer's input gradient, so it
-    is not formed.
+    Each group's gradients fill one fresh buffer laid out like its flat: each
+    layer writes its weight and bias gradients into its rows there, and the
+    quantizer's backward turns the weight gradients into dV, dt and dd in
+    place.  The stores, their tapes and records, and d_pred are only read.
+    Nothing reads the first layer's input gradient, so it is not formed.
     """
     n = len(net.layers)
-    d_qw = [np.empty(group.V.shape) for group in net.groups]
-    db = [np.empty(len(group.b)) for group in net.groups]
+    flats = [np.empty(group.flat.shape) for group in net.groups]
+    views = [_flat_views(flat, *group.V.shape) for group, flat in zip(net.groups, flats)]
     da = [0.0] * n
-    d_h = np.asarray(d_pred, dtype=float)
+    d_y = np.asarray(d_pred, dtype=float)
     for i in reversed(range(n)):
         st = stores[i]
         gi, rows = net.homes[i]
-        d_y = d_h if i == n - 1 else d_h * (st.y > 0.0)
-        np.matmul(d_y.T, st.xq, out=d_qw[gi][rows])
+        dV, _, _, db = views[gi]
+        np.matmul(d_y.T, st.xq, out=dV[rows])
+        np.add.reduce(d_y, axis=0, out=db[rows])
         d_xq = d_y @ st.W
-        d_y.sum(axis=0, out=db[gi][rows])
         if quantize:
-            d_h, da[i] = _act_backward(d_xq, st.act_tape, input_grad=i > 0)
-        else:
-            d_h = d_xq
+            da[i] = _act_backward(d_xq, st.act_tape)
+        if i:
+            # the layer below's output gradient, over d_xq: through the input clip
+            # window and that layer's ReLU in one product, bit for bit the two in turn
+            live = stores[i - 1].y > 0.0
+            if quantize:
+                live &= st.act_tape.mask
+            d_y = np.multiply(d_xq, live, out=d_xq)
     grads = []
-    for group, dW, dbias in zip(net.groups, d_qw, db):
+    for group, flat, (dV, dt, dd, db) in zip(net.groups, flats, views):
         quant = stores[group.layers[0]].quant
-        dV, dt, dd = quant.backward(dW) if quantize else quant.backward_smooth(dW)
-        grads.append(
-            GroupGrads(
-                group=group, dV=dV, dt=dt, dd=dd, g=quant.g, T=quant.T,
-                db=dbias, da=[da[i] for i in group.layers],
-            )
-        )
+        (quant.backward if quantize else quant.backward_smooth)(dV, out=(dV, dt, dd))
+        grads.append(GroupGrads(group, flat, dV, dt, dd, quant.g, quant.T, db, [da[i] for i in group.layers]))
     return grads
 
 
 def sgd_step(net: ToyNetwork, grads: list[GroupGrads], config: TrainConfig) -> bool:
     """Plain SGD update; weight decay touches v only, the hinge steers t and d.
 
-    Updates each group's V, t, d and bias in place, so every layer's row
-    views see the step, and returns whether every parameter it updated is
-    still finite: one check of each group's buffer, one per act_exp.
+    Adds both into each group's gradient buffer in place, then steps the
+    group's flat buffer by it in one expression, so every layer's row views
+    see the step.  Returns whether every parameter it updated is still
+    finite: one check of each group's buffer, one per act_exp.
     """
-    lr = config.lr
-    wd = config.weight_decay
-    lam = config.lambda_reg
+    lr, wd, lam = config.lr, config.weight_decay, config.lambda_reg
     finite = True
     # a diverging step may overflow or meet inf * 0; the return value reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for gg in grads:
-            group = gg.group
-            V, t, d, b = group.V, group.t, group.d, group.b
-            dt, dd = gg.dt, gg.dd
-            if lam > 0.0:
-                # gradient of the hinge lam * max(g - T, 0) on every channel: zero on a
-                # feasible gate (g <= T), so it steers only channels parked above budget
-                over = gg.g > gg.T
-                if over.any():
-                    dt = np.where(over, dt + lam * gg.g * LN2, dt)
-                    dd = np.where(over, dd - lam * gg.T * LN2, dd)
-            V -= lr * (gg.dV + wd * V)
-            t -= lr * dt
-            d -= lr * dd
-            b -= lr * gg.db
-            for i, da in zip(group.layers, gg.da):
+        for group, flat, dV, dt, dd, g, T, _, das in grads:
+            # gradient of the hinge lam * max(g - T, 0) on every channel: zero on a
+            # feasible gate (g <= T), so it steers only channels parked above budget
+            over = g > T
+            if lam > 0.0 and np.logical_or.reduce(over):
+                np.add(dt, lam * g * LN2, out=dt, where=over)
+                np.subtract(dd, lam * T * LN2, out=dd, where=over)
+            dV += wd * group.V
+            np.subtract(group.flat, lr * flat, out=group.flat)
+            for i, da in zip(group.layers, das):
                 layer = net.layers[i]
                 layer.act_exp -= lr * da
                 finite = finite and math.isfinite(layer.act_exp)
-            finite = finite and bool(np.isfinite(group.flat).all())
+            finite = finite and bool(np.logical_and.reduce(np.isfinite(group.flat)))
     return finite
 
 
@@ -500,7 +503,7 @@ def mse(pred, target) -> float:
     diff = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
     sq = diff * diff
     # sum / size is np.mean bit for bit, minus its per-call overhead
-    return float(sq.sum() / sq.size)
+    return float(np.add.reduce(sq, axis=None) / sq.size)
 
 
 def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
@@ -517,7 +520,7 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
         pred, stores = _quantized_forward(net, xb, f"epoch {epoch}")
         # mse and its gradient from one difference, in mse's operations
         diff = pred - yb
-        loss = float((diff * diff).sum() / diff.size)
+        loss = float(np.add.reduce(diff * diff, axis=None) / diff.size)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
         d_pred = 2.0 * diff / diff.size
@@ -546,13 +549,14 @@ def _batches(config: TrainConfig, data: DataBundle):
     """Yield (epoch, x, y) per minibatch: the one batch order fit and float_baseline share.
 
     Each epoch draws a permutation of the training set from the
-    default_rng([seed, 1]) stream, gathers the set in that order once and
-    yields batch_size runs of it as views: batch j is X_train[perm[j*B:(j+1)*B]].
+    default_rng([seed, 1]) stream, gathers the set in that order once (take:
+    fancy indexing's bytes, faster) and yields batch_size runs of it as views:
+    batch j is X_train[perm[j*B:(j+1)*B]].
     """
     order = np.random.default_rng([config.seed, 1])
     for epoch in range(config.epochs):
         perm = order.permutation(len(data.X_train))
-        X, y = data.X_train[perm], data.y_train[perm]
+        X, y = data.X_train.take(perm, axis=0), data.y_train.take(perm, axis=0)
         for start in range(0, len(perm), config.batch_size):
             stop = start + config.batch_size
             yield epoch, X[start:stop], y[start:stop]

@@ -20,7 +20,7 @@ per-row certificates and the forward state whose backward passes return
 forward_weights returns WeightTape, the single C = 1 row view of that record,
 for one ChannelWeights; both are kept for the benchmark's quantize_audit
 workload and for tests, and nothing in the package calls them.  Row
-reductions use sum(axis=1) and np.vecdot, which equal the per-row sum() and
+reductions use np.add.reduce and np.vecdot, which equal the per-row sum() and
 np.dot bit for bit, and 2^t, 2^d use Python's float pow per row (np.exp2
 differs in the last bit), so a layer's row i is exactly what channel i gives
 alone.
@@ -120,7 +120,9 @@ class QuantizedLayer:
     range, while saturated weights block the path into v and t and feel only
     the scale through their pinned code.  backward_smooth() differentiates the
     pre-round weights w, the reference for finite-difference checks.  Both take
-    a (C, K) upstream gradient and return (dV (C, K), dt (C,), dd (C,)).
+    a (C, K) upstream gradient and return (dV (C, K), dt (C,), dd (C,)), built
+    in out=(dV, dt, dd) when given; dV may be the upstream gradient itself.
+    Neither writes into the record or, unless it is dV, the upstream gradient.
     """
 
     q: np.ndarray
@@ -147,24 +149,34 @@ class QuantizedLayer:
     def K(self) -> int:
         return self.u.shape[1]
 
-    def backward_smooth(self, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def backward_smooth(self, dw: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gradient of w = (c/||c||_1) * min(g, T) w.r.t. V, t, d."""
         dw = np.asarray(dw, dtype=float)
+        dv, dt, dd = out or (np.empty(self.u.shape), *np.empty((2, len(self.u))))
+        # dG is read off dw before dv, which dw may be, holds du = dw * G and
+        # then dc = (du - sign(c) * <du, u>) / n1
         dG = np.vecdot(dw, self.u)
-        du = dw * self.G[:, None]
-        dc = (du - np.sign(self.c) * np.vecdot(du, self.u)[:, None]) / self.n1[:, None]
-        dv = dc - (dc.sum(axis=1) / self.K)[:, None] if self.variant is Variant.A2Q_PLUS else dc
+        np.multiply(dw, self.G[:, None], out=dv)
+        dv -= np.sign(self.c) * np.vecdot(dv, self.u)[:, None]
+        dv /= self.n1[:, None]
+        if self.variant is Variant.A2Q_PLUS:
+            dv -= (np.add.reduce(dv, axis=1) / self.K)[:, None]
         # G is g on the gate and T = s * budget off it, and dT/dd = T ln 2
         d_exp = dG * self.G * LN2
-        return dv, np.where(self.gate_on_g, d_exp, 0.0), np.where(self.gate_on_g, 0.0, d_exp)
+        dt[...] = np.where(self.gate_on_g, d_exp, 0.0)
+        dd[...] = np.where(self.gate_on_g, 0.0, d_exp)
+        return dv, dt, dd
 
-    def backward(self, d_qw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def backward(self, d_qw: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         d_qw = np.asarray(d_qw, dtype=float)
-        dv, dt, dd = self.backward_smooth(d_qw * self.in_range)
-        # d(s*q)/ds: rounding residual q - w/s in range, the saturated code
-        # outside, then chain s = 2^d
-        resid = np.where(self.in_range, self.q - self.pre, self.q)
-        return dv, dt, dd + np.vecdot(d_qw, resid) * self.s * LN2
+        # d(s*q)/ds: rounding residual q - w/s in range, the saturated code outside,
+        # then chain s = 2^d; read before out[0], which d_qw may be, is written
+        resid = self.q - self.pre
+        np.copyto(resid, self.q, where=~self.in_range)
+        d_scale = np.vecdot(d_qw, resid)
+        dv, dt, dd = self.backward_smooth(np.multiply(d_qw, self.in_range, out=out and out[0]), out)
+        dd += d_scale * self.s * LN2
+        return dv, dt, dd
 
 
 class WeightTape:
@@ -300,13 +312,13 @@ def _quantize_rows(V: np.ndarray, t: np.ndarray, d: np.ndarray, plan_rows: PlanR
 
     if active is Variant.A2Q_PLUS:
         # sum / K is mean() bit for bit, minus np.mean's per-call overhead
-        c = V - V.sum(axis=1, keepdims=True) / float(K)
+        c = V - np.add.reduce(V, axis=1, keepdims=True) / float(K)
         # the leftover sum scales with ||v||, not ||c||, and near-equal entries
         # cancel badly; one refinement pass makes sum(c) eps-small relative to c
-        c = c - c.sum(axis=1, keepdims=True) / float(K)
+        c = c - np.add.reduce(c, axis=1, keepdims=True) / float(K)
     else:
         c = V
-    n1 = np.abs(c).sum(axis=1)
+    n1 = np.add.reduce(np.abs(c), axis=1)
     gate_on_g = g <= T
     G = np.minimum(g, T)
     degenerate = np.zeros(C, dtype=bool)
@@ -330,7 +342,7 @@ def _quantize_rows(V: np.ndarray, t: np.ndarray, d: np.ndarray, plan_rows: PlanR
     if np.count_nonzero(over):
         q = np.where(over, q - np.sign(q), q)
         qw = s_col * q
-    l1 = np.abs(q).sum(axis=1).tolist()
+    l1 = np.add.reduce(np.abs(q), axis=1).tolist()
     # the exact certificate: l1 <= limit in integers, i.e. l1 <= floor(limit)
     ok = [x <= y for x, y in zip(l1, cap)]
     if not all(ok):

@@ -83,6 +83,27 @@ def project_l1_bisect(w, radius: float, iters: int = 200) -> np.ndarray:
     return np.sign(w) * np.maximum(mags - theta, 0.0)
 
 
+def project_l1_bisect_rows(W, radii, iters: int = 200) -> np.ndarray:
+    """project_l1_bisect on each row of a (B, K) stack, row i onto the ball of radii[i].
+
+    The same bisection, run on every row at once; a row inside its ball comes
+    back unchanged.  Zero entries stay zero and add nothing to any sum or
+    maximum, so a row padded with zeros projects as the unpadded one does.
+    """
+    W = np.asarray(W, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    mags = np.abs(W)
+    lo, hi = np.zeros(len(W)), mags.max(axis=1)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        above = np.maximum(mags - mid[:, None], 0.0).sum(axis=1) > radii
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    theta = 0.5 * (lo + hi)
+    inside = mags.sum(axis=1) <= radii
+    return np.where(inside[:, None], W, np.sign(W) * np.maximum(mags - theta[:, None], 0.0))
+
+
 def central_diff(fn, x0: float, h: float = 1e-4) -> float:
     return (fn(x0 + h) - fn(x0 - h)) / (2.0 * h)
 

@@ -48,7 +48,7 @@ from accq.qat import CSV_HEADER, SweepRecord, TrainConfig, float_baseline, train
 from accq.quantizers import Variant, quantize_layer
 import accq.cli as cli
 
-from oracles import brute_extremes, project_l1_bisect, round_to_zero, weight_quant_error
+from oracles import brute_extremes, project_l1_bisect, project_l1_bisect_rows, round_to_zero, weight_quant_error
 from test_qat import fd_relative_errors
 
 
@@ -286,6 +286,14 @@ def _subgradient_min(w: np.ndarray, T: float, iters: int = 60) -> np.ndarray:
     return x
 
 
+def _subgradient_min_rows(W: np.ndarray, T: np.ndarray, iters: int = 60) -> np.ndarray:
+    # _subgradient_min on every row of a (B, K) stack at once, row i under T[i]
+    x = np.zeros_like(W)
+    for _ in range(iters):
+        x = project_l1_bisect_rows(x - 0.6 * (x - W), T, iters=80)
+    return x
+
+
 def _half_sq(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum((a - b) ** 2))
 
@@ -293,17 +301,30 @@ def _half_sq(a: np.ndarray, b: np.ndarray) -> float:
 def test_criterion_06_projection_optimality(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240206)
-    boundary = 0
-    worst = 0.0
+    trials = []
     for trial in range(1000):
         K = int(rng.integers(1, 5))
         w = rng.normal(size=K) * (10.0 ** rng.uniform(-1.0, 1.0))
         n1 = float(np.abs(w).sum())
-        T = n1 * float(rng.uniform(0.15, 1.25))
+        trials.append((w, n1, n1 * float(rng.uniform(0.15, 1.25))))
+    # both oracles run on all trials at once, each trial a row padded to K=4
+    # with zeros, which leaves every sum, max and projection unchanged; the
+    # first 50 rows are checked bit for bit against the one-trial oracles
+    W = np.zeros((len(trials), 4))
+    for row, (w, _, _) in zip(W, trials):
+        row[: len(w)] = w
+    radii = np.array([T for _, _, T in trials])
+    oracles = (project_l1_bisect_rows(W, radii), _subgradient_min_rows(W, radii))
+    for i, (w, _, T) in enumerate(trials[:50]):
+        for got, want in zip((o[i] for o in oracles), (project_l1_bisect(w, T), _subgradient_min(w, T))):
+            assert got[: len(w)].tobytes() == want.tobytes() and not got[len(w) :].any()
+    boundary = 0
+    worst = 0.0
+    for i, (w, n1, T) in enumerate(trials):
         res = project_l1_ball(w, T)
         got = _half_sq(res.v_star, w)
         assert float(np.abs(res.v_star).sum()) <= T * (1.0 + 1e-12)
-        best = min(_half_sq(project_l1_bisect(w, T), w), _half_sq(_subgradient_min(w, T), w))
+        best = min(_half_sq(o[i, : len(w)], w) for o in oracles)
         assert abs(got - best) <= 1e-6
         worst = max(worst, abs(got - best))
         if n1 > T:

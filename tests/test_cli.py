@@ -450,6 +450,14 @@ def test_train_out_of_range_schedule_exits_3(flag, value, capsys):
     assert flag.removeprefix("--").replace("-", "_") in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_train_jobs_below_1_exits_3_before_training(jobs, capsys, monkeypatch):
+    # these used to exit 0 after a serial run
+    _train_must_not_run(monkeypatch)
+    err = assert_input_error(capsys, "train", "--M", "4", "--N", "4", "--P", "12", "--jobs", jobs)
+    assert f"--jobs must be at least 1, got {jobs}" in err
+
+
 def test_train_csv_matches_golden_file(capsys):
     # the file pins the CSV bytes across refactors of the quantizer and trainer
     code, out = run(
@@ -751,6 +759,20 @@ def test_analyze_bad_checkpoint_exits_3(tmp_path):
     path.write_text("{not json")
     assert cli.main(["analyze", "--ckpt", str(path), "--M", "4", "--N", "4"]) == 3
     assert cli.main(["analyze", "--ckpt", "/nope.json", "--M", "4", "--N", "4"]) == 3
+
+
+@pytest.mark.parametrize("pmin, pmax", [("9", "3"), ("1", "8")])
+def test_analyze_bad_p_range_is_usage_error_before_reading(pmin, pmax, checkpoints, monkeypatch):
+    # the flags are checked before the checkpoint is read, so a missing file
+    # exits 2 (not 3) and a real one is never loaded
+    def fail(path):
+        raise AssertionError("the checkpoint was read before the P range was checked")
+
+    for ckpt in ("/missing.json", str(checkpoints[0])):
+        monkeypatch.setattr(qat, "load_checkpoint", fail)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["analyze", "--ckpt", ckpt, "--M", "4", "--N", "4", "--pmin", pmin, "--pmax", pmax])
+        assert err.value.code == 2
 
 
 # ---------------------------------------------------------------- pareto

@@ -545,9 +545,8 @@ def test_sgd_step_reports_a_non_finite_bias_or_act_exp(part):
     net, grads = _grads_after_one_batch(cfg)
     gg = grads[-1]
     if part == "bias":
-        db = gg.db.copy()
-        db[-1] = np.inf
-        grads[-1] = gg._replace(db=db)
+        # db is a view of the buffer sgd_step steps by
+        gg.db[-1] = np.inf
     else:
         grads[-1] = gg._replace(da=[*gg.da[:-1], np.inf])
     assert not sgd_step(net, grads, cfg)
@@ -556,6 +555,41 @@ def test_sgd_step_reports_a_non_finite_bias_or_act_exp(part):
     last = net.layers[grads[-1].group.layers[-1]]
     assert np.isfinite(last.bias).all() == (part != "bias")
     assert math.isfinite(last.act_exp) == (part != "act_exp")
+
+
+def _arrays_of(stores, quants) -> list[np.ndarray]:
+    """Every array the stores and their records hold, tapes included."""
+    arrays = []
+    for obj in [*stores, *(st.act_tape for st in stores if st.act_tape is not None), *quants]:
+        arrays += [value for value in vars(obj).values() if isinstance(value, np.ndarray)]
+    return arrays
+
+
+@pytest.mark.parametrize("quantize", [True, False])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_backward_has_no_side_effects(variant, quantize):
+    # backward builds every gradient in buffers it makes: a second call on the
+    # same stores gives the same bits, and the stores, their tapes, the
+    # group records, d_pred and the network are left as they were
+    cfg = tiny_config(variant=variant, dataset=SPLIT)
+    data = make_data(cfg)
+    net = build_network(cfg, data.init_weights)
+    calibrate(net, data.X_train[:32])
+    pred, stores = forward(net, data.X_train[:32], quantize=quantize)
+    d_pred = 2.0 * (pred - data.y_train[:32]) / pred.size
+    quants = list({id(st.quant): st.quant for st in stores}.values())
+    watched = [d_pred, *_arrays_of(stores, quants), *(group.flat for group in net.groups)]
+    before = [(a.shape, a.tobytes()) for a in watched]
+    first, second = (backward(net, stores, d_pred, quantize=quantize) for _ in range(2))
+    assert [(a.shape, a.tobytes()) for a in watched] == before
+    assert len(first) == len(second) == len(net.groups)
+    for a, b, group in zip(first, second, net.groups):
+        assert a.group is b.group is group
+        assert not np.shares_memory(a.flat, b.flat)
+        assert a.flat.shape == group.flat.shape and a.flat.tobytes() == b.flat.tobytes()
+        for name in ("dV", "dt", "dd", "db"):
+            assert getattr(a, name).base is a.flat
+        assert (a.g.tobytes(), a.T.tobytes(), a.da) == (b.g.tobytes(), b.T.tobytes(), b.da)
 
 
 @pytest.mark.parametrize("batch_size", [40, 32, 96, 200])

@@ -464,6 +464,36 @@ def test_layer_rows_equal_single_channel_calls(variant, K):
             assert not dV[i].any() and dt[i] == 0.0 and dd[i] == 0.0
 
 
+@pytest.mark.parametrize("name", ["backward", "backward_smooth"])
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("K", [1, 2, 7])
+def test_layer_backward_writes_only_its_result(name, variant, K):
+    # without out=, with a separate out= and with out[0] aliasing the upstream
+    # gradient, the same bits come back, and the record and the upstream
+    # gradient (unless it is out[0]) are left as they were
+    bits = BitWidths(M=3, N=4, P=10)
+    layer = quantize_layer(*_mixed_layer(K, bits), bits, variant)
+
+    def record():
+        return [(f, v.tobytes()) for f, v in vars(layer).items() if isinstance(v, np.ndarray)]
+
+    before = record()
+    up = RNG(47).normal(size=layer.u.shape)
+    want = getattr(layer, name)(up.copy())
+    C, aliased = len(up), up.copy()
+    cases = [
+        (up, None),
+        (up, (np.full((C, K), np.nan), np.full(C, np.nan), np.full(C, np.nan))),
+        (aliased, (aliased, np.full(C, np.nan), np.full(C, np.nan))),
+    ]
+    for dw, out in cases:
+        got = getattr(layer, name)(dw, out=out)
+        assert out is None or all(g is o for g, o in zip(got, out, strict=True))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert record() == before
+    assert up.tobytes() == RNG(47).normal(size=layer.u.shape).tobytes()
+
+
 @given(
     M=st.integers(2, MAX_WEIGHT_BITS),
     N=st.integers(1, 64),
