@@ -6,9 +6,10 @@ verify (overflow certificates and the derivation self-checks), train
 checkpoint), pareto (frontier extraction from sweep CSV).
 
 Exit codes: 0 success, 2 usage, 3 bad input (an unreadable or malformed
-input, an unwritable --out file, an out-of-range bit width, batch size,
-epoch count or --jobs count, a negative seed, or an ACCQ_ENUM_BUDGET that is
-not a non-negative integer) or a training run that diverged, 4 verification
+input, weights whose l1 mass leaves float range, an unwritable --out file,
+an out-of-range bit width, batch size, epoch count, --jobs count or
+--lambda-reg, a negative seed, or an ACCQ_ENUM_BUDGET that is not a
+non-negative integer) or a training run that diverged, 4 verification
 failure (an overflow or a failed derivation), 5 enumeration budget exceeded.
 Every subcommand is deterministic given its flags, input files, and
 ACCQ_ENUM_BUDGET.
@@ -59,11 +60,6 @@ _VARIANTS = {"a2q": "a2q", "a2q+": "a2q+", "a2q_plus": "a2q+"}
 
 class _InputError(Exception):
     """Bad input file or value: reported on stderr, exit code 3."""
-
-
-def _fmt(x: float) -> str:
-    # integral floats print bare so vectors read like the integer codes they are
-    return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -153,7 +149,8 @@ def cmd_project(ns: argparse.Namespace) -> int:
             )
         )
     else:
-        print("[" + ",".join(_fmt(v) for v in res.v_star) + "]")
+        # integral floats print bare so vectors read like the integer codes they are
+        print("[" + ",".join(str(int(v)) if v.is_integer() else repr(v) for v in res.v_star.tolist()) + "]")
     return EXIT_OK
 
 
@@ -338,7 +335,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- analyze
 
-def _checkpoint_rows(path: str) -> list[np.ndarray]:
+def _checkpoint_layers(path: str) -> list[np.ndarray]:
+    """A checkpoint's layers as (C, K) float arrays: its weights, or a quantized one's pre-round weights."""
     from .qat import load_checkpoint, quantize_network
 
     try:
@@ -348,17 +346,12 @@ def _checkpoint_rows(path: str) -> list[np.ndarray]:
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         # RecursionError: JSON nested deeper than the parser recurses
         raise _InputError(f"bad checkpoint {path}: {exc}") from exc
-    if kind == "float":
-        rows = [row for layer in payload for row in layer]
-    else:
-        try:
-            # one record per fan-in group; channel_cdf only counts rows, so their order is free
-            rows = [row for quant in quantize_network(payload) for row in quant.w]
-        except OverflowError as exc:
-            raise _InputError(f"bad checkpoint {path}: a norm or scale exponent leaves float range") from exc
-    if not rows:
-        raise _InputError(f"{path} holds no channels")
-    return rows
+    try:
+        # a quantized one gives one record per fan-in group; channel_cdf only counts rows, so their order is free
+        layers = payload if kind == "float" else [quant.w for quant in quantize_network(payload)]
+    except OverflowError as exc:
+        raise _InputError(f"bad checkpoint {path}: a norm or scale exponent leaves float range") from exc
+    return layers
 
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
@@ -366,12 +359,12 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 
     if ns.pmin < 2 or ns.pmax < ns.pmin:
         ns.parser.error("need 2 <= pmin <= pmax")
-    rows = _checkpoint_rows(ns.ckpt)
+    layers = _checkpoint_layers(ns.ckpt)
     bits = BitWidths(M=ns.M, N=ns.N, P=max(ns.pmax, 2), act_signed=bool(ns.signed))
     try:
-        curve = channel_cdf(rows, bits, p_range=range(ns.pmin, ns.pmax + 1))
-    except NonFiniteInputError as exc:
-        # a nonzero channel too small for its max-abs scale at M
+        curve = channel_cdf(layers, bits, p_range=range(ns.pmin, ns.pmax + 1))
+    except ValueError as exc:
+        # no channels, a nonzero one too small for its max-abs scale at M, or one whose l1 mass overflows
         raise _InputError(f"bad checkpoint {ns.ckpt}: {exc}") from exc
     for P, frac in curve:
         if ns.json:
@@ -397,9 +390,8 @@ def cmd_pareto(ns: argparse.Namespace) -> int:
         records = [SweepRecord.from_csv_row(ln) for ln in lines[1:]]
     except ValueError as exc:
         raise _InputError(f"{ns.records}: {exc}") from exc
-    records.sort(key=SweepRecord.sort_key)
     best: dict[tuple[str, int], SweepRecord] = {}
-    for rec in records:
+    for rec in sorted(records, key=SweepRecord.sort_key):
         key = (rec.variant, rec.P)
         if key not in best or rec.final_loss < best[key].final_loss:
             best[key] = rec

@@ -10,6 +10,8 @@ threshold from every magnitude, clipping at zero.
 ep_init_layer starts a float layer inside its l1 budgets without projecting:
 it floors each row's scale so that the budget ball covers the row's l1 mass,
 on which the projection is the identity.  ep_init is its one-row view.
+Its two row rules take (C, K) stacks of magnitudes: l1_masses, the one place
+a row's l1 mass is summed, and max_abs_scales, which init_scale views by row.
 """
 
 from __future__ import annotations
@@ -42,16 +44,14 @@ def project_l1_ball(w, radius: float) -> ProjectionResult:
 
     Inactive (returns w unchanged, theta 0) when w is already inside the ball.
     Otherwise the result sits exactly on the boundary, preserves signs, and
-    never grows any coordinate's magnitude.
+    never grows any coordinate's magnitude.  NonFiniteInputError when w's l1
+    mass (l1_masses on w as one row) is not finite.
     """
     if not (radius > 0.0 and math.isfinite(radius)):
         raise NonPositiveRadiusError(f"radius must be positive and finite, got {radius!r}")
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    if not np.all(np.isfinite(w_arr)):
-        raise NonFiniteInputError("w must be finite")
-
     mags = np.abs(w_arr)
-    if float(mags.sum()) <= radius:
+    if float(l1_masses(mags.reshape(1, -1))[0]) <= radius:
         return ProjectionResult(w_arr.copy(), 0.0, False)
 
     mu = np.sort(mags)[::-1]
@@ -71,25 +71,34 @@ def project_l1_ball(w, radius: float) -> ProjectionResult:
     return ProjectionResult(v_star, theta, True)
 
 
-def _max_abs_scale(top: float, M: int) -> float:
-    """The scale that maps a largest magnitude top onto the top M-bit code (2^ZERO_EXPONENT for top 0).
+def l1_masses(mags: np.ndarray) -> np.ndarray:
+    """The one l1-mass rule: the row sums of a (C, K) stack of magnitudes; NonFiniteInputError unless all are finite."""
+    with np.errstate(over="ignore"):
+        masses = np.add.reduce(mags, axis=1)
+    # in Python floats: a numpy reduction costs more than this on a few rows
+    if not all(map(math.isfinite, masses.tolist())):
+        raise NonFiniteInputError("w must be finite, and so must its l1 mass")
+    return masses
 
-    Raises NonFiniteInputError when a nonzero top is so small that the scale underflows to 0.
+
+def max_abs_scales(mags: np.ndarray, M: int) -> np.ndarray:
+    """Per row of a (C, K) stack of magnitudes |W|, the scale that maps its largest onto the top M-bit code.
+
+    A zero row gets 2^ZERO_EXPONENT; NonFiniteInputError when a nonzero row's scale underflows to 0.
     """
-    if not top:
-        return 2.0 ** ZERO_EXPONENT
-    scale = top / ((1 << (M - 1)) - 1)
-    if scale == 0.0:
-        raise NonFiniteInputError(f"w's max-abs scale underflows to 0 (largest magnitude {top!r})")
-    return scale
+    tops = np.maximum.reduce(mags, axis=1)
+    scales = tops / ((1 << (M - 1)) - 1)
+    # a list test: numpy's own costs more than this on a few rows
+    if 0.0 in scales.tolist():
+        if np.logical_or.reduce(tops[scales == 0.0] > 0.0):
+            raise NonFiniteInputError("w's max-abs scale underflows to 0: a nonzero row of subnormal magnitudes")
+        scales[tops == 0.0] = 2.0 ** ZERO_EXPONENT
+    return scales
 
 
 def init_scale(w, M: int) -> float:
-    """Per-channel scale mapping the largest float magnitude onto the top M-bit code.
-
-    NonFiniteInputError when w is not finite or its nonzero scale underflows to 0.
-    """
-    return _max_abs_scale(float(np.abs(finite_vector(w, "w")).max()), M)
+    """max_abs_scales on one channel; NonFiniteInputError when w is not finite or its scale underflows."""
+    return float(max_abs_scales(np.abs(finite_vector(w, "w"))[None], M)[0])
 
 
 def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,23 +115,23 @@ def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[n
     mass, the projection onto it is the identity, and none is run.  g = ||w||_1
     keeps the quantizer's min gate on the norm side.
 
-    Reductions run in numpy, each row's floor and log2 in Python floats, which
-    keeps the one-row view ep_init cheap.  A row that is not finite, whose
-    mass or floor leaves float range, or whose max-abs scale underflows to 0
-    (a nonzero row of subnormal magnitudes), raises NonFiniteInputError.
+    Masses and max-abs scales come from the row rules, each row's floor and
+    log2 in Python floats, which keeps the one-row view ep_init cheap.  A row
+    that is not finite, whose mass or floor leaves float range, or whose
+    max-abs scale underflows to 0 raises NonFiniteInputError.
     """
     V = np.array(W, dtype=float)
     limit = float(channel_budget(V.shape[1], bits, variant)[1])
     mags = np.abs(V)
-    with np.errstate(over="ignore"):
-        masses = mags.sum(axis=1).tolist()
+    masses = l1_masses(mags)
+    scales = max_abs_scales(mags, bits.M)
     t, d = [], []
-    for top, mass in zip(mags.max(axis=1).tolist(), masses):
-        # mass / limit is finite exactly when the row, t and d are; a zero row's floor is 0
-        if not math.isfinite(mass / limit):
-            raise NonFiniteInputError("w must be finite, and so must its l1 mass and scale floor")
+    for mass, scale in zip(masses.tolist(), scales.tolist()):
+        # a finite mass over a budget below 1 can still overflow; a zero row's floor is 0
+        if mass / limit == math.inf:
+            raise NonFiniteInputError("w's scale floor, its l1 mass over the budget, leaves float range")
         t.append(math.log2(mass) if mass > 0.0 else ZERO_EXPONENT)
-        d.append(math.log2(max(_max_abs_scale(top, bits.M), mass / limit)))
+        d.append(math.log2(max(scale, mass / limit)))
     return V, np.array(t), np.array(d)
 
 

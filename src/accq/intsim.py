@@ -372,32 +372,27 @@ def certify(
 def verify_domination(w, s, q) -> bool:
     """True when the rescaled codes s*q never exceed w in magnitude or flip its sign.
 
-    w and q are one row with one scale s, or (C, K) stacks of rows with one
-    scale per row in s; the answer is True only when every row holds.  These
-    are exactly the hypotheses under which replacing w by s*q cannot enlarge
-    any dot product against sign-aligned inputs, so an l1 certificate on w/s
-    transfers to the integer codes.  s*q is the float64 product, as in Python.
+    w and q are (C, K) stacks of rows, a single row being a one-row stack, with
+    one scale per row in s or one for all; True only when every row holds.
+    These are exactly the hypotheses under which replacing w by s*q cannot
+    enlarge any dot product against sign-aligned inputs, so an l1 certificate
+    on w/s transfers to the integer codes.  s*q is the float64 product, as in Python.
     """
-    w_arr = np.asarray(w, dtype=float)
+    w_arr = np.atleast_2d(np.asarray(w, dtype=float))
     if not np.all(np.isfinite(w_arr)):
         raise NonFiniteInputError("w must be finite")
     s_arr = np.asarray(s, dtype=float)
     if not np.all((s_arr > 0.0) & np.isfinite(s_arr)):
         raise NonFiniteInputError(f"scale must be a positive finite float, got {s!r}")
+    if s_arr.size not in (1, len(w_arr)):
+        raise LengthMismatchError(f"{s_arr.size} scales for {len(w_arr)} rows")
     q_arr = q if isinstance(q, np.ndarray) else np.asarray(q, dtype=object)
-    if q_arr.dtype.kind in "iu":
-        codes = q_arr.astype(float)
-    else:
-        codes = np.array(_int_vector(q_arr), dtype=float).reshape(q_arr.shape)
-    if w_arr.ndim == 2:
-        if codes.shape != w_arr.shape:
-            raise LengthMismatchError(f"w shape {w_arr.shape} vs q shape {codes.shape}")
-        s_arr = s_arr.reshape(-1, 1)
-    else:
-        w_arr, codes = w_arr.ravel(), codes.ravel()
-        if codes.size != w_arr.size:
-            raise LengthMismatchError(f"len(w)={w_arr.size} vs len(q)={codes.size}")
-    if np.any(np.abs(s_arr * codes) > np.abs(w_arr)):
+    # integer arrays are codes already; anything else goes code by code
+    ints = q_arr if q_arr.dtype.kind in "iu" else np.array(_int_vector(q_arr), dtype=float).reshape(q_arr.shape)
+    codes = np.atleast_2d(ints).astype(float, copy=False)
+    if codes.shape != w_arr.shape:
+        raise LengthMismatchError(f"w shape {w_arr.shape} vs q shape {codes.shape}")
+    if np.any(np.abs(s_arr.reshape(-1, 1) * codes) > np.abs(w_arr)):
         return False
     # a nonzero code needs w of the same strict sign
     return not np.any(((codes > 0) & ~(w_arr > 0)) | ((codes < 0) & ~(w_arr < 0)))

@@ -38,7 +38,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .bounds import BitWidths, a2q_limit, int_range
-from .epinit import ZERO_EXPONENT, ep_init_layer, init_scale
+from .epinit import ZERO_EXPONENT, ep_init_layer, l1_masses, max_abs_scales
 from .errors import AccumulatorOverflowError, DivergenceError, NonFiniteInputError
 from .intsim import AccumulatorSpec, certify
 from .quantizers import (
@@ -92,6 +92,9 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        # sgd_step's hinge runs only for lam > 0, so NaN and negatives would silently mean 0
+        if not 0.0 <= self.lambda_reg < math.inf:
+            raise ValueError(f"lambda_reg must be finite and non-negative, got {self.lambda_reg}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,8 @@ class SweepRecord:
     """One sweep point.  The CSV form is stable and byte-reproducible.
 
     The fields are the CSV columns in order, and each field's type parses its
-    column back.
+    column back; a final_loss that is not finite, which fit never writes, or
+    a min_slack of n/0 is a ValueError.
     """
 
     variant: str
@@ -128,7 +132,13 @@ class SweepRecord:
         parts = line.strip().split(",")
         if len(parts) != len(_COLUMNS):
             raise ValueError(f"expected {len(_COLUMNS)} CSV fields, got {len(parts)}: {line!r}")
-        return cls(*(parse(part) for parse, part in zip(_COLUMNS.values(), parts)))
+        try:
+            record = cls(*(parse(part) for parse, part in zip(_COLUMNS.values(), parts)))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"{exc} in {line!r}") from exc
+        if not math.isfinite(record.final_loss):
+            raise ValueError(f"final_loss must be finite, got {line!r}")
+        return record
 
 
 # column name -> its parser, in field order
@@ -260,11 +270,6 @@ class ToyNetwork:
 def quantize_network(net: ToyNetwork) -> list[QuantizedLayer]:
     """One quantize_layer record per fan-in group, in net.groups order, from the group's derived plan rows."""
     return [_quantize_rows(group.V, group.t, group.d, group.plan_rows) for group in net.groups]
-
-
-def _layer_rows(net: ToyNetwork, quants: list[QuantizedLayer]) -> list[tuple[QuantizedLayer, slice]]:
-    """Per layer, its group's record and its rows in it."""
-    return [(quants[gi], rows) for gi, rows in net.homes]
 
 
 @dataclass(frozen=True)
@@ -416,8 +421,9 @@ def forward(net: ToyNetwork, X, quantize: bool = True) -> tuple[np.ndarray, list
     h = np.asarray(X, dtype=float)
     stores: list[_LayerStore] = []
     last = len(net.layers) - 1
-    quants = _layer_rows(net, quantize_network(net))
-    for i, (layer, (quant, rows)) in enumerate(zip(net.layers, quants)):
+    quants = quantize_network(net)
+    for i, (layer, (gi, rows)) in enumerate(zip(net.layers, net.homes)):
+        quant = quants[gi]
         if quantize:
             xq, act_tape = _act_forward(h, layer)
         else:
@@ -532,17 +538,11 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
     if not math.isfinite(final_loss):
         raise DivergenceError("non-finite final loss")
     quants = certify_accumulators(net)
-    record = SweepRecord(
-        variant=config.variant.value,
-        M=config.bits.M,
-        N=config.bits.N,
-        P=config.bits.P,
-        seed=config.seed,
-        final_loss=final_loss,
-        sparsity=measure_sparsity(quants),
-        min_slack=min_bound_slack(quants),
+    bits = config.bits
+    return net, SweepRecord(
+        config.variant.value, bits.M, bits.N, bits.P, config.seed,
+        final_loss, measure_sparsity(quants), min_bound_slack(quants),
     )
-    return net, record
 
 
 def _batches(config: TrainConfig, data: DataBundle):
@@ -630,9 +630,9 @@ def certify_accumulators(net: ToyNetwork) -> list[QuantizedLayer]:
     sweep.  Returns the group records it certified.
     """
     quants = quantize_network(net)
-    for li, (layer, (quant, rows)) in enumerate(zip(net.layers, _layer_rows(net, quants))):
+    for li, (layer, (gi, rows)) in enumerate(zip(net.layers, net.homes)):
         bits = layer.bits
-        certs = certify(quant.q[rows], bits.N, bits.act_signed, AccumulatorSpec(P=bits.P))
+        certs = certify(quants[gi].q[rows], bits.N, bits.act_signed, AccumulatorSpec(P=bits.P))
         for ci, cert in enumerate(certs):
             if cert.overflowed:
                 raise AccumulatorOverflowError(
@@ -642,21 +642,22 @@ def certify_accumulators(net: ToyNetwork) -> list[QuantizedLayer]:
     return quants
 
 
-def channel_cdf(channels, bits: BitWidths, p_range=range(2, 33)) -> list[tuple[int, float]]:
-    """Feasibility curve for float channels under the max-abs init scale.
+def channel_cdf(layers, bits: BitWidths, p_range=range(2, 33)) -> list[tuple[int, float]]:
+    """Feasibility curve for float layers, each a (C, K) array, under the max-abs init scale.
 
-    For each P, the fraction of channels whose scaled l1 mass fits the
-    uncentered budget at (P, N).  Nondecreasing in P.
+    For each P, the fraction of rows whose l1 mass (epinit.l1_masses) over
+    their max-abs scale (epinit.max_abs_scales) fits the uncentered budget at
+    (P, N).  Nondecreasing in P.  NonFiniteInputError when a row's mass is not
+    finite or its scale underflows.
     """
-    rows = [np.atleast_1d(np.asarray(w, dtype=float)) for w in channels]
-    if not rows:
+    mags = [np.abs(W) for W in layers]
+    scaled = np.concatenate([np.empty(0)] + [l1_masses(m) / max_abs_scales(m, bits.M) for m in mags])
+    if not scaled.size:
         raise ValueError("need at least one channel")
-    masses = [float(np.abs(w).sum()) / init_scale(w, bits.M) for w in rows]
-    out = []
-    for P in p_range:
-        limit = float(a2q_limit(P, bits.N, bits.act_signed))
-        out.append((int(P), sum(1 for m in masses if m <= limit) / len(masses)))
-    return out
+    return [
+        (int(P), np.count_nonzero(scaled <= float(a2q_limit(P, bits.N, bits.act_signed))) / scaled.size)
+        for P in p_range
+    ]
 
 
 def save_checkpoint(path, net: ToyNetwork) -> None:
@@ -693,7 +694,10 @@ def save_float_checkpoint(path, weights) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns ("quantized", ToyNetwork) or ("float", weight rows)."""
+    """Read a checkpoint; returns ("quantized", ToyNetwork) or ("float", one (C, K) array per layer).
+
+    Each layer's channels stack into arrays, so a layer with none or with ragged ones is a ValueError.
+    """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError("checkpoint must be a JSON object")
@@ -703,7 +707,6 @@ def load_checkpoint(path):
         for entry in payload["layers"]:
             b = entry["bits"]
             bw = BitWidths(M=int(b["M"]), N=int(b["N"]), P=int(b["P"]), act_signed=bool(b["act_signed"]))
-            # np.stack rejects a layer with no channels or with ragged ones
             V = np.stack([finite_vector(c["v"], "v") for c in entry["channels"]])
             t, d = (finite_vector([c[name] for c in entry["channels"]], name) for name in "td")
             bias = finite_vector(entry["bias"], "bias")
@@ -713,5 +716,5 @@ def load_checkpoint(path):
             layers.append(QuantLinear(V=V, t=t, d=d, bits=bw, bias=bias, act_exp=act_exp))
         return "quantized", ToyNetwork(layers=layers, variant=Variant(payload["variant"]))
     if kind == "float":
-        return "float", [[finite_vector(c["w"], "w") for c in entry["channels"]] for entry in payload["layers"]]
+        return "float", [np.stack([finite_vector(c["w"], "w") for c in e["channels"]]) for e in payload["layers"]]
     raise ValueError(f"unrecognized checkpoint kind: {kind!r}")

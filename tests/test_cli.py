@@ -126,6 +126,8 @@ def test_project_keeps_the_budget_when_a_magnitude_dwarfs_it(capsys, weights, ra
 
 
 def test_project_bad_input_is_parse_error(capsys):
+    # finite weights whose l1 mass overflows: these used to print [1,1], outside the ball
+    assert "l1 mass" in assert_input_error(capsys, "project", "--radius", "1", "--weights", "1e308,1e308")
     assert cli.main(["project", "--radius", "0", "--weights", "1,2"]) == 3
     assert cli.main(["project", "--radius", "1", "--weights", "a,b"]) == 3
     assert cli.main(["project", "--radius", "1", "--weights", ""]) == 3
@@ -444,7 +446,14 @@ def test_train_negative_seed_exits_3(capsys):
     assert_input_error(capsys, "train", "--M", "4", "--N", "4", "--P", "12", "--seed", "-1", *TRAIN_FAST)
 
 
-@pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--batch-size", "-4"), ("--epochs", "-1")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--batch-size", "0"), ("--batch-size", "-4"), ("--epochs", "-1"),
+        # the hinge runs only for lambda_reg > 0: NaN and -1 used to train as 0
+        ("--lambda-reg", "nan"), ("--lambda-reg", "-1"), ("--lambda-reg", "inf"),
+    ],
+)
 def test_train_out_of_range_schedule_exits_3(flag, value, capsys):
     err = assert_input_error(capsys, "train", "--M", "4", "--N", "4", "--P", "12", *TRAIN_FAST, flag, value)
     assert flag.removeprefix("--").replace("-", "_") in err
@@ -614,6 +623,15 @@ def checkpoints(tmp_path_factory):
     return qpath, fpath
 
 
+# analyze --json's full default curve on the quantized fixture: of its 36
+# channels, one fits at P = 10 and every one from P = 11
+QUANT_CURVE = (
+    "".join(f'{{"P": {P}, "fraction": 0.0}}\n' for P in range(2, 10))
+    + '{"P": 10, "fraction": 0.027777777777777776}\n'
+    + "".join(f'{{"P": {P}, "fraction": 1.0}}\n' for P in range(11, 33))
+)
+
+
 def test_analyze_quantized_checkpoint(checkpoints, capsys):
     qpath, _ = checkpoints
     code, out = run(capsys, "analyze", "--ckpt", str(qpath), "--M", "4", "--N", "4", "--json")
@@ -629,6 +647,37 @@ def test_analyze_float_checkpoint(checkpoints, capsys):
     code, out = run(capsys, "analyze", "--ckpt", str(fpath), "--M", "8", "--N", "8", "--pmin", "2", "--pmax", "24")
     assert code == 0
     assert len(out.splitlines()) == 23
+
+
+def _on_budget_rows(K: int) -> list[list[float]]:
+    # per P in 8..13 a row of 7s topped up to the unsigned A2Q budget
+    # (2^{P-1} - 1) / 16 at N = 4: its max-abs scale at M = 4 is 1, so its
+    # scaled mass is that budget, exactly
+    rows = []
+    for P in range(8, 14):
+        limit = ((1 << (P - 1)) - 1) / 16
+        sevens = int(limit // 7)
+        rows.append([7.0] * sevens + [limit - 7 * sevens] + [0.0] * (K - sevens - 1))
+    return rows
+
+
+def test_analyze_curves_are_pinned(checkpoints, tmp_path, capsys):
+    # rows on their budgets fit at that P and not below; a row of mass 32, a
+    # sixteenth over the P = 10 budget 511/16, fits from P = 11; a zero row fits
+    # everywhere; and a second layer, of another K, has mass 21 and fits from P = 10
+    over = [7.0] * 4 + [4.0] + [0.0] * 35
+    layers = [_on_budget_rows(40) + [over, [0.0] * 40], [[7.0, -7.0, 7.0]]]
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps({"kind": "float", "layers": [{"channels": [{"w": w} for w in W]} for W in layers]}))
+    code, out = run(capsys, "analyze", "--ckpt", str(path), "--M", "4", "--N", "4", "--pmin", "7", "--pmax", "14", "--json")
+    assert code == 0
+    assert out == "".join(
+        json.dumps({"P": P, "fraction": frac}) + "\n"
+        for P, frac in zip(range(7, 15), [1 / 9, 2 / 9, 3 / 9, 5 / 9, 7 / 9, 8 / 9, 1.0, 1.0])
+    )
+    code, out = run(capsys, "analyze", "--ckpt", str(checkpoints[0]), "--M", "4", "--N", "4", "--json")
+    assert code == 0
+    assert out == QUANT_CURVE
 
 
 def test_analyze_out_of_range_M_exits_3(checkpoints, capsys):
@@ -680,6 +729,10 @@ def test_analyze_too_wide_weights_exits_3(checkpoints, capsys):
         {"kind": "float", "layers": [{"channels": [{"w": []}]}]},
         {"kind": "float", "layers": [{"channels": [{"w": [1.0, float("nan")]}]}]},
         {"kind": "float", "layers": [{"channels": [{"w": [[1.0, 2.0], [3.0, 4.0]]}]}]},
+        # a float layer whose channels differ in length, as a ragged quantized layer
+        {"kind": "float", "layers": [{"channels": [{"w": [1.0, 2.0]}, {"w": [3.0]}]}]},
+        # finite weights whose l1 mass overflows
+        {"kind": "float", "layers": [{"channels": [{"w": [1e308, 1e308]}]}]},
     ],
 )
 def test_analyze_malformed_checkpoint_exits_3(payload, tmp_path, capsys):
@@ -819,6 +872,13 @@ def test_pareto_empty_or_malformed_exits_3(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("wrong,header\n1,2\n")
     assert cli.main(["pareto", "--records", str(bad)]) == 3
+    # a zero denominator used to end in a ZeroDivisionError traceback, and a
+    # NaN loss that sorts first used to win the frontier
+    for row in ["a2q,4,4,12,0,0.5,0.25,1/0", "a2q,4,4,12,0,nan,0.25,1/2", "a2q,4,4,12,0,inf,0.25,1/2"]:
+        odd = tmp_path / "odd.csv"
+        odd.write_text(_csv([row, "a2q,4,4,12,1,0.5,0.25,1/2"]))
+        err = assert_shell_input_error(["pareto", "--records", str(odd)])
+        assert row in err
 
 
 def test_pareto_json(tmp_path, capsys):

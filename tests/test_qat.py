@@ -663,7 +663,7 @@ def test_min_bound_slack_is_exact():
 def test_channel_cdf_frozen_at_mass_100():
     # max|w| = 7 units so the init scale is exactly the unit, total mass 100
     w = np.array([7.0] * 14 + [2.0])
-    cdf = dict(channel_cdf([w], BitWidths(M=4, N=4, P=12)))
+    cdf = dict(channel_cdf([w[None]], BitWidths(M=4, N=4, P=12)))
     assert cdf[11] == 0.0
     assert cdf[12] == 1.0
     assert float(a2q_limit(12, 4, False)) >= 100.0 > float(a2q_limit(11, 4, False))
@@ -672,10 +672,10 @@ def test_channel_cdf_frozen_at_mass_100():
 def test_channel_cdf_monotone_and_zero_channel():
     rng = np.random.default_rng(8)
     rows = [rng.normal(size=10) * 3 for _ in range(20)]
-    curve = channel_cdf(rows, BitWidths(M=8, N=4, P=16))
+    curve = channel_cdf([np.stack(rows)], BitWidths(M=8, N=4, P=16))
     fracs = [f for _, f in curve]
     assert all(a <= b for a, b in zip(fracs, fracs[1:]))
-    flat = channel_cdf([np.zeros(4)], BitWidths(M=8, N=4, P=16))
+    flat = channel_cdf([np.zeros((1, 4))], BitWidths(M=8, N=4, P=16))
     assert all(f == 1.0 for _, f in flat)
 
 
@@ -729,10 +729,9 @@ def test_float_checkpoint_round_trip(tmp_path):
     run = float_baseline(tiny_config(seed=10, epochs=2))
     path = tmp_path / "float.json"
     save_float_checkpoint(path, run.weights)
-    kind, rows = load_checkpoint(path)
+    kind, layers = load_checkpoint(path)
     assert kind == "float"
-    for W, got in zip(run.weights, rows):
-        assert np.array_equal(np.stack(got), W)
+    assert [got.tobytes() for got in layers] == [W.tobytes() for W in run.weights]
     payload = json.loads(path.read_text())
     assert payload["kind"] == "float"
 

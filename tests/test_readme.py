@@ -52,7 +52,7 @@ SESSIONS = _sessions()
 def test_readme_has_runnable_sessions():
     runnable = [steps for steps in SESSIONS if _skip_reason(steps) is None]
     commands = {argv[1] for steps in runnable for argv, _ in steps if argv[0] == "accq"}
-    assert {"bounds", "project", "verify", "train"} <= commands
+    assert {"bounds", "project", "verify", "train", "analyze", "pareto"} <= commands
 
 
 @pytest.mark.parametrize(
