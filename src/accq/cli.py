@@ -7,9 +7,9 @@ checkpoint), pareto (frontier extraction from sweep CSV).
 
 Exit codes: 0 success, 2 usage, 3 bad input (an unreadable or malformed
 input, weights whose l1 mass leaves float range, an unwritable --out file,
-an out-of-range bit width, batch size, epoch count, --jobs count or
---lambda-reg, a negative seed, or an ACCQ_ENUM_BUDGET that is not a
-non-negative integer) or a training run that diverged, 4 verification
+an out-of-range bit width, batch size, epoch count, --jobs count, --lr,
+--weight-decay or --lambda-reg, a negative seed, or an ACCQ_ENUM_BUDGET
+that is not a non-negative integer) or a training run that diverged, 4 verification
 failure (an overflow or a failed derivation), 5 enumeration budget exceeded.
 Every subcommand is deterministic given its flags, input files, and
 ACCQ_ENUM_BUDGET.

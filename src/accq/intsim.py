@@ -7,7 +7,9 @@ array within int64, the call holds at least 256 codes and the bound
 B = K * max|q| * max(|c|, |d|), from its longest row and its largest code, is
 below 2^62; Python ints for every row otherwise.  The exhaustive enumerator
 holds its sums in the narrowest of int16, int32 and int64 that provably fits,
-else in two int64 limbs, else in Python ints (an object array).
+else in two int64 limbs, else in Python ints (an object array), in blocks
+of 2^18 sums in one reused buffer filled from a tail of at most 2^15 sums: a
+block-sized tail doubles the heap a call frees, which page-faults back in.
 
 certify is the one certificate rule: it gives every row the closed-form
 worst case and decides which rows the exhaustive oracle also enumerates.
@@ -206,9 +208,10 @@ def _blocks(qs: list[int], c: int, R: int, dtype):
                 block += base
                 yield lead * R + start, block
         return
-    # a space over _BLOCK reuses one buffer
+    # a space over _BLOCK reuses one buffer, filled from a tail of at most _BLOCK / 8
+    # sums (one input's range if wider): the heap then keeps its pages between calls
     table = _products(qs, c, c + R, dtype)
-    T = next(t for t in range(K, -1, -1) if R ** t <= _BLOCK)
+    T = next((t for t in range(K, 0, -1) if R ** t <= _BLOCK >> 3), 1)
     tail = _outer_sums(table[K - T:])
     lead = _outer_sums(table[:K - T])
     n, per = len(tail), _BLOCK // len(tail)
@@ -274,8 +277,9 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
     (2^N)^K exceeds the budget (default 2^24, env ACCQ_ENUM_BUDGET overrides).
     Sums are int16, int32 or int64 when B = K * max|q| * max(|c|, |d|) is below
     2^15, 2^31 or 2^62, two int64 limbs while each limb's sums stay below 2^62,
-    Python ints beyond, and come in blocks of at most 2^18.  The witnesses are
-    the first extremes, the last element varying fastest.
+    Python ints beyond, and come in blocks of at most 2^18, all in one buffer
+    filled from a tail of at most 2^15 sums (or one input's range, if wider).
+    The witnesses are the first extremes, the last element varying fastest.
     """
     qs = _int_vector(q)
     K = len(qs)

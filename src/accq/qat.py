@@ -92,6 +92,11 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        # a negative lr ascends and a negative decay anti-decays; NaN and inf looked like divergence
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and non-negative, got {self.weight_decay}")
         # sgd_step's hinge runs only for lam > 0, so NaN and negatives would silently mean 0
         if not 0.0 <= self.lambda_reg < math.inf:
             raise ValueError(f"lambda_reg must be finite and non-negative, got {self.lambda_reg}")
@@ -708,6 +713,7 @@ def load_checkpoint(path):
             b = entry["bits"]
             bw = BitWidths(M=int(b["M"]), N=int(b["N"]), P=int(b["P"]), act_signed=bool(b["act_signed"]))
             V = np.stack([finite_vector(c["v"], "v") for c in entry["channels"]])
+            l1_masses(np.abs(V))  # the quantizer divides each row by its mass
             t, d = (finite_vector([c[name] for c in entry["channels"]], name) for name in "td")
             bias = finite_vector(entry["bias"], "bias")
             act_exp = float(entry["act_exp"])

@@ -13,13 +13,27 @@ import numpy as np
 from accq.errors import NonFiniteInputError
 
 
+def _range(N: int, signed: bool) -> tuple[int, int]:
+    return (-(1 << (N - 1)), (1 << (N - 1)) - 1) if signed else (0, (1 << N) - 1)
+
+
 def _inputs(q, N: int, signed: bool):
-    lo, hi = (-(1 << (N - 1)), (1 << (N - 1)) - 1) if signed else (0, (1 << N) - 1)
+    lo, hi = _range(N, signed)
     return itertools.product(range(lo, hi + 1), repeat=len(q))
 
 
 def brute_extremes(q, N: int, signed: bool) -> tuple[int, int]:
-    """Max and min dot product by materializing every input vector (tiny K only)."""
+    """Max and min dot product by materializing every input vector (tiny K only).
+
+    When K * max|q| * max(|lo|, |hi|) < 2^62 bounds every partial sum, the
+    input vectors are the columns of one int64 grid and their dot products one
+    matrix product; otherwise each vector's dot product is a Python-int sum.
+    """
+    lo, hi = _range(N, signed)
+    if q and len(q) * max(map(abs, q)) * max(-lo, hi) < 1 << 62:
+        grid = np.indices((hi - lo + 1,) * len(q), dtype=np.int64).reshape(len(q), -1) + lo
+        dots = np.array(q, dtype=np.int64) @ grid
+        return int(dots.max()), int(dots.min())
     best_hi = None
     best_lo = None
     for x in _inputs(q, N, signed):

@@ -452,6 +452,10 @@ def test_train_negative_seed_exits_3(capsys):
         ("--batch-size", "0"), ("--batch-size", "-4"), ("--epochs", "-1"),
         # the hinge runs only for lambda_reg > 0: NaN and -1 used to train as 0
         ("--lambda-reg", "nan"), ("--lambda-reg", "-1"), ("--lambda-reg", "inf"),
+        # a negative lr or decay used to train (ascent, anti-decay); NaN and inf
+        # were reported as a divergence
+        ("--lr", "nan"), ("--lr", "-0.1"), ("--lr", "0"), ("--lr", "inf"),
+        ("--weight-decay", "-1"), ("--weight-decay", "nan"), ("--weight-decay", "inf"),
     ],
 )
 def test_train_out_of_range_schedule_exits_3(flag, value, capsys):
@@ -483,7 +487,7 @@ def test_train_too_wide_weights_exits_3(capsys):
 
 @pytest.mark.parametrize(
     "lr, epochs, reason",
-    [("1e6", "2", "parameter overflow at epoch 0"), ("nan", "1", "non-finite loss at epoch 0")],
+    [("1e6", "2", "parameter overflow at epoch 0")],
 )
 def test_train_divergence_exits_3(lr, epochs, reason, capsys):
     with np.errstate(all="ignore"):
@@ -733,6 +737,19 @@ def test_analyze_too_wide_weights_exits_3(checkpoints, capsys):
         {"kind": "float", "layers": [{"channels": [{"w": [1.0, 2.0]}, {"w": [3.0]}]}]},
         # finite weights whose l1 mass overflows
         {"kind": "float", "layers": [{"channels": [{"w": [1e308, 1e308]}]}]},
+        # a finite direction row whose l1 mass overflows, which the quantizer divides by
+        {
+            "kind": "quantized",
+            "variant": "a2q",
+            "layers": [
+                {
+                    "bits": {"M": 4, "N": 4, "P": 12, "act_signed": False},
+                    "act_exp": 0.0,
+                    "bias": [0.0],
+                    "channels": [{"v": [1e308, 1e308], "t": 1.0, "d": 0.0}],
+                }
+            ],
+        },
     ],
 )
 def test_analyze_malformed_checkpoint_exits_3(payload, tmp_path, capsys):

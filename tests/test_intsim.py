@@ -216,6 +216,47 @@ def test_exhaustive_witnesses_are_the_first_extremes(channel):
     assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == brute_witness(q, N, signed)
 
 
+# a block of 64 to 512 sums sends these small channels through the blocked
+# paths: a block that is not a power of two ends in a chunk of fewer than
+# `per` leading sums, and an input range wider than an eighth of a block
+# (R = 16 against 64 or 100) is itself the tail
+@given(block=st.integers(min_value=1 << 6, max_value=1 << 9), channel=_enumerable_channels())
+@example(block=100, channel=([3, -1, 2, 0, -2, 1], 2, False))
+@example(block=64, channel=([5, -7, 3], 4, True))
+@example(block=100, channel=([1 << 59, -(1 << 59), 7], 4, False))
+@example(block=100, channel=([2**130, -3, 1], 4, True))
+@example(block=64, channel=([-9], 7, True))
+@settings(max_examples=100, deadline=None)
+def test_exhaustive_blocked_paths_match_brute_force(block, channel):
+    q, N, signed = channel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intsim, "_BLOCK", block)
+        wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
+    assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == brute_witness(q, N, signed)
+
+
+def test_exhaustive_working_set_is_about_one_block(monkeypatch):
+    # 8^7 int16 sums in blocks of 2^18: one reused block buffer plus a tail of
+    # at most 2^15 sums, where a block-sized tail peaked at two buffers.  An
+    # input range wider than an eighth of a block (16 against 64) is the tail
+    # on its own: the 16^4 sums, 128 KB, are never all held at once
+    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
+    for block, q, N, max_peak in [
+        (intsim._BLOCK, [3, -2, 1, 0, -3, 2, 1], 3, 1.25 * intsim._BLOCK * np.dtype(np.int16).itemsize),
+        (64, [3, -2, 1, -3], 4, 64 << 10),
+    ]:
+        monkeypatch.setattr(intsim, "_BLOCK", block)
+        tracemalloc.start()
+        try:
+            wit = exhaustive_check(q, N, True, AccumulatorSpec(P=16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fast = check_accumulator(q, N, True, AccumulatorSpec(P=16))
+        assert (wit.true_max, wit.true_min) == (fast.true_max, fast.true_min)
+        assert peak < max_peak
+
+
 def test_exhaustive_bigint_fallback_matches():
     # entries near 2^61 overflow int64 products, falling back to python ints
     big = (1 << 61) - 3
