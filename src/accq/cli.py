@@ -359,8 +359,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 
     if ns.pmin < 2 or ns.pmax < ns.pmin:
         ns.parser.error("need 2 <= pmin <= pmax")
+    bits = BitWidths(M=ns.M, N=ns.N, P=ns.pmax, act_signed=bool(ns.signed))
     layers = _checkpoint_layers(ns.ckpt)
-    bits = BitWidths(M=ns.M, N=ns.N, P=max(ns.pmax, 2), act_signed=bool(ns.signed))
     try:
         curve = channel_cdf(layers, bits, p_range=range(ns.pmin, ns.pmax + 1))
     except ValueError as exc:

@@ -9,9 +9,10 @@ threshold from every magnitude, clipping at zero.
 
 ep_init_layer starts a float layer inside its l1 budgets without projecting:
 it floors each row's scale so that the budget ball covers the row's l1 mass,
-on which the projection is the identity.  ep_init is its one-row view.
-Its two row rules take (C, K) stacks of magnitudes: l1_masses, the one place
-a row's l1 mass is summed, and max_abs_scales, which init_scale views by row.
+on which the projection is the identity.  ep_init is its one-row view, kept
+for the benchmark's quantize_audit workload.  Its two row rules take (C, K)
+stacks of magnitudes: l1_masses, the one place a row's l1 mass is summed, and
+max_abs_scales, the max-abs scale rule.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .bounds import BitWidths
 from .errors import NonFiniteInputError, NonPositiveRadiusError
-from .quantizers import ChannelWeights, Variant, channel_budget, finite_vector
+from .quantizers import ChannelWeights, Variant, channel_budget
 
 # exponent used when a channel (or its norm) is identically zero; 2^-30 is far
 # below any realistic scale but keeps every downstream log finite
@@ -51,7 +52,7 @@ def project_l1_ball(w, radius: float) -> ProjectionResult:
         raise NonPositiveRadiusError(f"radius must be positive and finite, got {radius!r}")
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     mags = np.abs(w_arr)
-    if float(l1_masses(mags.reshape(1, -1))[0]) <= radius:
+    if float(l1_masses(mags.reshape(1, -1), "w")[0]) <= radius:
         return ProjectionResult(w_arr.copy(), 0.0, False)
 
     mu = np.sort(mags)[::-1]
@@ -71,13 +72,13 @@ def project_l1_ball(w, radius: float) -> ProjectionResult:
     return ProjectionResult(v_star, theta, True)
 
 
-def l1_masses(mags: np.ndarray) -> np.ndarray:
-    """The one l1-mass rule: the row sums of a (C, K) stack of magnitudes; NonFiniteInputError unless all are finite."""
+def l1_masses(mags: np.ndarray, name: str) -> np.ndarray:
+    """The one l1-mass rule: the row sums of a (C, K) stack of |name|; NonFiniteInputError unless all are finite."""
     with np.errstate(over="ignore"):
         masses = np.add.reduce(mags, axis=1)
     # in Python floats: a numpy reduction costs more than this on a few rows
     if not all(map(math.isfinite, masses.tolist())):
-        raise NonFiniteInputError("w must be finite, and so must its l1 mass")
+        raise NonFiniteInputError(f"{name} must be finite, and so must its l1 mass")
     return masses
 
 
@@ -94,11 +95,6 @@ def max_abs_scales(mags: np.ndarray, M: int) -> np.ndarray:
             raise NonFiniteInputError("w's max-abs scale underflows to 0: a nonzero row of subnormal magnitudes")
         scales[tops == 0.0] = 2.0 ** ZERO_EXPONENT
     return scales
-
-
-def init_scale(w, M: int) -> float:
-    """max_abs_scales on one channel; NonFiniteInputError when w is not finite or its scale underflows."""
-    return float(max_abs_scales(np.abs(finite_vector(w, "w"))[None], M)[0])
 
 
 def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,7 +119,7 @@ def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[n
     V = np.array(W, dtype=float)
     limit = float(channel_budget(V.shape[1], bits, variant)[1])
     mags = np.abs(V)
-    masses = l1_masses(mags)
+    masses = l1_masses(mags, "w")
     scales = max_abs_scales(mags, bits.M)
     t, d = [], []
     for mass, scale in zip(masses.tolist(), scales.tolist()):

@@ -215,7 +215,9 @@ def _blocks(qs: list[int], c: int, R: int, dtype):
     tail = _outer_sums(table[K - T:])
     lead = _outer_sums(table[:K - T])
     n, per = len(tail), _BLOCK // len(tail)
-    buf = np.empty(min(per, len(lead)) * n, dtype=table.dtype)
+    # 64-byte aligned, not wherever malloc puts it: numpy's add, argmax and argmin ran 20-30% slower 16 bytes off
+    raw = np.empty(min(per, len(lead)) * n + 64, dtype=table.dtype)
+    buf = raw[-raw.ctypes.data % 64 // raw.itemsize :]
     for start in range(0, len(lead), per):
         chunk = lead[start:start + per, None]
         block = buf[:len(chunk) * n]

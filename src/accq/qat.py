@@ -267,10 +267,6 @@ class ToyNetwork:
             for i, rows in zip(group.layers, group.rows):
                 self.homes[i] = (gi, rows)
 
-    @property
-    def topology(self) -> tuple[int, ...]:
-        return (self.layers[0].V.shape[1], *(len(layer.V) for layer in self.layers))
-
 
 def quantize_network(net: ToyNetwork) -> list[QuantizedLayer]:
     """One quantize_layer record per fan-in group, in net.groups order, from the group's derived plan rows."""
@@ -529,20 +525,18 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
     calibrate(net, data.X_train[: min(256, len(data.X_train))])
     for epoch, xb, yb in _batches(config, data):
         pred, stores = _quantized_forward(net, xb, f"epoch {epoch}")
-        # mse and its gradient from one difference, in mse's operations
-        diff = pred - yb
-        loss = float(np.add.reduce(diff * diff, axis=None) / diff.size)
-        if not math.isfinite(loss):
+        if not math.isfinite(mse(pred, yb)):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        d_pred = 2.0 * diff / diff.size
+        d_pred = 2.0 * (pred - yb) / pred.size
         grads = backward(net, stores, d_pred, quantize=True)
         if not sgd_step(net, grads, config):
             # the next loss cannot be finite; stop before numpy casts NaNs
             raise DivergenceError(f"non-finite loss at epoch {epoch}: an SGD step made a parameter non-finite")
-    final_loss = mse(_quantized_forward(net, data.X_test, "the final evaluation")[0], data.y_test)
+    pred, stores = _quantized_forward(net, data.X_test, "the final evaluation")
+    final_loss = mse(pred, data.y_test)
     if not math.isfinite(final_loss):
         raise DivergenceError("non-finite final loss")
-    quants = certify_accumulators(net)
+    quants = certify_accumulators(net, [stores[group.layers[0]].quant for group in net.groups])
     bits = config.bits
     return net, SweepRecord(
         config.variant.value, bits.M, bits.N, bits.P, config.seed,
@@ -626,15 +620,14 @@ def min_bound_slack(quants: list[QuantizedLayer]) -> Fraction:
     return min(b - l1 for quant in quants for b, l1 in zip(quant.bound, quant.l1_codes))
 
 
-def certify_accumulators(net: ToyNetwork) -> list[QuantizedLayer]:
+def certify_accumulators(net: ToyNetwork, quants: list[QuantizedLayer]) -> list[QuantizedLayer]:
     """Exact post-training overflow audit; raises AccumulatorOverflowError on any hazard.
 
-    Quantizes the network once and makes one intsim.certify call per layer, on
-    that layer's rows: every channel gets the closed-form worst case, and
-    channels small enough for the enumeration budget also get the exhaustive
-    sweep.  Returns the group records it certified.
+    quants holds one record per fan-in group, in net.groups order (as from
+    quantize_network).  One intsim.certify call per layer, on its rows there:
+    every channel gets the closed-form worst case, and channels small enough
+    for the enumeration budget also get the exhaustive sweep.  Returns quants.
     """
-    quants = quantize_network(net)
     for li, (layer, (gi, rows)) in enumerate(zip(net.layers, net.homes)):
         bits = layer.bits
         certs = certify(quants[gi].q[rows], bits.N, bits.act_signed, AccumulatorSpec(P=bits.P))
@@ -656,7 +649,7 @@ def channel_cdf(layers, bits: BitWidths, p_range=range(2, 33)) -> list[tuple[int
     finite or its scale underflows.
     """
     mags = [np.abs(W) for W in layers]
-    scaled = np.concatenate([np.empty(0)] + [l1_masses(m) / max_abs_scales(m, bits.M) for m in mags])
+    scaled = np.concatenate([np.empty(0)] + [l1_masses(m, "w") / max_abs_scales(m, bits.M) for m in mags])
     if not scaled.size:
         raise ValueError("need at least one channel")
     return [
@@ -713,7 +706,7 @@ def load_checkpoint(path):
             b = entry["bits"]
             bw = BitWidths(M=int(b["M"]), N=int(b["N"]), P=int(b["P"]), act_signed=bool(b["act_signed"]))
             V = np.stack([finite_vector(c["v"], "v") for c in entry["channels"]])
-            l1_masses(np.abs(V))  # the quantizer divides each row by its mass
+            l1_masses(np.abs(V), "v")  # the quantizer divides each row by its mass
             t, d = (finite_vector([c[name] for c in entry["channels"]], name) for name in "td")
             bias = finite_vector(entry["bias"], "bias")
             act_exp = float(entry["act_exp"])

@@ -19,7 +19,7 @@ per-row certificates and the forward state whose backward passes return
 (dV, dt, dd) arrays.
 forward_weights returns WeightTape, the single C = 1 row view of that record,
 for one ChannelWeights; both are kept for the benchmark's quantize_audit
-workload and for tests, and nothing in the package calls them.  Row
+workload, and nothing in the package calls them.  Row
 reductions use np.add.reduce and np.vecdot, which equal the per-row sum() and
 np.dot bit for bit, and 2^t, 2^d use Python's float pow per row (np.exp2
 differs in the last bit), so a layer's row i is exactly what channel i gives
@@ -87,14 +87,6 @@ class ChannelWeights:
     @property
     def K(self) -> int:
         return self.v.size
-
-    @property
-    def g(self) -> float:
-        return 2.0 ** self.t
-
-    @property
-    def s(self) -> float:
-        return 2.0 ** self.d
 
 
 @dataclasses.dataclass
@@ -180,11 +172,11 @@ class QuantizedLayer:
 
 
 class WeightTape:
-    """The C = 1 view of a one-row QuantizedLayer, with one channel's backward passes.
+    """The C = 1 view of a one-row QuantizedLayer, with one channel's backward pass.
 
     Every per-row field reads as its only row (q is a (K,) vector, l1_codes
-    an int, g a scalar); layer-wide fields read as they are.  The backward
-    passes take and return one channel's gradients.
+    an int, g a scalar); layer-wide fields read as they are.  backward takes
+    and returns one channel's gradients.
     """
 
     def __init__(self, layer: QuantizedLayer) -> None:
@@ -193,10 +185,6 @@ class WeightTape:
     def __getattr__(self, name: str):
         value = getattr(self.layer, name)
         return value[0] if isinstance(value, (np.ndarray, list)) else value
-
-    def backward_smooth(self, d_w) -> tuple[np.ndarray, float, float]:
-        dv, dt, dd = self.layer.backward_smooth(np.asarray(d_w, dtype=float)[None])
-        return dv[0], float(dt[0]), float(dd[0])
 
     def backward(self, d_qw) -> tuple[np.ndarray, float, float]:
         dv, dt, dd = self.layer.backward(np.asarray(d_qw, dtype=float)[None])
@@ -227,8 +215,7 @@ class PlanRows(NamedTuple):
     active is the variant that runs and fell_back whether it differs from
     the one asked for.  bound holds each row's exact l1 budget, budget the
     same as a float (for T) and cap its integer floor.  lo and hi are the
-    weight-code clip limits: Python ints when every row shares M, else (C, 1)
-    columns.
+    weight-code clip limits as (C, 1) columns.
     """
 
     active: Variant
@@ -236,8 +223,8 @@ class PlanRows(NamedTuple):
     bound: list[Fraction]
     budget: list[float]
     cap: list[int]
-    lo: int | np.ndarray
-    hi: int | np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 @functools.lru_cache(maxsize=1024)
@@ -256,10 +243,7 @@ def _plan_rows(K: int, plan: BitPlan, variant: Variant) -> PlanRows:
         budget += [float(limit)] * n
         cap += [limit.numerator // limit.denominator] * n
         ranges += [int_range(bits.M, signed=True)] * n
-    if len(set(ranges)) == 1:
-        lo, hi = ranges[0]
-    else:
-        lo, hi = np.array(ranges, dtype=float).T[:, :, None]
+    lo, hi = np.array(ranges, dtype=float).T[:, :, None]
     return PlanRows(active, active is not variant, bound, budget, cap, lo, hi)
 
 
@@ -362,7 +346,7 @@ def forward_weights(ch: ChannelWeights, bits: BitWidths, variant: Variant) -> tu
     """Quantize one channel: quantize_layer on a one-row layer, read through WeightTape.
 
     The one view is returned twice, as the (result, tape) pair the benchmark's
-    quantize_audit workload unpacks; kept for that workload and for tests.
+    quantize_audit workload unpacks; kept for that workload.
     """
     row = WeightTape(quantize_layer(ch.v[None], np.array([ch.t]), np.array([ch.d]), bits, variant))
     return row, row

@@ -32,7 +32,7 @@ from accq.bounds import (
     int_range,
     min_acc_width,
 )
-from accq.epinit import init_scale, project_l1_ball
+from accq.epinit import max_abs_scales, project_l1_ball
 from accq.intsim import (
     AccumulatorSpec,
     certify,
@@ -377,7 +377,7 @@ def test_criterion_07_projection_init_dominance(capsys):
     for trial in range(1000):
         K = int(rng.integers(4, 65))
         w = rng.normal(size=K)
-        s = init_scale(w, M)
+        s = float(max_abs_scales(np.abs(w)[None], M)[0])
         n1 = float(np.abs(w).sum())
         for frac in fracs:
             T = frac * n1

@@ -1,6 +1,7 @@
 """CLI: frozen examples, exit codes, determinism, pareto frontier rules."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -515,6 +516,22 @@ def test_python_m_accq_runs_the_cli():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "32/15\n", "")
 
 
+def test_train_standing_grid_is_pinned():
+    """The standing grid, both variants at W4A4 over every auto P and three seeds, hashes to its pinned CSV.
+
+    The digest is a fact of OpenBLAS's SkylakeX kernel, not of the seeds
+    alone: under another kernel the matmuls round differently and some
+    final_loss digits move (ROADMAP item 3).
+    """
+    proc = run_shell(
+        "accq", "train", "--variant", "a2q,a2q+", "--M", "4", "--N", "4", "--P", "auto",
+        "--seed", "0,1,2", "--epochs", "40", "--jobs", "2",
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "f3c4f5afaac7c66698906c6b904722ba870c8ae0eb72257bf6cfda1873bc7792"
+
+
 # what a fresh interpreter holds after import accq.cli, one bounds run and one
 # verify run, whose small channels also take the exhaustive oracle
 LOADED_BY_VERIFY = """
@@ -685,8 +702,11 @@ def test_analyze_curves_are_pinned(checkpoints, tmp_path, capsys):
 
 
 def test_analyze_out_of_range_M_exits_3(checkpoints, capsys):
+    # the bit widths are checked before the checkpoint is read, so a missing one reports M too
     qpath, _ = checkpoints
-    assert_input_error(capsys, "analyze", "--ckpt", str(qpath), "--M", "1", "--N", "4")
+    for ckpt in (str(qpath), "/missing.json"):
+        err = assert_input_error(capsys, "analyze", "--ckpt", ckpt, "--M", "1", "--N", "4")
+        assert err.startswith("error: M must be in [2, ")
 
 
 def test_analyze_too_wide_weights_exits_3(checkpoints, capsys):
@@ -755,7 +775,11 @@ def test_analyze_too_wide_weights_exits_3(checkpoints, capsys):
 def test_analyze_malformed_checkpoint_exits_3(payload, tmp_path, capsys):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps(payload))
-    assert_input_error(capsys, "analyze", "--ckpt", str(path), "--M", "4", "--N", "4")
+    err = assert_input_error(capsys, "analyze", "--ckpt", str(path), "--M", "4", "--N", "4")
+    if "l1 mass" in err:
+        # the error names the field the checkpoint holds: w in a float one, v in a quantized one
+        field = "v" if payload["kind"] == "quantized" else "w"
+        assert err == f"error: bad checkpoint {path}: {field} must be finite, and so must its l1 mass\n"
 
 
 def _quantized_checkpoint(channels) -> dict:

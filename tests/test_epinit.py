@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accq.bounds import BitWidths, a2q_limit
-from accq.epinit import ZERO_EXPONENT, ep_init, ep_init_layer, init_scale, project_l1_ball
+from accq.epinit import ZERO_EXPONENT, ep_init, ep_init_layer, max_abs_scales, project_l1_ball
 from accq.errors import NonFiniteInputError, NonPositiveRadiusError
 from accq.quantizers import Variant, forward_weights
 
@@ -121,10 +121,10 @@ def test_projection_is_idempotent_up_to_roundoff():
         assert np.allclose(v1, v2, rtol=0, atol=1e-12)
 
 
-def test_init_scale_frozen():
-    assert init_scale([3.0, -1.0], M=4) == 3.0 / 7.0
-    assert init_scale([0.0, 0.0], M=4) == 2.0**ZERO_EXPONENT
-    assert init_scale([-2.0], M=8) == 2.0 / 127.0
+def test_max_abs_scales_frozen():
+    assert max_abs_scales(np.abs([[3.0, -1.0]]), M=4)[0] == 3.0 / 7.0
+    assert max_abs_scales(np.abs([[0.0, 0.0]]), M=4)[0] == 2.0**ZERO_EXPONENT
+    assert max_abs_scales(np.abs([[-2.0]]), M=8)[0] == 2.0 / 127.0
 
 
 def test_ep_init_inactive_keeps_weights():
@@ -218,13 +218,13 @@ def test_a_subnormal_row_whose_scale_underflows_is_rejected(M):
     w = [5e-324, 0.0]
     bits = BitWidths(M=M, N=4, P=16)
     with pytest.raises(NonFiniteInputError, match="underflows"):
-        init_scale(w, M)
+        max_abs_scales(np.abs([w]), M)
     with pytest.raises(NonFiniteInputError, match="underflows"):
         ep_init(w, bits)
     with pytest.raises(NonFiniteInputError, match="underflows"):
         ep_init_layer(np.array([[1.0, 2.0], w]), bits, Variant.A2Q_PLUS)
     # a subnormal maximum whose scale stays above 0 is still a scale
-    assert init_scale([1e-320, 0.0], 4) == 1e-320 / 7
+    assert max_abs_scales(np.abs([[1e-320, 0.0]]), 4)[0] == 1e-320 / 7
 
 
 @pytest.mark.parametrize("variant", [Variant.A2Q, Variant.A2Q_PLUS])
@@ -279,7 +279,7 @@ def test_projection_beats_naive_scaling_after_rounding():
     for _ in range(50):
         w = rng.normal(size=32)
         budget = 0.5 * float(np.abs(w).sum())
-        s = init_scale(w, M=8)
+        s = float(max_abs_scales(np.abs(w)[None], M=8)[0])
 
         def through_grid(vec):
             codes = np.clip(round_to_zero(vec / s), -128, 127)

@@ -152,6 +152,14 @@ def test_exhaustive_int64_split_path_matches():
     assert exact_dot(full.witness_x_min, q) == full.true_min
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, object])
+def test_split_path_blocks_start_on_a_cache_line(dtype):
+    # the reused buffer is 64-byte aligned whatever the heap's history, so each block is
+    blocks = list(intsim._blocks([3, -5, 2, -2, 4, -1], 0, 16, dtype))
+    assert len(blocks) == 64
+    assert all(block.ctypes.data % 64 == 0 and block.dtype == dtype for _, block in blocks)
+
+
 def test_exhaustive_memory_stays_bounded(monkeypatch):
     # the whole default budget in blocks: 16^6 input vectors through one reused
     # buffer, and 2^24 values of a single input in chunks of its range

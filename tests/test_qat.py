@@ -293,7 +293,7 @@ def test_fit_record_is_audited(variant):
     assert 0.0 <= rec.sparsity <= 1.0
     assert rec.min_slack >= 0
     assert rec.min_slack == min_bound_slack(quantize_network(net))
-    certify_accumulators(net)
+    certify_accumulators(net, quantize_network(net))
 
 
 def test_budgets_tighten_as_P_drops():
@@ -381,7 +381,7 @@ def test_activation_codes_are_unsigned_and_in_range():
 def test_layer_plan_and_topology():
     cfg = tiny_config()
     net = build_network(cfg, make_data(cfg).init_weights)
-    assert net.topology == (6, 5, 4, 3)
+    assert (net.layers[0].V.shape[1], *(len(layer.V) for layer in net.layers)) == (6, 5, 4, 3)
     bits = [layer.bits for layer in net.layers]
     assert (bits[0].M, bits[0].N) == (8, 8)
     assert (bits[-1].M, bits[-1].N) == (8, 8)
@@ -435,21 +435,28 @@ def test_fit_rows_across_fan_in_groups_are_pinned(name):
 
 @pytest.mark.parametrize("dataset", [TINY, SPLIT])
 def test_fit_quantizes_once_per_pass(monkeypatch, dataset):
-    # one quantizer call per fan-in group for calibration, each SGD step, the
-    # final evaluation and the certificate; sparsity and slack reuse the last
-    calls = []
-    core = quantizers._quantize_rows
+    # one quantizer call per fan-in group for calibration, each SGD step and
+    # the final evaluation; the certificate, sparsity and slack read the last
+    records, certified = [], []
+    core, certify = quantizers._quantize_rows, qat.certify_accumulators
 
     def counting(*args):
-        calls.append(args)
-        return core(*args)
+        records.append(core(*args))
+        return records[-1]
+
+    def certifying(net, quants):
+        certified.append(quants)
+        return certify(net, quants)
 
     monkeypatch.setattr(qat, "_quantize_rows", counting)
+    monkeypatch.setattr(qat, "certify_accumulators", certifying)
     cfg = tiny_config(dataset=dataset)
     net, rec = fit(cfg)
     steps = cfg.epochs * math.ceil(dataset.n_train / cfg.batch_size)
-    assert len(calls) == (steps + 3) * len(net.groups)
-    quants = certify_accumulators(net)
+    assert len(records) == (steps + 2) * len(net.groups)
+    [quants] = certified
+    assert len(quants) == len(net.groups)
+    assert all(quant is final for quant, final in zip(quants, records[-len(net.groups) :]))
     assert [quant.q.shape[0] for quant in quants] == [
         sum(len(net.layers[i].V) for i in group.layers) for group in net.groups
     ]
@@ -685,22 +692,21 @@ def test_certify_exhaustive_path_on_tiny_channels():
     # (2^N)^K = 4^3 = 64 inputs: the exhaustive sweep actually runs here
     bits = BitWidths(M=4, N=2, P=8)
     net = _net_from_rows([[2.0, -1.0, 1.0]], bits=bits)
-    certify_accumulators(net)
+    certify_accumulators(net, quantize_network(net))
 
 
-def test_certify_raises_on_overflowing_network(monkeypatch):
+def test_certify_raises_on_overflowing_network():
     # real A2Q codes, but quantized for a P=16 register while the layer
     # certifies at P=4: codes [7, 7] against 3-bit unsigned inputs reach 98 > 7
     bits = BitWidths(M=4, N=3, P=4)
     ch = ChannelWeights(v=np.array([1.0, 1.0]), t=math.log2(14.0), d=0.0)
     net = ToyNetwork(layers=[_layer([ch], bits)], variant=Variant.A2Q)
-    certify_accumulators(net)  # quantized for its own register, the layer is safe
+    certify_accumulators(net, quantize_network(net))  # quantized for its own register, the layer is safe
     wide = BitWidths(M=4, N=3, P=16)
     results = [quantize_layer(layer.V, layer.t, layer.d, wide, net.variant) for layer in net.layers]
     assert results[0].q.tolist() == [[7, 7]] and all(results[0].bound_ok)
-    monkeypatch.setattr(qat, "quantize_network", lambda _: results)
     with pytest.raises(AccumulatorOverflowError, match="layer 0 channel 0 overflows P=4"):
-        certify_accumulators(net)
+        certify_accumulators(net, results)
 
 
 # ---------------------------------------------------------------- checkpoints

@@ -50,7 +50,7 @@ def test_round_to_zero_never_grows_or_flips(xs):
 def test_channel_weights_properties():
     ch = ChannelWeights(v=[1.0, -1.0], t=3.0, d=-2.0)
     assert ch.K == 2
-    assert ch.g == 8.0 and ch.s == 0.25
+    assert 2.0**ch.t == 8.0 and 2.0**ch.d == 0.25
     with pytest.raises(NonFiniteInputError):
         ChannelWeights(v=[float("nan")], t=0.0, d=0.0)
     with pytest.raises(NonFiniteInputError):
@@ -254,7 +254,7 @@ def test_requantize_never_grows_codes(variant):
 
 def _loss_and_grads(ch, bits, variant, r):
     tape = forward_weights(ch, bits, variant)[1]
-    return float(np.dot(r, tape.w)), tape.backward_smooth(r)
+    return float(np.dot(r, tape.w)), tuple(x[0] for x in tape.layer.backward_smooth(r[None]))
 
 
 def _fd(fun, x0, h=1e-5):
@@ -268,12 +268,13 @@ def _well_conditioned(ch, bits, variant):
     c = ch.v - ch.v.mean() if variant is Variant.A2Q_PLUS else ch.v
     if np.abs(c).min() < 5e-2:
         return False
-    T = ch.s * float(
+    T = 2.0**ch.d * float(
         a2q_plus_limit(bits.P, bits.N)
         if variant is Variant.A2Q_PLUS
         else a2q_limit(bits.P, bits.N, bits.act_signed)
     )
-    return abs(ch.g - T) / max(ch.g, T) > 5e-2
+    g = 2.0**ch.t
+    return abs(g - T) / max(g, T) > 5e-2
 
 
 @pytest.mark.parametrize("variant", [Variant.A2Q, Variant.A2Q_PLUS])
@@ -324,12 +325,12 @@ def test_gate_gradient_routing():
     under = ChannelWeights(v=[2.0, -1.0], t=0.0, d=0.0)
     _, tape = forward_weights(under, bits, Variant.A2Q)
     assert tape.gate_on_g
-    dv, dt, dd = tape.backward_smooth(r)
+    dv, dt, dd = (x[0] for x in tape.layer.backward_smooth(r[None]))
     assert dt != 0.0 and dd == 0.0
     over = ChannelWeights(v=[2.0, -1.0], t=10.0, d=0.0)
     _, tape = forward_weights(over, bits, Variant.A2Q)
     assert not tape.gate_on_g
-    dv, dt, dd = tape.backward_smooth(r)
+    dv, dt, dd = (x[0] for x in tape.layer.backward_smooth(r[None]))
     assert dt == 0.0 and dd != 0.0
 
 
@@ -338,7 +339,7 @@ def test_ste_backward_adds_scale_error_term():
     ch = ChannelWeights(v=[2.0, -1.0], t=2.0, d=0.0)
     res, tape = forward_weights(ch, bits, Variant.A2Q)
     r = np.array([0.5, -0.25])
-    dv_s, dt_s, dd_s = tape.backward_smooth(r)
+    dv_s, dt_s, dd_s = (x[0] for x in tape.layer.backward_smooth(r[None]))
     dv, dt, dd = tape.backward(r)
     assert np.array_equal(dv, dv_s) and dt == dt_s
     expected_extra = float(np.dot(r, res.q - tape.pre)) * tape.s * math.log(2.0)
