@@ -3,7 +3,8 @@
 Subcommands: bounds (budget arithmetic), project (l1-ball projection),
 verify (overflow certificates and the derivation self-checks), train
 (sweeps of the toy trainer, CSV out), analyze (feasibility curve of a
-checkpoint), pareto (frontier extraction from sweep CSV).
+checkpoint), pareto (the lowest-loss record per variant and P of a sweep
+CSV).
 
 Exit codes: 0 success, 2 usage, 3 bad input (an unreadable or malformed
 input, weights whose l1 mass leaves float range, an unwritable --out file,
@@ -31,6 +32,13 @@ import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+# one BLAS and OpenMP thread unless the caller set one: the trainer multiplies
+# 16-wide matrices, which a thread pool only slows; numpy builds its pools on
+# first import, so this runs before it and reaches --jobs workers too
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -479,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = subs.add_parser(
         "pareto",
-        help="frontier of a sweep CSV: per (variant, P) the lowest final loss",
+        help="best record of a sweep CSV: per (variant, P) the lowest final loss",
         epilog=(
             "The toy task is regression, so loss is the accuracy proxy and lower "
             "is better; a classification metric would invert the comparison."

@@ -7,9 +7,10 @@ array within int64, the call holds at least 256 codes and the bound
 B = K * max|q| * max(|c|, |d|), from its longest row and its largest code, is
 below 2^62; Python ints for every row otherwise.  The exhaustive enumerator
 holds its sums in the narrowest of int16, int32 and int64 that provably fits,
-else in two int64 limbs, else in Python ints (an object array), in blocks
-of 2^18 sums in one reused buffer filled from a tail of at most 2^15 sums: a
-block-sized tail doubles the heap a call frees, which page-faults back in.
+else in two int64 limbs, else in Python ints (an object array).  Every space
+takes one loop: blocks of at most 2^18 sums, each a run of leading-input sums
+plus a tail table of at most 2^15 sums, written into one 64-byte aligned
+workspace per call that holds every limb.
 
 certify is the one certificate rule: it gives every row the closed-form
 worst case and decides which rows the exhaustive oracle also enumerates.
@@ -20,7 +21,6 @@ Wraparound follows two's complement: a P-bit register holds
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -173,68 +173,57 @@ def enumeration_budget() -> int:
     return int(raw) if raw else DEFAULT_ENUM_BUDGET
 
 
-def _outer_sums(table: np.ndarray) -> np.ndarray:
-    # every sum taking one entry per row of the table, the last row varying fastest
-    out = table[-1] if len(table) else np.zeros(1, dtype=table.dtype)
-    for row in table[-2::-1]:
-        out = (row[:, None] + out).ravel()
+def _products(codes: np.ndarray, xs: range, dtype) -> list[np.ndarray]:
+    # one (limbs, len(xs)) row per column of codes: each code times every input
+    # in xs, formed wide and then narrowed, as B bounds the products, not the
+    # inputs themselves.  No column forms no range
+    if not codes.shape[1]:
+        return []
+    table = codes.T[:, :, None] * np.arange(xs.start, xs.stop, xs.step, dtype=codes.dtype)
+    return list(table.astype(dtype, copy=False))
+
+
+def _outer_sums(rows: list[np.ndarray], limbs: int, dtype) -> np.ndarray:
+    # per limb, every sum taking one entry per row, the last row varying fastest
+    out = rows[-1] if rows else np.zeros((limbs, 1), dtype=dtype)
+    for row in rows[-2::-1]:
+        out = (row[:, :, None] + out[:, None]).reshape(limbs, -1)
     return out
 
 
-def _products(qs: list[int], lo: int, hi: int, dtype) -> np.ndarray:
-    # each code times every input in [lo, hi), formed wide and then narrowed:
-    # B bounds the products, not the input values themselves
-    wide = object if dtype is object else np.int64
-    return (np.array(qs, dtype=wide).reshape(len(qs), 1) * np.arange(lo, hi, dtype=wide)).astype(dtype, copy=False)
-
-
-def _blocks(qs: list[int], c: int, R: int, dtype):
-    # (first flat index, sums) in flat order, at most _BLOCK sums each
-    K = len(qs)
-    if K == 0:
-        # the one empty input vector, without forming the input range
-        yield 0, np.zeros(1, dtype=dtype)
-        return
-    if R ** K <= _BLOCK:
-        yield 0, _outer_sums(_products(qs, c, c + R, dtype))
-        return
-    if R > _BLOCK:
-        # one input's range alone overflows a block: take the leading inputs one
-        # vector at a time and the last input's range in chunks
-        for lead, xs in enumerate(itertools.product(range(c, c + R), repeat=K - 1)):
-            base = sum(q * x for q, x in zip(qs, xs))
-            for start in range(0, R, _BLOCK):
-                block = _products(qs[-1:], c + start, c + min(start + _BLOCK, R), dtype)[0]
-                block += base
-                yield lead * R + start, block
-        return
-    # a space over _BLOCK reuses one buffer, filled from a tail of at most _BLOCK / 8
-    # sums (one input's range if wider): the heap then keeps its pages between calls
-    table = _products(qs, c, c + R, dtype)
-    T = next((t for t in range(K, 0, -1) if R ** t <= _BLOCK >> 3), 1)
-    tail = _outer_sums(table[K - T:])
-    lead = _outer_sums(table[:K - T])
-    n, per = len(tail), _BLOCK // len(tail)
-    # 64-byte aligned, not wherever malloc puts it: numpy's add, argmax and argmin ran 20-30% slower 16 bytes off
-    raw = np.empty(min(per, len(lead)) * n + 64, dtype=table.dtype)
-    buf = raw[-raw.ctypes.data % 64 // raw.itemsize :]
-    for start in range(0, len(lead), per):
-        chunk = lead[start:start + per, None]
-        block = buf[:len(chunk) * n]
-        np.add(chunk, tail, out=block.reshape(len(chunk), n))
-        yield start * n, block
-
-
-def _two_limbs(qs: list[int], c: int, R: int, shift: int):
-    # each code splits as (v >> shift) * 2^shift + (v & mask), and so does each
-    # sum; the low sum's carry moves up, leaving the low limb in [0, 2^shift)
-    mask = (1 << shift) - 1
-    highs = _blocks([v >> shift for v in qs], c, R, np.int64)
-    lows = _blocks([v & mask for v in qs], c, R, np.int64)
-    for (first, high), (_, low) in zip(highs, lows):
-        high += low >> shift
-        low &= mask
-        yield first, high, low
+def _blocks(limbs: list[list[int]], c: int, R: int, dtype):
+    # (first flat index, one row of sums per limb of the codes) in flat order, at
+    # most _BLOCK sums a row.  A block adds a run of lead sums (the leading
+    # inputs', one at least from K = 2 on) to the tail table (the last inputs'
+    # sums, at most _BLOCK / 8 of them: a block-sized tail doubles the heap a
+    # call frees, which page-faults back in).  An input range wider than that is
+    # cut into chunks: the chunk starts lead, and the offsets within a chunk,
+    # below R / 2, are the tail.  All blocks go to one workspace, each limb's row
+    # on a 64-byte line: numpy's add, argmax and argmin ran 20-30% slower 16
+    # bytes off one
+    limit = _BLOCK >> 3
+    L, K = len(limbs), len(limbs[0])
+    codes = np.array(limbs, dtype=object if dtype is object else np.int64)
+    xs = range(c, c + R)
+    if R > limit:
+        w = 1 << (limit.bit_length() - 1)
+        rows = _products(codes[:, :-1], xs, dtype) + _products(codes[:, -1:], xs[::w], dtype)
+        rows += _products(codes[:, -1:], range(w), dtype)
+    else:
+        rows = _products(codes, xs, dtype)
+    T = next((t for t in range(K - 1, 0, -1) if R ** t <= limit), 1)
+    lead, tail = _outer_sums(rows[:-T], L, dtype)[:, :, None], _outer_sums(rows[-T:], L, dtype)[:, None]
+    count, n = lead.shape[1], tail.shape[2]
+    per = min(_BLOCK // n, count)
+    # 32 sums fill whole 64-byte lines at every width
+    stride = -(-per * n // 32) * 32
+    raw = np.empty(L * stride + 32, dtype=dtype)
+    work = raw[-raw.ctypes.data % 64 // raw.itemsize :][: L * stride].reshape(L, stride)
+    for start in range(0, count, per):
+        size = min(per, count - start)
+        blocks = work[:, : size * n]
+        np.add(lead[:, start : start + size], tail, out=blocks.reshape(L, size, n))
+        yield start * n, blocks
 
 
 def _first_tie(high: np.ndarray, low: np.ndarray, arg) -> int:
@@ -252,16 +241,21 @@ def _block_extremes(qs: list[int], c: int, R: int, spread: int):
     bits = (spread * max(map(abs, qs), default=0)).bit_length()
     shift = 62 - spread.bit_length()
     if bits > 62 and shift > 0 and spread * (max(abs(v >> shift) for v in qs) + 1) < _INT64_GUARD:
-        for first, high, low in _two_limbs(qs, c, R, shift):
+        # each code splits as (v >> shift) * 2^shift + (v & mask), and so does each
+        # sum; the low sum's carry moves up, leaving the low limb in [0, 2^shift)
+        mask = (1 << shift) - 1
+        for first, (high, low) in _blocks([[v >> shift for v in qs], [v & mask for v in qs]], c, R, np.int64):
+            high += low >> shift
+            low &= mask
             jmax, jmin = _first_tie(high, low, np.argmax), _first_tie(high, low, np.argmin)
             top = (int(high[jmax]) << shift) + int(low[jmax])
             bottom = (int(high[jmin]) << shift) + int(low[jmin])
             yield first, jmax, top, jmin, bottom
         return
     dtype = np.int16 if bits <= 15 else np.int32 if bits <= 31 else np.int64 if bits <= 62 else object
-    for first, block in _blocks(qs, c, R, dtype):
+    for first, block in _blocks([qs], c, R, dtype):
         jmax, jmin = int(block.argmax()), int(block.argmin())
-        yield first, jmax, int(block[jmax]), jmin, int(block[jmin])
+        yield first, jmax, int(block[0, jmax]), jmin, int(block[0, jmin])
 
 
 def _decode_index(flat: int, K: int, R: int, c: int) -> tuple[int, ...]:
@@ -280,7 +274,8 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
     Sums are int16, int32 or int64 when B = K * max|q| * max(|c|, |d|) is below
     2^15, 2^31 or 2^62, two int64 limbs while each limb's sums stay below 2^62,
     Python ints beyond, and come in blocks of at most 2^18, all in one buffer
-    filled from a tail of at most 2^15 sums (or one input's range, if wider).
+    filled from a tail of at most 2^15 sums (a chunk of one input's range, if
+    that range is wider).
     The witnesses are the first extremes, the last element varying fastest.
     """
     qs = _int_vector(q)
@@ -361,6 +356,7 @@ def certify(
     budget; it overflows when either route says so.  A forced row over the
     budget raises EnumerationBudgetError before any result is returned.
     """
+    _check_bits(N, "N", 1)
     c, d = int_range(N, act_signed)
     cap = enumeration_budget()
     if not (isinstance(rows, np.ndarray) and rows.ndim == 2):

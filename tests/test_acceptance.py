@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -442,7 +443,7 @@ def _strict_warnings() -> None:
     warnings.simplefilter("error", DeprecationWarning)
 
 
-def test_criterion_09_trainer_directional_claims(capsys):
+def test_criterion_09_trainer_directional_claims(capsys, monkeypatch):
     t0 = time.perf_counter()
     seeds = range(10)
     variants = (Variant.A2Q, Variant.A2Q_PLUS)
@@ -458,7 +459,11 @@ def test_criterion_09_trainer_directional_claims(capsys):
     # every run is a pure function of its config, so two worker processes
     # return the records a serial loop would; spawned workers start from a
     # fresh import, not from a fork of this test process, and run every fit
-    # under the same warnings-as-errors filters as this one
+    # under the same warnings-as-errors filters as this one, and with one BLAS
+    # and OpenMP thread unless the environment sets one, as accq.cli does
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        if var not in os.environ:
+            monkeypatch.setenv(var, "1")
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=spawn, initializer=_strict_warnings) as pool:
         for category in (RuntimeWarning, DeprecationWarning):

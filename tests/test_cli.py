@@ -206,6 +206,14 @@ def test_verify_out_of_range_P_exits_3(tmp_path, capsys):
     assert_input_error(capsys, "verify", "--weights", str(path), "--P", "300", "--N", "4")
 
 
+@pytest.mark.parametrize("N", ["0", "70"])
+def test_verify_out_of_range_N_exits_3(N, tmp_path, capsys):
+    path = tmp_path / "ch.csv"
+    path.write_text("1,2,-3,1\n")
+    err = assert_input_error(capsys, "verify", "--weights", str(path), "--P", "16", "--N", N)
+    assert err == f"error: N must be in [1, 64], got {N}\n"
+
+
 # exit code, stdout and stderr of lines that are not a plain list of at most
 # 18-digit ASCII codes (the fast parse's pattern), or that sit on its edge,
 # as recorded from the int()-per-token parser that predates the fast parse;
@@ -509,6 +517,17 @@ def run_python(*argv, stdin=None, **env_vars) -> subprocess.CompletedProcess:
 def run_shell(module: str, *argv, stdin=None, **env_vars) -> subprocess.CompletedProcess:
     """python -m module argv in a child process, with src/ importable; stdin is a file object or None."""
     return run_python("-m", module, *argv, stdin=stdin, **env_vars)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+def test_cli_import_leaves_one_thread():
+    # with no thread count in the environment, importing the CLI (and numpy
+    # through it) starts no BLAS or OpenMP worker threads
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    script = "import os, accq.cli, numpy; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "1\n")
 
 
 def test_python_m_accq_runs_the_cli():

@@ -154,10 +154,17 @@ def test_exhaustive_int64_split_path_matches():
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, object])
 def test_split_path_blocks_start_on_a_cache_line(dtype):
-    # the reused buffer is 64-byte aligned whatever the heap's history, so each block is
-    blocks = list(intsim._blocks([3, -5, 2, -2, 4, -1], 0, 16, dtype))
-    assert len(blocks) == 64
-    assert all(block.ctypes.data % 64 == 0 and block.dtype == dtype for _, block in blocks)
+    # the reused workspace is 64-byte aligned whatever the heap's history, and
+    # so is every limb's block in it: 16^6 sums in many blocks, 16^4 in one,
+    # and two limbs as the two-limb route splits its codes
+    for limbs, count in [
+        ([[3, -5, 2, -2, 4, -1]], 64),
+        ([[3, -5, 2, -2]], 1),
+        ([[0, -1, 0, -1, 0, -1], [3, 5, 2, 6, 4, 7]], 64),
+    ]:
+        blocks = [block for _, group in intsim._blocks(limbs, 0, 16, dtype) for block in group]
+        assert len(blocks) == count * len(limbs)
+        assert all(block.ctypes.data % 64 == 0 and block.dtype == dtype for block in blocks)
 
 
 def test_exhaustive_memory_stays_bounded(monkeypatch):
@@ -224,10 +231,10 @@ def test_exhaustive_witnesses_are_the_first_extremes(channel):
     assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == brute_witness(q, N, signed)
 
 
-# a block of 64 to 512 sums sends these small channels through the blocked
-# paths: a block that is not a power of two ends in a chunk of fewer than
-# `per` leading sums, and an input range wider than an eighth of a block
-# (R = 16 against 64 or 100) is itself the tail
+# a block of 64 to 512 sums sends these small channels through many blocks: a
+# block that is not a power of two ends in a chunk of fewer than `per` leading
+# sums, and an input range wider than an eighth of a block (R = 16 against 64
+# or 100) is cut into chunks whose offsets are the tail
 @given(block=st.integers(min_value=1 << 6, max_value=1 << 9), channel=_enumerable_channels())
 @example(block=100, channel=([3, -1, 2, 0, -2, 1], 2, False))
 @example(block=64, channel=([5, -7, 3], 4, True))
@@ -243,11 +250,55 @@ def test_exhaustive_blocked_paths_match_brute_force(block, channel):
     assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == brute_witness(q, N, signed)
 
 
+# one fixed channel per enumeration route, values and witnesses written out:
+# any rewrite of the enumeration must reproduce them exactly
+@pytest.mark.parametrize(
+    "q, N, signed, block, expected",
+    [
+        # int16, all 16^4 sums within one block
+        ([3, -5, 0, -2], 4, False, None, (45, -105, (15, 0, 0, 0), (0, 15, 0, 15))),
+        # int16, 16^6 sums spanning 64 blocks
+        ([3, -5, 2, 0, 4, -1], 4, False, None, (135, -90, (15, 0, 15, 0, 15, 0), (0, 15, 0, 0, 0, 15))),
+        ([1000, -3000, 0, 2500], 4, True, None, (48500, -49000, (7, -8, -8, 7), (-8, 7, -8, -8))),  # int32
+        (  # int64
+            [1 << 40, 0, -(1 << 40) + 3, 12345], 3, True, None,
+            (7696581431455, -7696581443803, (3, -4, -4, 3), (-4, -4, 3, -4)),
+        ),
+        (  # two int64 limbs
+            [1 << 58, -(1 << 58), 5, 7, 3, 1, 9], 3, True, None,
+            (2017612633061982283, -2017612633061982308, (3, -4, 3, 3, 3, 3, 3), (-4, 3, -4, -4, -4, -4, -4)),
+        ),
+        (  # Python ints
+            [2**130, -(2**129), 0, 3], 2, True, None,
+            (
+                2722258935367507707706996859454145691651,
+                -3402823669209384634633746074317682114566,
+                (1, -2, -2, 1),
+                (-2, 1, -2, -2),
+            ),
+        ),
+        ([], 40, False, None, (0, 0, (), ())),  # K = 0
+        # one input's 128 values against blocks of 64 sums, in int16 and in two limbs
+        ([0, 5, -3], 7, False, 64, (635, -381, (0, 127, 0), (0, 0, 127))),
+        (
+            [1 << 58, 0, -(1 << 58)], 7, True, 64,
+            (36605257771267391488, -36605257771267391488, (63, -64, -64), (-64, -64, 63)),
+        ),
+    ],
+)
+def test_exhaustive_routes_are_pinned(monkeypatch, q, N, signed, block, expected):
+    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
+    if block:
+        monkeypatch.setattr(intsim, "_BLOCK", block)
+    wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
+    assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == expected
+
+
 def test_exhaustive_working_set_is_about_one_block(monkeypatch):
     # 8^7 int16 sums in blocks of 2^18: one reused block buffer plus a tail of
     # at most 2^15 sums, where a block-sized tail peaked at two buffers.  An
-    # input range wider than an eighth of a block (16 against 64) is the tail
-    # on its own: the 16^4 sums, 128 KB, are never all held at once
+    # input range wider than an eighth of a block (16 against 64) is cut into
+    # chunks: the 16^4 sums, 128 KB, are never all held at once
     monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
     for block, q, N, max_peak in [
         (intsim._BLOCK, [3, -2, 1, 0, -3, 2, 1], 3, 1.25 * intsim._BLOCK * np.dtype(np.int16).itemsize),
