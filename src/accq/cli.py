@@ -1,25 +1,24 @@
 """Command-line front end.
 
 Subcommands: bounds (budget arithmetic), project (l1-ball projection),
-verify (overflow certificates and the derivation self-checks), train
-(sweeps of the toy trainer, CSV out), analyze (feasibility curve of a
-checkpoint), pareto (the lowest-loss record per variant and P of a sweep
-CSV).
+verify (overflow certificates), train (sweeps of the toy trainer, CSV out),
+analyze (feasibility curve of a checkpoint), pareto (the lowest-loss record
+per variant and P of a sweep CSV).
 
 Exit codes: 0 success, 2 usage, 3 bad input (an unreadable or malformed
 input, weights whose l1 mass leaves float range, an unwritable --out file,
 an out-of-range bit width, batch size, epoch count, --jobs count, --lr,
 --weight-decay or --lambda-reg, a negative seed, or an ACCQ_ENUM_BUDGET
 that is not a non-negative integer) or a training run that diverged, 4 verification
-failure (an overflow or a failed derivation), 5 enumeration budget exceeded.
+failure (an overflow), 5 enumeration budget exceeded.
 Every subcommand is deterministic given its flags, input files, and
 ACCQ_ENUM_BUDGET.
 
 Each subcommand imports what it runs, inside its cmd_* function: this module
 loads only accq.bounds, accq.errors and accq.intsim, which is all that bounds
-and verify (without --props) use, so a one-file `accq verify` never compiles
-the trainer.  project imports accq.epinit, train, analyze and pareto
-accq.qat, verify --props accq.props, and train --jobs N > 1 the process pool.
+and verify use, so a one-file `accq verify` never compiles the trainer.
+project imports accq.epinit, train, analyze and pareto accq.qat, and
+train --jobs N > 1 the process pool.
 """
 
 from __future__ import annotations
@@ -229,19 +228,6 @@ def _cert_lines(certs) -> str:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    if ns.props:
-        from .props import self_check
-
-        _check_seeds([ns.seed])
-        results = self_check(seed=ns.seed)
-        ok = all(flag for _, flag in results)
-        for name, flag in results:
-            print(json.dumps({"check": name, "ok": flag}))
-        return EXIT_OK if ok else EXIT_VERIFY
-    if ns.weights is None:
-        ns.parser.error("need --weights FILE or --props")
-    if ns.P is None or ns.N is None:
-        ns.parser.error("need --P and --N")
     # lines split at "\n" alone and keep their numbers in the file, blank ones
     # included; a file whose lines are all strict or empty is checked and
     # parsed whole, any other goes line by line, code by code
@@ -450,14 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True, help="l1 budget")
     _add_common(p)
 
-    v = subs.add_parser("verify", help="overflow certificates for integer channels, or the derivation self-checks")
-    v.add_argument("--weights", help="file of channels, one comma-separated integer-code row per line")
-    v.add_argument("--P", type=int, help="accumulator bits")
-    v.add_argument("--N", type=int, help="activation bits")
+    v = subs.add_parser("verify", help="overflow certificates for integer channels")
+    v.add_argument("--weights", required=True, help="file of channels, one comma-separated integer-code row per line")
+    v.add_argument("--P", type=int, required=True, help="accumulator bits")
+    v.add_argument("--N", type=int, required=True, help="activation bits")
     _add_signedness(v)
     v.add_argument("--exhaustive", action="store_true", help="force the exhaustive sweep (exit 5 if over budget)")
-    v.add_argument("--props", action="store_true", help="run the zero-sum derivation self-checks instead")
-    v.add_argument("--seed", type=int, default=0, help="seed for --props sampling")
     # verify has no other output form; --json is accepted so every subcommand takes it
     v.add_argument("--json", action="store_true", help="no effect: verify always prints JSON lines")
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types the package raises.
 
-The CLI maps these onto exit codes, so keep the hierarchy flat and explicit.
+The CLI maps the input, width, budget and divergence errors onto exit codes;
+the trainer's certificate raises AccumulatorOverflowError.  Keep the
+hierarchy flat and explicit.
 """
 
 
@@ -10,10 +12,6 @@ class InvalidBitWidthError(ValueError):
 
 class NonFiniteInputError(ValueError):
     """A float input contains NaN or infinity."""
-
-
-class LengthMismatchError(ValueError):
-    """Two vectors that must share a length do not."""
 
 
 class NonPositiveRadiusError(ValueError):
@@ -26,14 +24,6 @@ class EnumerationBudgetError(RuntimeError):
 
 class InvalidBudgetError(ValueError):
     """ACCQ_ENUM_BUDGET is set to something other than a non-negative base-10 integer."""
-
-
-class InfeasibleError(ValueError):
-    """The requested object cannot exist (e.g. a nonzero zero-sum vector of length 1)."""
-
-
-class HypothesisViolationError(ValueError):
-    """Inputs handed to a derivation check do not satisfy its hypotheses."""
 
 
 class DivergenceError(RuntimeError):

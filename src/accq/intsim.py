@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import _check_bits, int_range
-from .errors import EnumerationBudgetError, InvalidBudgetError, LengthMismatchError, NonFiniteInputError
+from .errors import EnumerationBudgetError, InvalidBudgetError, NonFiniteInputError
 
 DEFAULT_ENUM_BUDGET = 1 << 24
 ENUM_BUDGET_ENV = "ACCQ_ENUM_BUDGET"
@@ -99,35 +99,17 @@ def _int_vector(q) -> list[int]:
     return out
 
 
-def exact_dot(x, q) -> int:
-    """Dot product of two integer vectors in arbitrary precision."""
-    xs, qs = _int_vector(x), _int_vector(q)
-    if len(xs) != len(qs):
-        raise LengthMismatchError(f"len(x)={len(xs)} vs len(q)={len(qs)}")
-    return sum(a * b for a, b in zip(xs, qs))
-
-
-def extremal_max_input(q, N: int, act_signed: bool) -> list[int]:
-    """Input vector maximizing the dot product with q over the N-bit range.
-
-    Componentwise: take the range top where q_i >= 0, the range bottom where
-    q_i < 0.  Ties at q_i = 0 contribute nothing either way.
-    """
-    c, d = int_range(N, act_signed)
-    return [d if qi >= 0 else c for qi in _int_vector(q)]
-
-
-def extremal_min_input(q, N: int, act_signed: bool) -> list[int]:
-    """Input vector minimizing the dot product with q (mirror of the max case)."""
-    c, d = int_range(N, act_signed)
-    return [c if qi >= 0 else d for qi in _int_vector(q)]
-
-
 def wrap(value: int, P: int) -> int:
     """Reduce an exact integer into the signed P-bit range, two's complement."""
     _check_bits(P, "P", 2)
     lo = -(1 << (P - 1))
     return ((int(value) - lo) % (1 << P)) + lo
+
+
+def _input_range(N: int, act_signed: bool) -> tuple[int, int]:
+    # [c, d] of the N-bit inputs, a bad width named N at every entry point
+    _check_bits(N, "N", 1)
+    return int_range(N, act_signed)
 
 
 def _extremes(qs: list[int], c: int, d: int) -> tuple[int, int]:
@@ -142,7 +124,7 @@ def _extremes(qs: list[int], c: int, d: int) -> tuple[int, int]:
 def check_accumulator(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> AccumWitness:
     """Exact worst-case check of q against a P-bit register via extremal inputs."""
     qs = _int_vector(q)
-    c, d = int_range(N, act_signed)
+    c, d = _input_range(N, act_signed)
     f, e = _extremes(qs, c, d)
     return _witness(f, e, [d if v >= 0 else c for v in qs], [c if v >= 0 else d for v in qs], spec)
 
@@ -280,7 +262,7 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
     """
     qs = _int_vector(q)
     K = len(qs)
-    c, d = int_range(N, act_signed)
+    c, d = _input_range(N, act_signed)
     R = d - c + 1
     total = R ** K
     limit = enumeration_budget()
@@ -356,8 +338,7 @@ def certify(
     budget; it overflows when either route says so.  A forced row over the
     budget raises EnumerationBudgetError before any result is returned.
     """
-    _check_bits(N, "N", 1)
-    c, d = int_range(N, act_signed)
+    c, d = _input_range(N, act_signed)
     cap = enumeration_budget()
     if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
         rows = list(rows)
@@ -369,32 +350,3 @@ def certify(
         # the oracle converts the row itself, independently of the closed form
         overflowed[i] |= exhaustive_check(rows[i], N, act_signed, spec).overflowed
     return list(map(Certificate._make, zip(Ks, fs, es, overflowed, enumerated)))
-
-
-def verify_domination(w, s, q) -> bool:
-    """True when the rescaled codes s*q never exceed w in magnitude or flip its sign.
-
-    w and q are (C, K) stacks of rows, a single row being a one-row stack, with
-    one scale per row in s or one for all; True only when every row holds.
-    These are exactly the hypotheses under which replacing w by s*q cannot
-    enlarge any dot product against sign-aligned inputs, so an l1 certificate
-    on w/s transfers to the integer codes.  s*q is the float64 product, as in Python.
-    """
-    w_arr = np.atleast_2d(np.asarray(w, dtype=float))
-    if not np.all(np.isfinite(w_arr)):
-        raise NonFiniteInputError("w must be finite")
-    s_arr = np.asarray(s, dtype=float)
-    if not np.all((s_arr > 0.0) & np.isfinite(s_arr)):
-        raise NonFiniteInputError(f"scale must be a positive finite float, got {s!r}")
-    if s_arr.size not in (1, len(w_arr)):
-        raise LengthMismatchError(f"{s_arr.size} scales for {len(w_arr)} rows")
-    q_arr = q if isinstance(q, np.ndarray) else np.asarray(q, dtype=object)
-    # integer arrays are codes already; anything else goes code by code
-    ints = q_arr if q_arr.dtype.kind in "iu" else np.array(_int_vector(q_arr), dtype=float).reshape(q_arr.shape)
-    codes = np.atleast_2d(ints).astype(float, copy=False)
-    if codes.shape != w_arr.shape:
-        raise LengthMismatchError(f"w shape {w_arr.shape} vs q shape {codes.shape}")
-    if np.any(np.abs(s_arr.reshape(-1, 1) * codes) > np.abs(w_arr)):
-        return False
-    # a nonzero code needs w of the same strict sign
-    return not np.any(((codes > 0) & ~(w_arr > 0)) | ((codes < 0) & ~(w_arr < 0)))

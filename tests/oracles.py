@@ -13,6 +13,43 @@ import numpy as np
 from accq.errors import NonFiniteInputError
 
 
+class LengthMismatchError(ValueError):
+    """Two inputs that must share a length or shape do not."""
+
+
+def exact_dot(x, q) -> int:
+    """Dot product of two integer vectors in arbitrary precision."""
+    if len(x) != len(q):
+        raise LengthMismatchError(f"len(x)={len(x)} vs len(q)={len(q)}")
+    return sum(int(a) * int(b) for a, b in zip(x, q))
+
+
+def verify_domination(w, s, q) -> bool:
+    """True when the rescaled codes s*q never exceed w in magnitude or flip its sign.
+
+    w and q are (C, K) stacks of rows, a single row being a one-row stack, with
+    one scale per row in s or one for all; True only when every row holds.
+    These are exactly the hypotheses under which replacing w by s*q cannot
+    enlarge any dot product against sign-aligned inputs, so an l1 certificate
+    on w/s transfers to the integer codes.  s*q is the float64 product.
+    """
+    w_arr = np.atleast_2d(np.asarray(w, dtype=float))
+    if not np.all(np.isfinite(w_arr)):
+        raise NonFiniteInputError("w must be finite")
+    s_arr = np.asarray(s, dtype=float)
+    if not np.all((s_arr > 0.0) & np.isfinite(s_arr)):
+        raise NonFiniteInputError(f"scale must be a positive finite float, got {s!r}")
+    if s_arr.size not in (1, len(w_arr)):
+        raise LengthMismatchError(f"{s_arr.size} scales for {len(w_arr)} rows")
+    codes = np.atleast_2d(np.asarray(q, dtype=float))
+    if codes.shape != w_arr.shape:
+        raise LengthMismatchError(f"w shape {w_arr.shape} vs q shape {codes.shape}")
+    if np.any(np.abs(s_arr.reshape(-1, 1) * codes) > np.abs(w_arr)):
+        return False
+    # a nonzero code needs w of the same strict sign
+    return not np.any(((codes > 0) & ~(w_arr > 0)) | ((codes < 0) & ~(w_arr < 0)))
+
+
 def _range(N: int, signed: bool) -> tuple[int, int]:
     return (-(1 << (N - 1)), (1 << (N - 1)) - 1) if signed else (0, (1 << N) - 1)
 

@@ -34,22 +34,21 @@ from accq.bounds import (
     min_acc_width,
 )
 from accq.epinit import max_abs_scales, project_l1_ball
-from accq.intsim import (
-    AccumulatorSpec,
-    certify,
-    check_accumulator,
-    exact_dot,
-    exhaustive_check,
-    extremal_max_input,
-    extremal_min_input,
-    verify_domination,
-)
-from accq.props import find_overflow_witness, iter_l1_vectors, iter_zero_sum_vectors
+from accq.intsim import AccumulatorSpec, certify, check_accumulator, exhaustive_check
 from accq.qat import CSV_HEADER, SweepRecord, TrainConfig, float_baseline, train
 from accq.quantizers import Variant, quantize_layer
 import accq.cli as cli
 
-from oracles import brute_extremes, project_l1_bisect, project_l1_bisect_rows, round_to_zero, weight_quant_error
+from oracles import (
+    brute_extremes,
+    exact_dot,
+    project_l1_bisect,
+    project_l1_bisect_rows,
+    round_to_zero,
+    verify_domination,
+    weight_quant_error,
+)
+from test_props import find_overflow_witness, iter_l1_vectors, iter_zero_sum_vectors
 from test_qat import fd_relative_errors
 
 
@@ -190,12 +189,13 @@ def test_criterion_03_a2q_plus_overflow_freedom(capsys):
 
 
 # ---------------------------------------------------------------------------
-# criterion 4: the closed-form extremal inputs match brute force exactly
+# criterion 4: the closed form and its extremal inputs match brute force exactly
 
 
 def test_criterion_04_extremal_oracle_agreement(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240204)
+    spec = AccumulatorSpec(P=8)  # the register width only sets the fits flags
     for trial in range(10_000):
         K = int(rng.integers(1, 5))
         N = int(rng.integers(1, 4))
@@ -205,12 +205,14 @@ def test_criterion_04_extremal_oracle_agreement(capsys):
         else:
             q = rng.integers(-40, 41, size=K).tolist()
         hi, lo = brute_extremes(q, N, signed)
-        assert exact_dot(extremal_max_input(q, N, signed), q) == hi
-        assert exact_dot(extremal_min_input(q, N, signed), q) == lo
+        wit = check_accumulator(q, N, signed, spec)
+        assert (wit.true_max, wit.true_min) == (hi, lo)
+        assert exact_dot(wit.witness_x_max, q) == hi
+        assert exact_dot(wit.witness_x_min, q) == lo
     _passed(
         capsys, t0, 120.0, "criterion 4",
         "10,000 random integer channels (K<=4, N<=3): brute-force max/min equal the "
-        "extremal-input dot products exactly",
+        "closed form and its witness inputs' dot products exactly",
     )
 
 

@@ -327,17 +327,23 @@ def test_verify_record_template_is_json_dumps():
     assert tuple(json.loads(filled)) == ("channel", *Certificate._fields)
 
 
-def test_verify_props_self_checks(capsys):
-    code, out = run(capsys, "verify", "--props")
-    assert code == 0
-    lines = [json.loads(ln) for ln in out.splitlines()]
-    assert lines and all(entry["ok"] for entry in lines)
-    names = {entry["check"] for entry in lines}
-    assert "zero_sum_identities" in names
+def test_verify_props_and_seed_are_unknown_flags(capsys):
+    for argv in (["verify", "--props"], ["verify", "--weights", "f", "--P", "8", "--N", "4", "--seed", "1"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
-def test_verify_props_negative_seed_exits_3(capsys):
-    assert_input_error(capsys, "verify", "--props", "--seed", "-1")
+@pytest.mark.parametrize("missing", ["--weights", "--P", "--N"])
+def test_verify_missing_required_flag_is_usage_error(missing, capsys):
+    flags = {"--weights": str(VERIFY_CHANNELS), "--P": "12", "--N": "4"}
+    argv = ["verify"] + [tok for flag, value in flags.items() if flag != missing for tok in (flag, value)]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"the following arguments are required: {missing}" in captured.err
 
 
 # ---------------------------------------------------------------- train

@@ -9,27 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accq import intsim
-from accq.errors import (
-    EnumerationBudgetError,
-    InvalidBudgetError,
-    LengthMismatchError,
-    NonFiniteInputError,
-)
+from accq.errors import EnumerationBudgetError, InvalidBitWidthError, InvalidBudgetError, NonFiniteInputError
 from accq.intsim import (
     DEFAULT_ENUM_BUDGET,
     AccumulatorSpec,
     certify,
     check_accumulator,
     enumeration_budget,
-    exact_dot,
     exhaustive_check,
-    extremal_max_input,
-    extremal_min_input,
-    verify_domination,
     wrap,
 )
 
-from oracles import brute_extremes, brute_witness
+from oracles import LengthMismatchError, brute_extremes, brute_witness, exact_dot, verify_domination
 
 
 def test_spec_register_range():
@@ -48,11 +39,11 @@ def test_exact_dot_is_plain_integer_arithmetic():
 
 def test_extremal_inputs_frozen():
     # unsigned N=2: positive weights take 3, negatives take 0 (max side)
-    assert extremal_max_input([2, -1, 0], 2, False) == [3, 0, 3]
-    assert extremal_min_input([2, -1, 0], 2, False) == [0, 3, 0]
+    wit = check_accumulator([2, -1, 0], 2, False, AccumulatorSpec(P=8))
+    assert (wit.witness_x_max, wit.witness_x_min) == ((3, 0, 3), (0, 3, 0))
     # signed N=1 codes are {-1, 0}: max pairs negatives with -1
-    assert extremal_max_input([2, -1], 1, True) == [0, -1]
-    assert extremal_min_input([2, -1], 1, True) == [-1, 0]
+    wit = check_accumulator([2, -1], 1, True, AccumulatorSpec(P=8))
+    assert (wit.witness_x_max, wit.witness_x_min) == ((0, -1), (-1, 0))
 
 
 @given(
@@ -63,8 +54,21 @@ def test_extremal_inputs_frozen():
 @settings(max_examples=150, deadline=None)
 def test_extremal_inputs_match_brute_force(q, N, signed):
     hi, lo = brute_extremes(q, N, signed)
-    assert exact_dot(extremal_max_input(q, N, signed), q) == hi
-    assert exact_dot(extremal_min_input(q, N, signed), q) == lo
+    wit = check_accumulator(q, N, signed, AccumulatorSpec(P=8))
+    assert (wit.true_max, wit.true_min) == (hi, lo)
+    assert exact_dot(wit.witness_x_max, q) == hi
+    assert exact_dot(wit.witness_x_min, q) == lo
+
+
+@pytest.mark.parametrize("N", [0, 65])
+@pytest.mark.parametrize(
+    "check, codes",
+    [(check_accumulator, [1]), (exhaustive_check, [1]), (certify, [[1]])],
+    ids=["check_accumulator", "exhaustive_check", "certify"],
+)
+def test_bad_input_width_is_named_N(check, codes, N):
+    with pytest.raises(InvalidBitWidthError, match=rf"^N must be in \[1, 64\], got {N}$"):
+        check(codes, N, False, AccumulatorSpec(P=8))
 
 
 def test_wrap_frozen():

@@ -1,5 +1,21 @@
-"""Derivation re-checks: zero-sum identities, budget chain, boundary tightness."""
+"""Executable re-derivations of the zero-sum accumulator bound, and their checks.
 
+The helpers recompute, with exact integer arithmetic, the chain of facts behind
+the wider zero-sum l1 budget:
+
+* for zero-sum q the positive and negative code mass are equal halves of
+  ||q||_1, so the extremal dot products are symmetric: f = -e = alpha (d - c);
+* keeping f inside the register top is therefore the binding condition, and its
+  budget (2^P - 2) / (2^N - 1) implies the min-side and span conditions;
+* replacing real weights by sign-preserving, magnitude-dominated codes can only
+  shrink dot products against sign-aligned inputs.
+
+The enumerators also serve acceptance criterion 5.
+"""
+
+import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -7,19 +23,203 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from accq.bounds import a2q_limit, a2q_plus_limit
-from accq.errors import HypothesisViolationError, InfeasibleError
+from accq.bounds import a2q_limit, a2q_plus_limit, int_range
 from accq.intsim import AccumulatorSpec, check_accumulator
-from accq.props import (
-    ZeroSumVector,
-    check_aligned_dot_inequality,
-    check_zero_sum_identities,
-    find_overflow_witness,
-    gen_zero_sum,
-    iter_l1_vectors,
-    iter_zero_sum_vectors,
-    self_check,
-)
+
+from oracles import exact_dot
+
+
+class InfeasibleError(ValueError):
+    """The requested object cannot exist (e.g. a nonzero zero-sum vector of length 1)."""
+
+
+class HypothesisViolationError(ValueError):
+    """Inputs handed to a derivation check do not satisfy its hypotheses."""
+
+
+@dataclass(frozen=True)
+class ZeroSumVector:
+    """Integer vector with zero sum; alpha/beta are its positive/negative mass."""
+
+    q: tuple[int, ...]
+    alpha: int
+    beta: int
+
+    def __post_init__(self) -> None:
+        if sum(self.q) != 0:
+            raise HypothesisViolationError(f"q must sum to zero, got {self.q}")
+        pos = sum(x for x in self.q if x > 0)
+        neg = sum(x for x in self.q if x < 0)
+        if self.alpha != pos or self.beta != neg or self.alpha != -self.beta:
+            raise HypothesisViolationError("alpha/beta do not match q")
+
+    @classmethod
+    def from_codes(cls, q) -> "ZeroSumVector":
+        codes = tuple(map(int, q))
+        pos = sum(x for x in codes if x > 0)
+        return cls(q=codes, alpha=pos, beta=-pos)
+
+    @property
+    def l1(self) -> int:
+        return self.alpha - self.beta
+
+
+def gen_zero_sum(K: int, l1_budget: int, seed: int | None = 0) -> ZeroSumVector:
+    """Random zero-sum integer vector with ||q||_1 <= l1_budget.
+
+    Drops equal positive and negative mass onto K slots; mass landing on the
+    same slot cancels, which is why the budget is an upper bound, not a target.
+    """
+    if not isinstance(K, int) or K < 1:
+        raise ValueError(f"K must be a positive int, got {K!r}")
+    if l1_budget < 0:
+        raise ValueError(f"l1_budget must be >= 0, got {l1_budget}")
+    if K == 1:
+        if l1_budget > 0:
+            raise InfeasibleError("a length-1 zero-sum vector can only be [0]")
+        return ZeroSumVector.from_codes([0])
+    rng = np.random.default_rng(seed)
+    half = int(rng.integers(0, l1_budget // 2 + 1))
+    flat = np.full(K, 1.0 / K)
+    pos = rng.multinomial(half, flat)
+    neg = rng.multinomial(half, flat)
+    return ZeroSumVector.from_codes((pos - neg).tolist())
+
+
+@dataclass(frozen=True)
+class DerivationReport:
+    """Exact recomputation of the zero-sum worst-case identities for one q."""
+
+    alpha: int
+    span: int  # d - c, the input range width
+    f: int
+    e: int
+    max_identity_ok: bool  # f == alpha * span
+    min_identity_ok: bool  # -e == alpha * span
+    span_identity_ok: bool  # f - e == span * ||q||_1, elementwise too
+    budget_chain_ok: bool  # zero-sum budget <= span budget <= min-side budget
+    implication_ok: bool  # within zero-sum budget -> all register conditions hold
+
+    @property
+    def all_ok(self) -> bool:
+        return (
+            self.max_identity_ok
+            and self.min_identity_ok
+            and self.span_identity_ok
+            and self.budget_chain_ok
+            and self.implication_ok
+        )
+
+
+def check_zero_sum_identities(
+    q, N: int, act_signed: bool, p_range: range = range(2, 33)
+) -> DerivationReport:
+    """Recompute the extremal-dot identities and budget orderings for zero-sum q."""
+    qs = list(map(int, q))
+    if sum(qs) != 0:
+        raise HypothesisViolationError(f"q must sum to zero, got {qs}")
+    c, d = int_range(N, act_signed)
+    span = d - c
+    alpha = sum(x for x in qs if x > 0)
+    l1 = sum(abs(x) for x in qs)
+
+    # the register width only sets the fits flags, which go unread here
+    wit = check_accumulator(qs, N, act_signed, AccumulatorSpec(2))
+    mu, nu = wit.witness_x_max, wit.witness_x_min
+    f = exact_dot(mu, qs)
+    e = exact_dot(nu, qs)
+
+    # zero entries contribute nothing to either dot, so they are exempt
+    elementwise = all(
+        qi == 0 or (mi - ni) == span * (1 if qi > 0 else -1)
+        for mi, ni, qi in zip(mu, nu, qs)
+    )
+    span_ok = (f - e) == span * l1 and elementwise
+
+    chain_ok = True
+    implication_ok = True
+    for P in p_range:
+        zero_sum_budget = a2q_plus_limit(P, N)
+        span_budget = Fraction((1 << P) - 1, (1 << N) - 1)
+        min_side_budget = Fraction(1 << P, (1 << N) - 1)
+        chain_ok &= zero_sum_budget <= span_budget <= min_side_budget
+        if Fraction(l1) <= zero_sum_budget:
+            hi = (1 << (P - 1)) - 1
+            lo = -(1 << (P - 1))
+            implication_ok &= f <= hi and e >= lo and (f - e) <= (1 << P) - 1
+
+    return DerivationReport(
+        alpha=alpha,
+        span=span,
+        f=f,
+        e=e,
+        max_identity_ok=f == alpha * span,
+        min_identity_ok=-e == alpha * span,
+        span_identity_ok=span_ok,
+        budget_chain_ok=chain_ok,
+        implication_ok=implication_ok,
+    )
+
+
+def check_aligned_dot_inequality(x, w, q) -> bool:
+    """x'q <= x'w for sign-aligned inputs and magnitude-dominated codes.
+
+    Hypotheses (violations raise, they mean the caller generated bad inputs):
+    every |q_i| <= |w_i|, and wherever x_i != 0 the nonzero entries of w and q
+    share x_i's sign.
+    """
+    xs, qs = list(map(int, x)), list(map(int, q))
+    ws = np.asarray(w, dtype=float).ravel().tolist()
+    if not (len(xs) == len(qs) == len(ws)):
+        raise HypothesisViolationError("x, w, q must share a length")
+    for xi, wi, qi in zip(xs, ws, qs):
+        if abs(qi) > abs(wi):
+            raise HypothesisViolationError(f"|q_i| = {abs(qi)} exceeds |w_i| = {abs(wi)}")
+        if xi != 0:
+            if qi != 0 and (qi > 0) != (xi > 0):
+                raise HypothesisViolationError("q_i sign disagrees with x_i")
+            if wi != 0.0 and (wi > 0) != (xi > 0):
+                raise HypothesisViolationError("w_i sign disagrees with x_i")
+    return exact_dot(xs, qs) <= math.fsum(xi * wi for xi, wi in zip(xs, ws))
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def iter_l1_vectors(K: int, l1: int):
+    """All integer K-vectors with exactly the given l1 norm."""
+    if l1 == 0:
+        yield [0] * K
+        return
+    for comp in _compositions(l1, K):
+        hot = [i for i, cnt in enumerate(comp) if cnt]
+        for signs in itertools.product((1, -1), repeat=len(hot)):
+            q = list(comp)
+            for i, sgn in zip(hot, signs):
+                q[i] *= sgn
+            yield q
+
+
+def iter_zero_sum_vectors(K: int, l1: int):
+    """All zero-sum integer K-vectors with exactly the given l1 norm."""
+    for q in iter_l1_vectors(K, l1):
+        if sum(q) == 0:
+            yield q
+
+
+def find_overflow_witness(K: int, l1: int, N: int, act_signed: bool, P: int):
+    """First q (lexicographic in enumeration order) of the given l1 that overflows."""
+    spec = AccumulatorSpec(P)
+    for q in iter_l1_vectors(K, l1):
+        if check_accumulator(q, N, act_signed, spec).overflowed:
+            return q
+    return None
 
 
 # ------------------------------------------------------------ zero-sum vectors
@@ -211,13 +411,3 @@ def test_zero_sum_budget_beats_one_sided_budget_in_practice(signed):
                 continue  # no gap to exercise at this width
             q = [m // 2, -(m // 2)]
             assert not check_accumulator(q, N, signed, AccumulatorSpec(P)).overflowed
-
-
-def test_self_check_all_green():
-    results = self_check(seed=0)
-    assert [name for name, _ in results] == [
-        "zero_sum_identities",
-        "boundary_tightness",
-        "aligned_dot_inequality",
-    ]
-    assert all(ok for _, ok in results)

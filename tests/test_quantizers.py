@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from accq.bounds import MAX_WEIGHT_BITS, BitWidths, a2q_limit, a2q_plus_limit, int_range
 from accq.errors import NonFiniteInputError
-from accq.intsim import AccumulatorSpec, check_accumulator, verify_domination
+from accq.intsim import AccumulatorSpec, check_accumulator
 from accq import quantizers
 from accq.quantizers import (
     K_MIN_CENTER,
@@ -22,7 +22,7 @@ from accq.quantizers import (
     quantize_layer,
 )
 
-from oracles import round_to_zero
+from oracles import round_to_zero, verify_domination
 
 RNG = np.random.default_rng
 

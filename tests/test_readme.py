@@ -1,20 +1,23 @@
-"""README's CLI examples, run as written.
+"""README's CLI examples, run as written, and its library layout.
 
 Each text block of README.md that holds `$ ...` lines is one session, run in
 a fresh directory: `$ accq ...` runs the CLI and its stdout must equal the
 lines printed under it, byte for byte; `$ printf '...' > FILE` writes FILE and
 `$ echo $?` checks the last exit code.  A session whose output README cuts
 short with `...`, or that reads a file README does not write, is skipped.
+The library-layout table must list exactly the package's modules.
 """
 
 from __future__ import annotations
 
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import accq
 from accq import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -75,3 +78,10 @@ def test_readme_session(steps, tmp_path, monkeypatch, capsys):
             assert argv[0] == "accq"
             code = cli.main(argv[1:])
             assert capsys.readouterr().out == want, shlex.join(argv)
+
+
+def test_library_layout_lists_every_module():
+    section = README.read_text().split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `accq\.(\w+)` \|", section, re.M)
+    shipped = [mod.name for mod in pkgutil.iter_modules(accq.__path__) if mod.name != "__main__"]
+    assert sorted(listed) == sorted(shipped)
