@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import BitWidths
 from .errors import NonFiniteInputError, NonPositiveRadiusError
-from .quantizers import ChannelWeights, Variant, channel_budget
+from .quantizers import ChannelWeights, Variant, _layer_shape, channel_budget
 
 # exponent used when a channel (or its norm) is identically zero; 2^-30 is far
 # below any realistic scale but keeps every downstream log finite
@@ -114,10 +114,11 @@ def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[n
     Masses and max-abs scales come from the row rules, each row's floor and
     log2 in Python floats, which keeps the one-row view ep_init cheap.  A row
     that is not finite, whose mass or floor leaves float range, or whose
-    max-abs scale underflows to 0 raises NonFiniteInputError.
+    max-abs scale underflows to 0 raises NonFiniteInputError; a W that is not
+    (C, K) with C, K >= 1 raises ValueError naming its shape.
     """
     V = np.array(W, dtype=float)
-    limit = float(channel_budget(V.shape[1], bits, variant)[1])
+    limit = float(channel_budget(_layer_shape(V)[1], bits, variant)[1])
     mags = np.abs(V)
     masses = l1_masses(mags, "w")
     scales = max_abs_scales(mags, bits.M)
@@ -132,6 +133,6 @@ def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[n
 
 
 def ep_init(w, bits: BitWidths, variant: Variant = Variant.A2Q) -> ChannelWeights:
-    """ep_init_layer on one float channel, as a ChannelWeights: v = w, g = ||w||_1."""
+    """ep_init_layer on one float channel, as a ChannelWeights: v = w, g = ||w||_1; an empty w raises ValueError."""
     V, t, d = ep_init_layer(np.atleast_1d(np.asarray(w, dtype=float))[None], bits, variant)
     return ChannelWeights(v=V[0], t=t[0], d=d[0])

@@ -1,16 +1,16 @@
 """Exact simulation of fixed-width integer accumulation.
 
 Overflow verdicts must never themselves be victims of overflow, so every dot
-product that feeds a verdict is exact.  The closed form takes one route per
-call: one int64 numpy pass over all rows when every row is a non-empty integer
-array within int64, the call holds at least 256 codes and the bound
-B = K * max|q| * max(|c|, |d|), from its longest row and its largest code, is
-below 2^62; Python ints for every row otherwise.  The exhaustive enumerator
-holds its sums in the narrowest of int16, int32 and int64 that provably fits,
-else in two int64 limbs, else in Python ints (an object array).  Every space
-takes one loop: blocks of at most 2^18 sums, each a run of leading-input sums
-plus a tail table of at most 2^15 sums, written into one 64-byte aligned
-workspace per call that holds every limb.
+product that feeds a verdict is exact.  certify and check_accumulator share one
+closed form, with one route per call: one int64 numpy pass over all rows when
+every row is a non-empty integer array within int64, the call holds at least
+256 codes and B = K * max|q| * max(|c|, |d|), from its longest row and its
+largest code, is below 2^62; Python ints for every row otherwise.  The
+exhaustive enumerator holds its sums in the narrowest of int16, int32 and int64
+that provably fits, else in two int64 limbs, else in Python ints (an object
+array).  Every space takes one loop: blocks of at most 2^18 sums, each a run of
+leading-input sums plus a tail table of at most 2^15 sums, written into one
+64-byte aligned workspace per call that holds every limb.
 
 certify is the one certificate rule: it gives every row the closed-form
 worst case and decides which rows the exhaustive oracle also enumerates.
@@ -21,6 +21,7 @@ Wraparound follows two's complement: a P-bit register holds
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -84,6 +85,8 @@ def _int_vector(q) -> list[int]:
     # integer dtypes and Python ints are exact codes already; a sequence goes
     # through the object dtype, since numpy would turn [2**63, -3] into float64
     arr = np.asarray(q) if isinstance(q, np.ndarray) else np.asarray(q, dtype=object)
+    if arr.ndim > 1:
+        raise ValueError(f"one row of codes expected, got shape {arr.shape}")
     items = arr.ravel().tolist()
     if arr.dtype.kind in "iu" or all(type(x) is int for x in items):
         return items
@@ -122,9 +125,14 @@ def _extremes(qs: list[int], c: int, d: int) -> tuple[int, int]:
 
 
 def check_accumulator(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> AccumWitness:
-    """Exact worst-case check of q against a P-bit register via extremal inputs."""
-    qs = _int_vector(q)
+    """Exact worst case of one row q on a P-bit register: certify's closed form, witnessed by the extremal inputs."""
     c, d = _input_range(N, act_signed)
+    if isinstance(q, np.ndarray) and q.size >= _INT64_MIN_CODES and q.ndim == 1 and _int64_codes(q):
+        _, (f,), (e,) = _closed_forms(q[None], c, d)  # which picks the route
+        # column 1 (d, c) where q >= 0, else column 0 (c, d); Python ints, as the witnesses hold
+        x_max, x_min = np.array([[c, d], [d, c]], dtype=object).take((q >= 0).view(np.int8), axis=1).tolist()
+        return _witness(f, e, x_max, x_min, spec)
+    qs = _int_vector(q)
     f, e = _extremes(qs, c, d)
     return _witness(f, e, [d if v >= 0 else c for v in qs], [c if v >= 0 else d for v in qs], spec)
 
@@ -315,7 +323,7 @@ def _closed_forms(rows, c: int, d: int) -> tuple[list[int], list[int], list[int]
         flat = rows.reshape(-1) if isinstance(rows, np.ndarray) else np.concatenate(rows)
         flat = flat.astype(np.int64, copy=False)
         if max(sizes) * max(int(flat.max()), -int(flat.min())) * reach < _INT64_GUARD:
-            starts = np.cumsum([0] + sizes[:-1])
+            starts = list(itertools.accumulate(sizes[:-1], initial=0))  # np.cumsum costs more on a few rows
             alpha = np.add.reduceat(np.maximum(flat, 0), starts)
             beta = np.add.reduceat(np.minimum(flat, 0), starts)
             return sizes, (d * alpha + c * beta).tolist(), (c * alpha + d * beta).tolist()

@@ -262,6 +262,12 @@ def _shrink_rows(q: np.ndarray, rows: list[int], cap: list[int]) -> np.ndarray:
     return q
 
 
+def _layer_shape(V: np.ndarray) -> tuple[int, int]:
+    if V.ndim != 2 or not V.size:
+        raise ValueError(f"a layer must be a (C, K) array with C, K >= 1, got shape {V.shape}")
+    return V.shape
+
+
 def quantize_layer(
     V: np.ndarray, t: np.ndarray, d: np.ndarray, bits: BitWidths | BitPlan, variant: Variant
 ) -> QuantizedLayer:
@@ -270,10 +276,10 @@ def quantize_layer(
     Row i uses direction V[i], norm 2^t[i] and scale 2^d[i].  bits is one
     BitWidths for every row, or a bit plan whose runs give consecutive rows
     their own widths; every row shares K and so the variant that runs.  Raises
-    OverflowError when a norm or scale exponent leaves float range, a scale
-    that underflows to 0 (which weights are divided by) included.
+    ValueError naming V's shape unless C, K >= 1, and OverflowError when a norm
+    or scale exponent leaves float range, a scale underflowing to 0 included.
     """
-    C, K = V.shape
+    C, K = _layer_shape(V)
     plan = ((bits, C),) if isinstance(bits, BitWidths) else bits
     plan_rows = _plan_rows(K, plan, variant)
     if len(plan_rows.bound) != C:

@@ -1,6 +1,7 @@
 """l1-ball projection, budget-aware channel initialization, quantization error."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,3 +293,13 @@ def test_projection_beats_naive_scaling_after_rounding():
         wins += ep <= nv
     assert wins >= 45
     assert ep_total < nv_total
+
+
+@pytest.mark.parametrize(
+    "init, w, shape",
+    [(ep_init, [], "(1, 0)"), (ep_init_layer, np.zeros((2, 0)), "(2, 0)"), (ep_init_layer, np.zeros((0, 4)), "(0, 4)")],
+    ids=["ep_init", "ep_init_layer-no-column", "ep_init_layer-no-row"],
+)
+def test_empty_init_is_a_value_error_naming_its_shape(init, w, shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        init(w, BitWidths(4, 4, 12))

@@ -1,5 +1,6 @@
 """Exact integer accumulation, overflow witnesses, two's-complement wrapping."""
 
+import dataclasses
 import time
 import tracemalloc
 
@@ -13,6 +14,8 @@ from accq.errors import EnumerationBudgetError, InvalidBitWidthError, InvalidBud
 from accq.intsim import (
     DEFAULT_ENUM_BUDGET,
     AccumulatorSpec,
+    AccumWitness,
+    _extremes,
     certify,
     check_accumulator,
     enumeration_budget,
@@ -69,6 +72,30 @@ def test_extremal_inputs_match_brute_force(q, N, signed):
 def test_bad_input_width_is_named_N(check, codes, N):
     with pytest.raises(InvalidBitWidthError, match=rf"^N must be in \[1, 64\], got {N}$"):
         check(codes, N, False, AccumulatorSpec(P=8))
+
+
+@pytest.mark.parametrize(
+    "check, codes",
+    [
+        (check_accumulator, np.array([[1, 2], [3, -4]])),
+        (exhaustive_check, np.array([[1, 2], [3, -4]])),
+        (certify, [np.array([[1, 2], [3, -4]])]),
+        (certify, np.zeros((3, 2, 2), dtype=np.int64)),
+    ],
+    ids=["check_accumulator", "exhaustive_check", "certify-2d-row", "certify-3d"],
+)
+def test_multi_dimensional_codes_are_rejected(check, codes):
+    # a 2-d row is not flattened into one K=4 verdict
+    with pytest.raises(ValueError, match=r"^one row of codes expected, got shape \(2, 2\)$"):
+        check(codes, 4, False, AccumulatorSpec(P=16))
+
+
+def test_zero_d_code_is_one_code_and_a_block_is_rows():
+    spec = AccumulatorSpec(P=16)
+    assert check_accumulator(np.int64(3), 4, False, spec) == check_accumulator([3], 4, False, spec)
+    block = [[1, 2], [3, -4]]
+    assert [c.true_max for c in certify(np.array(block), 4, False, spec)] == [45, 45]
+    assert certify(np.array(block), 4, False, spec) == certify(block, 4, False, spec)
 
 
 def test_wrap_frozen():
@@ -541,6 +568,84 @@ def test_certify_int64_route_matches_python_ints(block, ragged, N, signed, P):
     # plain Python values, so accq verify's JSON cannot tell the routes apart
     for cert in as_arrays + as_block + mixed:
         assert [type(v) for v in cert] == [int, int, int, bool, bool]
+
+
+_ARRAY_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _assert_same_witness(got, want):
+    # equal field for field, and in the same Python types: ints and tuples of ints
+    assert got == want
+    for field in dataclasses.fields(AccumWitness):
+        assert type(getattr(got, field.name)) is type(getattr(want, field.name))
+    for x in (got.witness_x_max, got.witness_x_min):
+        assert all(type(v) is int for v in x)
+
+
+@pytest.mark.parametrize("dtype", _ARRAY_DTYPES, ids=lambda t: np.dtype(t).name)
+def test_check_accumulator_array_matches_python_ints(dtype):
+    # an integer array takes the int64 route from 256 codes on, a list Python
+    # ints always: both give one record, whose witnesses reach the extremes
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(np.dtype(dtype).itemsize * 2 + (info.min < 0))
+    spec = AccumulatorSpec(P=40)
+    for K in (0, 1, 255, 256, 1024):
+        full = rng.integers(info.min, info.max, size=K, endpoint=True, dtype=dtype)
+        small = rng.integers(max(info.min, -7), 8, size=K, dtype=dtype)
+        for q in (full, small):
+            q[: K // 2 : 7] = 0  # zero codes take d in the max witness
+            for N in (1, 8, 16, 32, 64):
+                for signed in (False, True):
+                    got = check_accumulator(q, N, signed, spec)
+                    _assert_same_witness(got, check_accumulator(q.tolist(), N, signed, spec))
+                    assert exact_dot(got.witness_x_max, q.tolist()) == got.true_max
+                    assert exact_dot(got.witness_x_min, q.tolist()) == got.true_min
+
+
+@pytest.mark.parametrize("K", [256, 1024])
+@pytest.mark.parametrize("N, signed", [(1, False), (8, True), (16, False), (32, True)])
+def test_check_accumulator_array_at_the_int64_guard(monkeypatch, K, N, signed):
+    # B = K * max|q| * max(|c|, |d|) just below 2^62 takes the int64 pass, and
+    # just above it Python ints; both equal the list route
+    reach = 1 << (N - 1) if signed else (1 << N) - 1
+    top = ((1 << 62) - 1) // (K * reach)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _extremes(*args)
+
+    monkeypatch.setattr(intsim, "_extremes", counted)
+    for big, python_ints in ((top, False), (top + 1, True)):
+        assert (K * big * reach < 1 << 62) != python_ints
+        q = np.random.default_rng(K + N).integers(-big, big, size=K, endpoint=True)
+        q[:2] = (big, -big)
+        spec = AccumulatorSpec(P=64)
+        calls.clear()
+        got = check_accumulator(q, N, signed, spec)
+        assert bool(calls) == python_ints
+        _assert_same_witness(got, check_accumulator(q.tolist(), N, signed, spec))
+        assert exact_dot(got.witness_x_max, q.tolist()) == got.true_max
+        assert exact_dot(got.witness_x_min, q.tolist()) == got.true_min
+
+
+def test_int64_route_skips_the_python_int_loop(monkeypatch):
+    # pins both routes: long integer arrays never reach _extremes, in
+    # check_accumulator or certify, while rows under 256 codes and lists do
+    class PythonIntRoute(Exception):
+        pass
+
+    def refuse(*args):
+        raise PythonIntRoute
+
+    monkeypatch.setattr(intsim, "_extremes", refuse)
+    spec = AccumulatorSpec(P=32)
+    codes = np.arange(-512, 512, dtype=np.int64)
+    assert check_accumulator(codes, 4, False, spec).true_max == 15 * sum(range(512))
+    assert [c.true_min for c in certify(codes.reshape(4, 256), 4, True, spec)][-1] == -8 * sum(range(256, 512))
+    for short in (codes[:255], codes.tolist()):
+        with pytest.raises(PythonIntRoute):
+            check_accumulator(short, 4, False, spec)
 
 
 def test_verify_domination_over_row_stacks():

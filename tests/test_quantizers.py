@@ -1,6 +1,7 @@
 """Constrained quantizers: forward values, certificates, gradients, the layer core."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -622,3 +623,9 @@ def test_stacked_plan_covers_fallback_degenerate_saturated_and_repair(K, variant
     assert stack.bound == [a2q_limit(64, 56) if K == 1 else a2q_limit(62, 11)] + [a2q_limit(20, 4)] * 2 + [
         a2q_limit(8, 1)
     ] * 2
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (2, 0), (0, 0), (4,)])
+def test_empty_or_flat_layer_is_a_value_error_naming_its_shape(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        quantize_layer(np.zeros(shape), np.zeros(2), np.zeros(2), BitWidths(4, 4, 12), Variant.A2Q)
