@@ -128,7 +128,7 @@ def check_accumulator(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Acc
     """Exact worst case of one row q on a P-bit register: certify's closed form, witnessed by the extremal inputs."""
     c, d = _input_range(N, act_signed)
     if isinstance(q, np.ndarray) and q.size >= _INT64_MIN_CODES and q.ndim == 1 and _int64_codes(q):
-        _, (f,), (e,) = _closed_forms(q[None], c, d)  # which picks the route
+        _, (f,), (e,) = _closed_forms([q], c, d)  # which picks the route
         # column 1 (d, c) where q >= 0, else column 0 (c, d); Python ints, as the witnesses hold
         x_max, x_min = np.array([[c, d], [d, c]], dtype=object).take((q >= 0).view(np.int8), axis=1).tolist()
         return _witness(f, e, x_max, x_min, spec)
@@ -305,7 +305,7 @@ def _int64_codes(arr) -> bool:
     return kind == "i" or (kind == "u" and arr.dtype.itemsize < 8)
 
 
-def _closed_forms(rows, c: int, d: int) -> tuple[list[int], list[int], list[int]]:
+def _closed_forms(rows: list, c: int, d: int) -> tuple[list[int], list[int], list[int]]:
     # K, max and min of every row's dot product over inputs in [c, d], exactly.
     # One int64 pass covers the whole call when every row is a non-empty
     # integer array within int64, the call holds _INT64_MIN_CODES codes or
@@ -313,15 +313,10 @@ def _closed_forms(rows, c: int, d: int) -> tuple[list[int], list[int], list[int]
     # bounds every row's B and so every partial sum, is below 2^62; otherwise
     # every row takes _extremes in Python ints
     reach = max(-c, d)
-    if isinstance(rows, np.ndarray):
-        sizes = [rows.shape[1]] * len(rows) if rows.shape[1] and _int64_codes(rows) else []
-    elif all(_int64_codes(row) and row.ndim == 1 and row.size for row in rows):
-        sizes = [row.size for row in rows]
-    else:
-        sizes = []
+    fast = all(_int64_codes(row) and row.ndim == 1 and row.size for row in rows)
+    sizes = [row.size for row in rows] if fast else []
     if sum(sizes) >= _INT64_MIN_CODES and reach < _INT64_GUARD:
-        flat = rows.reshape(-1) if isinstance(rows, np.ndarray) else np.concatenate(rows)
-        flat = flat.astype(np.int64, copy=False)
+        flat = np.concatenate(rows).astype(np.int64, copy=False)
         if max(sizes) * max(int(flat.max()), -int(flat.min())) * reach < _INT64_GUARD:
             starts = list(itertools.accumulate(sizes[:-1], initial=0))  # np.cumsum costs more on a few rows
             alpha = np.add.reduceat(np.maximum(flat, 0), starts)
@@ -336,20 +331,23 @@ def certify(
 ) -> list[Certificate]:
     """Certify integer code rows (of any lengths) against a P-bit register.
 
-    rows is a (C, K) array or a sequence of rows.  Every row gets the exact
-    closed-form worst case, all of them on one route: in int64, over all rows
-    at once, when every row is a non-empty integer array within int64, the
-    call holds at least 256 codes and B = K * max|q| * max(|c|, |d|), taken
-    over its longest row and largest code, is below 2^62; in Python ints,
-    row by row, otherwise.  A row also goes to the exhaustive oracle when
-    exhaustive is set, or when its (2^N)^K input vectors fit the enumeration
-    budget; it overflows when either route says so.  A forced row over the
-    budget raises EnumerationBudgetError before any result is returned.
+    rows is a (C, K) array or a sequence of rows; an array with fewer than
+    two dimensions, or a row with more than one, is a ValueError naming its
+    shape.  Every row gets the exact closed-form worst case, all of them on
+    one route: in int64, over all rows at once, when every row is a non-empty
+    integer array within int64, the call holds at least 256 codes and
+    B = K * max|q| * max(|c|, |d|), taken over its longest row and largest
+    code, is below 2^62; in Python ints, row by row, otherwise.  A row also
+    goes to the exhaustive oracle when exhaustive is set, or when its
+    (2^N)^K input vectors fit the enumeration budget; it overflows when
+    either route says so.  A forced row over the budget raises
+    EnumerationBudgetError before any result is returned.
     """
     c, d = _input_range(N, act_signed)
     cap = enumeration_budget()
-    if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
-        rows = list(rows)
+    if isinstance(rows, np.ndarray) and rows.ndim < 2:
+        raise ValueError(f"rows must be a (C, K) array or a sequence of rows, got shape {rows.shape}")
+    rows = list(rows)
     Ks, fs, es = _closed_forms(rows, c, d)
     hi, lo = spec.hi, spec.lo
     overflowed = [f > hi or e < lo for f, e in zip(fs, es)]

@@ -695,6 +695,7 @@ def load_checkpoint(path):
     """Read a checkpoint; returns ("quantized", ToyNetwork) or ("float", one (C, K) array per layer).
 
     Each layer's channels stack into arrays, so a layer with none or with ragged ones is a ValueError.
+    Bit widths are read as stored: M, N and P must be JSON ints and act_signed a JSON bool.
     """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
@@ -704,7 +705,9 @@ def load_checkpoint(path):
         layers = []
         for entry in payload["layers"]:
             b = entry["bits"]
-            bw = BitWidths(M=int(b["M"]), N=int(b["N"]), P=int(b["P"]), act_signed=bool(b["act_signed"]))
+            if not isinstance(b["act_signed"], bool):
+                raise ValueError(f"act_signed must be a JSON bool, got {b['act_signed']!r}")
+            bw = BitWidths(M=b["M"], N=b["N"], P=b["P"], act_signed=b["act_signed"])
             V = np.stack([finite_vector(c["v"], "v") for c in entry["channels"]])
             l1_masses(np.abs(V), "v")  # the quantizer divides each row by its mass
             t, d = (finite_vector([c[name] for c in entry["channels"]], name) for name in "td")

@@ -12,11 +12,11 @@ certificate survives rounding.  The zero-sum structure of the centered variant
 is what buys its wider budget.
 
 Rows that share K are quantized together: quantize_layer takes the directions
-as a (C, K) array, t and d as (C,) arrays, and one BitWidths for every row or a
-bit plan of (BitWidths, rows) runs, so the trainer quantizes every layer of a
-fan-in in one call.  It returns one QuantizedLayer: the (C, K) codes, their
-per-row certificates and the forward state whose backward passes return
-(dV, dt, dd) arrays.
+as a (C, K) array, t and d as (C,) arrays, and one BitWidths for every row.  It
+returns one QuantizedLayer: the (C, K) codes, their per-row certificates and
+the forward state whose backward passes return (dV, dt, dd) arrays.  Its core,
+_quantize_rows, takes the PlanRows of a bit plan of (BitWidths, rows) runs
+instead, so the trainer quantizes every layer of a fan-in in one call.
 forward_weights returns WeightTape, the single C = 1 row view of that record,
 for one ChannelWeights; both are kept for the benchmark's quantize_audit
 workload, and nothing in the package calls them.  Row
@@ -268,27 +268,20 @@ def _layer_shape(V: np.ndarray) -> tuple[int, int]:
     return V.shape
 
 
-def quantize_layer(
-    V: np.ndarray, t: np.ndarray, d: np.ndarray, bits: BitWidths | BitPlan, variant: Variant
-) -> QuantizedLayer:
+def quantize_layer(V: np.ndarray, t: np.ndarray, d: np.ndarray, bits: BitWidths, variant: Variant) -> QuantizedLayer:
     """Quantize a (C, K) stack of channels into one record of codes, certificates and tape.
 
-    Row i uses direction V[i], norm 2^t[i] and scale 2^d[i].  bits is one
-    BitWidths for every row, or a bit plan whose runs give consecutive rows
-    their own widths; every row shares K and so the variant that runs.  Raises
+    Row i uses direction V[i], norm 2^t[i] and scale 2^d[i]; every row shares
+    the bit widths bits and, sharing K, the variant that runs.  Raises
     ValueError naming V's shape unless C, K >= 1, and OverflowError when a norm
     or scale exponent leaves float range, a scale underflowing to 0 included.
     """
     C, K = _layer_shape(V)
-    plan = ((bits, C),) if isinstance(bits, BitWidths) else bits
-    plan_rows = _plan_rows(K, plan, variant)
-    if len(plan_rows.bound) != C:
-        raise ValueError(f"the bit plan covers {len(plan_rows.bound)} rows, the layer has {C}")
-    return _quantize_rows(V, t, d, plan_rows)
+    return _quantize_rows(V, t, d, _plan_rows(K, ((bits, C),), variant))
 
 
 def _quantize_rows(V: np.ndarray, t: np.ndarray, d: np.ndarray, plan_rows: PlanRows) -> QuantizedLayer:
-    """quantize_layer's core, given the PlanRows of a plan that covers V's rows."""
+    """quantize_layer's core, given the PlanRows of a bit plan that covers V's rows, as the trainer calls it."""
     C, K = V.shape
     active, fell_back, bound, budget, cap, lo, hi = plan_rows
     # 2^t, 2^d and T = s * budget per row in Python floats: np.exp2 differs

@@ -865,6 +865,22 @@ def test_analyze_malformed_bias_or_act_exp_exits_3(fields, tmp_path):
     assert err.startswith(f"error: bad checkpoint {path}")
 
 
+@pytest.mark.parametrize(
+    "bits, message",
+    [
+        ({"M": 4.7, "N": 4, "P": 12, "act_signed": False}, "M must be an int, got 4.7"),
+        ({"M": 4, "N": 4, "P": 12, "act_signed": "false"}, "act_signed must be a JSON bool, got 'false'"),
+    ],
+    ids=["fractional M", "string act_signed"],
+)
+def test_analyze_checkpoint_bit_widths_are_not_coerced(bits, message, tmp_path, capsys):
+    # neither M = 4.7 read as 4 nor "false" read as True
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(_one_channel_layer(bits=bits)))
+    err = assert_input_error(capsys, "analyze", "--ckpt", str(path), "--M", "4", "--N", "4")
+    assert err == f"error: bad checkpoint {path}: {message}\n"
+
+
 def test_analyze_subnormal_float_channel_exits_3(tmp_path):
     # its max-abs scale at M = 4 underflows to 0, which the mass is divided by
     path = tmp_path / "tiny.json"

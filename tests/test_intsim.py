@@ -98,6 +98,15 @@ def test_zero_d_code_is_one_code_and_a_block_is_rows():
     assert certify(np.array(block), 4, False, spec) == certify(block, 4, False, spec)
 
 
+@pytest.mark.parametrize("codes, shape", [(np.array([1, 2, 3]), r"\(3,\)"), (np.array(3), r"\(\)")], ids=["1-d", "0-d"])
+def test_certify_rejects_an_array_of_fewer_than_two_dimensions(codes, shape):
+    # a 1-d array is not three K=1 rows; as one (1, K) row it is one K=3 certificate
+    spec = AccumulatorSpec(P=16)
+    with pytest.raises(ValueError, match=rf"^rows must be a \(C, K\) array or a sequence of rows, got shape {shape}$"):
+        certify(codes, 4, False, spec)
+    assert certify(codes.reshape(1, -1), 4, False, spec) == [(codes.size, 15 * int(codes.sum()), 0, False, True)]
+
+
 def test_wrap_frozen():
     assert wrap(12, 4) == -4
     assert wrap(7, 4) == 7

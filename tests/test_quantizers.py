@@ -543,10 +543,10 @@ def _plan_run(rng, K: int, bits: BitWidths, variant: Variant, n: int):
 
 
 def _assert_stack_equals_per_plan(runs, variant: Variant, up: np.ndarray):
-    """One quantize_layer call over the stacked runs against one call per run, bit for bit."""
+    """quantize_network's path over the stacked runs against one quantize_layer call per run, bit for bit."""
     V, t, d = (np.concatenate([run[i] for run in runs]) for i in (1, 2, 3))
     plan = tuple((bits, len(v)) for bits, v, _, _ in runs)
-    stack = quantize_layer(V, t, d, plan, variant)
+    stack = quantizers._quantize_rows(V, t, d, quantizers._plan_rows(V.shape[1], plan, variant))
     grads = {name: getattr(stack, name)(up) for name in ("backward", "backward_smooth")}
     start = 0
     for bits, v, tt, dd in runs:
