@@ -6,11 +6,11 @@ closed form, with one route per call: one int64 numpy pass over all rows when
 every row is a non-empty integer array within int64, the call holds at least
 256 codes and B = K * max|q| * max(|c|, |d|), from its longest row and its
 largest code, is below 2^62; Python ints for every row otherwise.  The
-exhaustive enumerator holds its sums in the narrowest of int16, int32 and int64
-that provably fits, else in two int64 limbs, else in Python ints (an object
-array).  Every space takes one loop: blocks of at most 2^18 sums, each a run of
+exhaustive enumerator holds its sums in int16, int32 or int64 while B is below
+2^15, 2^31 or 2^62, and in Python ints (an object array) past that.  Every
+space takes one loop: blocks of at most 2^18 sums, each one row of
 leading-input sums plus a tail table of at most 2^15 sums, written into one
-64-byte aligned workspace per call that holds every limb.
+64-byte aligned workspace per call.
 
 certify is the one certificate rule: it gives every row the closed-form
 worst case and decides which rows the exhaustive oracle also enumerates.
@@ -164,88 +164,54 @@ def enumeration_budget() -> int:
 
 
 def _products(codes: np.ndarray, xs: range, dtype) -> list[np.ndarray]:
-    # one (limbs, len(xs)) row per column of codes: each code times every input
-    # in xs, formed wide and then narrowed, as B bounds the products, not the
-    # inputs themselves.  No column forms no range
-    if not codes.shape[1]:
+    # one row per code: the code times every input in xs, formed wide and then
+    # narrowed, as B bounds the products, not the inputs themselves.  No code
+    # forms no range
+    if not codes.size:
         return []
-    table = codes.T[:, :, None] * np.arange(xs.start, xs.stop, xs.step, dtype=codes.dtype)
+    table = codes[:, None] * np.arange(xs.start, xs.stop, xs.step, dtype=codes.dtype)
     return list(table.astype(dtype, copy=False))
 
 
-def _outer_sums(rows: list[np.ndarray], limbs: int, dtype) -> np.ndarray:
-    # per limb, every sum taking one entry per row, the last row varying fastest
-    out = rows[-1] if rows else np.zeros((limbs, 1), dtype=dtype)
+def _outer_sums(rows: list[np.ndarray], dtype) -> np.ndarray:
+    # every sum taking one entry per row, the last row varying fastest
+    out = rows[-1] if rows else np.zeros(1, dtype=dtype)
     for row in rows[-2::-1]:
-        out = (row[:, :, None] + out[:, None]).reshape(limbs, -1)
+        out = (row[:, None] + out).ravel()
     return out
 
 
-def _blocks(limbs: list[list[int]], c: int, R: int, dtype):
-    # (first flat index, one row of sums per limb of the codes) in flat order, at
-    # most _BLOCK sums a row.  A block adds a run of lead sums (the leading
-    # inputs', one at least from K = 2 on) to the tail table (the last inputs'
-    # sums, at most _BLOCK / 8 of them: a block-sized tail doubles the heap a
-    # call frees, which page-faults back in).  An input range wider than that is
-    # cut into chunks: the chunk starts lead, and the offsets within a chunk,
-    # below R / 2, are the tail.  All blocks go to one workspace, each limb's row
-    # on a 64-byte line: numpy's add, argmax and argmin ran 20-30% slower 16
-    # bytes off one
+def _blocks(qs: list[int], c: int, R: int, dtype):
+    # (first flat index, one row of sums) in flat order, at most _BLOCK sums a
+    # row.  A block adds a run of lead sums (the leading inputs', one at least
+    # from K = 2 on) to the tail table (the last inputs' sums, at most
+    # _BLOCK / 8 of them: a block-sized tail doubles the heap a call frees,
+    # which page-faults back in).  An input range wider than that is cut into
+    # chunks: the chunk starts lead, and the offsets within a chunk, below
+    # R / 2, are the tail.  All blocks go to one workspace on a 64-byte line:
+    # numpy's add, argmax and argmin ran 20-30% slower 16 bytes off one
     limit = _BLOCK >> 3
-    L, K = len(limbs), len(limbs[0])
-    codes = np.array(limbs, dtype=object if dtype is object else np.int64)
+    K = len(qs)
+    codes = np.array(qs, dtype=object if dtype is object else np.int64)
     xs = range(c, c + R)
     if R > limit:
         w = 1 << (limit.bit_length() - 1)
-        rows = _products(codes[:, :-1], xs, dtype) + _products(codes[:, -1:], xs[::w], dtype)
-        rows += _products(codes[:, -1:], range(w), dtype)
+        rows = _products(codes[:-1], xs, dtype) + _products(codes[-1:], xs[::w], dtype)
+        rows += _products(codes[-1:], range(w), dtype)
     else:
         rows = _products(codes, xs, dtype)
     T = next((t for t in range(K - 1, 0, -1) if R ** t <= limit), 1)
-    lead, tail = _outer_sums(rows[:-T], L, dtype)[:, :, None], _outer_sums(rows[-T:], L, dtype)[:, None]
-    count, n = lead.shape[1], tail.shape[2]
+    lead, tail = _outer_sums(rows[:-T], dtype)[:, None], _outer_sums(rows[-T:], dtype)
+    count, n = len(lead), len(tail)
     per = min(_BLOCK // n, count)
-    # 32 sums fill whole 64-byte lines at every width
-    stride = -(-per * n // 32) * 32
-    raw = np.empty(L * stride + 32, dtype=dtype)
-    work = raw[-raw.ctypes.data % 64 // raw.itemsize :][: L * stride].reshape(L, stride)
+    # 32 spare sums leave room to start on a 64-byte line at every width
+    raw = np.empty(per * n + 32, dtype=dtype)
+    work = raw[-raw.ctypes.data % 64 // raw.itemsize :][: per * n]
     for start in range(0, count, per):
         size = min(per, count - start)
-        blocks = work[:, : size * n]
-        np.add(lead[:, start : start + size], tail, out=blocks.reshape(L, size, n))
-        yield start * n, blocks
-
-
-def _first_tie(high: np.ndarray, low: np.ndarray, arg) -> int:
-    # first index of the extreme (high, low) pair under arg (np.argmax or
-    # np.argmin), the high limb compared first
-    j = int(arg(high))
-    tie = np.flatnonzero(high == high[j])
-    return int(tie[arg(low[tie])])
-
-
-def _block_extremes(qs: list[int], c: int, R: int, spread: int):
-    # per block of sums, in flat order: its first flat index, then the index and
-    # value of its first maximum and of its first minimum.  spread = K * max(|c|, |d|)
-    # bounds every sum of codes in [-1, 1], so spread * max|v| bounds the sums of v
-    bits = (spread * max(map(abs, qs), default=0)).bit_length()
-    shift = 62 - spread.bit_length()
-    if bits > 62 and shift > 0 and spread * (max(abs(v >> shift) for v in qs) + 1) < _INT64_GUARD:
-        # each code splits as (v >> shift) * 2^shift + (v & mask), and so does each
-        # sum; the low sum's carry moves up, leaving the low limb in [0, 2^shift)
-        mask = (1 << shift) - 1
-        for first, (high, low) in _blocks([[v >> shift for v in qs], [v & mask for v in qs]], c, R, np.int64):
-            high += low >> shift
-            low &= mask
-            jmax, jmin = _first_tie(high, low, np.argmax), _first_tie(high, low, np.argmin)
-            top = (int(high[jmax]) << shift) + int(low[jmax])
-            bottom = (int(high[jmin]) << shift) + int(low[jmin])
-            yield first, jmax, top, jmin, bottom
-        return
-    dtype = np.int16 if bits <= 15 else np.int32 if bits <= 31 else np.int64 if bits <= 62 else object
-    for first, block in _blocks([qs], c, R, dtype):
-        jmax, jmin = int(block.argmax()), int(block.argmin())
-        yield first, jmax, int(block[0, jmax]), jmin, int(block[0, jmin])
+        block = work[: size * n]
+        np.add(lead[start : start + size], tail, out=block.reshape(size, n))
+        yield start * n, block
 
 
 def _decode_index(flat: int, K: int, R: int, c: int) -> tuple[int, ...]:
@@ -261,11 +227,10 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
     Independent oracle for check_accumulator: no extremal shortcut, every dot
     value is materialized and compared.  Raises EnumerationBudgetError when
     (2^N)^K exceeds the budget (default 2^24, env ACCQ_ENUM_BUDGET overrides).
-    Sums are int16, int32 or int64 when B = K * max|q| * max(|c|, |d|) is below
-    2^15, 2^31 or 2^62, two int64 limbs while each limb's sums stay below 2^62,
-    Python ints beyond, and come in blocks of at most 2^18, all in one buffer
-    filled from a tail of at most 2^15 sums (a chunk of one input's range, if
-    that range is wider).
+    Sums are int16, int32 or int64 while B = K * max|q| * max(|c|, |d|) is
+    below 2^15, 2^31 or 2^62, and Python ints past that.  They come in blocks
+    of at most 2^18, all in one buffer filled from a tail of at most 2^15 sums
+    (a chunk of one input's range, if that range is wider).
     The witnesses are the first extremes, the last element varying fastest.
     """
     qs = _int_vector(q)
@@ -277,8 +242,13 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
     if total > limit:
         raise EnumerationBudgetError(f"{total} input vectors exceed budget {limit}")
 
+    # B bounds every sum, and every partial sum a block is built from
+    bits = (K * max(abs(c), abs(d)) * max(map(abs, qs), default=0)).bit_length()
+    dtype = np.int16 if bits <= 15 else np.int32 if bits <= 31 else np.int64 if bits <= 62 else object
     f = e = None
-    for first, jmax, top, jmin, bottom in _block_extremes(qs, c, R, K * max(abs(c), abs(d))):
+    for first, block in _blocks(qs, c, R, dtype):
+        jmax, jmin = int(block.argmax()), int(block.argmin())
+        top, bottom = int(block[jmax]), int(block[jmin])
         # strict improvement only, so the first maximizer and minimizer win
         if f is None or top > f:
             f, flat_max = top, first + jmax
@@ -322,7 +292,14 @@ def _closed_forms(rows: list, c: int, d: int) -> tuple[list[int], list[int], lis
             alpha = np.add.reduceat(np.maximum(flat, 0), starts)
             beta = np.add.reduceat(np.minimum(flat, 0), starts)
             return sizes, (d * alpha + c * beta).tolist(), (c * alpha + d * beta).tolist()
-    out = [(len(qs), *_extremes(qs, c, d)) for qs in map(_int_vector, rows)]
+    out = []
+    for i, row in enumerate(rows):
+        # the object array _int_vector would build; a scalar in rows is a code, not a row
+        row = row if isinstance(row, np.ndarray) else np.asarray(row, dtype=object)
+        if not row.ndim:
+            raise ValueError(f"row {i} is a single code, not a row of codes")
+        qs = _int_vector(row)
+        out.append((len(qs), *_extremes(qs, c, d)))
     return [K for K, _, _ in out], [f for _, f, _ in out], [e for _, _, e in out]
 
 
@@ -333,9 +310,10 @@ def certify(
 
     rows is a (C, K) array or a sequence of rows; an array with fewer than
     two dimensions, or a row with more than one, is a ValueError naming its
-    shape.  Every row gets the exact closed-form worst case, all of them on
-    one route: in int64, over all rows at once, when every row is a non-empty
-    integer array within int64, the call holds at least 256 codes and
+    shape, and a row that is a single code is one naming its index.  Every
+    row gets the exact closed-form worst case, all of them on one route: in
+    int64, over all rows at once, when every row is a non-empty integer array
+    within int64, the call holds at least 256 codes and
     B = K * max|q| * max(|c|, |d|), taken over its longest row and largest
     code, is below 2^62; in Python ints, row by row, otherwise.  A row also
     goes to the exhaustive oracle when exhaustive is set, or when its
