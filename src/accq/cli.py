@@ -56,7 +56,6 @@ if TYPE_CHECKING:
     from .qat import TrainConfig
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_VERIFY = 4
 EXIT_BUDGET = 5
@@ -87,13 +86,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     if not vals:
         raise _InputError(f"{flag} is empty")
     return vals
-
-
-def _check_seeds(seeds: list[int]) -> None:
-    # numpy's generators reject negative seeds with a bare ValueError
-    bad = [s for s in seeds if s < 0]
-    if bad:
-        raise _InputError(f"--seed must be non-negative, got {bad[0]}")
 
 
 def _read_text(path: str) -> str:
@@ -266,7 +258,6 @@ def _build_grid(ns: argparse.Namespace) -> list[TrainConfig]:
     Ms = _parse_int_list(ns.M, "--M")
     Ns = _parse_int_list(ns.N, "--N")
     seeds = _parse_int_list(ns.seed, "--seed")
-    _check_seeds(seeds)
     Ps = None if ns.P == "auto" else _parse_int_list(ns.P, "--P")
     k_star = max(TeacherStudentSpec().dims()[:-1])
     # the auto P list depends on (M, N), so the widths are listed first

@@ -15,8 +15,10 @@ leading-input sums plus a tail table of at most 2^15 sums, written into one
 certify is the one certificate rule: it gives every row the closed-form
 worst case and decides which rows the exhaustive oracle also enumerates.
 
-Wraparound follows two's complement: a P-bit register holds
-[-2^(P-1), 2^(P-1) - 1] and out-of-range values are reduced mod 2^P back into it.
+A P-bit register holds [-2^(P-1), 2^(P-1) - 1].  A row overflows when its
+worst-case max lies above that range or its min below it: the one rule that
+certify, check_accumulator and exhaustive_check all apply.  wrap reduces an
+out-of-range value mod 2^P back into the range, as two's complement does.
 """
 
 from __future__ import annotations
@@ -63,22 +65,16 @@ class AccumulatorSpec:
 class AccumWitness:
     """Worst-case accumulation of one integer weight vector.
 
-    true_max / true_min are exact; witness_x_max / witness_x_min are input vectors
-    achieving them.  The three fits_* flags report the individual register
-    conditions (max side, min side, and total span <= 2^P - 1); overflowed is
-    their combined verdict.  wrapped_max is true_max after two's-complement
-    wraparound, equal to true_max exactly when the max side fits.
+    true_max / true_min are exact; witness_x_max / witness_x_min are input
+    vectors achieving them.  overflowed is the register rule certify applies:
+    true_max above 2^(P-1) - 1 or true_min below -2^(P-1).
     """
 
     true_max: int
     true_min: int
     overflowed: bool
-    wrapped_max: int
     witness_x_max: tuple[int, ...]
     witness_x_min: tuple[int, ...]
-    fits_max_side: bool
-    fits_min_side: bool
-    fits_span: bool
 
 
 def _int_vector(q) -> list[int]:
@@ -138,21 +134,7 @@ def check_accumulator(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Acc
 
 
 def _witness(f: int, e: int, x_max, x_min, spec: AccumulatorSpec) -> AccumWitness:
-    fits_max = f <= spec.hi
-    fits_min = e >= spec.lo
-    # implied by the two one-sided conditions; reported separately on purpose
-    fits_span = (f - e) <= (1 << spec.P) - 1
-    return AccumWitness(
-        true_max=f,
-        true_min=e,
-        overflowed=not (fits_max and fits_min),
-        wrapped_max=wrap(f, spec.P),
-        witness_x_max=tuple(x_max),
-        witness_x_min=tuple(x_min),
-        fits_max_side=fits_max,
-        fits_min_side=fits_min,
-        fits_span=fits_span,
-    )
+    return AccumWitness(f, e, f > spec.hi or e < spec.lo, tuple(x_max), tuple(x_min))
 
 
 def enumeration_budget() -> int:

@@ -88,6 +88,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.bits.act_signed:
             raise ValueError("hidden activations are unsigned after ReLU; bits.act_signed must be False")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
@@ -383,7 +385,10 @@ def _act_backward(d_xq: np.ndarray, tape: _ActTape) -> float:
 
 @dataclass
 class _LayerStore:
-    """One layer's forward state; quant is its fan-in group's record and rows its rows there."""
+    """One layer's forward state; quant is its fan-in group's record and rows its rows there.
+
+    act_tape is None on the smooth pass, which quantizes no activation.
+    """
 
     xq: np.ndarray
     act_tape: _ActTape | None
@@ -437,10 +442,11 @@ def forward(net: ToyNetwork, X, quantize: bool = True) -> tuple[np.ndarray, list
     return h, stores
 
 
-def backward(
-    net: ToyNetwork, stores: list[_LayerStore], d_pred, quantize: bool = True
-) -> list[GroupGrads]:
+def backward(net: ToyNetwork, stores: list[_LayerStore], d_pred) -> list[GroupGrads]:
     """Manual backprop matching forward(); returns the parameter grads per fan-in group.
+
+    It differentiates the pass the stores come from: the smooth one when they
+    hold no activation tape, the quantized one otherwise.
 
     Each group's gradients fill one fresh buffer laid out like its flat: each
     layer writes its weight and bias gradients into its rows there, and the
@@ -449,6 +455,7 @@ def backward(
     Nothing reads the first layer's input gradient, so it is not formed.
     """
     n = len(net.layers)
+    quantize = stores[0].act_tape is not None
     flats = [np.empty(group.flat.shape) for group in net.groups]
     views = [_flat_views(flat, *group.V.shape) for group, flat in zip(net.groups, flats)]
     da = [0.0] * n
@@ -528,7 +535,7 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
         if not math.isfinite(mse(pred, yb)):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
         d_pred = 2.0 * (pred - yb) / pred.size
-        grads = backward(net, stores, d_pred, quantize=True)
+        grads = backward(net, stores, d_pred)
         if not sgd_step(net, grads, config):
             # the next loss cannot be finite; stop before numpy casts NaNs
             raise DivergenceError(f"non-finite loss at epoch {epoch}: an SGD step made a parameter non-finite")

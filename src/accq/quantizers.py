@@ -94,8 +94,8 @@ class QuantizedLayer:
     """One quantized layer of channels; row i of every per-row array is channel i.
 
     Codes and certificate: q (C, K) int64 codes, qw = s * q and s (C,).
-    variant is the one that ran and fell_back whether it differs from the one
-    asked for; every row shares both.  bound, l1_codes and bound_ok hold one
+    variant is the one that ran, which every row shares; a fallback shows as
+    a variant other than the one asked for.  bound, l1_codes and bound_ok hold one
     Fraction, Python int and bool per row: the integer-domain l1 budget (the
     active T divided by s), the codes' l1 mass and the certificate
     l1 <= bound, checked in exact integers.
@@ -124,7 +124,6 @@ class QuantizedLayer:
     bound: list[Fraction]
     bound_ok: list[bool]
     variant: Variant
-    fell_back: bool
     degenerate: np.ndarray
     c: np.ndarray
     n1: np.ndarray
@@ -212,14 +211,13 @@ BitPlan = tuple[tuple[BitWidths, int], ...]
 class PlanRows(NamedTuple):
     """Per-row constants of a bit plan under one variant, at one K.
 
-    active is the variant that runs and fell_back whether it differs from
-    the one asked for.  bound holds each row's exact l1 budget, budget the
+    active is the variant that runs, which differs from the one asked for
+    on a fallback.  bound holds each row's exact l1 budget, budget the
     same as a float (for T) and cap its integer floor.  lo and hi are the
     weight-code clip limits as (C, 1) columns.
     """
 
     active: Variant
-    fell_back: bool
     bound: list[Fraction]
     budget: list[float]
     cap: list[int]
@@ -244,7 +242,7 @@ def _plan_rows(K: int, plan: BitPlan, variant: Variant) -> PlanRows:
         cap += [limit.numerator // limit.denominator] * n
         ranges += [int_range(bits.M, signed=True)] * n
     lo, hi = np.array(ranges, dtype=float).T[:, :, None]
-    return PlanRows(active, active is not variant, bound, budget, cap, lo, hi)
+    return PlanRows(active, bound, budget, cap, lo, hi)
 
 
 def _shrink_rows(q: np.ndarray, rows: list[int], cap: list[int]) -> np.ndarray:
@@ -283,7 +281,7 @@ def quantize_layer(V: np.ndarray, t: np.ndarray, d: np.ndarray, bits: BitWidths,
 def _quantize_rows(V: np.ndarray, t: np.ndarray, d: np.ndarray, plan_rows: PlanRows) -> QuantizedLayer:
     """quantize_layer's core, given the PlanRows of a bit plan that covers V's rows, as the trainer calls it."""
     C, K = V.shape
-    active, fell_back, bound, budget, cap, lo, hi = plan_rows
+    active, bound, budget, cap, lo, hi = plan_rows
     # 2^t, 2^d and T = s * budget per row in Python floats: np.exp2 differs
     # from Python's pow in the last bit, Python's pow raises OverflowError
     # where numpy returns inf, and an overflowing T stays a silent inf
@@ -336,7 +334,7 @@ def _quantize_rows(V: np.ndarray, t: np.ndarray, d: np.ndarray, plan_rows: PlanR
 
     return QuantizedLayer(
         q=q, qw=qw, s=s, l1_codes=l1, bound=list(bound), bound_ok=ok,
-        variant=active, fell_back=fell_back, degenerate=degenerate, c=c, n1=n1, u=u,
+        variant=active, degenerate=degenerate, c=c, n1=n1, u=u,
         g=g, T=T, G=G, gate_on_g=gate_on_g, w=w, pre=pre, in_range=in_range,
     )
 

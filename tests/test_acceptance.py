@@ -170,10 +170,10 @@ def test_criterion_03_a2q_plus_overflow_freedom(capsys):
                 assert verify_domination(w, res.s[live], res.q[live])
                 if K < 2:
                     # single-element channels keep the uncentered budget by contract
-                    assert res.fell_back
+                    assert res.variant is Variant.A2Q
                     fallbacks += int(live.sum())
                 else:
-                    assert not res.fell_back
+                    assert res.variant is Variant.A2Q_PLUS
                     tol = K * 1e-12 * np.maximum(1.0, np.abs(w).sum(axis=1))
                     assert np.all(np.abs(w.sum(axis=1)) <= tol)
             over, full = _check_overflow_freedom(res, idx, N, signed, spec)

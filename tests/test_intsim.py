@@ -140,19 +140,20 @@ def test_wrapping_dot_frozen():
 
 
 def test_check_accumulator_fits():
-    wit = check_accumulator([1, -1], 2, False, AccumulatorSpec(P=3))
+    spec = AccumulatorSpec(P=3)
+    wit = check_accumulator([1, -1], 2, False, spec)
     assert (wit.true_max, wit.true_min) == (3, -3)
     assert not wit.overflowed
-    assert wit.fits_max_side and wit.fits_min_side and wit.fits_span
-    assert wit.wrapped_max == 3
+    assert wit.true_max <= spec.hi and wit.true_min >= spec.lo and wit.true_max - wit.true_min <= (1 << 3) - 1
+    assert wrap(wit.true_max, 3) == 3
 
 
 def test_check_accumulator_overflow_witness():
     wit = check_accumulator([4], 2, False, AccumulatorSpec(P=4))
     assert wit.overflowed
-    assert wit.true_max == 12 and wit.wrapped_max == -4
+    assert wit.true_max == 12 and wrap(wit.true_max, 4) == -4
     assert wit.witness_x_max == (3,)
-    assert not wit.fits_max_side
+    assert wit.true_max > AccumulatorSpec(P=4).hi
     # replaying the witness through the wrapping register reproduces the corruption
     assert wrap(exact_dot(wit.witness_x_max, [4]), 4) == -4 != exact_dot(wit.witness_x_max, [4])
 
@@ -167,13 +168,11 @@ def test_check_accumulator_overflow_witness():
 def test_side_conditions_imply_span_condition(q, N, signed, P):
     # the span of a signed register is exactly (hi - lo), so the two one-sided
     # checks passing forces the span check to pass as well
-    wit = check_accumulator(q, N, signed, AccumulatorSpec(P=P))
-    if wit.fits_max_side and wit.fits_min_side:
-        assert wit.fits_span
-        assert not wit.overflowed
-    else:
-        assert wit.overflowed
-    assert wit.fits_span == (wit.true_max - wit.true_min <= (1 << P) - 1)
+    spec = AccumulatorSpec(P=P)
+    wit = check_accumulator(q, N, signed, spec)
+    assert wit.overflowed == (wit.true_max > spec.hi or wit.true_min < spec.lo)
+    if not wit.overflowed:
+        assert wit.true_max - wit.true_min <= (1 << P) - 1
 
 
 @given(
@@ -189,7 +188,8 @@ def test_exhaustive_agrees_with_extremal(q, N, signed, P):
     full = exhaustive_check(q, N, signed, spec)
     assert (full.true_max, full.true_min) == (fast.true_max, fast.true_min)
     assert full.overflowed == fast.overflowed
-    assert full.fits_span == fast.fits_span
+    span = (1 << P) - 1
+    assert (full.true_max - full.true_min <= span) == (fast.true_max - fast.true_min <= span)
 
 
 def test_exhaustive_int64_split_path_matches():

@@ -123,7 +123,7 @@ def check_zero_sum_identities(
     alpha = sum(x for x in qs if x > 0)
     l1 = sum(abs(x) for x in qs)
 
-    # the register width only sets the fits flags, which go unread here
+    # the register width only sets the overflow verdict, which goes unread here
     wit = check_accumulator(qs, N, act_signed, AccumulatorSpec(2))
     mu, nu = wit.witness_x_max, wit.witness_x_min
     f = exact_dot(mu, qs)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,13 @@ def test_record_csv_round_trip():
     assert SweepRecord.from_csv_row(rec.csv_row()) == rec
     with pytest.raises(ValueError):
         SweepRecord.from_csv_row("a2q,4,4,12,0,0.5,0.5")
+
+
+def test_config_rejects_a_negative_seed():
+    # make_data would take it and fail later with numpy's bare "expected non-negative integer"
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        tiny_config(seed=-1)
+    assert tiny_config(seed=0).seed == 0
 
 
 def test_config_rejects_unbudgeted_variant_and_signed_acts():
@@ -211,7 +219,7 @@ def fd_relative_errors(seed: int, h: float = 1e-4):
                 return None
 
         d_pred = 2.0 * (pred - y) / pred.size
-        grads = backward(net, stores, d_pred, quantize=False)
+        grads = backward(net, stores, d_pred)
 
         def loss() -> float:
             return mse(forward(net, X, quantize=False)[0], y)
@@ -313,6 +321,21 @@ def test_divergence_is_reported_not_swallowed():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
             train(cfg)
+
+
+@pytest.mark.parametrize(
+    "name, fake, epochs, message",
+    [
+        ("sgd_step", lambda *args: False, 3, "non-finite loss at epoch 0: an SGD step made a parameter non-finite"),
+        ("mse", lambda *args: math.nan, 3, "non-finite loss at epoch 0"),
+        # with no epochs the final evaluation's loss is the first one fit reads
+        ("mse", lambda *args: math.nan, 0, "non-finite final loss"),
+    ],
+)
+def test_fit_names_each_divergence(monkeypatch, name, fake, epochs, message):
+    monkeypatch.setattr(qat, name, fake)
+    with pytest.raises(DivergenceError, match=f"^{re.escape(message)}$"):
+        fit(tiny_config(epochs=epochs))
 
 
 def test_degenerate_channel_survives_training():
@@ -587,7 +610,9 @@ def test_backward_has_no_side_effects(variant, quantize):
     quants = list({id(st.quant): st.quant for st in stores}.values())
     watched = [d_pred, *_arrays_of(stores, quants), *(group.flat for group in net.groups)]
     before = [(a.shape, a.tobytes()) for a in watched]
-    first, second = (backward(net, stores, d_pred, quantize=quantize) for _ in range(2))
+    first, second = (backward(net, stores, d_pred) for _ in range(2))
+    # the mode comes from the stores: only the quantized pass has activation scales to move
+    assert any(any(grads.da) for grads in first) == quantize
     assert [(a.shape, a.tobytes()) for a in watched] == before
     assert len(first) == len(second) == len(net.groups)
     for a, b, group in zip(first, second, net.groups):

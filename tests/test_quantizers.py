@@ -74,7 +74,7 @@ def test_a2q_frozen_norm_gate():
     assert res.bound == Fraction(127, 16)
     assert res.l1_codes == 6.0 and res.bound_ok
     assert type(res.l1_codes) is int
-    assert res.variant is Variant.A2Q and not res.fell_back
+    assert res.variant is Variant.A2Q
 
 
 def test_a2q_frozen_budget_gate():
@@ -92,7 +92,7 @@ def test_a2q_plus_frozen():
     assert res.q.tolist() == [-8, 0, 8]
     assert res.bound == Fraction(254, 15)
     assert res.l1_codes == 16.0 and res.bound_ok
-    assert res.variant is Variant.A2Q_PLUS and not res.fell_back
+    assert res.variant is Variant.A2Q_PLUS
 
 
 def test_a2q_plus_single_weight_falls_back():
@@ -100,7 +100,6 @@ def test_a2q_plus_single_weight_falls_back():
     ch = ChannelWeights(v=[2.0], t=1.0, d=0.0)
     plus = forward_weights(ch, _bits(), Variant.A2Q_PLUS)[0]
     base = forward_weights(ch, _bits(), Variant.A2Q)[0]
-    assert plus.fell_back
     assert plus.variant is Variant.A2Q
     assert plus.bound == base.bound
     assert np.array_equal(plus.q, base.q)
@@ -118,8 +117,7 @@ def test_channel_budget_is_the_quantizers_budget(variant, K, signed):
     assert limit == (a2q_plus_limit(bits.P, bits.N) if centered else a2q_limit(bits.P, bits.N, signed))
     assert limit == res.bound
     assert active is res.variant
-    assert res.fell_back == (variant is Variant.A2Q_PLUS and K == 1)
-    assert res.fell_back == (active is not variant)
+    assert (res.variant is not variant) == (variant is Variant.A2Q_PLUS and K == 1)
     assert np.array_equal(forward_weights(ch, bits, variant)[1].w, tape.u * tape.G)
 
 
@@ -444,7 +442,7 @@ def test_layer_rows_equal_single_channel_calls(variant, K):
         row_grads = {
             name: [getattr(row, name)(up[i]) for i, row in enumerate(rows)] for name in grads
         }
-    assert layer.fell_back == (variant is Variant.A2Q_PLUS and K == 1)
+    assert (layer.variant is not variant) == (variant is Variant.A2Q_PLUS and K == 1)
     assert layer.degenerate[0]
     assert bool(layer.degenerate[1]) == (K >= K_MIN_CENTER and variant is Variant.A2Q_PLUS)
     assert not layer.gate_on_g[5] and layer.gate_on_g[2]
@@ -453,7 +451,7 @@ def test_layer_rows_equal_single_channel_calls(variant, K):
         assert layer.q[i].tobytes() == one.q.tobytes()
         assert layer.qw[i].tobytes() == one.qw.tobytes()
         assert (float(layer.s[i]), layer.l1_codes[i], layer.bound_ok[i]) == (one.s, one.l1_codes, one.bound_ok)
-        assert (layer.bound[i], layer.variant, layer.fell_back) == (one.bound, one.variant, one.fell_back)
+        assert (layer.bound[i], layer.variant) == (one.bound, one.variant)
         assert layer.w[i].tobytes() == one.w.tobytes()
         assert bool(layer.degenerate[i]) == bool(one.degenerate)
         for name, (dV, dt, dd) in grads.items():
@@ -557,7 +555,7 @@ def _assert_stack_equals_per_plan(runs, variant: Variant, up: np.ndarray):
             assert getattr(stack, name)[rows].tobytes() == getattr(one, name).tobytes()
         for name in ("l1_codes", "bound", "bound_ok"):
             assert getattr(stack, name)[rows] == getattr(one, name)
-        assert (stack.variant, stack.fell_back) == (one.variant, one.fell_back)
+        assert stack.variant is one.variant
         for name, stacked in grads.items():
             for got, want in zip(stacked, getattr(one, name)(up[rows]), strict=True):
                 assert got[rows].tobytes() == want.tobytes()
@@ -617,7 +615,7 @@ def test_stacked_plan_covers_fallback_degenerate_saturated_and_repair(K, variant
     ]
     stack = _assert_stack_equals_per_plan(runs, variant, RNG(8).normal(size=(5, K)))
     assert repaired == [0] * 2  # once stacked, once alone
-    assert stack.fell_back == (variant is Variant.A2Q_PLUS)
+    assert (stack.variant is not variant) == (variant is Variant.A2Q_PLUS)
     assert not stack.in_range[1:3].all()
     assert stack.degenerate[3]
     assert stack.bound == [a2q_limit(64, 56) if K == 1 else a2q_limit(62, 11)] + [a2q_limit(20, 4)] * 2 + [
