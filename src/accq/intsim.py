@@ -5,15 +5,22 @@ product that feeds a verdict is exact.  certify and check_accumulator share one
 closed form, with one route per call: one int64 numpy pass over all rows when
 every row is a non-empty integer array within int64, the call holds at least
 256 codes and B = K * max|q| * max(|c|, |d|), from its longest row and its
-largest code, is below 2^62; Python ints for every row otherwise.  The
-exhaustive enumerator holds its sums in int16, int32 or int64 while B is below
-2^15, 2^31 or 2^62, and in Python ints (an object array) past that.  Every
-space takes one loop: blocks of at most 2^18 sums, each one row of
+largest code, is below 2^62; Python ints for every row otherwise.
+
+The exhaustive oracle takes one of two paths per row.  A row whose span 2B,
+B taken over the row alone, is at most 2^22 builds the set of dot products it
+can reach, one Python-int bitset per suffix of the row, when that costs fewer
+bit operations than the row has input vectors, plus 2^17; its extremes are the
+set's top and bottom bits, its witnesses rebuilt greedily from the suffix
+sets.  Every other row enumerates its input vectors, holding the sums in int16,
+int32 or int64 while B is below 2^15, 2^31 or 2^62, and in Python ints (an
+object array) past that.
+Every space takes one loop: blocks of at most 2^18 sums, each one row of
 leading-input sums plus a tail table of at most 2^15 sums, written into one
 64-byte aligned workspace per call.
 
 certify is the one certificate rule: it gives every row the closed-form
-worst case and decides which rows the exhaustive oracle also enumerates.
+worst case and decides which rows the exhaustive oracle also checks.
 
 A P-bit register holds [-2^(P-1), 2^(P-1) - 1].  A row overflows when its
 worst-case max lies above that range or its min below it: the one rule that
@@ -41,6 +48,14 @@ _INT64_GUARD = 1 << 62  # every sum bounded by B below this fits int64
 # lists of int64 rows: 4x5 codes took 19 us against 5 us, 16x16 26 against
 # 28 us, 36x16 55 against 112 us (Python 3.11, numpy 2.4, 2-CPU x86 box)
 _INT64_MIN_CODES = 256
+# rows whose span 2 * K * max|q| * max(|c|, |d|) is at most this may build
+# their reachable sums instead of enumerating.  A suffix set is at most span
+# bits wide: the K + 1 sets of the widest rows the default budget admits
+# (K = 24 at N = 1, K = 6 at N = 4, every code near the cap) peaked at 1.7-4.1
+# MB, within the 8 MB the enumeration's memory tests allow.  They took 2.5-5.6
+# ms against 4.4-5.2 ms to enumerate, and _reach_is_cheaper sends all four to
+# enumeration (Python 3.11, 2-CPU x86 box)
+_REACH_SPAN = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -203,16 +218,83 @@ def _decode_index(flat: int, K: int, R: int, c: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> AccumWitness:
-    """Enumerate every N-bit input vector and take the exact max/min dot product.
+def _reach_is_cheaper(qs: list[int], N: int, R: int, total: int) -> bool:
+    # the bits the doublings shift and OR: a code of magnitude a doubles a set
+    # w bits wide N times, through N * w + a * (2R - 2 - N) bits.  A bit cost
+    # 0.05-0.12 ns on sets under 2^20 bits and up to 0.25 ns near the span
+    # cap, an enumerated sum 0.15-0.3 ns, so one bit counts as one sum.
+    # Enumeration's fixed cost is larger: rows of a few input vectors broke
+    # even between 1.2 and 1.6 * 2^17 bits
+    work = width = 0
+    for v in reversed(qs):
+        if v:
+            a = abs(v)
+            work += N * width + a * (2 * R - 2 - N)
+            if work > total + (1 << 17):
+                return False
+            width += a * (R - 1)
+    return True
 
-    Independent oracle for check_accumulator: no extremal shortcut, every dot
-    value is materialized and compared.  Raises EnumerationBudgetError when
-    (2^N)^K exceeds the budget (default 2^24, env ACCQ_ENUM_BUDGET overrides).
-    Sums are int16, int32 or int64 while B = K * max|q| * max(|c|, |d|) is
-    below 2^15, 2^31 or 2^62, and Python ints past that.  They come in blocks
-    of at most 2^18, all in one buffer filled from a tail of at most 2^15 sums
-    (a chunk of one input's range, if that range is wider).
+
+def _suffix_sets(qs: list[int], N: int, c: int, d: int) -> tuple[list[int], list[int]]:
+    # per element, its smallest product with an input; per suffix k of the
+    # row, a bitset whose bit s is set when the suffix's dot product can equal
+    # s plus the suffix's smallest products.  An element adds |v| * w for
+    # every w < 2^N: N doublings, each ORing the set with itself shifted by
+    # |v| * 2^j
+    floors = [min(v * c, v * d) for v in qs]
+    sets = [1]
+    for v in reversed(qs):
+        t, a = sets[-1], abs(v)
+        for j in range(N if a else 0):
+            t |= t << (a << j)
+        sets.append(t)
+    return floors, sets[::-1]
+
+
+def _first_reaching(qs: list[int], c: int, floors: list[int], sets: list[int], rest: int) -> tuple[int, ...]:
+    # the first input vector in flat order whose dot product sits at bit rest
+    # of sets[0], picked greedily: at each position the smallest input whose
+    # remainder the next suffix set reaches.  Bit 0 (every element at its
+    # smallest product) is set in every suffix set, so the search starts at
+    # the first input whose remainder lies between bit 0 and the set's top
+    # bit, and meets a reachable one before the remainder leaves that window.
+    # A zero code leaves the set as it is: its first input, c, keeps the
+    # remainder
+    x = []
+    for v, m, t in zip(qs, floors, sets[1:]):
+        if not v:
+            x.append(c)
+            continue
+        top, base = t.bit_length() - 1, rest + m  # the remainder is base - v * x
+        xk = -((top - base) // v) if v > 0 else -(base // -v)
+        if xk < c:
+            xk = c
+        s = base - v * xk
+        # test bit s, shifting or masking whichever copies the fewer digits
+        while not (t >> s & 1 if 2 * s >= top else t & (1 << s)):
+            xk, s = xk + 1, s - v
+        x.append(xk)
+        rest = s
+    return tuple(x)
+
+
+def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> AccumWitness:
+    """Exact max/min dot product over every N-bit input vector, without the closed form.
+
+    Independent oracle for check_accumulator: no extremal shortcut, every
+    reachable dot value is built and compared.  Raises EnumerationBudgetError
+    when (2^N)^K exceeds the budget (default 2^24, env ACCQ_ENUM_BUDGET
+    overrides), whichever path the row then takes.  A row whose span
+    2 * K * max|q| * max(|c|, |d|) is at most 2^22 builds the set of sums it
+    can reach, one bitset per suffix of the row, when its doublings cost
+    fewer bit operations than it has input vectors, plus 2^17; its max and
+    min are the set's top and bottom bits.  Other rows enumerate every input
+    vector and compare every dot value: sums are int16, int32 or
+    int64 while B = K * max|q| * max(|c|, |d|) is below 2^15, 2^31 or 2^62,
+    and Python ints past that.  They come in blocks of at most 2^18, all in
+    one buffer filled from a tail of at most 2^15 sums (a chunk of one input's
+    range, if that range is wider).
     The witnesses are the first extremes, the last element varying fastest.
     """
     qs = _int_vector(q)
@@ -225,7 +307,15 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
         raise EnumerationBudgetError(f"{total} input vectors exceed budget {limit}")
 
     # B bounds every sum, and every partial sum a block is built from
-    bits = (K * max(abs(c), abs(d)) * max(map(abs, qs), default=0)).bit_length()
+    B = K * max(abs(c), abs(d)) * max(map(abs, qs), default=0)
+    if 2 * B <= _REACH_SPAN and _reach_is_cheaper(qs, N, R, total):
+        floors, sets = _suffix_sets(qs, N, c, d)
+        top, bottom = sets[0].bit_length() - 1, (sets[0] & -sets[0]).bit_length() - 1
+        x_max = _first_reaching(qs, c, floors, sets, top)
+        x_min = _first_reaching(qs, c, floors, sets, bottom)
+        base = sum(floors)
+        return _witness(base + top, base + bottom, x_max, x_min, spec)
+    bits = B.bit_length()
     dtype = np.int16 if bits <= 15 else np.int32 if bits <= 31 else np.int64 if bits <= 62 else object
     f = e = None
     for first, block in _blocks(qs, c, R, dtype):

@@ -1,6 +1,7 @@
 """Exact integer accumulation, overflow witnesses, two's-complement wrapping."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -175,6 +176,47 @@ def test_side_conditions_imply_span_condition(q, N, signed, P):
         assert wit.true_max - wit.true_min <= (1 << P) - 1
 
 
+def _spy(mp, name: str) -> list:
+    # the arguments of every call exhaustive_check makes to one intsim helper
+    calls, real = [], getattr(intsim, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    mp.setattr(intsim, name, spy)
+    return calls
+
+
+_PATHS = ["enumerate", "reach"]
+
+
+def _force_path(mp, path: str) -> list:
+    """Send rows down one path of exhaustive_check; returns that path's helper calls.
+
+    "enumerate": no span is at most -1, so every row reaches _blocks.
+    "reach": the cost rule always agrees, so every row within the span cap
+    builds its suffix sets (and a row past the cap still enumerates).
+    """
+    if path == "enumerate":
+        mp.setattr(intsim, "_REACH_SPAN", -1)
+        return _spy(mp, "_blocks")
+    mp.setattr(intsim, "_reach_is_cheaper", lambda *args: True)
+    return _spy(mp, "_suffix_sets")
+
+
+def _span(q, N: int, signed: bool) -> int:
+    # 2 * K * max|q| * max(|c|, |d|), which the reachable path's cap bounds
+    reach = 1 << (N - 1) if signed else (1 << N) - 1
+    return 2 * len(q) * max(map(abs, q), default=0) * reach
+
+
+def _took(calls: list, path: str, q, N: int, signed: bool) -> bool:
+    # whether the forced path ran as it must: always when enumerating, and
+    # exactly for rows within the span cap when reaching
+    return bool(calls) == (path == "enumerate" or _span(q, N, signed) <= intsim._REACH_SPAN)
+
+
 @given(
     q=st.lists(st.integers(min_value=-7, max_value=7), min_size=1, max_size=4),
     N=st.integers(min_value=1, max_value=3),
@@ -183,20 +225,27 @@ def test_side_conditions_imply_span_condition(q, N, signed, P):
 )
 @settings(max_examples=150, deadline=None)
 def test_exhaustive_agrees_with_extremal(q, N, signed, P):
+    # once per path of the oracle
     spec = AccumulatorSpec(P=P)
     fast = check_accumulator(q, N, signed, spec)
-    full = exhaustive_check(q, N, signed, spec)
-    assert (full.true_max, full.true_min) == (fast.true_max, fast.true_min)
-    assert full.overflowed == fast.overflowed
-    span = (1 << P) - 1
-    assert (full.true_max - full.true_min <= span) == (fast.true_max - fast.true_min <= span)
+    for path in _PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _force_path(mp, path)
+            full = exhaustive_check(q, N, signed, spec)
+        assert calls
+        assert (full.true_max, full.true_min) == (fast.true_max, fast.true_min)
+        assert full.overflowed == fast.overflowed
+        span = (1 << P) - 1
+        assert (full.true_max - full.true_min <= span) == (fast.true_max - fast.true_min <= span)
 
 
-def test_exhaustive_int64_split_path_matches():
+def test_exhaustive_int64_split_path_matches(monkeypatch):
     # 16^6 input vectors take the blocked path under the default budget
     q = [3, -5, 2, -2, 4, -1]
     fast = check_accumulator(q, 4, False, AccumulatorSpec(P=10))
+    calls = _force_path(monkeypatch, "enumerate")
     full = exhaustive_check(q, 4, False, AccumulatorSpec(P=10))
+    assert calls
     assert (full.true_max, full.true_min) == (fast.true_max, fast.true_min)
     assert exact_dot(full.witness_x_max, q) == full.true_max
     assert exact_dot(full.witness_x_min, q) == full.true_min
@@ -227,15 +276,9 @@ def test_split_path_blocks_start_on_a_cache_line(dtype):
 def test_exhaustive_sums_take_the_narrowest_type_below_B(monkeypatch, q, N, signed, dtype):
     # B = K * max|q| * max(|c|, |d|) on each side of each element-type edge:
     # int16, int32 or int64 while B is below 2^15, 2^31 or 2^62, Python ints past that
-    seen, blocks = [], intsim._blocks
-
-    def spy(qs, c, R, dtype):
-        seen.append(dtype)
-        return blocks(qs, c, R, dtype)
-
-    monkeypatch.setattr(intsim, "_blocks", spy)
+    calls = _force_path(monkeypatch, "enumerate")
     wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
-    assert seen == [dtype]
+    assert [args[-1] for args in calls] == [dtype]
     assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == brute_witness(q, N, signed)
 
 
@@ -243,18 +286,47 @@ def test_exhaustive_memory_stays_bounded(monkeypatch):
     # the whole default budget in blocks: 16^6 input vectors through one reused
     # buffer, and 2^24 values of a single input in chunks of its range
     monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
+    calls = _force_path(monkeypatch, "enumerate")
     for q, N, P, extremes, max_peak in [
         ([3, -5, 2, -2, 4, -1], 4, 10, (9 * 15, -8 * 15), 8 << 20),
         ([5], 24, 40, (5 * ((1 << 24) - 1), 0), 16 << 20),
     ]:
+        calls.clear()
         tracemalloc.start()
         try:
             wit = exhaustive_check(q, N, False, AccumulatorSpec(P=P))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert calls
         assert (wit.true_max, wit.true_min) == extremes
         assert peak <= max_peak
+
+
+@pytest.mark.parametrize(
+    "q, N, signed",
+    [([87381] * 24, 1, False), ([87381, -87381] * 12, 1, True), ([43690, -43690] * 3, 4, True), ([23301] * 6, 4, False)],
+    ids=["24x1-unsigned", "24x1-signed", "6x4-signed", "6x4-unsigned"],
+)
+def test_reachable_sets_stay_within_the_enumeration_memory(monkeypatch, q, N, signed):
+    # the widest rows the span cap admits at the default budget's K * N = 24,
+    # each span within 2^7 of 2^22: K + 1 suffix sets of up to 2^22 bits held
+    # at once, forced past the cost rule, which sends all four to enumeration
+    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
+    assert 0 <= intsim._REACH_SPAN - _span(q, N, signed) < 1 << 7
+    calls = _force_path(monkeypatch, "reach")
+    tracemalloc.start()
+    try:
+        wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls
+    fast = check_accumulator(q, N, signed, AccumulatorSpec(P=64))
+    assert (wit.true_max, wit.true_min) == (fast.true_max, fast.true_min)
+    assert exact_dot(wit.witness_x_max, q) == wit.true_max
+    assert exact_dot(wit.witness_x_min, q) == wit.true_min
+    assert peak <= 8 << 20
 
 
 @pytest.mark.parametrize(
@@ -267,7 +339,9 @@ def test_exhaustive_memory_stays_bounded(monkeypatch):
 def test_exhaustive_witnesses_are_first_across_blocks(monkeypatch, q, signed, x_max, x_min):
     # 16^6 input vectors span many blocks, and each extreme recurs in several
     monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
+    calls = _force_path(monkeypatch, "enumerate")
     wit = exhaustive_check(q, 4, signed, AccumulatorSpec(P=8))
+    assert calls
     assert (wit.witness_x_max, wit.witness_x_min) == (x_max, x_min)
     assert (wit.true_max, wit.true_min) == (exact_dot(x_max, q), exact_dot(x_min, q))
 
@@ -286,7 +360,10 @@ def _enumerable_channels(draw):
 
 # each side of every element-type edge: the worst sum K * max|q| * max(|c|, |d|)
 # is reached exactly, at 2^15 - 1, 2^15, 2^31 - 1, 2^31, 2^62 - 1 and 2^62;
-# then sums just past int64, and sums far past it
+# then sums just past int64, and sums far past it.  Then rows of zeros, rows
+# whose negative codes leave zero codes tied, and spans at the reachable
+# path's cap of 2^22 and one row past it, whose next span is 2^22 + 2.  Each
+# runs once per path of the oracle
 @given(channel=_enumerable_channels())
 @example(channel=([4681], 3, False))
 @example(channel=([-2048, -2048], 4, True))
@@ -296,11 +373,24 @@ def _enumerable_channels(draw):
 @example(channel=([-(2**59), -(2**59)], 3, True))
 @example(channel=([2**62 + 1, -(2**62 + 1), 2**62], 1, False))
 @example(channel=([2**130, -(2**129), 0], 2, True))
+@example(channel=([0, 0, 0], 4, True))
+@example(channel=([0] * 6, 2, False))
+@example(channel=([-3, 0, -3], 3, True))
+@example(channel=([0, -5, 0, -5], 2, False))
+@example(channel=([-1, -1, 0], 4, False))
+@example(channel=([1 << 21], 1, False))
+@example(channel=([(1 << 21) + 1], 1, False))
+@example(channel=([-(1 << 20), 0], 1, True))
 @settings(max_examples=200, deadline=None)
 def test_exhaustive_witnesses_are_the_first_extremes(channel):
     q, N, signed = channel
-    wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
-    assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == brute_witness(q, N, signed)
+    want = brute_witness(q, N, signed)
+    for path in _PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _force_path(mp, path)
+            wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
+        assert _took(calls, path, q, N, signed)
+        assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == want
 
 
 # a block of 64 to 512 sums sends these small channels through many blocks: a
@@ -318,7 +408,78 @@ def test_exhaustive_blocked_paths_match_brute_force(block, channel):
     q, N, signed = channel
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(intsim, "_BLOCK", block)
+        calls = _force_path(mp, "enumerate")
         wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
+    assert calls
+    assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == brute_witness(q, N, signed)
+
+
+@given(
+    q=st.lists(st.integers(min_value=-6, max_value=6), max_size=4),
+    N=st.integers(min_value=1, max_value=3),
+    signed=st.booleans(),
+)
+@example(q=[3, -2, 0, 5], N=2, signed=True)
+@settings(max_examples=100, deadline=None)
+def test_suffix_sets_hold_every_reachable_sum_and_its_first_input(q, N, signed):
+    # bit s of the whole row's set is set exactly when some input vector's dot
+    # product is s above the sum of the smallest products, and the greedy
+    # rebuild finds the first such vector for every s, not only the extremes
+    if (1 << N) ** len(q) > 1 << 9:
+        q = q[: 9 // N]
+    c, d = (-(1 << (N - 1)), (1 << (N - 1)) - 1) if signed else (0, (1 << N) - 1)
+    floors, sets = intsim._suffix_sets(q, N, c, d)
+    first = {}
+    for x in itertools.product(range(c, d + 1), repeat=len(q)):
+        first.setdefault(exact_dot(x, q) - sum(floors), x)
+    assert sorted(first) == [s for s in range(sets[0].bit_length()) if sets[0] >> s & 1]
+    for s, x in first.items():
+        assert intsim._first_reaching(q, c, floors, sets, s) == x
+
+
+def _brute_one(v: int, N: int, signed: bool) -> tuple[int, int, tuple, tuple]:
+    # brute_witness for a K = 1 row, 2^16 inputs at a time in numpy: the
+    # first max and min in input order
+    c, d = (-(1 << (N - 1)), (1 << (N - 1)) - 1) if signed else (0, (1 << N) - 1)
+    top = bottom = None
+    for start in range(c, d + 1, 1 << 16):
+        xs = np.arange(start, min(start + (1 << 16), d + 1), dtype=np.int64)
+        dots = v * xs
+        i, j = int(dots.argmax()), int(dots.argmin())
+        if top is None or dots[i] > top:
+            top, x_top = int(dots[i]), int(xs[i])
+        if bottom is None or dots[j] < bottom:
+            bottom, x_bottom = int(dots[j]), int(xs[j])
+    return top, bottom, (x_top,), (x_bottom,)
+
+
+@pytest.mark.parametrize("path", _PATHS)
+@pytest.mark.parametrize(
+    "q, N, signed",
+    [([2], 20, False), ([-2], 20, False), ([3], 20, True), ([-3], 20, True), ([0], 24, False), ([0], 24, True)],
+)
+def test_exhaustive_one_wide_input_matches_brute_force(monkeypatch, path, q, N, signed):
+    # one input of 2^20 values, the code of either sign: the reachable path
+    # tries only the inputs whose remainder its next suffix set can hold, not
+    # all 2^20.  A zero code at N = 24 gives every input 0, and the first, c
+    calls = _force_path(monkeypatch, path)
+    wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
+    assert _took(calls, path, q, N, signed)
+    assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == _brute_one(q[0], N, signed)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("past", [0, 1], ids=["at-cap", "cap+1"])
+def test_reachable_path_ends_at_the_span_cap(monkeypatch, signed, past):
+    # 2^17 and fifteen 1s at N = 1 span 2 * 16 * 2^17 = 2^22, the cap, and the
+    # cost rule admits them: they build suffix sets.  With the cap one lower,
+    # the same row lies one past it and enumerates
+    q, N = [1 << 17] + [1] * 15, 1
+    assert _span(q, N, signed) == intsim._REACH_SPAN
+    monkeypatch.setattr(intsim, "_REACH_SPAN", intsim._REACH_SPAN - past)
+    reached, enumerated = _spy(monkeypatch, "_suffix_sets"), _spy(monkeypatch, "_blocks")
+    wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
+    assert (bool(reached), bool(enumerated)) == (not past, bool(past))
     assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == brute_witness(q, N, signed)
 
 
@@ -362,7 +523,9 @@ def test_exhaustive_routes_are_pinned(monkeypatch, q, N, signed, block, expected
     monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
     if block:
         monkeypatch.setattr(intsim, "_BLOCK", block)
+    calls = _force_path(monkeypatch, "enumerate")
     wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
+    assert calls
     assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == expected
 
 
@@ -372,17 +535,20 @@ def test_exhaustive_working_set_is_about_one_block(monkeypatch):
     # input range wider than an eighth of a block (16 against 64) is cut into
     # chunks: the 16^4 sums, 128 KB, are never all held at once
     monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
+    calls = _force_path(monkeypatch, "enumerate")
     for block, q, N, max_peak in [
         (intsim._BLOCK, [3, -2, 1, 0, -3, 2, 1], 3, 1.25 * intsim._BLOCK * np.dtype(np.int16).itemsize),
         (64, [3, -2, 1, -3], 4, 64 << 10),
     ]:
         monkeypatch.setattr(intsim, "_BLOCK", block)
+        calls.clear()
         tracemalloc.start()
         try:
             wit = exhaustive_check(q, N, True, AccumulatorSpec(P=16))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert calls
         fast = check_accumulator(q, N, True, AccumulatorSpec(P=16))
         assert (wit.true_max, wit.true_min) == (fast.true_max, fast.true_min)
         assert peak < max_peak
