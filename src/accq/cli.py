@@ -277,8 +277,16 @@ def _build_grid(ns: argparse.Namespace) -> list[TrainConfig]:
     ]
 
 
+def _record_text(records: list, as_json: bool) -> str:
+    """SweepRecords as train and pareto print them: JSON lines, or the CSV header and rows."""
+    from .qat import CSV_HEADER
+
+    lines = [r.to_json() for r in records] if as_json else [CSV_HEADER] + [r.csv_row() for r in records]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_train(ns: argparse.Namespace) -> int:
-    from .qat import CSV_HEADER, SweepRecord, train
+    from .qat import SweepRecord, train
 
     if ns.jobs < 1:
         raise _InputError(f"--jobs must be at least 1, got {ns.jobs}")
@@ -303,11 +311,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     else:
         records = [train(cfg) for cfg in configs]
     records.sort(key=SweepRecord.sort_key)
-    if ns.json:
-        lines = [r.to_json() for r in records]
-    else:
-        lines = [CSV_HEADER] + [r.csv_row() for r in records]
-    text = "\n".join(lines) + "\n"
+    text = _record_text(records, ns.json)
     if ns.out:
         try:
             Path(ns.out).write_text(text)
@@ -381,13 +385,7 @@ def cmd_pareto(ns: argparse.Namespace) -> int:
         if key not in best or rec.final_loss < best[key].final_loss:
             best[key] = rec
     frontier = sorted(best.values(), key=lambda r: (r.P, r.variant))
-    if ns.json:
-        for r in frontier:
-            print(r.to_json())
-    else:
-        print(CSV_HEADER)
-        for r in frontier:
-            print(r.csv_row())
+    sys.stdout.write(_record_text(frontier, ns.json))
     return EXIT_OK
 
 

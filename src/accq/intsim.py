@@ -9,12 +9,11 @@ largest code, is below 2^62; Python ints for every row otherwise.
 
 The exhaustive oracle takes one of two paths per row.  A row whose span 2B,
 B taken over the row alone, is at most 2^22 builds the set of dot products it
-can reach, one Python-int bitset per suffix of the row, when that costs fewer
-bit operations than the row has input vectors, plus 2^17; its extremes are the
+can reach, one Python-int bitset per suffix of the row; its extremes are the
 set's top and bottom bits, its witnesses rebuilt greedily from the suffix
-sets.  Every other row enumerates its input vectors, holding the sums in int16,
-int32 or int64 while B is below 2^15, 2^31 or 2^62, and in Python ints (an
-object array) past that.
+sets.  A wider row enumerates its input vectors, holding the sums in int32 or
+int64 while B is below 2^31 or 2^62, and in Python ints (an object array) past
+that; int16 sums serve only when the cap is lowered.
 Every space takes one loop: blocks of at most 2^18 sums, each one row of
 leading-input sums plus a tail table of at most 2^15 sums, written into one
 64-byte aligned workspace per call.
@@ -48,13 +47,12 @@ _INT64_GUARD = 1 << 62  # every sum bounded by B below this fits int64
 # lists of int64 rows: 4x5 codes took 19 us against 5 us, 16x16 26 against
 # 28 us, 36x16 55 against 112 us (Python 3.11, numpy 2.4, 2-CPU x86 box)
 _INT64_MIN_CODES = 256
-# rows whose span 2 * K * max|q| * max(|c|, |d|) is at most this may build
-# their reachable sums instead of enumerating.  A suffix set is at most span
-# bits wide: the K + 1 sets of the widest rows the default budget admits
-# (K = 24 at N = 1, K = 6 at N = 4, every code near the cap) peaked at 1.7-4.1
-# MB, within the 8 MB the enumeration's memory tests allow.  They took 2.5-5.6
-# ms against 4.4-5.2 ms to enumerate, and _reach_is_cheaper sends all four to
-# enumeration (Python 3.11, 2-CPU x86 box)
+# rows whose span 2 * K * max|q| * max(|c|, |d|) is at most this build their
+# reachable sums instead of enumerating.  A suffix set is at most span bits
+# wide: the K + 1 sets of the widest rows the default budget admits (K = 24 at
+# N = 1, K = 6 at N = 4, every code near the cap) peaked at 1.7-4.1 MB, within
+# the 8 MB the enumeration's memory tests allow, and took 2.0-4.3 ms against
+# 3.9-4.3 ms to enumerate (Python 3.11, 2-CPU x86 box)
 _REACH_SPAN = 1 << 22
 
 
@@ -114,10 +112,11 @@ def _int_vector(q) -> list[int]:
 
 
 def wrap(value: int, P: int) -> int:
-    """Reduce an exact integer into the signed P-bit range, two's complement."""
+    """Reduce an exact integer into the signed P-bit range, two's complement; NonFiniteInputError for a non-integer."""
     _check_bits(P, "P", 2)
+    (value,) = _int_vector([value])
     lo = -(1 << (P - 1))
-    return ((int(value) - lo) % (1 << P)) + lo
+    return ((value - lo) % (1 << P)) + lo
 
 
 def _input_range(N: int, act_signed: bool) -> tuple[int, int]:
@@ -218,24 +217,6 @@ def _decode_index(flat: int, K: int, R: int, c: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _reach_is_cheaper(qs: list[int], N: int, R: int, total: int) -> bool:
-    # the bits the doublings shift and OR: a code of magnitude a doubles a set
-    # w bits wide N times, through N * w + a * (2R - 2 - N) bits.  A bit cost
-    # 0.05-0.12 ns on sets under 2^20 bits and up to 0.25 ns near the span
-    # cap, an enumerated sum 0.15-0.3 ns, so one bit counts as one sum.
-    # Enumeration's fixed cost is larger: rows of a few input vectors broke
-    # even between 1.2 and 1.6 * 2^17 bits
-    work = width = 0
-    for v in reversed(qs):
-        if v:
-            a = abs(v)
-            work += N * width + a * (2 * R - 2 - N)
-            if work > total + (1 << 17):
-                return False
-            width += a * (R - 1)
-    return True
-
-
 def _suffix_sets(qs: list[int], N: int, c: int, d: int) -> tuple[list[int], list[int]]:
     # per element, its smallest product with an input; per suffix k of the
     # row, a bitset whose bit s is set when the suffix's dot product can equal
@@ -287,12 +268,11 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
     when (2^N)^K exceeds the budget (default 2^24, env ACCQ_ENUM_BUDGET
     overrides), whichever path the row then takes.  A row whose span
     2 * K * max|q| * max(|c|, |d|) is at most 2^22 builds the set of sums it
-    can reach, one bitset per suffix of the row, when its doublings cost
-    fewer bit operations than it has input vectors, plus 2^17; its max and
-    min are the set's top and bottom bits.  Other rows enumerate every input
-    vector and compare every dot value: sums are int16, int32 or
-    int64 while B = K * max|q| * max(|c|, |d|) is below 2^15, 2^31 or 2^62,
-    and Python ints past that.  They come in blocks of at most 2^18, all in
+    can reach, one bitset per suffix of the row; its max and min are the
+    set's top and bottom bits.  Wider rows enumerate every input vector and
+    compare every dot value: sums are int16, int32 or int64 while
+    B = K * max|q| * max(|c|, |d|) is below 2^15, 2^31 or 2^62, and Python
+    ints past that.  They come in blocks of at most 2^18, all in
     one buffer filled from a tail of at most 2^15 sums (a chunk of one input's
     range, if that range is wider).
     The witnesses are the first extremes, the last element varying fastest.
@@ -308,7 +288,7 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
 
     # B bounds every sum, and every partial sum a block is built from
     B = K * max(abs(c), abs(d)) * max(map(abs, qs), default=0)
-    if 2 * B <= _REACH_SPAN and _reach_is_cheaper(qs, N, R, total):
+    if 2 * B <= _REACH_SPAN:
         floors, sets = _suffix_sets(qs, N, c, d)
         top, bottom = sets[0].bit_length() - 1, (sets[0] & -sets[0]).bit_length() - 1
         x_max = _first_reaching(qs, c, floors, sets, top)

@@ -271,10 +271,16 @@ def quantize_layer(V: np.ndarray, t: np.ndarray, d: np.ndarray, bits: BitWidths,
 
     Row i uses direction V[i], norm 2^t[i] and scale 2^d[i]; every row shares
     the bit widths bits and, sharing K, the variant that runs.  Raises
-    ValueError naming V's shape unless C, K >= 1, and OverflowError when a norm
+    ValueError naming V's shape unless C, K >= 1, or t's or d's unless (C,);
+    NonFiniteInputError unless all three are finite; OverflowError when a norm
     or scale exponent leaves float range, a scale underflowing to 0 included.
     """
     C, K = _layer_shape(V)
+    for name, x in (("V", V), ("t", t), ("d", d)):
+        if x is not V and np.shape(x) != (C,):
+            raise ValueError(f"{name} must have shape ({C},), one entry per row of V, got shape {np.shape(x)}")
+        if not np.isfinite(x).all():
+            raise NonFiniteInputError(f"{name} must be finite")
     return _quantize_rows(V, t, d, _plan_rows(K, ((bits, C),), variant))
 
 
@@ -340,10 +346,11 @@ def _quantize_rows(V: np.ndarray, t: np.ndarray, d: np.ndarray, plan_rows: PlanR
 
 
 def forward_weights(ch: ChannelWeights, bits: BitWidths, variant: Variant) -> tuple[WeightTape, WeightTape]:
-    """Quantize one channel: quantize_layer on a one-row layer, read through WeightTape.
+    """Quantize one channel: quantize_layer's core on a one-row layer, read through WeightTape.
 
-    The one view is returned twice, as the (result, tape) pair the benchmark's
-    quantize_audit workload unpacks; kept for that workload.
+    ChannelWeights has checked its input.  The one view is returned twice, as
+    the (result, tape) pair the benchmark's quantize_audit workload unpacks.
     """
-    row = WeightTape(quantize_layer(ch.v[None], np.array([ch.t]), np.array([ch.d]), bits, variant))
+    plan_rows = _plan_rows(ch.K, ((bits, 1),), variant)
+    row = WeightTape(_quantize_rows(ch.v[None], np.array([ch.t]), np.array([ch.d]), plan_rows))
     return row, row

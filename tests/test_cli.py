@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from accq import cli, qat
+from accq import cli, intsim, qat
 from accq.bounds import BitWidths
 from accq.errors import DivergenceError
 from accq.intsim import Certificate
@@ -145,6 +145,22 @@ def test_verify_feasible_channel(tmp_path, capsys):
     assert report["overflowed"] is False
     assert report["exhaustive"] is True
     assert '"overflowed": false' in out
+
+
+def test_verify_codes_near_2_15_take_the_reachable_sets(tmp_path, capsys, monkeypatch):
+    # few input vectors but wide sums: both rows build suffix sets, and print
+    # the extremes their enumeration printed
+    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
+    reached, real = [], intsim._suffix_sets
+    monkeypatch.setattr(intsim, "_suffix_sets", lambda *args: reached.append(args) or real(*args))
+    path = tmp_path / "wide_codes.csv"
+    path.write_text("32768,32768,32768\n-32768,0,32767\n")
+    code, out = run(capsys, "verify", "--weights", str(path), "--P", "24", "--N", "4")
+    assert (code, len(reached)) == (0, 2)
+    assert out == (
+        '{"channel": 0, "K": 3, "true_max": 1474560, "true_min": 0, "overflowed": false, "exhaustive": true}\n'
+        '{"channel": 1, "K": 3, "true_max": 491505, "true_min": -491520, "overflowed": false, "exhaustive": true}\n'
+    )
 
 
 def test_verify_overflow_exits_4(tmp_path, capsys):

@@ -126,6 +126,17 @@ def test_wrap_frozen():
     assert wrap(-8, 4) == -8
 
 
+@pytest.mark.parametrize("value", [1.5, "7", float("inf"), float("nan"), None, np.float64(-0.5), np.array(2.5)])
+def test_wrap_refuses_non_integers(value):
+    with pytest.raises(NonFiniteInputError):
+        wrap(value, 8)
+
+
+def test_wrap_takes_integral_values_of_any_type():
+    # an integral float, a numpy scalar or a 0-d array is the integer it holds
+    assert [wrap(v, 4) for v in (12.0, np.int64(-9), np.float64(8.0), np.array(7), 2**70 + 3)] == [-4, 7, -8, 7, 3]
+
+
 @given(v=st.integers(min_value=-(1 << 70), max_value=1 << 70), P=st.integers(2, 64))
 def test_wrap_is_congruent_and_in_range(v, P):
     w = wrap(v, P)
@@ -195,13 +206,12 @@ def _force_path(mp, path: str) -> list:
     """Send rows down one path of exhaustive_check; returns that path's helper calls.
 
     "enumerate": no span is at most -1, so every row reaches _blocks.
-    "reach": the cost rule always agrees, so every row within the span cap
-    builds its suffix sets (and a row past the cap still enumerates).
+    "reach": patches nothing, as every row within the span cap builds its
+    suffix sets (and a row past the cap still enumerates); spies on those.
     """
     if path == "enumerate":
         mp.setattr(intsim, "_REACH_SPAN", -1)
         return _spy(mp, "_blocks")
-    mp.setattr(intsim, "_reach_is_cheaper", lambda *args: True)
     return _spy(mp, "_suffix_sets")
 
 
@@ -311,10 +321,10 @@ def test_exhaustive_memory_stays_bounded(monkeypatch):
 def test_reachable_sets_stay_within_the_enumeration_memory(monkeypatch, q, N, signed):
     # the widest rows the span cap admits at the default budget's K * N = 24,
     # each span within 2^7 of 2^22: K + 1 suffix sets of up to 2^22 bits held
-    # at once, forced past the cost rule, which sends all four to enumeration
+    # at once, on the reachable path unforced
     monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
     assert 0 <= intsim._REACH_SPAN - _span(q, N, signed) < 1 << 7
-    calls = _force_path(monkeypatch, "reach")
+    calls = _spy(monkeypatch, "_suffix_sets")
     tracemalloc.start()
     try:
         wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
@@ -362,8 +372,9 @@ def _enumerable_channels(draw):
 # is reached exactly, at 2^15 - 1, 2^15, 2^31 - 1, 2^31, 2^62 - 1 and 2^62;
 # then sums just past int64, and sums far past it.  Then rows of zeros, rows
 # whose negative codes leave zero codes tied, and spans at the reachable
-# path's cap of 2^22 and one row past it, whose next span is 2^22 + 2.  Each
-# runs once per path of the oracle
+# path's cap of 2^22 and one row past it, whose next span is 2^22 + 2.  Last,
+# rows of few input vectors and wide sums, which build their reachable sets
+# unforced.  Each runs once per path of the oracle
 @given(channel=_enumerable_channels())
 @example(channel=([4681], 3, False))
 @example(channel=([-2048, -2048], 4, True))
@@ -381,6 +392,9 @@ def _enumerable_channels(draw):
 @example(channel=([1 << 21], 1, False))
 @example(channel=([(1 << 21) + 1], 1, False))
 @example(channel=([-(1 << 20), 0], 1, True))
+@example(channel=([1 << 20, -(1 << 20)], 1, True))
+@example(channel=([32768] * 3, 4, False))
+@example(channel=([1 << 20], 2, True))
 @settings(max_examples=200, deadline=None)
 def test_exhaustive_witnesses_are_the_first_extremes(channel):
     q, N, signed = channel
@@ -471,9 +485,9 @@ def test_exhaustive_one_wide_input_matches_brute_force(monkeypatch, path, q, N, 
 @pytest.mark.parametrize("signed", [False, True])
 @pytest.mark.parametrize("past", [0, 1], ids=["at-cap", "cap+1"])
 def test_reachable_path_ends_at_the_span_cap(monkeypatch, signed, past):
-    # 2^17 and fifteen 1s at N = 1 span 2 * 16 * 2^17 = 2^22, the cap, and the
-    # cost rule admits them: they build suffix sets.  With the cap one lower,
-    # the same row lies one past it and enumerates
+    # 2^17 and fifteen 1s at N = 1 span 2 * 16 * 2^17 = 2^22, the cap: they
+    # build suffix sets.  With the cap one lower, the same row lies one past
+    # it and enumerates
     q, N = [1 << 17] + [1] * 15, 1
     assert _span(q, N, signed) == intsim._REACH_SPAN
     monkeypatch.setattr(intsim, "_REACH_SPAN", intsim._REACH_SPAN - past)

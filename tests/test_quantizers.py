@@ -627,3 +627,23 @@ def test_stacked_plan_covers_fallback_degenerate_saturated_and_repair(K, variant
 def test_empty_or_flat_layer_is_a_value_error_naming_its_shape(shape):
     with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
         quantize_layer(np.zeros(shape), np.zeros(2), np.zeros(2), BitWidths(4, 4, 12), Variant.A2Q)
+
+
+@pytest.mark.parametrize("variant", [Variant.A2Q, Variant.A2Q_PLUS])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["V", "t", "d"])
+def test_non_finite_layer_input_is_refused(name, bad, variant):
+    # no codes and no certificate for a layer that holds a NaN or an infinity
+    args = {"V": np.array([[0.5, -1.0, 2.0], [1.0, 0.25, -0.75]]), "t": np.zeros(2), "d": np.full(2, -3.0)}
+    args[name].flat[-1] = bad
+    with pytest.raises(NonFiniteInputError, match=f"^{name} must be finite$"):
+        quantize_layer(args["V"], args["t"], args["d"], BitWidths(4, 4, 12), variant)
+
+
+@pytest.mark.parametrize("name", ["t", "d"])
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
+def test_norm_or_scale_not_one_per_row_is_a_value_error_naming_its_shape(name, shape):
+    args = {"t": np.zeros(2), "d": np.zeros(2)}
+    args[name] = np.zeros(shape)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must have shape (2,), one entry per row of V, got shape {shape}")):
+        quantize_layer(np.ones((2, 3)), args["t"], args["d"], BitWidths(4, 4, 12), Variant.A2Q)
