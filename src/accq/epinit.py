@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import BitWidths
 from .errors import NonFiniteInputError, NonPositiveRadiusError
-from .quantizers import ChannelWeights, Variant, _layer_shape, channel_budget
+from .quantizers import ChannelWeights, Variant, _layer_arrays, channel_budget
 
 # exponent used when a channel (or its norm) is identically zero; 2^-30 is far
 # below any realistic scale but keeps every downstream log finite
@@ -117,8 +117,8 @@ def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[n
     max-abs scale underflows to 0 raises NonFiniteInputError; a W that is not
     (C, K) with C, K >= 1 raises ValueError naming its shape.
     """
-    V = np.array(W, dtype=float)
-    limit = float(channel_budget(_layer_shape(V)[1], bits, variant)[1])
+    V = _layer_arrays(w=W)[0].copy()  # a fresh array, so ep_init's v never aliases w
+    limit = float(channel_budget(V.shape[1], bits, variant)[1])
     mags = np.abs(V)
     masses = l1_masses(mags, "w")
     scales = max_abs_scales(mags, bits.M)

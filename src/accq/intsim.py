@@ -11,12 +11,12 @@ The exhaustive oracle takes one of two paths per row.  A row whose span 2B,
 B taken over the row alone, is at most 2^22 builds the set of dot products it
 can reach, one Python-int bitset per suffix of the row; its extremes are the
 set's top and bottom bits, its witnesses rebuilt greedily from the suffix
-sets.  A wider row enumerates its input vectors, holding the sums in int32 or
-int64 while B is below 2^31 or 2^62, and in Python ints (an object array) past
-that; int16 sums serve only when the cap is lowered.
-Every space takes one loop: blocks of at most 2^18 sums, each one row of
-leading-input sums plus a tail table of at most 2^15 sums, written into one
-64-byte aligned workspace per call.
+sets.  A wider row enumerates its input vectors by the bits of their flat
+index: x.q is c * sum(q) plus the weights q[K-1-p//N] << (p % N) of the set
+bits, so each block of at most 2^18 sums adds a table of the high bits' sums to
+one of the low bits', in one 64-byte aligned workspace per call.  The sums are
+int32 or int64 while M = sum|q| * (2^N - 1) is below 2^31 or 2^62, Python ints
+(an object array) past that; int16 sums serve only when the cap is lowered.
 
 certify is the one certificate rule: it gives every row the closed-form
 worst case and decides which rows the exhaustive oracle also checks.
@@ -51,8 +51,8 @@ _INT64_MIN_CODES = 256
 # reachable sums instead of enumerating.  A suffix set is at most span bits
 # wide: the K + 1 sets of the widest rows the default budget admits (K = 24 at
 # N = 1, K = 6 at N = 4, every code near the cap) peaked at 1.7-4.1 MB, within
-# the 8 MB the enumeration's memory tests allow, and took 2.0-4.3 ms against
-# 3.9-4.3 ms to enumerate (Python 3.11, 2-CPU x86 box)
+# the 8 MB the enumeration's memory tests allow, and took 1.5-3.0 ms against
+# 3.3-3.5 ms to enumerate (Python 3.11, 2-CPU x86 box)
 _REACH_SPAN = 1 << 22
 
 
@@ -159,45 +159,29 @@ def enumeration_budget() -> int:
     return int(raw) if raw else DEFAULT_ENUM_BUDGET
 
 
-def _products(codes: np.ndarray, xs: range, dtype) -> list[np.ndarray]:
-    # one row per code: the code times every input in xs, formed wide and then
-    # narrowed, as B bounds the products, not the inputs themselves.  No code
-    # forms no range
-    if not codes.size:
-        return []
-    table = codes[:, None] * np.arange(xs.start, xs.stop, xs.step, dtype=codes.dtype)
-    return list(table.astype(dtype, copy=False))
-
-
-def _outer_sums(rows: list[np.ndarray], dtype) -> np.ndarray:
-    # every sum taking one entry per row, the last row varying fastest
-    out = rows[-1] if rows else np.zeros(1, dtype=dtype)
-    for row in rows[-2::-1]:
-        out = (row[:, None] + out).ravel()
+def _subset_sums(weights: list[int], dtype) -> np.ndarray:
+    # entry i is the sum of the weights at i's set bits: one doubling per weight
+    out = np.zeros(1 << len(weights), dtype=dtype)
+    for j, w in enumerate(weights):
+        np.add(out[: 1 << j], w, out=out[1 << j : 2 << j])
     return out
 
 
-def _blocks(qs: list[int], c: int, R: int, dtype):
-    # (first flat index, one row of sums) in flat order, at most _BLOCK sums a
-    # row.  A block adds a run of lead sums (the leading inputs', one at least
-    # from K = 2 on) to the tail table (the last inputs' sums, at most
-    # _BLOCK / 8 of them: a block-sized tail doubles the heap a call frees,
-    # which page-faults back in).  An input range wider than that is cut into
-    # chunks: the chunk starts lead, and the offsets within a chunk, below
-    # R / 2, are the tail.  All blocks go to one workspace on a 64-byte line:
+def _blocks(qs: list[int], N: int, dtype):
+    # (first flat index, one row of offset sums x.q - c * sum(q)) in flat
+    # order, at most _BLOCK sums a row.  Input k's offset x_k - c is the N-bit
+    # field at bit N * (K - 1 - k) of the flat index, so the offset sum is the
+    # sum of the weights q[K - 1 - p // N] << (p % N) of the index's set bits.
+    # A block adds a run of lead sums (the high bits') to the tail (the low T
+    # bits'): half the bits, at least _BLOCK / 64 sums (numpy's broadcast add
+    # ran 3-4x slower on shorter rows) and at most _BLOCK / 8 (a block-sized
+    # tail doubles the heap a call frees; int64 ran 10-15% slower from 2^15
+    # sums than 2^12).  All blocks share one workspace on a 64-byte line:
     # numpy's add, argmax and argmin ran 20-30% slower 16 bytes off one
-    limit = _BLOCK >> 3
-    K = len(qs)
-    codes = np.array(qs, dtype=object if dtype is object else np.int64)
-    xs = range(c, c + R)
-    if R > limit:
-        w = 1 << (limit.bit_length() - 1)
-        rows = _products(codes[:-1], xs, dtype) + _products(codes[-1:], xs[::w], dtype)
-        rows += _products(codes[-1:], range(w), dtype)
-    else:
-        rows = _products(codes, xs, dtype)
-    T = next((t for t in range(K - 1, 0, -1) if R ** t <= limit), 1)
-    lead, tail = _outer_sums(rows[:-T], dtype)[:, None], _outer_sums(rows[-T:], dtype)
+    weights = [qs[~(p // N)] << (p % N) for p in range(N * len(qs))]
+    cap = (_BLOCK >> 3).bit_length() - 1
+    T = min(len(weights), cap, max(cap - 3, (len(weights) + 1) // 2))
+    tail, lead = _subset_sums(weights[:T], dtype), _subset_sums(weights[T:], dtype)[:, None]
     count, n = len(lead), len(tail)
     per = min(_BLOCK // n, count)
     # 32 spare sums leave room to start on a 64-byte line at every width
@@ -208,13 +192,6 @@ def _blocks(qs: list[int], c: int, R: int, dtype):
         block = work[: size * n]
         np.add(lead[start : start + size], tail, out=block.reshape(size, n))
         yield start * n, block
-
-
-def _decode_index(flat: int, K: int, R: int, c: int) -> tuple[int, ...]:
-    digits = []
-    for pos in range(K):
-        digits.append(c + (flat // R ** (K - 1 - pos)) % R)
-    return tuple(digits)
 
 
 def _suffix_sets(qs: list[int], N: int, c: int, d: int) -> tuple[list[int], list[int]]:
@@ -270,23 +247,17 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
     2 * K * max|q| * max(|c|, |d|) is at most 2^22 builds the set of sums it
     can reach, one bitset per suffix of the row; its max and min are the
     set's top and bottom bits.  Wider rows enumerate every input vector and
-    compare every dot value: sums are int16, int32 or int64 while
-    B = K * max|q| * max(|c|, |d|) is below 2^15, 2^31 or 2^62, and Python
-    ints past that.  They come in blocks of at most 2^18, all in
-    one buffer filled from a tail of at most 2^15 sums (a chunk of one input's
-    range, if that range is wider).
+    compare every dot value, in blocks of at most 2^18 sums: int16, int32 or
+    int64 while M = sum|q| * (2^N - 1) is below 2^15, 2^31 or 2^62, Python
+    ints past that.
     The witnesses are the first extremes, the last element varying fastest.
     """
-    qs = _int_vector(q)
-    K = len(qs)
-    c, d = _input_range(N, act_signed)
-    R = d - c + 1
-    total = R ** K
-    limit = enumeration_budget()
-    if total > limit:
-        raise EnumerationBudgetError(f"{total} input vectors exceed budget {limit}")
+    qs, (c, d) = _int_vector(q), _input_range(N, act_signed)
+    K, R, limit = len(qs), 1 << N, enumeration_budget()
+    if R ** K > limit:
+        raise EnumerationBudgetError(f"{R ** K} input vectors exceed budget {limit}")
 
-    # B bounds every sum, and every partial sum a block is built from
+    # B bounds every sum, so a row's reachable sums span at most 2B + 1 bits
     B = K * max(abs(c), abs(d)) * max(map(abs, qs), default=0)
     if 2 * B <= _REACH_SPAN:
         floors, sets = _suffix_sets(qs, N, c, d)
@@ -295,10 +266,11 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
         x_min = _first_reaching(qs, c, floors, sets, bottom)
         base = sum(floors)
         return _witness(base + top, base + bottom, x_max, x_min, spec)
-    bits = B.bit_length()
+    # M bounds every offset sum x.q - c * sum(q), and every part of one
+    bits = (sum(map(abs, qs)) * (R - 1)).bit_length()
     dtype = np.int16 if bits <= 15 else np.int32 if bits <= 31 else np.int64 if bits <= 62 else object
     f = e = None
-    for first, block in _blocks(qs, c, R, dtype):
+    for first, block in _blocks(qs, N, dtype):
         jmax, jmin = int(block.argmax()), int(block.argmin())
         top, bottom = int(block[jmax]), int(block[jmin])
         # strict improvement only, so the first maximizer and minimizer win
@@ -306,7 +278,9 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
             f, flat_max = top, first + jmax
         if e is None or bottom < e:
             e, flat_min = bottom, first + jmin
-    return _witness(f, e, _decode_index(flat_max, K, R, c), _decode_index(flat_min, K, R, c), spec)
+    # input k is the N-bit field at bit N * (K - 1 - k) of the flat index
+    x_max, x_min = ([c + (flat >> N * (K - 1 - k) & R - 1) for k in range(K)] for flat in (flat_max, flat_min))
+    return _witness(c * sum(qs) + f, c * sum(qs) + e, x_max, x_min, spec)
 
 
 class Certificate(NamedTuple):

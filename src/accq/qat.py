@@ -47,6 +47,7 @@ from .quantizers import (
     PlanRows,
     QuantizedLayer,
     Variant,
+    _layer_arrays,
     _plan_rows,
     _quantize_rows,
     finite_vector,
@@ -163,7 +164,8 @@ class QuantLinear:
     audits ignore it.  Once the layer is part of a ToyNetwork, V, t, d and
     bias are row views of its fan-in group's buffer, so an in-place edit of
     them is what the next step reads.  act_exp, the input quantizer's scale
-    exponent, is a plain float the layer keeps.
+    exponent, is a plain float the layer keeps.  A misshapen or non-finite
+    field, act_exp included, is a ValueError or NonFiniteInputError naming it.
     """
 
     V: np.ndarray
@@ -174,12 +176,12 @@ class QuantLinear:
     act_exp: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bias is None:
-            self.bias = np.zeros(len(self.V))
-        for name in ("t", "d", "bias"):
-            # the group buffer would broadcast a short one over the layer's rows
-            if np.shape(getattr(self, name)) != (len(self.V),):
-                raise ValueError(f"{name} has shape {np.shape(getattr(self, name))}, its layer {len(self.V)} channels")
+        # the group buffer would broadcast a short t, d or bias over the layer's rows
+        bias = np.zeros(np.shape(self.t)) if self.bias is None else self.bias
+        self.V, self.t, self.d, self.bias = _layer_arrays(V=self.V, t=self.t, d=self.d, bias=bias)
+        self.act_exp = float(self.act_exp)
+        if not math.isfinite(self.act_exp):
+            raise NonFiniteInputError("act_exp must be finite")
 
     @property
     def channels(self) -> list[ChannelWeights]:
@@ -385,7 +387,7 @@ def _act_backward(d_xq: np.ndarray, tape: _ActTape) -> float:
 
 @dataclass
 class _LayerStore:
-    """One layer's forward state; quant is its fan-in group's record and rows its rows there.
+    """One layer's forward state; quant is its fan-in group's record, net.homes[i][1] its rows there.
 
     act_tape is None on the smooth pass, which quantizes no activation.
     """
@@ -394,7 +396,6 @@ class _LayerStore:
     act_tape: _ActTape | None
     W: np.ndarray
     quant: QuantizedLayer
-    rows: slice
     y: np.ndarray
 
 
@@ -437,7 +438,7 @@ def forward(net: ToyNetwork, X, quantize: bool = True) -> tuple[np.ndarray, list
         W = (quant.qw if quantize else quant.w)[rows]
         y = xq @ W.T
         y += layer.bias
-        stores.append(_LayerStore(xq=xq, act_tape=act_tape, W=W, quant=quant, rows=rows, y=y))
+        stores.append(_LayerStore(xq=xq, act_tape=act_tape, W=W, quant=quant, y=y))
         h = y if i == last else np.maximum(y, 0.0)
     return h, stores
 
@@ -715,14 +716,9 @@ def load_checkpoint(path):
             if not isinstance(b["act_signed"], bool):
                 raise ValueError(f"act_signed must be a JSON bool, got {b['act_signed']!r}")
             bw = BitWidths(M=b["M"], N=b["N"], P=b["P"], act_signed=b["act_signed"])
-            V = np.stack([finite_vector(c["v"], "v") for c in entry["channels"]])
-            l1_masses(np.abs(V), "v")  # the quantizer divides each row by its mass
-            t, d = (finite_vector([c[name] for c in entry["channels"]], name) for name in "td")
-            bias = finite_vector(entry["bias"], "bias")
-            act_exp = float(entry["act_exp"])
-            if not math.isfinite(act_exp):
-                raise NonFiniteInputError("act_exp must be finite")
-            layers.append(QuantLinear(V=V, t=t, d=d, bits=bw, bias=bias, act_exp=act_exp))
+            V, t, d = ([c[name] for c in entry["channels"]] for name in "vtd")
+            layers.append(QuantLinear(V=V, t=t, d=d, bits=bw, bias=entry["bias"], act_exp=entry["act_exp"]))
+            l1_masses(np.abs(layers[-1].V), "v")  # the quantizer divides each row by its mass
         return "quantized", ToyNetwork(layers=layers, variant=Variant(payload["variant"]))
     if kind == "float":
         return "float", [np.stack([finite_vector(c["w"], "w") for c in e["channels"]]) for e in payload["layers"]]

@@ -260,28 +260,36 @@ def _shrink_rows(q: np.ndarray, rows: list[int], cap: list[int]) -> np.ndarray:
     return q
 
 
-def _layer_shape(V: np.ndarray) -> tuple[int, int]:
-    if V.ndim != 2 or not V.size:
-        raise ValueError(f"a layer must be a (C, K) array with C, K >= 1, got shape {V.shape}")
-    return V.shape
+def _layer_arrays(**arrays) -> list[np.ndarray]:
+    """The first array as (C, K) floats, C, K >= 1, the rest as (C,) ones, all finite, or an error naming one."""
+    out: list[np.ndarray] = []
+    for name, x in arrays.items():
+        try:
+            x = np.asarray(x, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged rows, or not numbers
+            raise ValueError(f"{name} must be an array of floats: {exc}") from None
+        if not out and (x.ndim != 2 or not x.size):
+            raise ValueError(f"{name} must be a (C, K) array with C, K >= 1, got shape {x.shape}")
+        if out and x.shape != out[0].shape[:1]:
+            raise ValueError(f"{name} must have shape {out[0].shape[:1]}, one entry per row of V, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise NonFiniteInputError(f"{name} must be finite")
+        out.append(x)
+    return out
 
 
 def quantize_layer(V: np.ndarray, t: np.ndarray, d: np.ndarray, bits: BitWidths, variant: Variant) -> QuantizedLayer:
     """Quantize a (C, K) stack of channels into one record of codes, certificates and tape.
 
     Row i uses direction V[i], norm 2^t[i] and scale 2^d[i]; every row shares
-    the bit widths bits and, sharing K, the variant that runs.  Raises
-    ValueError naming V's shape unless C, K >= 1, or t's or d's unless (C,);
+    the bit widths bits and, sharing K, the variant that runs.  V, t and d may
+    be any float array-likes.  Raises ValueError naming V's shape unless
+    C, K >= 1 (ragged rows named too), or t's or d's unless (C,);
     NonFiniteInputError unless all three are finite; OverflowError when a norm
     or scale exponent leaves float range, a scale underflowing to 0 included.
     """
-    C, K = _layer_shape(V)
-    for name, x in (("V", V), ("t", t), ("d", d)):
-        if x is not V and np.shape(x) != (C,):
-            raise ValueError(f"{name} must have shape ({C},), one entry per row of V, got shape {np.shape(x)}")
-        if not np.isfinite(x).all():
-            raise NonFiniteInputError(f"{name} must be finite")
-    return _quantize_rows(V, t, d, _plan_rows(K, ((bits, C),), variant))
+    V, t, d = _layer_arrays(V=V, t=t, d=d)
+    return _quantize_rows(V, t, d, _plan_rows(V.shape[1], ((bits, len(V)),), variant))
 
 
 def _quantize_rows(V: np.ndarray, t: np.ndarray, d: np.ndarray, plan_rows: PlanRows) -> QuantizedLayer:

@@ -205,7 +205,8 @@ _PATHS = ["enumerate", "reach"]
 def _force_path(mp, path: str) -> list:
     """Send rows down one path of exhaustive_check; returns that path's helper calls.
 
-    "enumerate": no span is at most -1, so every row reaches _blocks.
+    "enumerate": no span is at most -1, so every row enumerates through
+    _blocks, which gets the sum type last.
     "reach": patches nothing, as every row within the span cap builds its
     suffix sets (and a row past the cap still enumerates); spies on those.
     """
@@ -266,7 +267,7 @@ def test_split_path_blocks_start_on_a_cache_line(dtype):
     # the reused workspace is 64-byte aligned whatever the heap's history, and
     # so is every block in it: 16^6 sums in many blocks, 16^4 in one
     for qs, count in [([3, -5, 2, -2, 4, -1], 64), ([3, -5, 2, -2], 1)]:
-        blocks = [block for _, block in intsim._blocks(qs, 0, 16, dtype)]
+        blocks = [block for _, block in intsim._blocks(qs, 4, dtype)]
         assert len(blocks) == count
         assert all(block.ctypes.data % 64 == 0 and block.dtype == dtype and block.ndim == 1 for block in blocks)
 
@@ -274,18 +275,20 @@ def test_split_path_blocks_start_on_a_cache_line(dtype):
 @pytest.mark.parametrize(
     "q, N, signed, dtype",
     [
-        ([(1 << 15) - 1], 1, False, np.int16),
-        ([1 << 14, 0], 1, True, np.int32),
-        ([(1 << 31) - 1], 1, False, np.int32),
-        ([1 << 30, 0], 1, True, np.int64),
-        ([(1 << 62) - 1], 1, False, np.int64),
-        ([1 << 61, 0], 1, True, object),
+        ([1 << 14, (1 << 14) - 1], 1, False, np.int16),
+        ([1 << 14, -(1 << 14)], 1, True, np.int32),
+        ([1 << 30, (1 << 30) - 1], 1, False, np.int32),
+        ([1 << 30, -(1 << 30)], 1, True, np.int64),
+        ([1 << 61, (1 << 61) - 1], 1, False, np.int64),
+        ([1 << 61, -(1 << 61)], 1, True, object),
     ],
     ids=["2^15-1", "2^15", "2^31-1", "2^31", "2^62-1", "2^62"],
 )
 def test_exhaustive_sums_take_the_narrowest_type_below_B(monkeypatch, q, N, signed, dtype):
-    # B = K * max|q| * max(|c|, |d|) on each side of each element-type edge:
-    # int16, int32 or int64 while B is below 2^15, 2^31 or 2^62, Python ints past that
+    # M = sum|q| * (2^N - 1), which bounds every offset sum, on each side of
+    # each element-type edge: int16, int32 or int64 while M is below 2^15,
+    # 2^31 or 2^62, Python ints past that.  Each row below an edge has
+    # B = K * max|q| * max(|c|, |d|) at the edge, past its type
     calls = _force_path(monkeypatch, "enumerate")
     wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
     assert [args[-1] for args in calls] == [dtype]
@@ -294,7 +297,7 @@ def test_exhaustive_sums_take_the_narrowest_type_below_B(monkeypatch, q, N, sign
 
 def test_exhaustive_memory_stays_bounded(monkeypatch):
     # the whole default budget in blocks: 16^6 input vectors through one reused
-    # buffer, and 2^24 values of a single input in chunks of its range
+    # buffer, and 2^24 values of a single input, its 24 bits split between lead and tail
     monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
     calls = _force_path(monkeypatch, "enumerate")
     for q, N, P, extremes, max_peak in [
@@ -409,14 +412,18 @@ def test_exhaustive_witnesses_are_the_first_extremes(channel):
 
 # a block of 64 to 512 sums sends these small channels through many blocks: a
 # block that is not a power of two ends in a chunk of fewer than `per` leading
-# sums, and an input range wider than an eighth of a block (R = 16 against 64
-# or 100) is cut into chunks whose offsets are the tail
+# sums, and a tail of at most an eighth of a block (3 bits against 64 or 100)
+# splits an input's field between lead and tail.  The last three rows reach
+# the offset-sum edge of their type, int16, int32 and int64, whose B is past it
 @given(block=st.integers(min_value=1 << 6, max_value=1 << 9), channel=_enumerable_channels())
 @example(block=100, channel=([3, -1, 2, 0, -2, 1], 2, False))
 @example(block=64, channel=([5, -7, 3], 4, True))
 @example(block=100, channel=([1 << 59, -(1 << 59), 7], 4, False))
 @example(block=100, channel=([2**130, -3, 1], 4, True))
 @example(block=64, channel=([-9], 7, True))
+@example(block=64, channel=([10920, 1, 1, 0], 2, True))
+@example(block=100, channel=([715827880, 1, 1, 0], 2, True))
+@example(block=64, channel=([1537228672809129299, 1, 1, 0], 2, True))
 @settings(max_examples=100, deadline=None)
 def test_exhaustive_blocked_paths_match_brute_force(block, channel):
     q, N, signed = channel
@@ -511,7 +518,7 @@ def test_reachable_path_ends_at_the_span_cap(monkeypatch, signed, past):
             [1 << 40, 0, -(1 << 40) + 3, 12345], 3, True, None,
             (7696581431455, -7696581443803, (3, -4, -4, 3), (-4, -4, 3, -4)),
         ),
-        (  # past int64
+        (  # int64: B is past it, M = 7 * (2^59 + 25) is not
             [1 << 58, -(1 << 58), 5, 7, 3, 1, 9], 3, True, None,
             (2017612633061982283, -2017612633061982308, (3, -4, 3, 3, 3, 3, 3), (-4, 3, -4, -4, -4, -4, -4)),
         ),
@@ -525,7 +532,7 @@ def test_reachable_path_ends_at_the_span_cap(monkeypatch, signed, past):
             ),
         ),
         ([], 40, False, None, (0, 0, (), ())),  # K = 0
-        # one input's 128 values against blocks of 64 sums, in int16 and past int64
+        # one input's 128 values against blocks of 64 sums, in int16 and in Python ints
         ([0, 5, -3], 7, False, 64, (635, -381, (0, 127, 0), (0, 0, 127))),
         (
             [1 << 58, 0, -(1 << 58)], 7, True, 64,
@@ -545,9 +552,9 @@ def test_exhaustive_routes_are_pinned(monkeypatch, q, N, signed, block, expected
 
 def test_exhaustive_working_set_is_about_one_block(monkeypatch):
     # 8^7 int16 sums in blocks of 2^18: one reused block buffer plus a tail of
-    # at most 2^15 sums, where a block-sized tail peaked at two buffers.  An
-    # input range wider than an eighth of a block (16 against 64) is cut into
-    # chunks: the 16^4 sums, 128 KB, are never all held at once
+    # at most 2^15 sums, where a block-sized tail peaked at two buffers.  With
+    # blocks of 64 the tail holds the flat index's low 3 bits and the lead
+    # table its other 13: the 16^4 sums, 128 KB, are never all held at once
     monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
     calls = _force_path(monkeypatch, "enumerate")
     for block, q, N, max_peak in [

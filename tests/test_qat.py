@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from accq.bounds import BitWidths, a2q_limit, a2q_plus_limit, int_range
 from accq import qat, quantizers
-from accq.errors import AccumulatorOverflowError, DivergenceError
+from accq.errors import AccumulatorOverflowError, DivergenceError, NonFiniteInputError
 from accq.qat import (
     CSV_HEADER,
     _act_forward,
@@ -209,7 +209,7 @@ def fd_relative_errors(seed: int, h: float = 1e-4):
         for li, st in enumerate(stores):
             if li < len(stores) - 1 and np.min(np.abs(st.y)) < 10 * h:
                 return None
-            quant, rows = st.quant, st.rows
+            quant, rows = st.quant, net.homes[li][1]
             if quant.degenerate[rows].any():
                 return None
             if np.min(np.abs(quant.c[rows])) < 20 * h:
@@ -283,8 +283,8 @@ def test_every_step_stays_inside_budget():
     calibrate(net, data.X_train[:32])
     for _, xb, yb in _batches(cfg, data):
         pred, stores = forward(net, xb)
-        for st in stores:
-            quant, rows = st.quant, st.rows
+        for st, (_, rows) in zip(stores, net.homes, strict=True):
+            quant = st.quant
             for bound_ok, l1_codes, bound in zip(
                 quant.bound_ok[rows], quant.l1_codes[rows], quant.bound[rows], strict=True
             ):
@@ -774,6 +774,30 @@ def test_a_layer_rejects_a_row_vector_that_is_not_one_per_channel(name, value):
     fields = {"V": np.ones((2, 2)), "t": np.zeros(2), "d": np.zeros(2), "bias": np.zeros(2), name: value}
     with pytest.raises(ValueError, match=name):
         QuantLinear(bits=BitWidths(M=4, N=4, P=16), **fields)
+
+
+@pytest.mark.parametrize("name", ["V", "t", "d", "bias", "act_exp"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_layer_rejects_a_non_finite_field_by_name(name, bad):
+    # a NaN code row once wrapped its int64 |q| sum to 0 and passed its l1 bound
+    fields = {"V": [[1.0, 2.0]], "t": [0.0], "d": [0.0], "bias": [0.0], "act_exp": 0.0}
+    fields[name] = bad if name == "act_exp" else np.full(np.shape(fields[name]), bad)
+    with pytest.raises(NonFiniteInputError, match=f"^{name} must be finite$"):
+        QuantLinear(bits=BitWidths(M=4, N=4, P=16), **fields)
+
+
+@pytest.mark.parametrize(
+    "V", [[1.0, 2.0], [[]], [[1.0, 2.0], [3.0]], 1.0], ids=["1-d", "no column", "ragged", "scalar"]
+)
+def test_a_layer_rejects_a_direction_that_is_not_c_by_k(V):
+    with pytest.raises(ValueError, match="^V must be"):
+        QuantLinear(V=V, t=np.zeros(2), d=np.zeros(2), bits=BitWidths(M=4, N=4, P=16))
+
+
+def test_a_layer_takes_lists_as_float_arrays():
+    layer = QuantLinear(V=[[1, 2]], t=[0], d=[-1], bits=BitWidths(M=4, N=4, P=16), act_exp=1)
+    assert [x.dtype for x in (layer.V, layer.t, layer.d, layer.bias)] == [np.float64] * 4
+    assert (layer.bias.tolist(), layer.act_exp) == ([0.0], 1.0)
 
 
 def test_load_checkpoint_rejects_unknown_kind(tmp_path):

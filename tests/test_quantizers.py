@@ -640,6 +640,25 @@ def test_non_finite_layer_input_is_refused(name, bad, variant):
         quantize_layer(args["V"], args["t"], args["d"], BitWidths(4, 4, 12), variant)
 
 
+def test_a_layer_given_as_lists_quantizes_as_arrays():
+    V, t, d = [[0.5, -1.0, 2.0], [1.0, 0.25, -0.75]], [0.0, 1.0], [-3.0, -2.0]
+    bits = BitWidths(4, 4, 12)
+    got = quantize_layer(V, t, d, bits, Variant.A2Q_PLUS)
+    want = quantize_layer(np.array(V), np.array(t), np.array(d), bits, Variant.A2Q_PLUS)
+    assert got.q.tobytes() == want.q.tobytes()
+    assert got.qw.tobytes() == want.qw.tobytes()
+
+
+@pytest.mark.parametrize(
+    "V, t, name",
+    [([[1.0, 2.0], [3.0]], [0.0, 0.0], "V"), ([["a", "b"]], [0.0], "V"), ([[1.0, 2.0]], ["x"], "t")],
+    ids=["ragged", "V text", "t text"],
+)
+def test_a_layer_that_is_not_float_arrays_is_a_value_error_naming_it(V, t, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an array of floats"):
+        quantize_layer(V, t, [0.0] * len(t), BitWidths(4, 4, 12), Variant.A2Q)
+
+
 @pytest.mark.parametrize("name", ["t", "d"])
 @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
 def test_norm_or_scale_not_one_per_row_is_a_value_error_naming_its_shape(name, shape):
