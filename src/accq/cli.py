@@ -14,6 +14,14 @@ failure (an overflow), 5 enumeration budget exceeded.
 Every subcommand is deterministic given its flags, input files, and
 ACCQ_ENUM_BUDGET.
 
+main parses argv once: when argv[0] names a subcommand, that subcommand's own
+parser reads argv[1:]. Every other argv (none, -h, an unknown name, an option
+before the subcommand), and any call that leaves arguments over, goes through
+the top-level parser, so help, usage and "unrecognized arguments" messages
+are argparse's own. The parsers are built on the first call, not at import.
+verify --weights and pareto --records read their file, or stdin for "-", as
+UTF-8 bytes whatever the locale.
+
 Each subcommand imports what it runs, inside its cmd_* function: this module
 loads only accq.bounds, accq.errors and accq.intsim, which is all that bounds
 and verify use, so a one-file `accq verify` never compiles the trainer.
@@ -89,14 +97,14 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _read_text(path: str) -> str:
+    """The file at path, or stdin for "-", as strict UTF-8 whatever the locale, "\r\n" and "\r" read as "\n"."""
     try:
         if path == "-":
-            # fold "\r\n" and "\r" to "\n" as read_text does, which POSIX stdin does not
-            text = sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
-            # the C locale reads stdin's non-UTF-8 bytes as lone surrogates, which encode() rejects
-            text.encode()
-            return text
-        return Path(path).read_text()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as f:
+                data = f.read()
+        return data.decode().replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeError as exc:
@@ -474,8 +482,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser by name, read from the cached top-level parser."""
+    (subs,) = build_parser()._subparsers._group_actions
+    return subs.choices
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _subcommands().get(argv[0]) if argv else None
+    if sub is not None:
+        # the top-level parser hands a subcommand's parser exactly argv[1:]
+        ns, extra = sub.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+    if sub is None or extra:
+        # help, usage and "unrecognized arguments" come from the top-level parse, as they always have
+        ns = build_parser().parse_args(argv)
     try:
         # looked up at call time, so a patched cmd_* module attribute is the one run
         return globals()[f"cmd_{ns.cmd}"](ns)

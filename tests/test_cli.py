@@ -290,11 +290,19 @@ def _channel_files(draw):
     return text
 
 
-def _verify_outcome(path: str) -> tuple[int, str, str]:
+def _outcome(argv: list[str]) -> tuple[int, str, str]:
+    """cli.main's exit code, argparse's included, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["verify", "--weights", path, "--P", "24", "--N", "4", "--signed"])
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def _verify_outcome(path: str) -> tuple[int, str, str]:
+    return _outcome(["verify", "--weights", path, "--P", "24", "--N", "4", "--signed"])
 
 
 @given(text=st.one_of(_channel_files(), st.text(_DIGITS + ",+-\n x\x0c", max_size=30)))
@@ -326,7 +334,8 @@ def test_verify_stdin_reads_line_breaks_as_a_file_does(tmp_path, monkeypatch, ca
     path = tmp_path / "channels.txt"
     path.write_bytes(text.encode())
     from_file = run(capsys, "verify", "--weights", str(path), "--P", "16", "--N", "4")
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    # a real stdin: text over a byte buffer, which _read_text reads
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
     assert run(capsys, "verify", "--weights", "-", "--P", "16", "--N", "4") == from_file
     assert len(from_file[1].splitlines()) == 3
 
@@ -639,24 +648,63 @@ def test_malformed_enum_budget_exits_3_from_a_shell(argv, raw):
 
 
 NOT_UTF8 = b"1,2\n\xff\xfe,3\n"
+# the C locale with UTF-8 mode and locale coercion off, where Python's own
+# text reads are ASCII; the id suffixes keep the default locale's test ids
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+LOCALES = {"": {}, "-C": C_LOCALE}
+VERIFY_FILE = ["verify", "--P", "12", "--N", "4", "--weights"]
 
 
-@pytest.mark.parametrize("cmd", [["verify", "--P", "12", "--N", "4", "--weights"], ["pareto", "--records"]])
-def test_non_utf8_file_exits_3_from_a_shell(cmd, tmp_path):
+@pytest.mark.parametrize(
+    "cmd, env",
+    [
+        pytest.param(cmd, env, id=f"cmd{i}{suffix}")
+        for suffix, env in LOCALES.items()
+        for i, cmd in enumerate([VERIFY_FILE, ["pareto", "--records"]])
+    ],
+)
+def test_non_utf8_file_exits_3_from_a_shell(cmd, env, tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(NOT_UTF8)
-    assert "not UTF-8" in assert_shell_input_error([*cmd, str(path)])
+    assert "not UTF-8" in assert_shell_input_error([*cmd, str(path)], **env)
 
 
-# the C locale reads stdin's bad bytes as lone surrogates; strict decoding raises on them
-@pytest.mark.parametrize("io_encoding", [None, "utf-8:strict"])
-def test_non_utf8_stdin_exits_3_from_a_shell(io_encoding, tmp_path):
+# stdin is read as bytes, so neither its text encoding nor the locale changes the verdict
+@pytest.mark.parametrize(
+    "io_encoding, env",
+    [
+        pytest.param(io_encoding, env, id=f"{io_encoding}{suffix}")
+        for suffix, env in LOCALES.items()
+        for io_encoding in [None, "utf-8:strict"]
+    ],
+)
+def test_non_utf8_stdin_exits_3_from_a_shell(io_encoding, env, tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(NOT_UTF8)
-    env = {"PYTHONIOENCODING": io_encoding} if io_encoding else {}
+    env = dict(env, PYTHONIOENCODING=io_encoding) if io_encoding else env
     with path.open("rb") as stdin:
-        err = assert_shell_input_error(["verify", "--P", "12", "--N", "4", "--weights", "-"], stdin=stdin, **env)
+        err = assert_shell_input_error([*VERIFY_FILE, "-"], stdin=stdin, **env)
     assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("source", ["verify-file", "verify-stdin", "pareto-file"])
+def test_utf8_input_reads_the_same_in_the_c_locale_from_a_shell(source, tmp_path):
+    # valid UTF-8 with a no-break space, which int() and float() skip as they
+    # do any space; the C locale once refused it as "not UTF-8 text"
+    path = tmp_path / "nbsp.txt"
+    if source == "pareto-file":
+        path.write_bytes(f"{CSV_HEADER}\na2q,4,4,12,0,\xa00.5,0.25,1/2\n".encode())
+        argv = ["pareto", "--records", str(path)]
+    else:
+        path.write_bytes("1,\xa02\n".encode())
+        argv = [*VERIFY_FILE, "-" if source == "verify-stdin" else str(path)]
+    outcomes = []
+    for env in LOCALES.values():
+        with path.open("rb") as stdin:
+            proc = run_shell("accq.cli", *argv, stdin=stdin, **env)
+        outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+    assert outcomes[0][0] == 0 and outcomes[0][1] and not outcomes[0][2]
+    assert outcomes[1] == outcomes[0]
 
 
 def test_train_unwritable_out_exits_3_from_a_shell(tmp_path):
@@ -986,3 +1034,71 @@ def test_pareto_json(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["variant"] == "a2q+" and payload["min_slack"] == "7/8"
+
+
+# ---------------------------------------------------------------- dispatch
+
+VERIFY_OK = [*VERIFY_FILE, str(VERIFY_CHANNELS)]
+# argvs main parses on the subcommand's parser alone or hands to the top-level
+# parser; "{ckpt}" and "{records}" stand for files the test supplies
+DISPATCH_ARGVS = {
+    "empty": [],
+    "help": ["-h"],
+    "unknown": ["nope"],
+    "verify-bare": ["verify"],
+    "verify-help": ["verify", "-h"],
+    "trailing-unknown": [*VERIFY_OK, "--bogus"],
+    "double-dash": [*VERIFY_OK, "--", "x"],
+    "both-signs": [*VERIFY_OK, "--signed", "--unsigned"],
+    "abbreviation": ["verify", "--wei", str(VERIFY_CHANNELS), "--P", "12", "--N", "4"],
+    "bad-int": ["verify", "--weights", str(VERIFY_CHANNELS), "--P", "x", "--N", "4"],
+    "bounds-extra": ["bounds", "--ratio", "--N", "4", "extra"],
+    "option-first": ["--json", *VERIFY_OK],
+    "pareto-bare": ["pareto"],
+    "negative-epochs": ["train", "--epochs", "-1"],
+    "bounds": ["bounds", "--P", "16", "--N", "4", "--json"],
+    "project": ["project", "--weights", "3,1", "--radius", "2"],
+    "verify": [*VERIFY_OK, "--signed"],
+    "train": ["train", *TRAIN_FAST],
+    "analyze": ["analyze", "--ckpt", "{ckpt}", "--M", "4", "--N", "4"],
+    "pareto": ["pareto", "--records", "{records}"],
+}
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS.values(), ids=DISPATCH_ARGVS.keys())
+def test_dispatch_matches_the_top_level_parse(argv, checkpoints, tmp_path, monkeypatch):
+    records = tmp_path / "records.csv"
+    records.write_text(_csv(["a2q,4,4,12,0,0.5,0.25,1/2"]))
+    argv = [{"{ckpt}": str(checkpoints[0]), "{records}": str(records)}.get(arg, arg) for arg in argv]
+    direct = _outcome(argv)
+    # no subcommand found: every argv takes the top-level parse
+    monkeypatch.setattr(cli, "_subcommands", lambda: {})
+    assert _outcome(argv) == direct
+
+
+def test_a_valid_call_skips_the_top_level_parse(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
+    code, out = run(capsys, *VERIFY_OK, "--signed")
+    assert code == 4 and out.startswith('{"channel": 0, ')
+    assert run(capsys, "bounds", "--ratio", "--N", "4") == (0, "32/15\n")
+
+
+# how often a fresh interpreter has built the parser: after import accq.cli,
+# then after each of two main calls
+PARSERS_BUILT = """
+from accq import cli
+built = [cli.build_parser.cache_info().currsize]
+for _ in range(2):
+    cli.main(["bounds", "--ratio", "--N", "4"])
+    built.append(cli.build_parser.cache_info().misses)
+print(built)
+"""
+
+
+def test_import_builds_no_parser_and_main_builds_it_once():
+    proc = run_python("-c", PARSERS_BUILT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 1, 1]"
