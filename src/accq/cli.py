@@ -8,11 +8,9 @@ per variant and P of a sweep CSV).
 Exit codes: 0 success, 2 usage, 3 bad input (an unreadable or malformed
 input, weights whose l1 mass leaves float range, an unwritable --out file,
 an out-of-range bit width, batch size, epoch count, --jobs count, --lr,
---weight-decay or --lambda-reg, a negative seed, or an ACCQ_ENUM_BUDGET
-that is not a non-negative integer) or a training run that diverged, 4 verification
-failure (an overflow), 5 enumeration budget exceeded.
-Every subcommand is deterministic given its flags, input files, and
-ACCQ_ENUM_BUDGET.
+--weight-decay or --lambda-reg, or a negative seed) or a training run that
+diverged, 4 verification failure (an overflow), 5 enumeration budget exceeded.
+Every subcommand is deterministic given its flags and input files.
 
 main parses argv once: when argv[0] names a subcommand, that subcommand's own
 parser reads argv[1:]. Every other argv (none, -h, an unknown name, an option
@@ -54,7 +52,6 @@ from .errors import (
     DivergenceError,
     EnumerationBudgetError,
     InvalidBitWidthError,
-    InvalidBudgetError,
     NonFiniteInputError,
     NonPositiveRadiusError,
 )
@@ -500,7 +497,7 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so a patched cmd_* module attribute is the one run
         return globals()[f"cmd_{ns.cmd}"](ns)
-    except (_InputError, InvalidBitWidthError, InvalidBudgetError, DivergenceError) as exc:
+    except (_InputError, InvalidBitWidthError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationBudgetError as exc:

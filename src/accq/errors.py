@@ -1,8 +1,8 @@
 """Exception types the package raises.
 
-The CLI maps the input, width, budget and divergence errors onto exit codes;
-the trainer's certificate raises AccumulatorOverflowError.  Keep the
-hierarchy flat and explicit.
+The CLI maps the width and divergence errors onto exit 3 and the
+enumeration budget error onto exit 5; the trainer's certificate raises
+AccumulatorOverflowError.  Keep the hierarchy flat and explicit.
 """
 
 
@@ -19,11 +19,7 @@ class NonPositiveRadiusError(ValueError):
 
 
 class EnumerationBudgetError(RuntimeError):
-    """An exhaustive enumeration would exceed the configured budget."""
-
-
-class InvalidBudgetError(ValueError):
-    """ACCQ_ENUM_BUDGET is set to something other than a non-negative base-10 integer."""
+    """An exhaustive enumeration would exceed the fixed budget, intsim.ENUM_BUDGET."""
 
 
 class DivergenceError(RuntimeError):

@@ -16,7 +16,7 @@ index: x.q is c * sum(q) plus the weights q[K-1-p//N] << (p % N) of the set
 bits, so each block of at most 2^18 sums adds a table of the high bits' sums to
 one of the low bits', in one 64-byte aligned workspace per call.  The sums are
 int32 or int64 while M = sum|q| * (2^N - 1) is below 2^31 or 2^62, Python ints
-(an object array) past that; int16 sums serve only when the cap is lowered.
+(an object array) past that; int16 only when a test lowers the span cap.
 
 certify is the one certificate rule: it gives every row the closed-form
 worst case and decides which rows the exhaustive oracle also checks.
@@ -30,17 +30,15 @@ out-of-range value mod 2^P back into the range, as two's complement does.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import _check_bits, int_range
-from .errors import EnumerationBudgetError, InvalidBudgetError, NonFiniteInputError
+from .errors import EnumerationBudgetError, NonFiniteInputError
 
-DEFAULT_ENUM_BUDGET = 1 << 24
-ENUM_BUDGET_ENV = "ACCQ_ENUM_BUDGET"
+ENUM_BUDGET = 1 << 24  # most input vectors, (2^N)^K, the exhaustive oracle takes in one row
 _BLOCK = 1 << 18  # most sums one enumerated block holds
 _INT64_GUARD = 1 << 62  # every sum bounded by B below this fits int64
 # about the fewest codes for which the int64 pass beats the Python-int loop, on
@@ -151,12 +149,10 @@ def _witness(f: int, e: int, x_max, x_min, spec: AccumulatorSpec) -> AccumWitnes
     return AccumWitness(f, e, f > spec.hi or e < spec.lo, tuple(x_max), tuple(x_min))
 
 
-def enumeration_budget() -> int:
-    """Active exhaustive-enumeration budget; env ACCQ_ENUM_BUDGET (0 never enumerates) overrides the default."""
-    raw = os.environ.get(ENUM_BUDGET_ENV)
-    if raw and not (raw.isascii() and raw.isdigit()):
-        raise InvalidBudgetError(f"{ENUM_BUDGET_ENV} must be a non-negative base-10 integer, got {raw!r}")
-    return int(raw) if raw else DEFAULT_ENUM_BUDGET
+def _enumerable(K: int, N: int) -> bool:
+    # the one routing rule: a row's (2^N)^K input vectors fit ENUM_BUDGET,
+    # read at call time
+    return (1 << (N * K)) <= ENUM_BUDGET
 
 
 def _subset_sums(weights: list[int], dtype) -> np.ndarray:
@@ -210,7 +206,7 @@ def _suffix_sets(qs: list[int], N: int, c: int, d: int) -> tuple[list[int], list
     return floors, sets[::-1]
 
 
-def _first_reaching(qs: list[int], c: int, floors: list[int], sets: list[int], rest: int) -> tuple[int, ...]:
+def _first_reaching(qs: list[int], c: int, d: int, floors: list[int], sets: list[int], rest: int) -> tuple[int, ...]:
     # the first input vector in flat order whose dot product sits at bit rest
     # of sets[0], picked greedily: at each position the smallest input whose
     # remainder the next suffix set reaches.  Bit 0 (every element at its
@@ -218,7 +214,7 @@ def _first_reaching(qs: list[int], c: int, floors: list[int], sets: list[int], r
     # the first input whose remainder lies between bit 0 and the set's top
     # bit, and meets a reachable one before the remainder leaves that window.
     # A zero code leaves the set as it is: its first input, c, keeps the
-    # remainder
+    # remainder.  Sets that disagree with the row would send it past d: a bug
     x = []
     for v, m, t in zip(qs, floors, sets[1:]):
         if not v:
@@ -230,8 +226,10 @@ def _first_reaching(qs: list[int], c: int, floors: list[int], sets: list[int], r
             xk = c
         s = base - v * xk
         # test bit s, shifting or masking whichever copies the fewer digits
-        while not (t >> s & 1 if 2 * s >= top else t & (1 << s)):
+        while xk <= d and not (t >> s & 1 if 2 * s >= top else t & (1 << s)):
             xk, s = xk + 1, s - v
+        if xk > d:
+            raise AssertionError(f"row {qs}: no input in [{c}, {d}] at position {len(x)} reaches its suffix set")
         x.append(xk)
         rest = s
     return tuple(x)
@@ -242,28 +240,27 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
 
     Independent oracle for check_accumulator: no extremal shortcut, every
     reachable dot value is built and compared.  Raises EnumerationBudgetError
-    when (2^N)^K exceeds the budget (default 2^24, env ACCQ_ENUM_BUDGET
-    overrides), whichever path the row then takes.  A row whose span
-    2 * K * max|q| * max(|c|, |d|) is at most 2^22 builds the set of sums it
-    can reach, one bitset per suffix of the row; its max and min are the
-    set's top and bottom bits.  Wider rows enumerate every input vector and
+    when (2^N)^K exceeds ENUM_BUDGET, 2^24, whichever path the row would
+    take.  A row whose span 2 * K * max|q| * max(|c|, |d|) is at most 2^22
+    builds the set of sums it can reach, one bitset per suffix of the row;
+    its max and min are the set's top and bottom bits.  Wider rows enumerate every input vector and
     compare every dot value, in blocks of at most 2^18 sums: int16, int32 or
     int64 while M = sum|q| * (2^N - 1) is below 2^15, 2^31 or 2^62, Python
     ints past that.
     The witnesses are the first extremes, the last element varying fastest.
     """
     qs, (c, d) = _int_vector(q), _input_range(N, act_signed)
-    K, R, limit = len(qs), 1 << N, enumeration_budget()
-    if R ** K > limit:
-        raise EnumerationBudgetError(f"{R ** K} input vectors exceed budget {limit}")
+    K, R = len(qs), 1 << N
+    if not _enumerable(K, N):
+        raise EnumerationBudgetError(f"{R ** K} input vectors exceed budget {ENUM_BUDGET}")
 
     # B bounds every sum, so a row's reachable sums span at most 2B + 1 bits
     B = K * max(abs(c), abs(d)) * max(map(abs, qs), default=0)
     if 2 * B <= _REACH_SPAN:
         floors, sets = _suffix_sets(qs, N, c, d)
         top, bottom = sets[0].bit_length() - 1, (sets[0] & -sets[0]).bit_length() - 1
-        x_max = _first_reaching(qs, c, floors, sets, top)
-        x_min = _first_reaching(qs, c, floors, sets, bottom)
+        x_max = _first_reaching(qs, c, d, floors, sets, top)
+        x_min = _first_reaching(qs, c, d, floors, sets, bottom)
         base = sum(floors)
         return _witness(base + top, base + bottom, x_max, x_min, spec)
     # M bounds every offset sum x.q - c * sum(q), and every part of one
@@ -343,19 +340,18 @@ def certify(
     B = K * max|q| * max(|c|, |d|), taken over its longest row and largest
     code, is below 2^62; in Python ints, row by row, otherwise.  A row also
     goes to the exhaustive oracle when exhaustive is set, or when its
-    (2^N)^K input vectors fit the enumeration budget; it overflows when
+    (2^N)^K input vectors fit ENUM_BUDGET, 2^24; it overflows when
     either route says so.  A forced row over the budget raises
     EnumerationBudgetError before any result is returned.
     """
     c, d = _input_range(N, act_signed)
-    cap = enumeration_budget()
     if isinstance(rows, np.ndarray) and rows.ndim < 2:
         raise ValueError(f"rows must be a (C, K) array or a sequence of rows, got shape {rows.shape}")
     rows = list(rows)
     Ks, fs, es = _closed_forms(rows, c, d)
     hi, lo = spec.hi, spec.lo
     overflowed = [f > hi or e < lo for f, e in zip(fs, es)]
-    enumerated = [exhaustive or (1 << (N * K)) <= cap for K in Ks]  # (2^N)^K input vectors
+    enumerated = [exhaustive or _enumerable(K, N) for K in Ks]
     for i in [i for i, flag in enumerate(enumerated) if flag]:
         # the oracle converts the row itself, independently of the closed form
         overflowed[i] |= exhaustive_check(rows[i], N, act_signed, spec).overflowed

@@ -25,6 +25,7 @@ try:
 except ImportError:  # the two built-in oracles still run
     cvxpy = None
 
+from accq import intsim
 from accq.bounds import (
     BitWidths,
     a2q_limit,
@@ -119,7 +120,7 @@ def _closed_form_certs(q, N: int, signed: bool, spec: AccumulatorSpec):
     # a zero budget gives every row the closed form only; the first rows of
     # each config are checked separately, by exhaustive_check
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setenv("ACCQ_ENUM_BUDGET", "0")
+        monkeypatch.setattr(intsim, "ENUM_BUDGET", 0)
         return certify(q, N, signed, spec)
 
 

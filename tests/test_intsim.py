@@ -10,15 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accq import intsim
-from accq.errors import EnumerationBudgetError, InvalidBitWidthError, InvalidBudgetError, NonFiniteInputError
+from accq.errors import EnumerationBudgetError, InvalidBitWidthError, NonFiniteInputError
 from accq.intsim import (
-    DEFAULT_ENUM_BUDGET,
     AccumulatorSpec,
     AccumWitness,
     _extremes,
     certify,
     check_accumulator,
-    enumeration_budget,
     exhaustive_check,
     wrap,
 )
@@ -298,7 +296,6 @@ def test_exhaustive_sums_take_the_narrowest_type_below_B(monkeypatch, q, N, sign
 def test_exhaustive_memory_stays_bounded(monkeypatch):
     # the whole default budget in blocks: 16^6 input vectors through one reused
     # buffer, and 2^24 values of a single input, its 24 bits split between lead and tail
-    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
     calls = _force_path(monkeypatch, "enumerate")
     for q, N, P, extremes, max_peak in [
         ([3, -5, 2, -2, 4, -1], 4, 10, (9 * 15, -8 * 15), 8 << 20),
@@ -325,7 +322,6 @@ def test_reachable_sets_stay_within_the_enumeration_memory(monkeypatch, q, N, si
     # the widest rows the span cap admits at the default budget's K * N = 24,
     # each span within 2^7 of 2^22: K + 1 suffix sets of up to 2^22 bits held
     # at once, on the reachable path unforced
-    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
     assert 0 <= intsim._REACH_SPAN - _span(q, N, signed) < 1 << 7
     calls = _spy(monkeypatch, "_suffix_sets")
     tracemalloc.start()
@@ -351,7 +347,6 @@ def test_reachable_sets_stay_within_the_enumeration_memory(monkeypatch, q, N, si
 )
 def test_exhaustive_witnesses_are_first_across_blocks(monkeypatch, q, signed, x_max, x_min):
     # 16^6 input vectors span many blocks, and each extreme recurs in several
-    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
     calls = _force_path(monkeypatch, "enumerate")
     wit = exhaustive_check(q, 4, signed, AccumulatorSpec(P=8))
     assert calls
@@ -455,7 +450,17 @@ def test_suffix_sets_hold_every_reachable_sum_and_its_first_input(q, N, signed):
         first.setdefault(exact_dot(x, q) - sum(floors), x)
     assert sorted(first) == [s for s in range(sets[0].bit_length()) if sets[0] >> s & 1]
     for s, x in first.items():
-        assert intsim._first_reaching(q, c, floors, sets, s) == x
+        assert intsim._first_reaching(q, c, d, floors, sets, s) == x
+
+
+@pytest.mark.parametrize(
+    "q, sets, rest", [([1], [0b1111, 1], 5), ([-2], [0b111, 1], 1)], ids=["past-d", "never-reached"]
+)
+def test_first_reaching_refuses_sets_that_disagree_with_the_row(q, sets, rest):
+    # suffix sets no row at N = 2 unsigned builds: unbounded, the search
+    # would return (5,), outside [0, 3], or never return
+    with pytest.raises(AssertionError, match=r"row \[-?\d\]: no input in \[0, 3\]"):
+        intsim._first_reaching(q, 0, 3, [0], sets, rest)
 
 
 def _brute_one(v: int, N: int, signed: bool) -> tuple[int, int, tuple, tuple]:
@@ -541,7 +546,6 @@ def test_reachable_path_ends_at_the_span_cap(monkeypatch, signed, past):
     ],
 )
 def test_exhaustive_routes_are_pinned(monkeypatch, q, N, signed, block, expected):
-    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
     if block:
         monkeypatch.setattr(intsim, "_BLOCK", block)
     calls = _force_path(monkeypatch, "enumerate")
@@ -555,7 +559,6 @@ def test_exhaustive_working_set_is_about_one_block(monkeypatch):
     # at most 2^15 sums, where a block-sized tail peaked at two buffers.  With
     # blocks of 64 the tail holds the flat index's low 3 bits and the lead
     # table its other 13: the 16^4 sums, 128 KB, are never all held at once
-    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
     calls = _force_path(monkeypatch, "enumerate")
     for block, q, N, max_peak in [
         (intsim._BLOCK, [3, -2, 1, 0, -3, 2, 1], 3, 1.25 * intsim._BLOCK * np.dtype(np.int16).itemsize),
@@ -597,43 +600,30 @@ def test_exhaustive_empty_row_is_one_empty_input():
     assert peak <= 1 << 20
 
 
-def test_enumeration_budget_guard(monkeypatch):
-    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
-    assert enumeration_budget() == DEFAULT_ENUM_BUDGET
-    monkeypatch.setenv("ACCQ_ENUM_BUDGET", "100")
-    assert enumeration_budget() == 100
-    monkeypatch.delenv("ACCQ_ENUM_BUDGET")
+def test_enumeration_budget_guard():
+    # 2^36 inputs of a K = 9, N = 4 row lie past the default budget of 2^24
+    assert intsim.ENUM_BUDGET == 1 << 24
     with pytest.raises(EnumerationBudgetError):
         exhaustive_check([1] * 9, 4, False, AccumulatorSpec(P=16))
-    monkeypatch.setenv("ACCQ_ENUM_BUDGET", "8")
-    with pytest.raises(EnumerationBudgetError):
-        exhaustive_check([1, 1], 2, False, AccumulatorSpec(P=8))
-    monkeypatch.setenv("ACCQ_ENUM_BUDGET", "64")
-    exhaustive_check([1, 1], 2, False, AccumulatorSpec(P=8))
-
-
-@pytest.mark.parametrize("raw", ["abc", "1.5", "-1", " 7", "1e3", "0x10"])
-def test_malformed_budget_env_is_a_typed_error(monkeypatch, raw):
-    monkeypatch.setenv("ACCQ_ENUM_BUDGET", raw)
-    with pytest.raises(InvalidBudgetError):
-        enumeration_budget()
-    with pytest.raises(InvalidBudgetError):
-        certify([[1, 2]], 2, False, AccumulatorSpec(P=8))
 
 
 def test_zero_budget_env_never_enumerates(monkeypatch):
-    monkeypatch.setenv("ACCQ_ENUM_BUDGET", "0")
-    assert enumeration_budget() == 0
+    monkeypatch.setattr(intsim, "ENUM_BUDGET", 0)
     assert [c.exhaustive for c in certify([[1, 2]], 2, False, AccumulatorSpec(P=8))] == [False]
+    with pytest.raises(EnumerationBudgetError):
+        exhaustive_check([], 2, False, AccumulatorSpec(P=8))
 
 
 def test_env_budget_is_the_only_budget(monkeypatch):
-    monkeypatch.setenv("ACCQ_ENUM_BUDGET", "2")
+    # ENUM_BUDGET, read at call time, is the one budget: the oracle refuses
+    # past it and certify routes by it, at the same 16 inputs of a K = 2, N = 2 row
+    monkeypatch.setattr(intsim, "ENUM_BUDGET", 15)
     with pytest.raises(EnumerationBudgetError):
         exhaustive_check([1, -1], 2, False, AccumulatorSpec(P=8))
-    monkeypatch.setenv("ACCQ_ENUM_BUDGET", "16")
-    wit = exhaustive_check([1, -1], 2, False, AccumulatorSpec(P=8))
-    assert wit.true_max == 3
+    assert [c.exhaustive for c in certify([[1, 2]], 2, False, AccumulatorSpec(P=8))] == [False]
+    monkeypatch.setattr(intsim, "ENUM_BUDGET", 16)
+    assert exhaustive_check([1, -1], 2, False, AccumulatorSpec(P=8)).true_max == 3
+    assert [c.exhaustive for c in certify([[1, 2]], 2, False, AccumulatorSpec(P=8))] == [True]
 
 
 def test_non_integer_weights_rejected():
@@ -702,7 +692,7 @@ _SMALL_BUDGET = 1 << 12  # keeps the exhaustive oracle cheap on huge codes
 def test_certify_matches_per_row_checks(rows, N, signed, P):
     spec = AccumulatorSpec(P=P)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setenv("ACCQ_ENUM_BUDGET", str(_SMALL_BUDGET))
+        monkeypatch.setattr(intsim, "ENUM_BUDGET", _SMALL_BUDGET)
         certs = certify(rows, N, signed, spec)
         assert len(certs) == len(rows)
         for q, cert in zip(rows, certs):
@@ -719,10 +709,9 @@ def test_certify_matches_per_row_checks(rows, N, signed, P):
                 )
 
 
-def test_certify_forced_enumeration(monkeypatch):
-    monkeypatch.delenv("ACCQ_ENUM_BUDGET", raising=False)
+def test_certify_forced_enumeration():
     spec = AccumulatorSpec(P=16)
-    # 16^2 inputs fit any sane budget; forcing changes nothing
+    # 16^2 inputs fit the budget; forcing changes nothing
     assert certify([[1, -2]], 4, False, spec, exhaustive=True) == certify([[1, -2]], 4, False, spec)
     # forced past the budget: the oracle refuses, and no partial result comes back
     with pytest.raises(EnumerationBudgetError):
@@ -770,7 +759,7 @@ def test_certify_int64_route_matches_python_ints(block, ragged, N, signed, P):
     spec = AccumulatorSpec(P=P)
     rows = block + ragged
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setenv("ACCQ_ENUM_BUDGET", str(_SMALL_BUDGET))
+        monkeypatch.setattr(intsim, "ENUM_BUDGET", _SMALL_BUDGET)
         # a call of fewer than 256 codes would skip the int64 route, so it is taken at any size here
         monkeypatch.setattr(intsim, "_INT64_MIN_CODES", 1)
         want = certify(rows, N, signed, spec)  # lists of Python ints: no int64 anywhere

@@ -191,6 +191,17 @@ def test_rounding_dominated_by_pre_round_weights(variant):
         assert verify_domination(tape.w, res.s, res.q)
 
 
+def test_rounding_repairs_a_code_one_ulp_past_its_weight():
+    # w/s truncates to -7 in the middle, but |s * -7| lands one ulp above |w|:
+    # the repair steps that code to -6 so that s * q never outgrows w
+    V = np.array([[0.6554609706359389, -0.20102991269403583, 1.4721624329112049]])
+    t, d = np.array([1.9035545388731432]), np.array([-7.814302611575441])
+    res = quantize_layer(V, t, d, BitWidths(5, 1, 4), Variant.A2Q_PLUS)
+    assert np.trunc(res.pre).tolist() == [[0.0, -7.0, 6.0]]
+    assert res.q.tolist() == [[0, -6, 6]]
+    assert np.all(np.abs(res.qw) <= np.abs(res.w))
+
+
 def test_centered_pre_round_weights_sum_to_zero():
     rng = RNG(13)
     for trial in range(200):
