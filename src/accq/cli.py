@@ -9,7 +9,9 @@ Exit codes: 0 success, 2 usage, 3 bad input (an unreadable or malformed
 input, weights whose l1 mass leaves float range, an unwritable --out file,
 an out-of-range bit width, batch size, epoch count, --jobs count, --lr,
 --weight-decay or --lambda-reg, or a negative seed) or a training run that
-diverged, 4 verification failure (an overflow), 5 enumeration budget exceeded.
+diverged, 4 verification failure (an overflow), 5 verify --exhaustive met a
+channel past the exhaustive oracle's limits (over 2^24 input vectors, or a span
+of reachable sums over 2^22).
 Every subcommand is deterministic given its flags and input files.
 
 main parses argv once: when argv[0] names a subcommand, that subcommand's own
@@ -435,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--P", type=int, required=True, help="accumulator bits")
     v.add_argument("--N", type=int, required=True, help="activation bits")
     _add_signedness(v)
-    v.add_argument("--exhaustive", action="store_true", help="force the exhaustive sweep (exit 5 if over budget)")
+    v.add_argument("--exhaustive", action="store_true", help="force the exhaustive oracle (exit 5 past its limits)")
     # verify has no other output form; --json is accepted so every subcommand takes it
     v.add_argument("--json", action="store_true", help="no effect: verify always prints JSON lines")
 

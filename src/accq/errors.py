@@ -1,7 +1,7 @@
 """Exception types the package raises.
 
 The CLI maps the width and divergence errors onto exit 3 and the
-enumeration budget error onto exit 5; the trainer's certificate raises
+exhaustive oracle's refusal onto exit 5; the trainer's certificate raises
 AccumulatorOverflowError.  Keep the hierarchy flat and explicit.
 """
 
@@ -19,7 +19,7 @@ class NonPositiveRadiusError(ValueError):
 
 
 class EnumerationBudgetError(RuntimeError):
-    """An exhaustive enumeration would exceed the fixed budget, intsim.ENUM_BUDGET."""
+    """The exhaustive oracle refuses a row: over intsim.ENUM_BUDGET input vectors, or a reachable-sum span over 2^22."""
 
 
 class DivergenceError(RuntimeError):

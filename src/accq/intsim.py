@@ -7,19 +7,15 @@ every row is a non-empty integer array within int64, the call holds at least
 256 codes and B = K * max|q| * max(|c|, |d|), from its longest row and its
 largest code, is below 2^62; Python ints for every row otherwise.
 
-The exhaustive oracle takes one of two paths per row.  A row whose span 2B,
-B taken over the row alone, is at most 2^22 builds the set of dot products it
-can reach, one Python-int bitset per suffix of the row; its extremes are the
-set's top and bottom bits, its witnesses rebuilt greedily from the suffix
-sets.  A wider row enumerates its input vectors by the bits of their flat
-index: x.q is c * sum(q) plus the weights q[K-1-p//N] << (p % N) of the set
-bits, so each block of at most 2^18 sums adds a table of the high bits' sums to
-one of the low bits', in one 64-byte aligned workspace per call.  The sums are
-int32 or int64 while M = sum|q| * (2^N - 1) is below 2^31 or 2^62, Python ints
-(an object array) past that; int16 only when a test lowers the span cap.
+The exhaustive oracle builds the set of dot products a row can reach, one
+Python-int bitset per suffix of the row: its extremes are the set's top and
+bottom bits, its witnesses rebuilt greedily from the suffix sets.  It takes a
+row within two limits, checked in order: (2^N)^K input vectors at most
+ENUM_BUDGET, 2^24, then a span 2B, B taken over the row alone, at most 2^22.
+Past either it raises EnumerationBudgetError.
 
 certify is the one certificate rule: it gives every row the closed-form
-worst case and decides which rows the exhaustive oracle also checks.
+worst case and sends the rows within the budget to the exhaustive oracle too.
 
 A P-bit register holds [-2^(P-1), 2^(P-1) - 1].  A row overflows when its
 worst-case max lies above that range or its min below it: the one rule that
@@ -39,18 +35,15 @@ from .bounds import _check_bits, int_range
 from .errors import EnumerationBudgetError, NonFiniteInputError
 
 ENUM_BUDGET = 1 << 24  # most input vectors, (2^N)^K, the exhaustive oracle takes in one row
-_BLOCK = 1 << 18  # most sums one enumerated block holds
 _INT64_GUARD = 1 << 62  # every sum bounded by B below this fits int64
 # about the fewest codes for which the int64 pass beats the Python-int loop, on
 # lists of int64 rows: 4x5 codes took 19 us against 5 us, 16x16 26 against
 # 28 us, 36x16 55 against 112 us (Python 3.11, numpy 2.4, 2-CPU x86 box)
 _INT64_MIN_CODES = 256
-# rows whose span 2 * K * max|q| * max(|c|, |d|) is at most this build their
-# reachable sums instead of enumerating.  A suffix set is at most span bits
-# wide: the K + 1 sets of the widest rows the default budget admits (K = 24 at
-# N = 1, K = 6 at N = 4, every code near the cap) peaked at 1.7-4.1 MB, within
-# the 8 MB the enumeration's memory tests allow, and took 1.5-3.0 ms against
-# 3.3-3.5 ms to enumerate (Python 3.11, 2-CPU x86 box)
+# the largest span 2 * K * max|q| * max(|c|, |d|) the exhaustive oracle takes.
+# A suffix set is at most span bits wide: the K + 1 sets of the widest rows the
+# budget admits (K = 24 at N = 1, K = 6 at N = 4, every code near the cap)
+# peaked at 1.7-4.1 MB and took 1.5-3.0 ms (Python 3.11, 2-CPU x86 box)
 _REACH_SPAN = 1 << 22
 
 
@@ -150,44 +143,9 @@ def _witness(f: int, e: int, x_max, x_min, spec: AccumulatorSpec) -> AccumWitnes
 
 
 def _enumerable(K: int, N: int) -> bool:
-    # the one routing rule: a row's (2^N)^K input vectors fit ENUM_BUDGET,
-    # read at call time
+    # certify's routing rule and the oracle's first limit: a row's (2^N)^K
+    # input vectors fit ENUM_BUDGET, read at call time
     return (1 << (N * K)) <= ENUM_BUDGET
-
-
-def _subset_sums(weights: list[int], dtype) -> np.ndarray:
-    # entry i is the sum of the weights at i's set bits: one doubling per weight
-    out = np.zeros(1 << len(weights), dtype=dtype)
-    for j, w in enumerate(weights):
-        np.add(out[: 1 << j], w, out=out[1 << j : 2 << j])
-    return out
-
-
-def _blocks(qs: list[int], N: int, dtype):
-    # (first flat index, one row of offset sums x.q - c * sum(q)) in flat
-    # order, at most _BLOCK sums a row.  Input k's offset x_k - c is the N-bit
-    # field at bit N * (K - 1 - k) of the flat index, so the offset sum is the
-    # sum of the weights q[K - 1 - p // N] << (p % N) of the index's set bits.
-    # A block adds a run of lead sums (the high bits') to the tail (the low T
-    # bits'): half the bits, at least _BLOCK / 64 sums (numpy's broadcast add
-    # ran 3-4x slower on shorter rows) and at most _BLOCK / 8 (a block-sized
-    # tail doubles the heap a call frees; int64 ran 10-15% slower from 2^15
-    # sums than 2^12).  All blocks share one workspace on a 64-byte line:
-    # numpy's add, argmax and argmin ran 20-30% slower 16 bytes off one
-    weights = [qs[~(p // N)] << (p % N) for p in range(N * len(qs))]
-    cap = (_BLOCK >> 3).bit_length() - 1
-    T = min(len(weights), cap, max(cap - 3, (len(weights) + 1) // 2))
-    tail, lead = _subset_sums(weights[:T], dtype), _subset_sums(weights[T:], dtype)[:, None]
-    count, n = len(lead), len(tail)
-    per = min(_BLOCK // n, count)
-    # 32 spare sums leave room to start on a 64-byte line at every width
-    raw = np.empty(per * n + 32, dtype=dtype)
-    work = raw[-raw.ctypes.data % 64 // raw.itemsize :][: per * n]
-    for start in range(0, count, per):
-        size = min(per, count - start)
-        block = work[: size * n]
-        np.add(lead[start : start + size], tail, out=block.reshape(size, n))
-        yield start * n, block
 
 
 def _suffix_sets(qs: list[int], N: int, c: int, d: int) -> tuple[list[int], list[int]]:
@@ -238,46 +196,28 @@ def _first_reaching(qs: list[int], c: int, d: int, floors: list[int], sets: list
 def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> AccumWitness:
     """Exact max/min dot product over every N-bit input vector, without the closed form.
 
-    Independent oracle for check_accumulator: no extremal shortcut, every
-    reachable dot value is built and compared.  Raises EnumerationBudgetError
-    when (2^N)^K exceeds ENUM_BUDGET, 2^24, whichever path the row would
-    take.  A row whose span 2 * K * max|q| * max(|c|, |d|) is at most 2^22
-    builds the set of sums it can reach, one bitset per suffix of the row;
-    its max and min are the set's top and bottom bits.  Wider rows enumerate every input vector and
-    compare every dot value, in blocks of at most 2^18 sums: int16, int32 or
-    int64 while M = sum|q| * (2^N - 1) is below 2^15, 2^31 or 2^62, Python
-    ints past that.
-    The witnesses are the first extremes, the last element varying fastest.
+    Independent oracle for check_accumulator: no extremal shortcut.  It
+    builds the set of dot products the row can reach, one bitset per suffix
+    of the row; its max and min are the set's top and bottom bits.  The
+    witnesses are the first extremes, the last element varying fastest.
+    Raises EnumerationBudgetError, naming the quantity and its cap, when
+    (2^N)^K exceeds ENUM_BUDGET, 2^24, or else when the span
+    2 * K * max|q| * max(|c|, |d|) exceeds 2^22.
     """
     qs, (c, d) = _int_vector(q), _input_range(N, act_signed)
-    K, R = len(qs), 1 << N
+    K = len(qs)
     if not _enumerable(K, N):
-        raise EnumerationBudgetError(f"{R ** K} input vectors exceed budget {ENUM_BUDGET}")
-
-    # B bounds every sum, so a row's reachable sums span at most 2B + 1 bits
-    B = K * max(abs(c), abs(d)) * max(map(abs, qs), default=0)
-    if 2 * B <= _REACH_SPAN:
-        floors, sets = _suffix_sets(qs, N, c, d)
-        top, bottom = sets[0].bit_length() - 1, (sets[0] & -sets[0]).bit_length() - 1
-        x_max = _first_reaching(qs, c, d, floors, sets, top)
-        x_min = _first_reaching(qs, c, d, floors, sets, bottom)
-        base = sum(floors)
-        return _witness(base + top, base + bottom, x_max, x_min, spec)
-    # M bounds every offset sum x.q - c * sum(q), and every part of one
-    bits = (sum(map(abs, qs)) * (R - 1)).bit_length()
-    dtype = np.int16 if bits <= 15 else np.int32 if bits <= 31 else np.int64 if bits <= 62 else object
-    f = e = None
-    for first, block in _blocks(qs, N, dtype):
-        jmax, jmin = int(block.argmax()), int(block.argmin())
-        top, bottom = int(block[jmax]), int(block[jmin])
-        # strict improvement only, so the first maximizer and minimizer win
-        if f is None or top > f:
-            f, flat_max = top, first + jmax
-        if e is None or bottom < e:
-            e, flat_min = bottom, first + jmin
-    # input k is the N-bit field at bit N * (K - 1 - k) of the flat index
-    x_max, x_min = ([c + (flat >> N * (K - 1 - k) & R - 1) for k in range(K)] for flat in (flat_max, flat_min))
-    return _witness(c * sum(qs) + f, c * sum(qs) + e, x_max, x_min, spec)
+        raise EnumerationBudgetError(f"{(1 << N) ** K} input vectors exceed budget {ENUM_BUDGET}")
+    # 2B bounds the spread of the reachable sums, and so each suffix set's width
+    span = 2 * K * max(abs(c), abs(d)) * max(map(abs, qs), default=0)
+    if span > _REACH_SPAN:
+        raise EnumerationBudgetError(f"span {span} of the reachable sums exceeds cap {_REACH_SPAN}")
+    floors, sets = _suffix_sets(qs, N, c, d)
+    top, bottom = sets[0].bit_length() - 1, (sets[0] & -sets[0]).bit_length() - 1
+    x_max = _first_reaching(qs, c, d, floors, sets, top)
+    x_min = _first_reaching(qs, c, d, floors, sets, bottom)
+    base = sum(floors)
+    return _witness(base + top, base + bottom, x_max, x_min, spec)
 
 
 class Certificate(NamedTuple):
@@ -341,8 +281,10 @@ def certify(
     code, is below 2^62; in Python ints, row by row, otherwise.  A row also
     goes to the exhaustive oracle when exhaustive is set, or when its
     (2^N)^K input vectors fit ENUM_BUDGET, 2^24; it overflows when
-    either route says so.  A forced row over the budget raises
-    EnumerationBudgetError before any result is returned.
+    either route says so.  An unforced row the oracle refuses, its span past
+    2^22, keeps the closed form alone, with exhaustive false.  A forced row
+    past either of the oracle's limits raises EnumerationBudgetError before
+    any result is returned.
     """
     c, d = _input_range(N, act_signed)
     if isinstance(rows, np.ndarray) and rows.ndim < 2:
@@ -351,8 +293,13 @@ def certify(
     Ks, fs, es = _closed_forms(rows, c, d)
     hi, lo = spec.hi, spec.lo
     overflowed = [f > hi or e < lo for f, e in zip(fs, es)]
-    enumerated = [exhaustive or _enumerable(K, N) for K in Ks]
-    for i in [i for i, flag in enumerate(enumerated) if flag]:
+    checked = [exhaustive or _enumerable(K, N) for K in Ks]
+    for i in [i for i, flag in enumerate(checked) if flag]:
         # the oracle converts the row itself, independently of the closed form
-        overflowed[i] |= exhaustive_check(rows[i], N, act_signed, spec).overflowed
-    return list(map(Certificate._make, zip(Ks, fs, es, overflowed, enumerated)))
+        try:
+            overflowed[i] |= exhaustive_check(rows[i], N, act_signed, spec).overflowed
+        except EnumerationBudgetError:
+            if exhaustive:
+                raise
+            checked[i] = False
+    return list(map(Certificate._make, zip(Ks, fs, es, overflowed, checked)))

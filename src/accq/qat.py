@@ -525,8 +525,8 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
     """Train from scratch and return the network with its audited summary row.
 
     After the last step the integer network is checked against its accumulator
-    budget (exact worst case per channel, exhaustive where the input space is
-    small enough); a violation raises instead of returning a bad row.
+    budget (exact worst case per channel, cross-checked by the exhaustive oracle
+    within its limits); a violation raises instead of returning a bad row.
     """
     data = make_data(config)
     net = build_network(config, data.init_weights)
@@ -633,8 +633,8 @@ def certify_accumulators(net: ToyNetwork, quants: list[QuantizedLayer]) -> list[
 
     quants holds one record per fan-in group, in net.groups order (as from
     quantize_network).  One intsim.certify call per layer, on its rows there:
-    every channel gets the closed-form worst case, and channels small enough
-    for the enumeration budget also get the exhaustive sweep.  Returns quants.
+    every channel gets the closed-form worst case, and channels within the
+    exhaustive oracle's two limits also get its check.  Returns quants.
     """
     for li, (layer, (gi, rows)) in enumerate(zip(net.layers, net.homes)):
         bits = layer.bits

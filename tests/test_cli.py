@@ -148,8 +148,8 @@ def test_verify_feasible_channel(tmp_path, capsys):
 
 
 def test_verify_codes_near_2_15_take_the_reachable_sets(tmp_path, capsys, monkeypatch):
-    # few input vectors but wide sums: both rows build suffix sets, and print
-    # the extremes their enumeration printed
+    # few input vectors but wide sums, within the oracle's span cap: both
+    # rows build suffix sets
     reached, real = [], intsim._suffix_sets
     monkeypatch.setattr(intsim, "_suffix_sets", lambda *args: reached.append(args) or real(*args))
     path = tmp_path / "wide_codes.csv"
@@ -180,12 +180,29 @@ def test_verify_forced_exhaustive_over_budget_exits_5(tmp_path, capsys):
 
 
 def test_verify_over_budget_prints_no_records(tmp_path, capsys):
-    # the enumerable first channel must not be reported before the wide one fails
+    # the first channel, within the budget, must not be reported before the wide one fails
     path = tmp_path / "mixed.csv"
     path.write_text("1,2\n" + ",".join(["1"] * 9) + "\n")
     code, out = run(capsys, "verify", "--weights", str(path), "--P", "16", "--N", "4", "--exhaustive")
     assert code == 5
     assert out == ""
+
+
+def test_verify_row_past_the_span_cap(tmp_path, capsys):
+    # 139811 at N = 4 unsigned spans 2 * 15 * 139811 = 4194330, past the
+    # oracle's cap of 2^22: forced, the file exits 5 and prints no record;
+    # unforced, that row keeps the closed form alone
+    path = tmp_path / "past_cap.csv"
+    path.write_text("1,2\n139811\n")
+    argv = ["verify", "--weights", str(path), "--P", "24", "--N", "4"]
+    code = cli.main([*argv, "--exhaustive"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (5, "")
+    assert captured.err == "error: span 4194330 of the reachable sums exceeds cap 4194304\n"
+    assert run(capsys, *argv) == (0, (
+        '{"channel": 0, "K": 2, "true_max": 45, "true_min": 0, "overflowed": false, "exhaustive": true}\n'
+        '{"channel": 1, "K": 1, "true_max": 2097165, "true_min": 0, "overflowed": false, "exhaustive": false}\n'
+    ))
 
 
 def test_verify_bad_later_line_prints_no_records(tmp_path, capsys):
@@ -254,9 +271,9 @@ _VERIFY_PARITY = [
     ('trailing_comma', '1,2,\n', 0, '{"channel": 0, "K": 2, "true_max": 45, "true_min": 0, "overflowed": false, "exhaustive": true}\n', ''),
     ('arabic_indic', '٣\n', 0, '{"channel": 0, "K": 1, "true_max": 45, "true_min": 0, "overflowed": false, "exhaustive": true}\n', ''),
     ('crlf', '1,-2\r\n3,4\r\n', 0, '{"channel": 0, "K": 2, "true_max": 15, "true_min": -30, "overflowed": false, "exhaustive": true}\n{"channel": 1, "K": 2, "true_max": 105, "true_min": 0, "overflowed": false, "exhaustive": true}\n', ''),
-    ('digits_19', '1234567890123456789\n', 4, '{"channel": 0, "K": 1, "true_max": 18518518351851851835, "true_min": 0, "overflowed": true, "exhaustive": true}\n', ''),
-    ('int64_max_plus_1', '9223372036854775808\n', 4, '{"channel": 0, "K": 1, "true_max": 138350580552821637120, "true_min": 0, "overflowed": true, "exhaustive": true}\n', ''),
-    ('digits_18', '-999999999999999999,999999999999999999\n', 4, '{"channel": 0, "K": 2, "true_max": 14999999999999999985, "true_min": -14999999999999999985, "overflowed": true, "exhaustive": true}\n', ''),
+    ('digits_19', '1234567890123456789\n', 4, '{"channel": 0, "K": 1, "true_max": 18518518351851851835, "true_min": 0, "overflowed": true, "exhaustive": false}\n', ''),
+    ('int64_max_plus_1', '9223372036854775808\n', 4, '{"channel": 0, "K": 1, "true_max": 138350580552821637120, "true_min": 0, "overflowed": true, "exhaustive": false}\n', ''),
+    ('digits_18', '-999999999999999999,999999999999999999\n', 4, '{"channel": 0, "K": 2, "true_max": 14999999999999999985, "true_min": -14999999999999999985, "overflowed": true, "exhaustive": false}\n', ''),
     ('mixed', '1,2,3,4,5,6,7,8\n 9,-9,9,-9,9,-9,9,-9\n-7,+7,007,0,0,0,0,0\n', 0, '{"channel": 0, "K": 8, "true_max": 540, "true_min": 0, "overflowed": false, "exhaustive": false}\n{"channel": 1, "K": 8, "true_max": 540, "true_min": -540, "overflowed": false, "exhaustive": false}\n{"channel": 2, "K": 8, "true_max": 210, "true_min": -105, "overflowed": false, "exhaustive": false}\n', ''),
     ('exponent', '1e3\n', 3, '', "error: {path}:1: integer codes expected: invalid literal for int() with base 10: '1e3'\n"),
     ('letter', 'x\n', 3, '', "error: {path}:1: integer codes expected: invalid literal for int() with base 10: 'x'\n"),

@@ -185,45 +185,24 @@ def test_side_conditions_imply_span_condition(q, N, signed, P):
         assert wit.true_max - wit.true_min <= (1 << P) - 1
 
 
-def _spy(mp, name: str) -> list:
-    # the arguments of every call exhaustive_check makes to one intsim helper
-    calls, real = [], getattr(intsim, name)
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    mp.setattr(intsim, name, spy)
-    return calls
-
-
-_PATHS = ["enumerate", "reach"]
-
-
-def _force_path(mp, path: str) -> list:
-    """Send rows down one path of exhaustive_check; returns that path's helper calls.
-
-    "enumerate": no span is at most -1, so every row enumerates through
-    _blocks, which gets the sum type last.
-    "reach": patches nothing, as every row within the span cap builds its
-    suffix sets (and a row past the cap still enumerates); spies on those.
-    """
-    if path == "enumerate":
-        mp.setattr(intsim, "_REACH_SPAN", -1)
-        return _spy(mp, "_blocks")
-    return _spy(mp, "_suffix_sets")
-
-
 def _span(q, N: int, signed: bool) -> int:
-    # 2 * K * max|q| * max(|c|, |d|), which the reachable path's cap bounds
+    # 2 * K * max|q| * max(|c|, |d|), which the oracle's span cap bounds
     reach = 1 << (N - 1) if signed else (1 << N) - 1
     return 2 * len(q) * max(map(abs, q), default=0) * reach
 
 
-def _took(calls: list, path: str, q, N: int, signed: bool) -> bool:
-    # whether the forced path ran as it must: always when enumerating, and
-    # exactly for rows within the span cap when reaching
-    return bool(calls) == (path == "enumerate" or _span(q, N, signed) <= intsim._REACH_SPAN)
+def _assert_refused(q, N: int, signed: bool):
+    """The oracle and forced certify refuse a row past the span cap; unforced, certify gives the closed form alone."""
+    spec = AccumulatorSpec(P=64)
+    cap = f"span {_span(q, N, signed)} of the reachable sums exceeds cap {intsim._REACH_SPAN}"
+    with pytest.raises(EnumerationBudgetError, match=f"^{cap}$"):
+        exhaustive_check(q, N, signed, spec)
+    with pytest.raises(EnumerationBudgetError, match=f"^{cap}$"):
+        certify([q], N, signed, spec, exhaustive=True)
+    (cert,) = certify([q], N, signed, spec)
+    wit = check_accumulator(q, N, signed, spec)
+    assert cert == (len(q), wit.true_max, wit.true_min, wit.overflowed, False)
+    return cert
 
 
 @given(
@@ -234,83 +213,10 @@ def _took(calls: list, path: str, q, N: int, signed: bool) -> bool:
 )
 @settings(max_examples=150, deadline=None)
 def test_exhaustive_agrees_with_extremal(q, N, signed, P):
-    # once per path of the oracle
     spec = AccumulatorSpec(P=P)
     fast = check_accumulator(q, N, signed, spec)
-    for path in _PATHS:
-        with pytest.MonkeyPatch.context() as mp:
-            calls = _force_path(mp, path)
-            full = exhaustive_check(q, N, signed, spec)
-        assert calls
-        assert (full.true_max, full.true_min) == (fast.true_max, fast.true_min)
-        assert full.overflowed == fast.overflowed
-        span = (1 << P) - 1
-        assert (full.true_max - full.true_min <= span) == (fast.true_max - fast.true_min <= span)
-
-
-def test_exhaustive_int64_split_path_matches(monkeypatch):
-    # 16^6 input vectors take the blocked path under the default budget
-    q = [3, -5, 2, -2, 4, -1]
-    fast = check_accumulator(q, 4, False, AccumulatorSpec(P=10))
-    calls = _force_path(monkeypatch, "enumerate")
-    full = exhaustive_check(q, 4, False, AccumulatorSpec(P=10))
-    assert calls
-    assert (full.true_max, full.true_min) == (fast.true_max, fast.true_min)
-    assert exact_dot(full.witness_x_max, q) == full.true_max
-    assert exact_dot(full.witness_x_min, q) == full.true_min
-
-
-@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, object])
-def test_split_path_blocks_start_on_a_cache_line(dtype):
-    # the reused workspace is 64-byte aligned whatever the heap's history, and
-    # so is every block in it: 16^6 sums in many blocks, 16^4 in one
-    for qs, count in [([3, -5, 2, -2, 4, -1], 64), ([3, -5, 2, -2], 1)]:
-        blocks = [block for _, block in intsim._blocks(qs, 4, dtype)]
-        assert len(blocks) == count
-        assert all(block.ctypes.data % 64 == 0 and block.dtype == dtype and block.ndim == 1 for block in blocks)
-
-
-@pytest.mark.parametrize(
-    "q, N, signed, dtype",
-    [
-        ([1 << 14, (1 << 14) - 1], 1, False, np.int16),
-        ([1 << 14, -(1 << 14)], 1, True, np.int32),
-        ([1 << 30, (1 << 30) - 1], 1, False, np.int32),
-        ([1 << 30, -(1 << 30)], 1, True, np.int64),
-        ([1 << 61, (1 << 61) - 1], 1, False, np.int64),
-        ([1 << 61, -(1 << 61)], 1, True, object),
-    ],
-    ids=["2^15-1", "2^15", "2^31-1", "2^31", "2^62-1", "2^62"],
-)
-def test_exhaustive_sums_take_the_narrowest_type_below_B(monkeypatch, q, N, signed, dtype):
-    # M = sum|q| * (2^N - 1), which bounds every offset sum, on each side of
-    # each element-type edge: int16, int32 or int64 while M is below 2^15,
-    # 2^31 or 2^62, Python ints past that.  Each row below an edge has
-    # B = K * max|q| * max(|c|, |d|) at the edge, past its type
-    calls = _force_path(monkeypatch, "enumerate")
-    wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
-    assert [args[-1] for args in calls] == [dtype]
-    assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == brute_witness(q, N, signed)
-
-
-def test_exhaustive_memory_stays_bounded(monkeypatch):
-    # the whole default budget in blocks: 16^6 input vectors through one reused
-    # buffer, and 2^24 values of a single input, its 24 bits split between lead and tail
-    calls = _force_path(monkeypatch, "enumerate")
-    for q, N, P, extremes, max_peak in [
-        ([3, -5, 2, -2, 4, -1], 4, 10, (9 * 15, -8 * 15), 8 << 20),
-        ([5], 24, 40, (5 * ((1 << 24) - 1), 0), 16 << 20),
-    ]:
-        calls.clear()
-        tracemalloc.start()
-        try:
-            wit = exhaustive_check(q, N, False, AccumulatorSpec(P=P))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert calls
-        assert (wit.true_max, wit.true_min) == extremes
-        assert peak <= max_peak
+    full = exhaustive_check(q, N, signed, spec)
+    assert (full.true_max, full.true_min, full.overflowed) == (fast.true_max, fast.true_min, fast.overflowed)
 
 
 @pytest.mark.parametrize(
@@ -318,19 +224,17 @@ def test_exhaustive_memory_stays_bounded(monkeypatch):
     [([87381] * 24, 1, False), ([87381, -87381] * 12, 1, True), ([43690, -43690] * 3, 4, True), ([23301] * 6, 4, False)],
     ids=["24x1-unsigned", "24x1-signed", "6x4-signed", "6x4-unsigned"],
 )
-def test_reachable_sets_stay_within_the_enumeration_memory(monkeypatch, q, N, signed):
-    # the widest rows the span cap admits at the default budget's K * N = 24,
-    # each span within 2^7 of 2^22: K + 1 suffix sets of up to 2^22 bits held
-    # at once, on the reachable path unforced
+def test_reachable_sets_stay_within_the_enumeration_memory(q, N, signed):
+    # the widest rows the span cap admits at the budget's K * N = 24, each
+    # span within 2^7 of 2^22: K + 1 suffix sets of up to 2^22 bits held at
+    # once, within 8 MB
     assert 0 <= intsim._REACH_SPAN - _span(q, N, signed) < 1 << 7
-    calls = _spy(monkeypatch, "_suffix_sets")
     tracemalloc.start()
     try:
         wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls
     fast = check_accumulator(q, N, signed, AccumulatorSpec(P=64))
     assert (wit.true_max, wit.true_min) == (fast.true_max, fast.true_min)
     assert exact_dot(wit.witness_x_max, q) == wit.true_max
@@ -345,11 +249,9 @@ def test_reachable_sets_stay_within_the_enumeration_memory(monkeypatch, q, N, si
         ([1, 0, 0, 0, 0, -1], True, (7,) + (-8,) * 5, (-8,) * 5 + (7,)),
     ],
 )
-def test_exhaustive_witnesses_are_first_across_blocks(monkeypatch, q, signed, x_max, x_min):
-    # 16^6 input vectors span many blocks, and each extreme recurs in several
-    calls = _force_path(monkeypatch, "enumerate")
+def test_exhaustive_witnesses_are_first_across_blocks(q, signed, x_max, x_min):
+    # 16^6 input vectors, among which each extreme recurs many times
     wit = exhaustive_check(q, 4, signed, AccumulatorSpec(P=8))
-    assert calls
     assert (wit.witness_x_max, wit.witness_x_min) == (x_max, x_min)
     assert (wit.true_max, wit.true_min) == (exact_dot(x_max, q), exact_dot(x_min, q))
 
@@ -366,13 +268,13 @@ def _enumerable_channels(draw):
     return q, N, draw(st.booleans())
 
 
-# each side of every element-type edge: the worst sum K * max|q| * max(|c|, |d|)
-# is reached exactly, at 2^15 - 1, 2^15, 2^31 - 1, 2^31, 2^62 - 1 and 2^62;
-# then sums just past int64, and sums far past it.  Then rows of zeros, rows
-# whose negative codes leave zero codes tied, and spans at the reachable
-# path's cap of 2^22 and one row past it, whose next span is 2^22 + 2.  Last,
-# rows of few input vectors and wide sums, which build their reachable sets
-# unforced.  Each runs once per path of the oracle
+# rows whose worst sum K * max|q| * max(|c|, |d|) is 2^15 - 1, 2^15,
+# 2^31 - 1, 2^31, 2^62 - 1 and 2^62, then past int64 and far past it: all but
+# the first two lie past the span cap of 2^22.  Then rows of zeros, rows whose
+# negative codes leave zero codes tied, and spans at the cap and one row past
+# it, whose span is 2^22 + 2.  Then rows of few input vectors and wide sums,
+# and rows mixing zero and nonzero codes, one with an input of 128 values.
+# A row within the cap matches the brute force; one past it is refused
 @given(channel=_enumerable_channels())
 @example(channel=([4681], 3, False))
 @example(channel=([-2048, -2048], 4, True))
@@ -393,41 +295,19 @@ def _enumerable_channels(draw):
 @example(channel=([1 << 20, -(1 << 20)], 1, True))
 @example(channel=([32768] * 3, 4, False))
 @example(channel=([1 << 20], 2, True))
+@example(channel=([3, -1, 2, 0, -2, 1], 2, False))
+@example(channel=([5, -7, 3], 4, True))
+@example(channel=([10920, 1, 1, 0], 2, True))
+@example(channel=([-9], 7, True))
 @settings(max_examples=200, deadline=None)
 def test_exhaustive_witnesses_are_the_first_extremes(channel):
     q, N, signed = channel
     want = brute_witness(q, N, signed)
-    for path in _PATHS:
-        with pytest.MonkeyPatch.context() as mp:
-            calls = _force_path(mp, path)
-            wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
-        assert _took(calls, path, q, N, signed)
-        assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == want
-
-
-# a block of 64 to 512 sums sends these small channels through many blocks: a
-# block that is not a power of two ends in a chunk of fewer than `per` leading
-# sums, and a tail of at most an eighth of a block (3 bits against 64 or 100)
-# splits an input's field between lead and tail.  The last three rows reach
-# the offset-sum edge of their type, int16, int32 and int64, whose B is past it
-@given(block=st.integers(min_value=1 << 6, max_value=1 << 9), channel=_enumerable_channels())
-@example(block=100, channel=([3, -1, 2, 0, -2, 1], 2, False))
-@example(block=64, channel=([5, -7, 3], 4, True))
-@example(block=100, channel=([1 << 59, -(1 << 59), 7], 4, False))
-@example(block=100, channel=([2**130, -3, 1], 4, True))
-@example(block=64, channel=([-9], 7, True))
-@example(block=64, channel=([10920, 1, 1, 0], 2, True))
-@example(block=100, channel=([715827880, 1, 1, 0], 2, True))
-@example(block=64, channel=([1537228672809129299, 1, 1, 0], 2, True))
-@settings(max_examples=100, deadline=None)
-def test_exhaustive_blocked_paths_match_brute_force(block, channel):
-    q, N, signed = channel
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(intsim, "_BLOCK", block)
-        calls = _force_path(mp, "enumerate")
+    if _span(q, N, signed) <= intsim._REACH_SPAN:
         wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
-    assert calls
-    assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == brute_witness(q, N, signed)
+        assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == want
+    else:
+        assert _assert_refused(q, N, signed)[1:3] == want[:2]
 
 
 @given(
@@ -479,113 +359,93 @@ def _brute_one(v: int, N: int, signed: bool) -> tuple[int, int, tuple, tuple]:
     return top, bottom, (x_top,), (x_bottom,)
 
 
-@pytest.mark.parametrize("path", _PATHS)
+def _brute_reachable(v: int, N: int, signed: bool) -> int:
+    # the bitset of v * x - min(v * c, v * d) over every input x in [c, d],
+    # 2^16 inputs at a time in numpy: what _suffix_sets builds for a K = 1 row
+    c, d = (-(1 << (N - 1)), (1 << (N - 1)) - 1) if signed else (0, (1 << N) - 1)
+    floor = min(v * c, v * d)
+    seen = np.zeros(max(v * c, v * d) - floor + 1, dtype=bool)
+    for start in range(c, d + 1, 1 << 16):
+        xs = np.arange(start, min(start + (1 << 16), d + 1), dtype=np.int64)
+        seen[v * xs - floor] = True
+    return int.from_bytes(np.packbits(seen, bitorder="little").tobytes(), "little")
+
+
+@pytest.mark.parametrize("path", ["enumerate", "reach"])
 @pytest.mark.parametrize(
     "q, N, signed",
     [([2], 20, False), ([-2], 20, False), ([3], 20, True), ([-3], 20, True), ([0], 24, False), ([0], 24, True)],
 )
-def test_exhaustive_one_wide_input_matches_brute_force(monkeypatch, path, q, N, signed):
-    # one input of 2^20 values, the code of either sign: the reachable path
+def test_exhaustive_one_wide_input_matches_brute_force(path, q, N, signed):
+    # one input of 2^20 values, the code of either sign.  "reach": the oracle
     # tries only the inputs whose remainder its next suffix set can hold, not
-    # all 2^20.  A zero code at N = 24 gives every input 0, and the first, c
-    calls = _force_path(monkeypatch, path)
-    wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
-    assert _took(calls, path, q, N, signed)
-    assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == _brute_one(q[0], N, signed)
+    # all 2^20, and its extremes and first witnesses are brute force's.  A
+    # zero code at N = 24 gives every input 0, and the first, c.
+    # "enumerate": the reachable set it searches is exactly the set of
+    # products that enumerating every input gives
+    if path == "reach":
+        wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
+        assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == _brute_one(q[0], N, signed)
+    else:
+        c, d = intsim._input_range(N, signed)
+        floors, sets = intsim._suffix_sets(q, N, c, d)
+        assert floors == [min(q[0] * c, q[0] * d)]
+        assert sets[0] == _brute_reachable(q[0], N, signed)
 
 
 @pytest.mark.parametrize("signed", [False, True])
 @pytest.mark.parametrize("past", [0, 1], ids=["at-cap", "cap+1"])
 def test_reachable_path_ends_at_the_span_cap(monkeypatch, signed, past):
-    # 2^17 and fifteen 1s at N = 1 span 2 * 16 * 2^17 = 2^22, the cap: they
-    # build suffix sets.  With the cap one lower, the same row lies one past
-    # it and enumerates
+    # 2^17 and fifteen 1s at N = 1 span 2 * 16 * 2^17 = 2^22, the cap: the
+    # oracle takes them.  With the cap one lower, the same row lies one past
+    # it and is refused
     q, N = [1 << 17] + [1] * 15, 1
     assert _span(q, N, signed) == intsim._REACH_SPAN
     monkeypatch.setattr(intsim, "_REACH_SPAN", intsim._REACH_SPAN - past)
-    reached, enumerated = _spy(monkeypatch, "_suffix_sets"), _spy(monkeypatch, "_blocks")
-    wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
-    assert (bool(reached), bool(enumerated)) == (not past, bool(past))
-    assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == brute_witness(q, N, signed)
+    if past:
+        _assert_refused(q, N, signed)
+    else:
+        wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
+        assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == brute_witness(q, N, signed)
+        assert certify([q], N, signed, AccumulatorSpec(P=64))[0].exhaustive
 
 
-# one fixed channel per enumeration route, values and witnesses written out:
-# any rewrite of the enumeration must reproduce them exactly
+# one fixed row per shape, values and witnesses written out: any rewrite of
+# the oracle must reproduce them exactly
 @pytest.mark.parametrize(
-    "q, N, signed, block, expected",
+    "q, N, signed, expected",
     [
-        # int16, all 16^4 sums within one block
-        ([3, -5, 0, -2], 4, False, None, (45, -105, (15, 0, 0, 0), (0, 15, 0, 15))),
-        # int16, 16^6 sums spanning 64 blocks
-        ([3, -5, 2, 0, 4, -1], 4, False, None, (135, -90, (15, 0, 15, 0, 15, 0), (0, 15, 0, 0, 0, 15))),
-        ([1000, -3000, 0, 2500], 4, True, None, (48500, -49000, (7, -8, -8, 7), (-8, 7, -8, -8))),  # int32
-        (  # int64
-            [1 << 40, 0, -(1 << 40) + 3, 12345], 3, True, None,
-            (7696581431455, -7696581443803, (3, -4, -4, 3), (-4, -4, 3, -4)),
-        ),
-        (  # int64: B is past it, M = 7 * (2^59 + 25) is not
-            [1 << 58, -(1 << 58), 5, 7, 3, 1, 9], 3, True, None,
-            (2017612633061982283, -2017612633061982308, (3, -4, 3, 3, 3, 3, 3), (-4, 3, -4, -4, -4, -4, -4)),
-        ),
-        (  # Python ints
-            [2**130, -(2**129), 0, 3], 2, True, None,
-            (
-                2722258935367507707706996859454145691651,
-                -3402823669209384634633746074317682114566,
-                (1, -2, -2, 1),
-                (-2, 1, -2, -2),
-            ),
-        ),
-        ([], 40, False, None, (0, 0, (), ())),  # K = 0
-        # one input's 128 values against blocks of 64 sums, in int16 and in Python ints
-        ([0, 5, -3], 7, False, 64, (635, -381, (0, 127, 0), (0, 0, 127))),
-        (
-            [1 << 58, 0, -(1 << 58)], 7, True, 64,
-            (36605257771267391488, -36605257771267391488, (63, -64, -64), (-64, -64, 63)),
-        ),
+        ([3, -5, 0, -2], 4, False, (45, -105, (15, 0, 0, 0), (0, 15, 0, 15))),
+        ([3, -5, 2, 0, 4, -1], 4, False, (135, -90, (15, 0, 15, 0, 15, 0), (0, 15, 0, 0, 0, 15))),
+        ([1000, -3000, 0, 2500], 4, True, (48500, -49000, (7, -8, -8, 7), (-8, 7, -8, -8))),
+        ([], 40, False, (0, 0, (), ())),  # K = 0
+        ([0, 5, -3], 7, False, (635, -381, (0, 127, 0), (0, 0, 127))),  # one input's 128 values
     ],
 )
-def test_exhaustive_routes_are_pinned(monkeypatch, q, N, signed, block, expected):
-    if block:
-        monkeypatch.setattr(intsim, "_BLOCK", block)
-    calls = _force_path(monkeypatch, "enumerate")
+def test_exhaustive_routes_are_pinned(q, N, signed, expected):
     wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
-    assert calls
     assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == expected
 
 
-def test_exhaustive_working_set_is_about_one_block(monkeypatch):
-    # 8^7 int16 sums in blocks of 2^18: one reused block buffer plus a tail of
-    # at most 2^15 sums, where a block-sized tail peaked at two buffers.  With
-    # blocks of 64 the tail holds the flat index's low 3 bits and the lead
-    # table its other 13: the 16^4 sums, 128 KB, are never all held at once
-    calls = _force_path(monkeypatch, "enumerate")
-    for block, q, N, max_peak in [
-        (intsim._BLOCK, [3, -2, 1, 0, -3, 2, 1], 3, 1.25 * intsim._BLOCK * np.dtype(np.int16).itemsize),
-        (64, [3, -2, 1, -3], 4, 64 << 10),
-    ]:
-        monkeypatch.setattr(intsim, "_BLOCK", block)
-        calls.clear()
-        tracemalloc.start()
-        try:
-            wit = exhaustive_check(q, N, True, AccumulatorSpec(P=16))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert calls
-        fast = check_accumulator(q, N, True, AccumulatorSpec(P=16))
-        assert (wit.true_max, wit.true_min) == (fast.true_max, fast.true_min)
-        assert peak < max_peak
-
-
-def test_exhaustive_bigint_fallback_matches():
-    # entries near 2^61 overflow int64 products, falling back to python ints
-    big = (1 << 61) - 3
-    spec = AccumulatorSpec(P=64)
-    fast = check_accumulator([big, -big], 1, False, spec)
-    full = exhaustive_check([big, -big], 1, False, spec)
-    assert (full.true_max, full.true_min) == (fast.true_max, fast.true_min)
-    assert full.true_max == big
+# rows past the span cap of 2^22, their extremes written out: sums past
+# int64 and far past it.  The oracle refuses each, and certify gives these
+# extremes from the closed form, with exhaustive false
+@pytest.mark.parametrize(
+    "q, N, signed, extremes",
+    [
+        ([1 << 40, 0, -(1 << 40) + 3, 12345], 3, True, (7696581431455, -7696581443803)),
+        ([1 << 58, -(1 << 58), 5, 7, 3, 1, 9], 3, True, (2017612633061982283, -2017612633061982308)),
+        (
+            [2**130, -(2**129), 0, 3], 2, True,
+            (2722258935367507707706996859454145691651, -3402823669209384634633746074317682114566),
+        ),
+        ([1 << 58, 0, -(1 << 58)], 7, True, (36605257771267391488, -36605257771267391488)),
+        ([(1 << 61) - 3, -((1 << 61) - 3)], 1, False, ((1 << 61) - 3, -((1 << 61) - 3))),
+    ],
+    ids=["2^40", "2^58-seven", "2^130", "2^58-wide-input", "2^61"],
+)
+def test_exhaustive_refuses_rows_past_the_span_cap(q, N, signed, extremes):
+    assert _assert_refused(q, N, signed)[1:3] == extremes
 
 
 def test_exhaustive_empty_row_is_one_empty_input():
@@ -603,7 +463,7 @@ def test_exhaustive_empty_row_is_one_empty_input():
 def test_enumeration_budget_guard():
     # 2^36 inputs of a K = 9, N = 4 row lie past the default budget of 2^24
     assert intsim.ENUM_BUDGET == 1 << 24
-    with pytest.raises(EnumerationBudgetError):
+    with pytest.raises(EnumerationBudgetError, match=r"^68719476736 input vectors exceed budget 16777216$"):
         exhaustive_check([1] * 9, 4, False, AccumulatorSpec(P=16))
 
 
@@ -679,7 +539,7 @@ _CODES = st.one_of(
     st.integers(min_value=-9, max_value=9),
     st.integers(min_value=-(1 << 70), max_value=1 << 70),
 )
-_SMALL_BUDGET = 1 << 12  # keeps the exhaustive oracle cheap on huge codes
+_SMALL_BUDGET = 1 << 12  # lowered, so the budget binds rows of few codes too
 
 
 @given(
@@ -701,7 +561,9 @@ def test_certify_matches_per_row_checks(rows, N, signed, P):
             assert (cert.true_max, cert.true_min, cert.overflowed) == (
                 wit.true_max, wit.true_min, wit.overflowed
             )
-            assert cert.exhaustive == ((1 << N) ** len(q) <= _SMALL_BUDGET)
+            # the routing rule: within the budget, and within the oracle's span cap
+            within = (1 << N) ** len(q) <= _SMALL_BUDGET and _span(q, N, signed) <= intsim._REACH_SPAN
+            assert cert.exhaustive == within
             if cert.exhaustive:
                 full = exhaustive_check(q, N, signed, spec)
                 assert (full.true_max, full.true_min, full.overflowed) == (
