@@ -46,11 +46,14 @@ def project_l1_ball(w, radius: float) -> ProjectionResult:
     Inactive (returns w unchanged, theta 0) when w is already inside the ball.
     Otherwise the result sits exactly on the boundary, preserves signs, and
     never grows any coordinate's magnitude.  NonFiniteInputError when w's l1
-    mass (l1_masses on w as one row) is not finite.
+    mass (l1_masses on w as one row) is not finite; ValueError when w has more
+    than one dimension.
     """
     if not (radius > 0.0 and math.isfinite(radius)):
         raise NonPositiveRadiusError(f"radius must be positive and finite, got {radius!r}")
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+    if w_arr.ndim != 1:
+        raise ValueError(f"w must be one-dimensional, got shape {w_arr.shape}")
     mags = np.abs(w_arr)
     if float(l1_masses(mags.reshape(1, -1), "w")[0]) <= radius:
         return ProjectionResult(w_arr.copy(), 0.0, False)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -68,6 +68,14 @@ class TeacherStudentSpec:
     n_train: int = 2048
     n_test: int = 512
 
+    def __post_init__(self) -> None:
+        # a zero width divides make_data's init scale, and an empty test set mse's mean;
+        # n_train may be 0, which trains no step
+        widths = [("input_dim", self.input_dim), *((f"hidden[{i}]", h) for i, h in enumerate(self.hidden))]
+        for name, value in [*widths, ("output_dim", self.output_dim), ("n_test", self.n_test)]:
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
     def dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, self.output_dim)
 
@@ -89,6 +97,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.bits.act_signed:
             raise ValueError("hidden activations are unsigned after ReLU; bits.act_signed must be False")
+        # the CSV row writes seed as it is, and a bool there is one SweepRecord cannot read back;
+        # a numpy integer is kept as an int, so batch offsets cannot wrap at its width
+        for name in ("seed", "epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 0:
@@ -284,12 +299,6 @@ class DataBundle:
     X_test: np.ndarray
     y_test: np.ndarray
     init_weights: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class FloatRun:
-    final_loss: float
-    weights: tuple[np.ndarray, ...]
 
 
 def _layer_bits(config: TrainConfig) -> list[BitWidths]:
@@ -553,7 +562,7 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
 
 
 def _batches(config: TrainConfig, data: DataBundle):
-    """Yield (epoch, x, y) per minibatch: the one batch order fit and float_baseline share.
+    """Yield (epoch, x, y) per minibatch, in fit's batch order.
 
     Each epoch draws a permutation of the training set from the
     default_rng([seed, 1]) stream, gathers the set in that order once (take:
@@ -581,40 +590,6 @@ def _quantized_forward(net: ToyNetwork, X, when: str) -> tuple[np.ndarray, list[
 def train(config: TrainConfig) -> SweepRecord:
     """Run fit() and keep only the summary row."""
     return fit(config)[1]
-
-
-def float_baseline(config: TrainConfig) -> FloatRun:
-    """The unconstrained float reference: same data, init, batch order, and SGD."""
-    data = make_data(config)
-    W = [w.copy() for w in data.init_weights]
-    b = [np.zeros(w.shape[0]) for w in W]
-    n_layers = len(W)
-
-    def run(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        xs, ys = [], []
-        h = x
-        for i in range(n_layers):
-            xs.append(h)
-            y = h @ W[i].T + b[i]
-            ys.append(y)
-            h = y if i == n_layers - 1 else np.maximum(y, 0.0)
-        return h, xs, ys
-
-    for epoch, xb, yb in _batches(config, data):
-        pred, xs, ys = run(xb)
-        loss = mse(pred, yb)
-        if not math.isfinite(loss):
-            raise DivergenceError(f"non-finite float baseline loss at epoch {epoch}")
-        d_h = 2.0 * (pred - yb) / pred.size
-        for i in reversed(range(n_layers)):
-            d_y = d_h if i == n_layers - 1 else d_h * (ys[i] > 0.0)
-            dWi = d_y.T @ xs[i]
-            dbi = d_y.sum(axis=0)
-            d_h = d_y @ W[i]
-            W[i] = W[i] - config.lr * (dWi + config.weight_decay * W[i])
-            b[i] = b[i] - config.lr * dbi
-    final_loss = mse(run(data.X_test)[0], data.y_test)
-    return FloatRun(final_loss=final_loss, weights=tuple(W))
 
 
 def measure_sparsity(quants: list[QuantizedLayer]) -> float:
@@ -664,39 +639,6 @@ def channel_cdf(layers, bits: BitWidths, p_range=range(2, 33)) -> list[tuple[int
         (int(P), np.count_nonzero(scaled <= float(a2q_limit(P, bits.N, bits.act_signed))) / scaled.size)
         for P in p_range
     ]
-
-
-def save_checkpoint(path, net: ToyNetwork) -> None:
-    """Quantized-run checkpoint: per layer its bit plan, activation exponent, channels."""
-    payload = {
-        "kind": "quantized",
-        "variant": net.variant.value,
-        "layers": [
-            {
-                "bits": asdict(layer.bits),
-                "act_exp": layer.act_exp,
-                "bias": layer.bias.tolist(),
-                "channels": [
-                    {"v": v, "t": t, "d": d}
-                    for v, t, d in zip(layer.V.tolist(), layer.t.tolist(), layer.d.tolist())
-                ],
-            }
-            for layer in net.layers
-        ],
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def save_float_checkpoint(path, weights) -> None:
-    """Float-run checkpoint: per layer a list of channels holding raw weight rows."""
-    payload = {
-        "kind": "float",
-        "layers": [
-            {"channels": [{"w": np.asarray(row, dtype=float).tolist()} for row in W]}
-            for W in weights
-        ],
-    }
-    Path(path).write_text(json.dumps(payload))
 
 
 def load_checkpoint(path):

@@ -1,16 +1,24 @@
 """Independent reference implementations used only by the tests.
 
 These are deliberately written from first principles (brute force, bisection,
-exact integer scans) so the library never gets compared against itself.
+exact integer scans) so the library never gets compared against itself.  The
+module also holds the unconstrained float reference that criterion 9 measures
+the trainer against, and the checkpoint writers that build the fixtures
+`accq analyze` reads through qat.load_checkpoint.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import math
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
-from accq.errors import NonFiniteInputError
+from accq import qat
+from accq.errors import DivergenceError, NonFiniteInputError
 
 
 class LengthMismatchError(ValueError):
@@ -183,3 +191,76 @@ def weight_quant_error(qw, w_ref, normalized: bool = False) -> float:
     if ref == 0.0:
         return 0.0
     return err / ref
+
+
+@dataclass(frozen=True)
+class FloatRun:
+    final_loss: float
+    weights: tuple[np.ndarray, ...]
+
+
+def float_baseline(config: qat.TrainConfig) -> FloatRun:
+    """The unconstrained float reference: same data, init, batch order, and SGD."""
+    data = qat.make_data(config)
+    W = [w.copy() for w in data.init_weights]
+    b = [np.zeros(w.shape[0]) for w in W]
+    n_layers = len(W)
+
+    def run(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        xs, ys = [], []
+        h = x
+        for i in range(n_layers):
+            xs.append(h)
+            y = h @ W[i].T + b[i]
+            ys.append(y)
+            h = y if i == n_layers - 1 else np.maximum(y, 0.0)
+        return h, xs, ys
+
+    for epoch, xb, yb in qat._batches(config, data):
+        pred, xs, ys = run(xb)
+        loss = qat.mse(pred, yb)
+        if not math.isfinite(loss):
+            raise DivergenceError(f"non-finite float baseline loss at epoch {epoch}")
+        d_h = 2.0 * (pred - yb) / pred.size
+        for i in reversed(range(n_layers)):
+            d_y = d_h if i == n_layers - 1 else d_h * (ys[i] > 0.0)
+            dWi = d_y.T @ xs[i]
+            dbi = d_y.sum(axis=0)
+            d_h = d_y @ W[i]
+            W[i] = W[i] - config.lr * (dWi + config.weight_decay * W[i])
+            b[i] = b[i] - config.lr * dbi
+    final_loss = qat.mse(run(data.X_test)[0], data.y_test)
+    return FloatRun(final_loss=final_loss, weights=tuple(W))
+
+
+def save_checkpoint(path, net: qat.ToyNetwork) -> None:
+    """Quantized-run checkpoint: per layer its bit plan, activation exponent, channels."""
+    payload = {
+        "kind": "quantized",
+        "variant": net.variant.value,
+        "layers": [
+            {
+                "bits": asdict(layer.bits),
+                "act_exp": layer.act_exp,
+                "bias": layer.bias.tolist(),
+                "channels": [
+                    {"v": v, "t": t, "d": d}
+                    for v, t, d in zip(layer.V.tolist(), layer.t.tolist(), layer.d.tolist())
+                ],
+            }
+            for layer in net.layers
+        ],
+    }
+    Path(path).write_text(json.dumps(payload))
+
+
+def save_float_checkpoint(path, weights) -> None:
+    """Float-run checkpoint: per layer a list of channels holding raw weight rows."""
+    payload = {
+        "kind": "float",
+        "layers": [
+            {"channels": [{"w": np.asarray(row, dtype=float).tolist()} for row in W]}
+            for W in weights
+        ],
+    }
+    Path(path).write_text(json.dumps(payload))

@@ -36,13 +36,14 @@ from accq.bounds import (
 )
 from accq.epinit import max_abs_scales, project_l1_ball
 from accq.intsim import AccumulatorSpec, certify, check_accumulator, exhaustive_check
-from accq.qat import CSV_HEADER, SweepRecord, TrainConfig, float_baseline, train
+from accq.qat import CSV_HEADER, SweepRecord, TrainConfig, train
 from accq.quantizers import Variant, quantize_layer
 import accq.cli as cli
 
 from oracles import (
     brute_extremes,
     exact_dot,
+    float_baseline,
     project_l1_bisect,
     project_l1_bisect_rows,
     round_to_zero,

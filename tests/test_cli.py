@@ -20,16 +20,10 @@ from accq import cli, intsim, qat
 from accq.bounds import BitWidths
 from accq.errors import DivergenceError
 from accq.intsim import Certificate
-from accq.qat import (
-    CSV_HEADER,
-    SweepRecord,
-    TrainConfig,
-    fit,
-    float_baseline,
-    save_checkpoint,
-    save_float_checkpoint,
-)
+from accq.qat import CSV_HEADER, SweepRecord, TrainConfig, fit
 from accq.quantizers import Variant
+
+from oracles import float_baseline, save_checkpoint, save_float_checkpoint
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

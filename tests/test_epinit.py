@@ -44,6 +44,16 @@ def test_projection_validation():
         project_l1_ball([float("nan")], radius=1.0)
 
 
+def test_projection_refuses_a_stack_of_rows():
+    # numpy failed to broadcast the first, and the second came back as a 2-D "projection"
+    for w in ([[3.0, 1.0], [1.0, 1.0]], [[0.1, 0.1], [0.1, 0.1]]):
+        with pytest.raises(ValueError, match=r"^w must be one-dimensional, got shape \(2, 2\)$"):
+            project_l1_ball(w, 1.0)
+    # a scalar is one entry, and an empty w sits inside every ball
+    assert project_l1_ball(3.0, 1.0).v_star.tolist() == [1.0]
+    assert project_l1_ball([], 1.0).v_star.tolist() == []
+
+
 @given(
     w=st.lists(st.floats(-100, 100), min_size=1, max_size=12),
     radius=st.floats(0.01, 50),

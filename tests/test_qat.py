@@ -1,5 +1,6 @@
 """Trainer: determinism, gradients, budgets, sparsity, checkpoints, CLI-free API."""
 
+import dataclasses
 import json
 import math
 import re
@@ -28,7 +29,6 @@ from accq.qat import (
     certify_accumulators,
     channel_cdf,
     fit,
-    float_baseline,
     forward,
     load_checkpoint,
     make_data,
@@ -36,12 +36,12 @@ from accq.qat import (
     min_bound_slack,
     mse,
     quantize_network,
-    save_checkpoint,
-    save_float_checkpoint,
     sgd_step,
     train,
 )
 from accq.quantizers import LN2, ChannelWeights, Variant, quantize_layer
+
+from oracles import float_baseline, save_checkpoint, save_float_checkpoint
 
 TINY = TeacherStudentSpec(input_dim=6, hidden=(5, 4), output_dim=3, n_train=96, n_test=48)
 
@@ -78,6 +78,42 @@ def test_config_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
         tiny_config(seed=-1)
     assert tiny_config(seed=0).seed == 0
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("seed", True), ("seed", 1.5), ("epochs", False), ("epochs", 1.5), ("batch_size", True), ("batch_size", 2.5)],
+)
+def test_config_rejects_a_non_integer_count(name, value):
+    # seed=True wrote a CSV row SweepRecord cannot read back; a float failed inside numpy with a bare TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        tiny_config(**{name: value})
+
+
+def test_config_takes_numpy_integers_as_ints():
+    cfg = tiny_config(seed=np.int64(3), epochs=np.int32(1), batch_size=np.uint16(32))
+    assert [type(cfg.seed), type(cfg.epochs), type(cfg.batch_size)] == [int, int, int]
+    assert train(cfg).csv_row() == train(tiny_config(seed=3, epochs=1, batch_size=32)).csv_row()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"input_dim": 0}, "input_dim must be at least 1, got 0"),
+        ({"hidden": (5, -1)}, "hidden[1] must be at least 1, got -1"),
+        ({"output_dim": 0}, "output_dim must be at least 1, got 0"),
+        ({"n_test": 0}, "n_test must be at least 1, got 0"),
+    ],
+)
+def test_dataset_rejects_an_empty_width_or_test_set(change, message):
+    # input_dim=0 divided by zero in make_data; n_test=0 reported an empty mean as divergence
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(TINY, **change)
+
+
+def test_an_empty_training_set_trains_no_step():
+    record = train(tiny_config(dataset=dataclasses.replace(TINY, n_train=0)))
+    assert math.isfinite(record.final_loss)
 
 
 def test_config_rejects_unbudgeted_variant_and_signed_acts():
