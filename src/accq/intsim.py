@@ -7,12 +7,12 @@ every row is a non-empty integer array within int64, the call holds at least
 256 codes and B = K * max|q| * max(|c|, |d|), from its longest row and its
 largest code, is below 2^62; Python ints for every row otherwise.
 
-The exhaustive oracle builds the set of dot products a row can reach, one
-Python-int bitset per suffix of the row: its extremes are the set's top and
-bottom bits, its witnesses rebuilt greedily from the suffix sets.  It takes a
-row within two limits, checked in order: (2^N)^K input vectors at most
-ENUM_BUDGET, 2^24, then a span 2B, B taken over the row alone, at most 2^22.
-Past either it raises EnumerationBudgetError.
+The exhaustive oracle builds the set of dot products a row can reach as one
+Python-int bitset: its extremes are the set's top and bottom bits, and its
+witnesses, the first inputs at them, follow from the row's signs and are
+checked against them.  It takes a row within two limits, checked in order:
+(2^N)^K input vectors at most ENUM_BUDGET, 2^24, then a span 2B, B taken over
+the row alone, at most 2^22.  Past either it raises EnumerationBudgetError.
 
 certify is the one certificate rule: it gives every row the closed-form
 worst case and sends the rows within the budget to the exhaustive oracle too.
@@ -41,9 +41,9 @@ _INT64_GUARD = 1 << 62  # every sum bounded by B below this fits int64
 # 28 us, 36x16 55 against 112 us (Python 3.11, numpy 2.4, 2-CPU x86 box)
 _INT64_MIN_CODES = 256
 # the largest span 2 * K * max|q| * max(|c|, |d|) the exhaustive oracle takes.
-# A suffix set is at most span bits wide: the K + 1 sets of the widest rows the
-# budget admits (K = 24 at N = 1, K = 6 at N = 4, every code near the cap)
-# peaked at 1.7-4.1 MB and took 1.5-3.0 ms (Python 3.11, 2-CPU x86 box)
+# The reachable set is at most span bits wide: on the widest rows the budget
+# admits (K = 24 at N = 1, K = 6 at N = 4, every code near the cap) the oracle
+# peaked at 1.1-2.0 MB and took 1.1-2.3 ms (Python 3.11, 2-CPU x86 box)
 _REACH_SPAN = 1 << 22
 
 
@@ -148,58 +148,27 @@ def _enumerable(K: int, N: int) -> bool:
     return (1 << (N * K)) <= ENUM_BUDGET
 
 
-def _suffix_sets(qs: list[int], N: int, c: int, d: int) -> tuple[list[int], list[int]]:
-    # per element, its smallest product with an input; per suffix k of the
-    # row, a bitset whose bit s is set when the suffix's dot product can equal
-    # s plus the suffix's smallest products.  An element adds |v| * w for
-    # every w < 2^N: N doublings, each ORing the set with itself shifted by
-    # |v| * 2^j
-    floors = [min(v * c, v * d) for v in qs]
-    sets = [1]
-    for v in reversed(qs):
-        t, a = sets[-1], abs(v)
-        for j in range(N if a else 0):
+def _reachable(qs: list[int], N: int) -> int:
+    # bit s is set when the row's dot product can equal s plus the sum of its
+    # smallest products min(v * c, v * d).  A code v adds |v| * w for every
+    # w < 2^N: N doublings, each ORing the set with itself shifted by |v| * 2^j
+    t = 1
+    for a in [abs(v) for v in qs if v]:
+        for j in range(N):
             t |= t << (a << j)
-        sets.append(t)
-    return floors, sets[::-1]
-
-
-def _first_reaching(qs: list[int], c: int, d: int, floors: list[int], sets: list[int], rest: int) -> tuple[int, ...]:
-    # the first input vector in flat order whose dot product sits at bit rest
-    # of sets[0], picked greedily: at each position the smallest input whose
-    # remainder the next suffix set reaches.  Bit 0 (every element at its
-    # smallest product) is set in every suffix set, so the search starts at
-    # the first input whose remainder lies between bit 0 and the set's top
-    # bit, and meets a reachable one before the remainder leaves that window.
-    # A zero code leaves the set as it is: its first input, c, keeps the
-    # remainder.  Sets that disagree with the row would send it past d: a bug
-    x = []
-    for v, m, t in zip(qs, floors, sets[1:]):
-        if not v:
-            x.append(c)
-            continue
-        top, base = t.bit_length() - 1, rest + m  # the remainder is base - v * x
-        xk = -((top - base) // v) if v > 0 else -(base // -v)
-        if xk < c:
-            xk = c
-        s = base - v * xk
-        # test bit s, shifting or masking whichever copies the fewer digits
-        while xk <= d and not (t >> s & 1 if 2 * s >= top else t & (1 << s)):
-            xk, s = xk + 1, s - v
-        if xk > d:
-            raise AssertionError(f"row {qs}: no input in [{c}, {d}] at position {len(x)} reaches its suffix set")
-        x.append(xk)
-        rest = s
-    return tuple(x)
+    return t
 
 
 def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> AccumWitness:
     """Exact max/min dot product over every N-bit input vector, without the closed form.
 
     Independent oracle for check_accumulator: no extremal shortcut.  It
-    builds the set of dot products the row can reach, one bitset per suffix
-    of the row; its max and min are the set's top and bottom bits.  The
-    witnesses are the first extremes, the last element varying fastest.
+    builds the set of dot products the row can reach as one bitset; its max
+    and min are the set's top and bottom bits.  The witnesses are the first
+    extremes, the last element varying fastest: for the max, d at each
+    positive code and c elsewhere, for the min, d at each negative code and c
+    elsewhere.  Each is checked in exact integers against the set's
+    extremes, and a mismatch is an AssertionError naming the row.
     Raises EnumerationBudgetError, naming the quantity and its cap, when
     (2^N)^K exceeds ENUM_BUDGET, 2^24, or else when the span
     2 * K * max|q| * max(|c|, |d|) exceeds 2^22.
@@ -208,16 +177,20 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
     K = len(qs)
     if not _enumerable(K, N):
         raise EnumerationBudgetError(f"{(1 << N) ** K} input vectors exceed budget {ENUM_BUDGET}")
-    # 2B bounds the spread of the reachable sums, and so each suffix set's width
+    # 2B bounds the spread of the reachable sums, and so the set's width
     span = 2 * K * max(abs(c), abs(d)) * max(map(abs, qs), default=0)
     if span > _REACH_SPAN:
         raise EnumerationBudgetError(f"span {span} of the reachable sums exceeds cap {_REACH_SPAN}")
-    floors, sets = _suffix_sets(qs, N, c, d)
-    top, bottom = sets[0].bit_length() - 1, (sets[0] & -sets[0]).bit_length() - 1
-    x_max = _first_reaching(qs, c, d, floors, sets, top)
-    x_min = _first_reaching(qs, c, d, floors, sets, bottom)
-    base = sum(floors)
-    return _witness(base + top, base + bottom, x_max, x_min, spec)
+    reach, base = _reachable(qs, N), sum([min(v * c, v * d) for v in qs])
+    top, bottom = base + reach.bit_length() - 1, base + (reach & -reach).bit_length() - 1
+    # the first input in flat order at each extreme: a code that needs d there
+    # takes it, and every other code, a zero one included, its first input, c
+    x_max = [d if v > 0 else c for v in qs]
+    x_min = [d if v < 0 else c for v in qs]
+    dots = sum([v * x for v, x in zip(qs, x_max)]), sum([v * x for v, x in zip(qs, x_min)])
+    if dots != (top, bottom):
+        raise AssertionError(f"row {qs}: the inputs at its extremes reach {dots}, its reachable set {(top, bottom)}")
+    return _witness(top, bottom, x_max, x_min, spec)
 
 
 class Certificate(NamedTuple):

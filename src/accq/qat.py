@@ -95,6 +95,9 @@ class TrainConfig:
     dataset: TeacherStudentSpec = field(default_factory=TeacherStudentSpec)
 
     def __post_init__(self) -> None:
+        # the CSV row writes variant.value; a string such as "a2q+" is refused, as channel_budget refuses it
+        if not isinstance(self.variant, Variant):
+            raise ValueError(f"variant must be a Variant member, got {self.variant!r}")
         if self.bits.act_signed:
             raise ValueError("hidden activations are unsigned after ReLU; bits.act_signed must be False")
         # the CSV row writes seed as it is, and a bool there is one SweepRecord cannot read back;

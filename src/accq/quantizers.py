@@ -195,10 +195,13 @@ def channel_budget(K: int, bits: BitWidths, variant: Variant) -> tuple[Variant, 
     """The variant that actually runs on a length-K channel and its exact l1 code budget.
 
     A2Q+ channels shorter than K_MIN_CENTER fall back to A2Q, since centering
-    would zero them out.  Cached: one-row calls pay the Fraction construction
-    otherwise, and the result (an enum member and an immutable Fraction) is
-    safe to share.
+    would zero them out.  A variant that is not a Variant member, such as
+    its value "a2q+", is a ValueError naming it.  Cached: one-row calls pay
+    the Fraction construction otherwise, and the result (an enum member and
+    an immutable Fraction) is safe to share.
     """
+    if not isinstance(variant, Variant):
+        raise ValueError(f"variant must be a Variant member, got {variant!r}")
     if variant is Variant.A2Q_PLUS and K >= K_MIN_CENTER:
         return variant, a2q_plus_limit(bits.P, bits.N)
     return Variant.A2Q, a2q_limit(bits.P, bits.N, bits.act_signed)

@@ -143,9 +143,9 @@ def test_verify_feasible_channel(tmp_path, capsys):
 
 def test_verify_codes_near_2_15_take_the_reachable_sets(tmp_path, capsys, monkeypatch):
     # few input vectors but wide sums, within the oracle's span cap: both
-    # rows build suffix sets
-    reached, real = [], intsim._suffix_sets
-    monkeypatch.setattr(intsim, "_suffix_sets", lambda *args: reached.append(args) or real(*args))
+    # rows build reachable sets
+    reached, real = [], intsim._reachable
+    monkeypatch.setattr(intsim, "_reachable", lambda *args: reached.append(args) or real(*args))
     path = tmp_path / "wide_codes.csv"
     path.write_text("32768,32768,32768\n-32768,0,32767\n")
     code, out = run(capsys, "verify", "--weights", str(path), "--P", "24", "--N", "4")

@@ -207,6 +207,12 @@ def test_ep_init_is_the_one_row_view_of_ep_init_layer(W, M, N, P, variant):
         assert np.array([ch.t, ch.d]).tobytes() == np.array([t[i], d[i]]).tobytes()
 
 
+def test_ep_init_layer_refuses_a_variant_that_is_not_a_member():
+    # "a2q+" would have projected onto A2Q's uncentered budget
+    with pytest.raises(ValueError, match=r"^variant must be a Variant member, got 'a2q\+'$"):
+        ep_init_layer(np.array([[1.0, -2.0, 0.5]]), BitWidths(M=4, N=4, P=12), "a2q+")
+
+
 @pytest.mark.parametrize(
     "bad, P",
     [([1e308, 1e308], 16), ([float("nan"), 1.0], 16), ([float("inf"), 0.0], 16), ([1e308, 0.0], 2)],

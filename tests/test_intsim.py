@@ -226,8 +226,8 @@ def test_exhaustive_agrees_with_extremal(q, N, signed, P):
 )
 def test_reachable_sets_stay_within_the_enumeration_memory(q, N, signed):
     # the widest rows the span cap admits at the budget's K * N = 24, each
-    # span within 2^7 of 2^22: K + 1 suffix sets of up to 2^22 bits held at
-    # once, within 8 MB
+    # span within 2^7 of 2^22: one reachable set of up to 2^22 bits, within
+    # 8 MB
     assert 0 <= intsim._REACH_SPAN - _span(q, N, signed) < 1 << 7
     tracemalloc.start()
     try:
@@ -318,29 +318,39 @@ def test_exhaustive_witnesses_are_the_first_extremes(channel):
 @example(q=[3, -2, 0, 5], N=2, signed=True)
 @settings(max_examples=100, deadline=None)
 def test_suffix_sets_hold_every_reachable_sum_and_its_first_input(q, N, signed):
-    # bit s of the whole row's set is set exactly when some input vector's dot
-    # product is s above the sum of the smallest products, and the greedy
-    # rebuild finds the first such vector for every s, not only the extremes
+    # bit s of the row's reachable set is set exactly when some input vector's
+    # dot product is s above the sum of the smallest products, and the
+    # oracle's witnesses are the first such vectors at the set's top and
+    # bottom bits
     if (1 << N) ** len(q) > 1 << 9:
         q = q[: 9 // N]
     c, d = (-(1 << (N - 1)), (1 << (N - 1)) - 1) if signed else (0, (1 << N) - 1)
-    floors, sets = intsim._suffix_sets(q, N, c, d)
+    reach, floor = intsim._reachable(q, N), sum(min(v * c, v * d) for v in q)
     first = {}
     for x in itertools.product(range(c, d + 1), repeat=len(q)):
-        first.setdefault(exact_dot(x, q) - sum(floors), x)
-    assert sorted(first) == [s for s in range(sets[0].bit_length()) if sets[0] >> s & 1]
-    for s, x in first.items():
-        assert intsim._first_reaching(q, c, d, floors, sets, s) == x
+        first.setdefault(exact_dot(x, q) - floor, x)
+    assert sorted(first) == [s for s in range(reach.bit_length()) if reach >> s & 1]
+    wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
+    assert (wit.witness_x_max, wit.witness_x_min) == (first[max(first)], first[min(first)])
 
 
 @pytest.mark.parametrize(
-    "q, sets, rest", [([1], [0b1111, 1], 5), ([-2], [0b111, 1], 1)], ids=["past-d", "never-reached"]
+    "skew",
+    [lambda t: t | t << 1, lambda t: t ^ 1 << (t.bit_length() - 1), lambda t: t ^ 1],
+    ids=["wider", "narrower-top", "narrower-bottom"],
 )
-def test_first_reaching_refuses_sets_that_disagree_with_the_row(q, sets, rest):
-    # suffix sets no row at N = 2 unsigned builds: unbounded, the search
-    # would return (5,), outside [0, 3], or never return
-    with pytest.raises(AssertionError, match=r"row \[-?\d\]: no input in \[0, 3\]"):
-        intsim._first_reaching(q, 0, 3, [0], sets, rest)
+def test_reachable_sets_that_disagree_with_the_row_are_refused(monkeypatch, skew):
+    # a set one sum wider than the row reaches, or missing its top or bottom
+    # sum: the inputs the signs pick miss its extremes, and the oracle fails
+    # rather than certify from it
+    real = intsim._reachable
+    monkeypatch.setattr(intsim, "_reachable", lambda qs, N: skew(real(qs, N)))
+    q, spec = [3, -2, 0], AccumulatorSpec(P=64)
+    msg = r"^row \[3, -2, 0\]: the inputs at its extremes reach "
+    with pytest.raises(AssertionError, match=msg):
+        exhaustive_check(q, 2, False, spec)
+    with pytest.raises(AssertionError, match=msg):
+        certify([q], 2, False, spec)
 
 
 def _brute_one(v: int, N: int, signed: bool) -> tuple[int, int, tuple, tuple]:
@@ -361,7 +371,7 @@ def _brute_one(v: int, N: int, signed: bool) -> tuple[int, int, tuple, tuple]:
 
 def _brute_reachable(v: int, N: int, signed: bool) -> int:
     # the bitset of v * x - min(v * c, v * d) over every input x in [c, d],
-    # 2^16 inputs at a time in numpy: what _suffix_sets builds for a K = 1 row
+    # 2^16 inputs at a time in numpy: what _reachable builds for a K = 1 row
     c, d = (-(1 << (N - 1)), (1 << (N - 1)) - 1) if signed else (0, (1 << N) - 1)
     floor = min(v * c, v * d)
     seen = np.zeros(max(v * c, v * d) - floor + 1, dtype=bool)
@@ -377,20 +387,16 @@ def _brute_reachable(v: int, N: int, signed: bool) -> int:
     [([2], 20, False), ([-2], 20, False), ([3], 20, True), ([-3], 20, True), ([0], 24, False), ([0], 24, True)],
 )
 def test_exhaustive_one_wide_input_matches_brute_force(path, q, N, signed):
-    # one input of 2^20 values, the code of either sign.  "reach": the oracle
-    # tries only the inputs whose remainder its next suffix set can hold, not
-    # all 2^20, and its extremes and first witnesses are brute force's.  A
-    # zero code at N = 24 gives every input 0, and the first, c.
-    # "enumerate": the reachable set it searches is exactly the set of
-    # products that enumerating every input gives
+    # one input of 2^20 values, the code of either sign.  "reach": the
+    # oracle's extremes and first witnesses are brute force's.  A zero code
+    # at N = 24 gives every input 0, and the first, c.  "enumerate": the
+    # reachable set it builds is exactly the set of products that
+    # enumerating every input gives
     if path == "reach":
         wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
         assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == _brute_one(q[0], N, signed)
     else:
-        c, d = intsim._input_range(N, signed)
-        floors, sets = intsim._suffix_sets(q, N, c, d)
-        assert floors == [min(q[0] * c, q[0] * d)]
-        assert sets[0] == _brute_reachable(q[0], N, signed)
+        assert intsim._reachable(q, N) == _brute_reachable(q[0], N, signed)
 
 
 @pytest.mark.parametrize("signed", [False, True])

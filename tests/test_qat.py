@@ -116,6 +116,12 @@ def test_an_empty_training_set_trains_no_step():
     assert math.isfinite(record.final_loss)
 
 
+def test_config_rejects_a_variant_that_is_not_a_member():
+    # "a2q+" trained a whole A2Q run, then failed writing its CSV row with an AttributeError
+    with pytest.raises(ValueError, match=r"^variant must be a Variant member, got 'a2q\+'$"):
+        tiny_config(variant="a2q+")
+
+
 def test_config_rejects_unbudgeted_variant_and_signed_acts():
     # only the two budgeted variants exist, so no config can name another
     with pytest.raises(ValueError):

@@ -640,6 +640,20 @@ def test_empty_or_flat_layer_is_a_value_error_naming_its_shape(shape):
         quantize_layer(np.zeros(shape), np.zeros(2), np.zeros(2), BitWidths(4, 4, 12), Variant.A2Q)
 
 
+@pytest.mark.parametrize("entry", ["channel_budget", "quantize_layer", "forward_weights"])
+@pytest.mark.parametrize("variant", ["a2q+", "a2q", None])
+def test_a_variant_that_is_not_a_member_is_a_value_error_naming_it(entry, variant):
+    # "a2q+" quantized under A2Q's uncentered budget, since only the member selects A2Q+'s
+    bits, V = BitWidths(4, 4, 12), np.array([[0.5, -1.0, 2.0]])
+    calls = {
+        "channel_budget": lambda: channel_budget(3, bits, variant),
+        "quantize_layer": lambda: quantize_layer(V, np.zeros(1), np.full(1, -3.0), bits, variant),
+        "forward_weights": lambda: forward_weights(ChannelWeights(v=V[0], t=0.0, d=-3.0), bits, variant),
+    }
+    with pytest.raises(ValueError, match=f"^{re.escape(f'variant must be a Variant member, got {variant!r}')}$"):
+        calls[entry]()
+
+
 @pytest.mark.parametrize("variant", [Variant.A2Q, Variant.A2Q_PLUS])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", ["V", "t", "d"])
