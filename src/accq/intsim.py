@@ -1,18 +1,20 @@
 """Exact simulation of fixed-width integer accumulation.
 
 Overflow verdicts must never themselves be victims of overflow, so every dot
-product that feeds a verdict is exact.  certify and check_accumulator share one
-closed form, with one route per call: one int64 numpy pass over all rows when
-every row is a non-empty integer array within int64, the call holds at least
-256 codes and B = K * max|q| * max(|c|, |d|), from its longest row and its
-largest code, is below 2^62; Python ints for every row otherwise.
+product that feeds a verdict is exact.  certify's closed form, which
+check_accumulator applies to one row, takes one route per call, picked in
+_closed_forms alone: one int64 numpy pass over all rows when every row is a
+non-empty integer array within int64, the call holds at least 256 codes and
+B = K * max|q| * max(|c|, |d|), from its longest row and its largest code, is
+below 2^62; Python ints for every row otherwise.
 
 The exhaustive oracle builds the set of dot products a row can reach as one
 Python-int bitset: its extremes are the set's top and bottom bits, and its
 witnesses, the first inputs at them, follow from the row's signs and are
-checked against them.  It takes a row within two limits, checked in order:
-(2^N)^K input vectors at most ENUM_BUDGET, 2^24, then a span 2B, B taken over
-the row alone, at most 2^22.  Past either it raises EnumerationBudgetError.
+checked against them; AccumWitness is its record, and no other code builds
+witnesses.  It takes a row within two limits, checked in order: (2^N)^K input
+vectors at most ENUM_BUDGET, 2^24, then a span 2B, B taken over the row alone,
+at most 2^22.  Past either it raises EnumerationBudgetError.
 
 certify is the one certificate rule: it gives every row the closed-form
 worst case and sends the rows within the budget to the exhaustive oracle too.
@@ -67,11 +69,11 @@ class AccumulatorSpec:
 
 @dataclass(frozen=True)
 class AccumWitness:
-    """Worst-case accumulation of one integer weight vector.
+    """The exhaustive oracle's record of one integer weight vector.
 
-    true_max / true_min are exact; witness_x_max / witness_x_min are input
-    vectors achieving them.  overflowed is the register rule certify applies:
-    true_max above 2^(P-1) - 1 or true_min below -2^(P-1).
+    true_max / true_min are exact; witness_x_max / witness_x_min are the first
+    input vectors reaching them.  overflowed is the register rule certify
+    applies: true_max above 2^(P-1) - 1 or true_min below -2^(P-1).
     """
 
     true_max: int
@@ -125,21 +127,22 @@ def _extremes(qs: list[int], c: int, d: int) -> tuple[int, int]:
     return d * alpha + c * beta, c * alpha + d * beta
 
 
-def check_accumulator(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> AccumWitness:
-    """Exact worst case of one row q on a P-bit register: certify's closed form, witnessed by the extremal inputs."""
+class Certificate(NamedTuple):
+    """Verdict on one row of codes; the field order is accq verify's key order."""
+
+    K: int
+    true_max: int
+    true_min: int
+    overflowed: bool
+    exhaustive: bool
+
+
+def check_accumulator(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Certificate:
+    """certify's closed form on row q, without the oracle: a Certificate, exhaustive false; a bare code is a one-code row."""
     c, d = _input_range(N, act_signed)
-    if isinstance(q, np.ndarray) and q.size >= _INT64_MIN_CODES and q.ndim == 1 and _int64_codes(q):
-        _, (f,), (e,) = _closed_forms([q], c, d)  # which picks the route
-        # column 1 (d, c) where q >= 0, else column 0 (c, d); Python ints, as the witnesses hold
-        x_max, x_min = np.array([[c, d], [d, c]], dtype=object).take((q >= 0).view(np.int8), axis=1).tolist()
-        return _witness(f, e, x_max, x_min, spec)
-    qs = _int_vector(q)
-    f, e = _extremes(qs, c, d)
-    return _witness(f, e, [d if v >= 0 else c for v in qs], [c if v >= 0 else d for v in qs], spec)
-
-
-def _witness(f: int, e: int, x_max, x_min, spec: AccumulatorSpec) -> AccumWitness:
-    return AccumWitness(f, e, f > spec.hi or e < spec.lo, tuple(x_max), tuple(x_min))
+    row = np.atleast_1d(q if isinstance(q, np.ndarray) else np.asarray(q, dtype=object))
+    (K,), (f,), (e,) = _closed_forms([row], c, d)
+    return Certificate(K, f, e, f > spec.hi or e < spec.lo, False)
 
 
 def _enumerable(K: int, N: int) -> bool:
@@ -162,7 +165,7 @@ def _reachable(qs: list[int], N: int) -> int:
 def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> AccumWitness:
     """Exact max/min dot product over every N-bit input vector, without the closed form.
 
-    Independent oracle for check_accumulator: no extremal shortcut.  It
+    Independent oracle for certify's closed form: no extremal shortcut.  It
     builds the set of dot products the row can reach as one bitset; its max
     and min are the set's top and bottom bits.  The witnesses are the first
     extremes, the last element varying fastest: for the max, d at each
@@ -190,25 +193,7 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
     dots = sum([v * x for v, x in zip(qs, x_max)]), sum([v * x for v, x in zip(qs, x_min)])
     if dots != (top, bottom):
         raise AssertionError(f"row {qs}: the inputs at its extremes reach {dots}, its reachable set {(top, bottom)}")
-    return _witness(top, bottom, x_max, x_min, spec)
-
-
-class Certificate(NamedTuple):
-    """Verdict on one row of codes; the field order is accq verify's key order."""
-
-    K: int
-    true_max: int
-    true_min: int
-    overflowed: bool
-    exhaustive: bool
-
-
-def _int64_codes(arr) -> bool:
-    # an integer array whose every value fits int64
-    if not isinstance(arr, np.ndarray):
-        return False
-    kind = arr.dtype.kind
-    return kind == "i" or (kind == "u" and arr.dtype.itemsize < 8)
+    return AccumWitness(top, bottom, top > spec.hi or bottom < spec.lo, tuple(x_max), tuple(x_min))
 
 
 def _closed_forms(rows: list, c: int, d: int) -> tuple[list[int], list[int], list[int]]:
@@ -219,7 +204,11 @@ def _closed_forms(rows: list, c: int, d: int) -> tuple[list[int], list[int], lis
     # bounds every row's B and so every partial sum, is below 2^62; otherwise
     # every row takes _extremes in Python ints
     reach = max(-c, d)
-    fast = all(_int64_codes(row) and row.ndim == 1 and row.size for row in rows)
+    fast = all(
+        isinstance(row, np.ndarray) and row.ndim == 1 and row.size
+        and (row.dtype.kind == "i" or row.dtype.kind == "u" and row.dtype.itemsize < 8)  # within int64
+        for row in rows
+    )
     sizes = [row.size for row in rows] if fast else []
     if sum(sizes) >= _INT64_MIN_CODES and reach < _INT64_GUARD:
         flat = np.concatenate(rows).astype(np.int64, copy=False)

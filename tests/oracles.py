@@ -100,6 +100,18 @@ def brute_witness(q, N: int, signed: bool) -> tuple[int, int, tuple, tuple]:
     return best_hi, best_lo, x_hi, x_lo
 
 
+def extremal_inputs(q, N: int, signed: bool) -> tuple[tuple, tuple]:
+    """brute_witness's two input vectors from the row's signs alone, for rows of any length.
+
+    Each input reaches its own product's extreme independently, and the first
+    in itertools.product order takes the lowest input where a code is
+    indifferent: d at each positive code for the max, d at each negative code
+    for the min, and lo everywhere else, zero codes included.
+    """
+    lo, hi = _range(N, signed)
+    return tuple(hi if v > 0 else lo for v in q), tuple(hi if v < 0 else lo for v in q)
+
+
 def exact_min_width(k: int, M: int, N: int, signed: bool) -> int:
     """Smallest P such that no M-bit x N-bit length-k dot product leaves the register.
 

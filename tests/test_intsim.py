@@ -1,6 +1,5 @@
 """Exact integer accumulation, overflow witnesses, two's-complement wrapping."""
 
-import dataclasses
 import itertools
 import tracemalloc
 
@@ -13,7 +12,6 @@ from accq import intsim
 from accq.errors import EnumerationBudgetError, InvalidBitWidthError, NonFiniteInputError
 from accq.intsim import (
     AccumulatorSpec,
-    AccumWitness,
     _extremes,
     certify,
     check_accumulator,
@@ -21,7 +19,14 @@ from accq.intsim import (
     wrap,
 )
 
-from oracles import LengthMismatchError, brute_extremes, brute_witness, exact_dot, verify_domination
+from oracles import (
+    LengthMismatchError,
+    brute_extremes,
+    brute_witness,
+    exact_dot,
+    extremal_inputs,
+    verify_domination,
+)
 
 
 def test_spec_register_range():
@@ -39,11 +44,11 @@ def test_exact_dot_is_plain_integer_arithmetic():
 
 
 def test_extremal_inputs_frozen():
-    # unsigned N=2: positive weights take 3, negatives take 0 (max side)
-    wit = check_accumulator([2, -1, 0], 2, False, AccumulatorSpec(P=8))
-    assert (wit.witness_x_max, wit.witness_x_min) == ((3, 0, 3), (0, 3, 0))
+    # unsigned N=2: positive weights take 3, negatives and zeros take 0 (max side)
+    wit = exhaustive_check([2, -1, 0], 2, False, AccumulatorSpec(P=8))
+    assert (wit.witness_x_max, wit.witness_x_min) == ((3, 0, 0), (0, 3, 0))
     # signed N=1 codes are {-1, 0}: max pairs negatives with -1
-    wit = check_accumulator([2, -1], 1, True, AccumulatorSpec(P=8))
+    wit = exhaustive_check([2, -1], 1, True, AccumulatorSpec(P=8))
     assert (wit.witness_x_max, wit.witness_x_min) == ((0, -1), (-1, 0))
 
 
@@ -55,8 +60,9 @@ def test_extremal_inputs_frozen():
 @settings(max_examples=150, deadline=None)
 def test_extremal_inputs_match_brute_force(q, N, signed):
     hi, lo = brute_extremes(q, N, signed)
-    wit = check_accumulator(q, N, signed, AccumulatorSpec(P=8))
-    assert (wit.true_max, wit.true_min) == (hi, lo)
+    cert = check_accumulator(q, N, signed, AccumulatorSpec(P=8))
+    assert (cert.true_max, cert.true_min) == (hi, lo)
+    wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=8))
     assert exact_dot(wit.witness_x_max, q) == hi
     assert exact_dot(wit.witness_x_min, q) == lo
 
@@ -90,7 +96,8 @@ def test_multi_dimensional_codes_are_rejected(check, codes):
 
 def test_zero_d_code_is_one_code_and_a_block_is_rows():
     spec = AccumulatorSpec(P=16)
-    assert check_accumulator(np.int64(3), 4, False, spec) == check_accumulator([3], 4, False, spec)
+    one = check_accumulator([3], 4, False, spec)
+    assert [check_accumulator(v, 4, False, spec) for v in (np.int64(3), np.array(3), 3)] == [one] * 3
     block = [[1, 2], [3, -4]]
     assert [c.true_max for c in certify(np.array(block), 4, False, spec)] == [45, 45]
     assert certify(np.array(block), 4, False, spec) == certify(block, 4, False, spec)
@@ -159,13 +166,14 @@ def test_check_accumulator_fits():
 
 
 def test_check_accumulator_overflow_witness():
-    wit = check_accumulator([4], 2, False, AccumulatorSpec(P=4))
-    assert wit.overflowed
-    assert wit.true_max == 12 and wrap(wit.true_max, 4) == -4
-    assert wit.witness_x_max == (3,)
-    assert wit.true_max > AccumulatorSpec(P=4).hi
-    # replaying the witness through the wrapping register reproduces the corruption
-    assert wrap(exact_dot(wit.witness_x_max, [4]), 4) == -4 != exact_dot(wit.witness_x_max, [4])
+    cert = check_accumulator([4], 2, False, AccumulatorSpec(P=4))
+    assert cert.overflowed
+    assert cert.true_max == 12 and wrap(cert.true_max, 4) == -4
+    x_max = exhaustive_check([4], 2, False, AccumulatorSpec(P=4)).witness_x_max
+    assert x_max == (3,)
+    assert cert.true_max > AccumulatorSpec(P=4).hi
+    # replaying the oracle's witness through the wrapping register reproduces the corruption
+    assert wrap(exact_dot(x_max, [4]), 4) == -4 != exact_dot(x_max, [4])
 
 
 @given(
@@ -200,8 +208,7 @@ def _assert_refused(q, N: int, signed: bool):
     with pytest.raises(EnumerationBudgetError, match=f"^{cap}$"):
         certify([q], N, signed, spec, exhaustive=True)
     (cert,) = certify([q], N, signed, spec)
-    wit = check_accumulator(q, N, signed, spec)
-    assert cert == (len(q), wit.true_max, wit.true_min, wit.overflowed, False)
+    assert cert == check_accumulator(q, N, signed, spec)
     return cert
 
 
@@ -217,6 +224,7 @@ def test_exhaustive_agrees_with_extremal(q, N, signed, P):
     fast = check_accumulator(q, N, signed, spec)
     full = exhaustive_check(q, N, signed, spec)
     assert (full.true_max, full.true_min, full.overflowed) == (fast.true_max, fast.true_min, fast.overflowed)
+    assert (full.witness_x_max, full.witness_x_min) == extremal_inputs(q, N, signed)
 
 
 @pytest.mark.parametrize(
@@ -303,6 +311,7 @@ def _enumerable_channels(draw):
 def test_exhaustive_witnesses_are_the_first_extremes(channel):
     q, N, signed = channel
     want = brute_witness(q, N, signed)
+    assert extremal_inputs(q, N, signed) == want[2:]
     if _span(q, N, signed) <= intsim._REACH_SPAN:
         wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=64))
         assert (wit.true_max, wit.true_min, wit.witness_x_max, wit.witness_x_min) == want
@@ -523,14 +532,15 @@ def test_verify_domination():
 )
 @settings(max_examples=100, deadline=None)
 def test_witness_inputs_are_valid_codes(q, N, signed):
-    wit = check_accumulator(q, N, signed, AccumulatorSpec(P=6))
+    wit = exhaustive_check(q, N, signed, AccumulatorSpec(P=6))
     lo = -(1 << (N - 1)) if signed else 0
     hi = (1 << (N - 1)) - 1 if signed else (1 << N) - 1
     for x in (wit.witness_x_max, wit.witness_x_min):
         assert all(lo <= xi <= hi for xi in x)
-    # the witnesses reach the closed-form extremes
-    assert exact_dot(wit.witness_x_max, q) == wit.true_max
-    assert exact_dot(wit.witness_x_min, q) == wit.true_min
+    # the oracle's witnesses reach the closed-form extremes
+    cert = check_accumulator(q, N, signed, AccumulatorSpec(P=6))
+    assert exact_dot(wit.witness_x_max, q) == cert.true_max
+    assert exact_dot(wit.witness_x_min, q) == cert.true_min
 
 
 def test_codes_past_int64_stay_exact_in_any_sequence():
@@ -645,19 +655,21 @@ def test_certify_int64_route_matches_python_ints(block, ragged, N, signed, P):
 _ARRAY_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
 
 
-def _assert_same_witness(got, want):
-    # equal field for field, and in the same Python types: ints and tuples of ints
-    assert got == want
-    for field in dataclasses.fields(AccumWitness):
-        assert type(getattr(got, field.name)) is type(getattr(want, field.name))
-    for x in (got.witness_x_max, got.witness_x_min):
-        assert all(type(v) is int for v in x)
+def _assert_same_certificate(got, q: list, N: int, signed: bool, spec):
+    # equal, field for field and in plain Python types, to the list route's
+    # certificate, with extremes that the sign rule's inputs reach
+    assert got == check_accumulator(q, N, signed, spec)
+    assert [type(v) for v in got] == [int, int, int, bool, bool]
+    x_max, x_min = extremal_inputs(q, N, signed)
+    assert exact_dot(x_max, q) == got.true_max
+    assert exact_dot(x_min, q) == got.true_min
 
 
 @pytest.mark.parametrize("dtype", _ARRAY_DTYPES, ids=lambda t: np.dtype(t).name)
 def test_check_accumulator_array_matches_python_ints(dtype):
     # an integer array takes the int64 route from 256 codes on, a list Python
-    # ints always: both give one record, whose witnesses reach the extremes
+    # ints always: both give one certificate, whose extremes the sign rule's
+    # inputs reach
     info = np.iinfo(dtype)
     rng = np.random.default_rng(np.dtype(dtype).itemsize * 2 + (info.min < 0))
     spec = AccumulatorSpec(P=40)
@@ -665,13 +677,10 @@ def test_check_accumulator_array_matches_python_ints(dtype):
         full = rng.integers(info.min, info.max, size=K, endpoint=True, dtype=dtype)
         small = rng.integers(max(info.min, -7), 8, size=K, dtype=dtype)
         for q in (full, small):
-            q[: K // 2 : 7] = 0  # zero codes take d in the max witness
+            q[: K // 2 : 7] = 0  # zero codes, which add nothing to either extreme
             for N in (1, 8, 16, 32, 64):
                 for signed in (False, True):
-                    got = check_accumulator(q, N, signed, spec)
-                    _assert_same_witness(got, check_accumulator(q.tolist(), N, signed, spec))
-                    assert exact_dot(got.witness_x_max, q.tolist()) == got.true_max
-                    assert exact_dot(got.witness_x_min, q.tolist()) == got.true_min
+                    _assert_same_certificate(check_accumulator(q, N, signed, spec), q.tolist(), N, signed, spec)
 
 
 @pytest.mark.parametrize("K", [256, 1024])
@@ -696,9 +705,7 @@ def test_check_accumulator_array_at_the_int64_guard(monkeypatch, K, N, signed):
         calls.clear()
         got = check_accumulator(q, N, signed, spec)
         assert bool(calls) == python_ints
-        _assert_same_witness(got, check_accumulator(q.tolist(), N, signed, spec))
-        assert exact_dot(got.witness_x_max, q.tolist()) == got.true_max
-        assert exact_dot(got.witness_x_min, q.tolist()) == got.true_min
+        _assert_same_certificate(got, q.tolist(), N, signed, spec)
 
 
 def test_int64_route_skips_the_python_int_loop(monkeypatch):
@@ -718,6 +725,41 @@ def test_int64_route_skips_the_python_int_loop(monkeypatch):
     for short in (codes[:255], codes.tolist()):
         with pytest.raises(PythonIntRoute):
             check_accumulator(short, 4, False, spec)
+
+
+@st.composite
+def _one_rows(draw):
+    # a row for each of the closed form's routes: integer arrays of 1 to 1024
+    # codes on both sides of the 256-code threshold, lists holding a code past
+    # 2^63, and int64 arrays whose B is just below the 2^62 guard or at it
+    N, signed = draw(st.integers(min_value=1, max_value=64)), draw(st.booleans())
+    K = draw(st.one_of(st.sampled_from([1, 2, 255, 256, 257, 1024]), st.integers(min_value=1, max_value=1024)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["array", "list", "guard"]))
+    if kind == "array":
+        info = np.iinfo(draw(st.sampled_from(_ARRAY_DTYPES[:-1])))  # uint64 is past int64
+        q = rng.integers(info.min, info.max, size=K, endpoint=True, dtype=info.dtype)
+    elif kind == "list":
+        q = rng.integers(-(1 << 62), 1 << 62, size=K).tolist()
+        q[int(rng.integers(K))] = draw(st.sampled_from([1, -1])) * draw(st.integers(1 << 63, 1 << 70))
+    else:
+        reach = 1 << (N - 1) if signed else (1 << N) - 1
+        big = ((1 << 62) - 1) // (K * reach) + draw(st.integers(min_value=0, max_value=1))
+        q = rng.integers(-big, big, size=K, endpoint=True)
+        q[0] = draw(st.sampled_from([big, -big]))
+    if draw(st.booleans()):
+        q[::7] = [0] * len(q[::7])  # zero codes among the rest
+    return q, N, signed
+
+
+@given(row=_one_rows(), P=st.integers(min_value=2, max_value=64))
+@example(row=(np.arange(-128, 128, dtype=np.int8), 8, True), P=16)
+@example(row=([2**63 + 1, -3], 1, False), P=64)
+@settings(max_examples=200, deadline=None)
+def test_check_accumulator_is_certify_on_one_row(row, P):
+    q, N, signed = row
+    spec = AccumulatorSpec(P=P)
+    assert check_accumulator(q, N, signed, spec) == certify([q], N, signed, spec)[0]._replace(exhaustive=False)
 
 
 def test_verify_domination_over_row_stacks():

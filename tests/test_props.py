@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from accq.bounds import a2q_limit, a2q_plus_limit, int_range
 from accq.intsim import AccumulatorSpec, check_accumulator
 
-from oracles import exact_dot
+from oracles import exact_dot, extremal_inputs
 
 
 class InfeasibleError(ValueError):
@@ -123,11 +123,12 @@ def check_zero_sum_identities(
     alpha = sum(x for x in qs if x > 0)
     l1 = sum(abs(x) for x in qs)
 
-    # the register width only sets the overflow verdict, which goes unread here
-    wit = check_accumulator(qs, N, act_signed, AccumulatorSpec(2))
-    mu, nu = wit.witness_x_max, wit.witness_x_min
+    # the sign rule's inputs, at any length; the register width only sets the
+    # closed form's overflow verdict, which goes unread here
+    mu, nu = extremal_inputs(qs, N, act_signed)
     f = exact_dot(mu, qs)
     e = exact_dot(nu, qs)
+    cert = check_accumulator(qs, N, act_signed, AccumulatorSpec(2))
 
     # zero entries contribute nothing to either dot, so they are exempt
     elementwise = all(
@@ -153,8 +154,8 @@ def check_zero_sum_identities(
         span=span,
         f=f,
         e=e,
-        max_identity_ok=f == alpha * span,
-        min_identity_ok=-e == alpha * span,
+        max_identity_ok=f == alpha * span == cert.true_max,
+        min_identity_ok=-e == alpha * span == -cert.true_min,
         span_identity_ok=span_ok,
         budget_chain_ok=chain_ok,
         implication_ok=implication_ok,
