@@ -69,6 +69,8 @@ EXIT_BUDGET = 5
 
 # names to quantizers.Variant values, which _build_grid turns into members
 _VARIANTS = {"a2q": "a2q", "a2q+": "a2q+", "a2q_plus": "a2q+"}
+# the train flags, in help order, and their types; none has a default here, TrainConfig's fields hold them
+_CONFIG_FLAGS = (("lr", float), ("weight_decay", float), ("lambda_reg", float), ("epochs", int), ("batch_size", int))
 
 
 class _InputError(Exception):
@@ -269,16 +271,13 @@ def _build_grid(ns: argparse.Namespace) -> list[TrainConfig]:
     k_star = max(TeacherStudentSpec().dims()[:-1])
     # the auto P list depends on (M, N), so the widths are listed first
     widths = [(M, N, P) for M, N in itertools.product(Ms, Ns) for P in Ps or _auto_P(M, N, k_star)]
+    given = {name: getattr(ns, name) for name, _ in _CONFIG_FLAGS if name in ns}
     return [
         TrainConfig(
             variant=variant,
             bits=BitWidths(M=M, N=N, P=P),
-            lr=ns.lr,
-            weight_decay=ns.weight_decay,
-            lambda_reg=ns.lambda_reg,
-            epochs=ns.epochs,
-            batch_size=ns.batch_size,
             seed=seed,
+            **given,
         )
         for variant, (M, N, P), seed in itertools.product(variants, widths, seeds)
     ]
@@ -447,11 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--N", default="4", help="comma list of activation bit widths")
     t.add_argument("--P", default="16", help='comma list of accumulator widths, or "auto" for P* down to P*-10')
     t.add_argument("--seed", default="0", help="comma list of seeds")
-    t.add_argument("--lr", type=float, default=0.1)
-    t.add_argument("--weight-decay", type=float, default=1e-4)
-    t.add_argument("--lambda-reg", type=float, default=1e-3)
-    t.add_argument("--epochs", type=int, default=40)
-    t.add_argument("--batch-size", type=int, default=256)
+    for name, kind in _CONFIG_FLAGS:
+        t.add_argument("--" + name.replace("_", "-"), type=kind, default=argparse.SUPPRESS)
     t.add_argument("--jobs", type=int, default=1, help="worker processes for independent sweep points")
     t.add_argument("--out", help="write CSV here instead of stdout")
     _add_common(t)

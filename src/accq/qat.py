@@ -70,11 +70,20 @@ class TeacherStudentSpec:
 
     def __post_init__(self) -> None:
         # a zero width divides make_data's init scale, and an empty test set mse's mean;
-        # n_train may be 0, which trains no step
+        # n_train may be 0, which trains no step.  As for TrainConfig's seed, a bool is
+        # refused and a numpy integer is kept as an int
         widths = [("input_dim", self.input_dim), *((f"hidden[{i}]", h) for i, h in enumerate(self.hidden))]
-        for name, value in [*widths, ("output_dim", self.output_dim), ("n_test", self.n_test)]:
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        for name, value in [*widths, ("output_dim", self.output_dim), ("n_train", self.n_train), ("n_test", self.n_test)]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            low = 0 if name == "n_train" else 1
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        for name in ("input_dim", "output_dim", "n_train", "n_test"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
 
     def dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, self.output_dim)
@@ -128,8 +137,9 @@ class SweepRecord:
     """One sweep point.  The CSV form is stable and byte-reproducible.
 
     The fields are the CSV columns in order, and each field's type parses its
-    column back; a final_loss that is not finite, which fit never writes, or
-    a min_slack of n/0 is a ValueError.
+    column back.  A row fit never writes is a ValueError naming the field: a
+    variant not in Variant, widths BitWidths refuses, a negative seed, loss or
+    min_slack, a loss not finite, a sparsity outside [0, 1] or a slack of n/0.
     """
 
     variant: str
@@ -162,8 +172,18 @@ class SweepRecord:
             record = cls(*(parse(part) for parse, part in zip(_COLUMNS.values(), parts)))
         except ZeroDivisionError as exc:
             raise ValueError(f"{exc} in {line!r}") from exc
-        if not math.isfinite(record.final_loss):
-            raise ValueError(f"final_loss must be finite, got {line!r}")
+        if record.variant not in {v.value for v in Variant}:
+            raise ValueError(f"variant must be a Variant value, got {line!r}")
+        try:
+            TrainConfig(Variant(record.variant), BitWidths(M=record.M, N=record.N, P=record.P), seed=record.seed)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {line!r}") from exc
+        if not 0.0 <= record.final_loss < math.inf:
+            raise ValueError(f"final_loss must be finite and non-negative, got {line!r}")
+        if not 0.0 <= record.sparsity <= 1.0:
+            raise ValueError(f"sparsity must be in [0, 1], got {line!r}")
+        if record.min_slack < 0:
+            raise ValueError(f"min_slack must be non-negative, got {line!r}")
         return record
 
 
@@ -217,8 +237,8 @@ class FanInGroup(NamedTuple):
 
     flat is one contiguous float buffer laid out [V | t | d | b]: V (C, K),
     t, d and the biases b (C,) are views of it that hold every row of the
-    group.  rows[j] is the slice of them that holds layer layers[j], whose own
-    V, t, d and bias are views of it.  plan_rows holds the group's PlanRows:
+    group, layer by layer in the order of layers (ToyNetwork.homes names
+    each layer's rows).  plan_rows holds the group's PlanRows:
     each row's budget and clip limits, derived once from its layers' bit
     widths and the network's variant.  sgd_step updates the views in place
     and checks flat once, so every array keeps its identity for the life of
@@ -226,7 +246,6 @@ class FanInGroup(NamedTuple):
     """
 
     layers: tuple[int, ...]
-    rows: tuple[slice, ...]
     plan_rows: PlanRows
     flat: np.ndarray
     V: np.ndarray
@@ -240,31 +259,33 @@ def _flat_views(flat: np.ndarray, C: int, K: int) -> tuple[np.ndarray, ...]:
     return (flat[: C * K].reshape(C, K), *flat[C * K :].reshape(3, C))
 
 
-def _fan_in_groups(layers: list[QuantLinear], variant: Variant) -> list[FanInGroup]:
+def _fan_in_groups(layers: list[QuantLinear], variant: Variant) -> tuple[list[FanInGroup], list[tuple[int, slice]]]:
     by_k: dict[int, list[int]] = {}
     for i, layer in enumerate(layers):
         by_k.setdefault(layer.V.shape[1], []).append(i)
     groups = []
-    for K, idx in by_k.items():
+    homes: list[tuple[int, slice]] = [None] * len(layers)  # type: ignore[list-item]
+    for gi, (K, idx) in enumerate(by_k.items()):
         members = [layers[i] for i in idx]
         C = sum(len(layer.V) for layer in members)
         flat = np.empty(C * (K + 3))
         V, t, d, b = _flat_views(flat, C, K)
-        rows, start = [], 0
-        for layer in members:
-            rows.append(slice(start, start + len(layer.V)))
-            start = rows[-1].stop
+        start = 0
+        for i, layer in zip(idx, members):
+            rows = slice(start, start + len(layer.V))
+            homes[i] = (gi, rows)
+            start = rows.stop
             for name, whole in zip(("V", "t", "d", "bias"), (V, t, d, b)):
-                whole[rows[-1]] = getattr(layer, name)
-                setattr(layer, name, whole[rows[-1]])
+                whole[rows] = getattr(layer, name)
+                setattr(layer, name, whole[rows])
         plan = tuple((layer.bits, len(layer.V)) for layer in members)
         groups.append(
             FanInGroup(
-                layers=tuple(idx), rows=tuple(rows), plan_rows=_plan_rows(K, plan, variant),
+                layers=tuple(idx), plan_rows=_plan_rows(K, plan, variant),
                 flat=flat, V=V, t=t, d=d, b=b,
             )
         )
-    return groups
+    return groups, homes
 
 
 @dataclass
@@ -283,11 +304,7 @@ class ToyNetwork:
     homes: list[tuple[int, slice]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.groups = _fan_in_groups(self.layers, self.variant)
-        self.homes = [None] * len(self.layers)  # type: ignore[list-item]
-        for gi, group in enumerate(self.groups):
-            for i, rows in zip(group.layers, group.rows):
-                self.homes[i] = (gi, rows)
+        self.groups, self.homes = _fan_in_groups(self.layers, self.variant)
 
 
 def quantize_network(net: ToyNetwork) -> list[QuantizedLayer]:
@@ -320,10 +337,12 @@ def make_data(config: TrainConfig) -> DataBundle:
     ds = config.dataset
     dims = ds.dims()
     rng = np.random.default_rng(config.seed)
-    teacher = [
-        rng.normal(size=(dims[i + 1], dims[i])) * math.sqrt(2.0 / dims[i])
-        for i in range(len(dims) - 1)
-    ]
+
+    def he_layer(i: int) -> np.ndarray:
+        # layer i's (out, in) weights, He-scaled; the teacher draws first, the student's init last
+        return rng.normal(size=(dims[i + 1], dims[i])) * math.sqrt(2.0 / dims[i])
+
+    teacher = [he_layer(i) for i in range(len(dims) - 1)]
 
     def run_teacher(x: np.ndarray) -> np.ndarray:
         h = x
@@ -337,10 +356,7 @@ def make_data(config: TrainConfig) -> DataBundle:
     X_test = np.abs(rng.normal(size=(ds.n_test, ds.input_dim)))
     y_train = run_teacher(X_train) + ds.noise_sigma * rng.normal(size=(ds.n_train, ds.output_dim))
     y_test = run_teacher(X_test) + ds.noise_sigma * rng.normal(size=(ds.n_test, ds.output_dim))
-    init = tuple(
-        rng.normal(size=(dims[i + 1], dims[i])) * math.sqrt(2.0 / dims[i])
-        for i in range(len(dims) - 1)
-    )
+    init = tuple(he_layer(i) for i in range(len(dims) - 1))
     return DataBundle(X_train, y_train, X_test, y_test, init)
 
 
@@ -415,9 +431,9 @@ class GroupGrads(NamedTuple):
     """One fan-in group's parameter gradients, in one buffer laid out like its flat.
 
     flat is [dV | dt | dd | db], of which dV, dt, dd and the bias gradient db
-    are views; g = 2^t and the budget norm T are the forward's per-row values
-    that sgd_step's hinge reads; da holds one activation-exponent gradient per
-    layer of the group.  sgd_step adds its regularizers into flat in place.
+    are views; quant is the forward's record they differentiate, whose g = 2^t
+    and budget norm T sgd_step's hinge reads; da holds one activation-exponent
+    gradient per layer of the group.  sgd_step adds its regularizers into flat.
     """
 
     group: FanInGroup
@@ -425,8 +441,7 @@ class GroupGrads(NamedTuple):
     dV: np.ndarray
     dt: np.ndarray
     dd: np.ndarray
-    g: np.ndarray
-    T: np.ndarray
+    quant: QuantizedLayer
     db: np.ndarray
     da: list[float]
 
@@ -493,7 +508,7 @@ def backward(net: ToyNetwork, stores: list[_LayerStore], d_pred) -> list[GroupGr
     for group, flat, (dV, dt, dd, db) in zip(net.groups, flats, views):
         quant = stores[group.layers[0]].quant
         (quant.backward if quantize else quant.backward_smooth)(dV, out=(dV, dt, dd))
-        grads.append(GroupGrads(group, flat, dV, dt, dd, quant.g, quant.T, db, [da[i] for i in group.layers]))
+        grads.append(GroupGrads(group, flat, dV, dt, dd, quant, db, [da[i] for i in group.layers]))
     return grads
 
 
@@ -509,13 +524,13 @@ def sgd_step(net: ToyNetwork, grads: list[GroupGrads], config: TrainConfig) -> b
     finite = True
     # a diverging step may overflow or meet inf * 0; the return value reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for group, flat, dV, dt, dd, g, T, _, das in grads:
+        for group, flat, dV, dt, dd, quant, _, das in grads:
             # gradient of the hinge lam * max(g - T, 0) on every channel: zero on a
             # feasible gate (g <= T), so it steers only channels parked above budget
-            over = g > T
+            over = quant.g > quant.T
             if lam > 0.0 and np.logical_or.reduce(over):
-                np.add(dt, lam * g * LN2, out=dt, where=over)
-                np.subtract(dd, lam * T * LN2, out=dd, where=over)
+                np.add(dt, lam * quant.g * LN2, out=dt, where=over)
+                np.subtract(dd, lam * quant.T * LN2, out=dd, where=over)
             dV += wd * group.V
             np.subtract(group.flat, lr * flat, out=group.flat)
             for i, da in zip(group.layers, das):
@@ -536,9 +551,9 @@ def mse(pred, target) -> float:
 def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
     """Train from scratch and return the network with its audited summary row.
 
-    After the last step the integer network is checked against its accumulator
-    budget (exact worst case per channel, cross-checked by the exhaustive oracle
-    within its limits); a violation raises instead of returning a bad row.
+    After the last step certify_accumulators checks every channel's exact worst
+    case against its register, by the closed form alone on the default net at
+    N >= 2; a violation raises instead of returning a bad row.
     """
     data = make_data(config)
     net = build_network(config, data.init_weights)
@@ -556,7 +571,8 @@ def fit(config: TrainConfig) -> tuple[ToyNetwork, SweepRecord]:
     final_loss = mse(pred, data.y_test)
     if not math.isfinite(final_loss):
         raise DivergenceError("non-finite final loss")
-    quants = certify_accumulators(net, [stores[group.layers[0]].quant for group in net.groups])
+    quants = [stores[group.layers[0]].quant for group in net.groups]
+    certify_accumulators(net, quants)
     bits = config.bits
     return net, SweepRecord(
         config.variant.value, bits.M, bits.N, bits.P, config.seed,
@@ -606,13 +622,14 @@ def min_bound_slack(quants: list[QuantizedLayer]) -> Fraction:
     return min(b - l1 for quant in quants for b, l1 in zip(quant.bound, quant.l1_codes))
 
 
-def certify_accumulators(net: ToyNetwork, quants: list[QuantizedLayer]) -> list[QuantizedLayer]:
+def certify_accumulators(net: ToyNetwork, quants: list[QuantizedLayer]) -> None:
     """Exact post-training overflow audit; raises AccumulatorOverflowError on any hazard.
 
     quants holds one record per fan-in group, in net.groups order (as from
-    quantize_network).  One intsim.certify call per layer, on its rows there:
-    every channel gets the closed-form worst case, and channels within the
-    exhaustive oracle's two limits also get its check.  Returns quants.
+    quantize_network).  One intsim.certify call per layer, on its rows there,
+    gives every channel its closed-form worst case; certify adds the exhaustive
+    oracle only where (2^N)^K <= 2^24 and the reachable sums span at most 2^22,
+    which on the default net is the K = 16 interior layer at N = 1, no 8-bit edge.
     """
     for li, (layer, (gi, rows)) in enumerate(zip(net.layers, net.homes)):
         bits = layer.bits
@@ -623,7 +640,6 @@ def certify_accumulators(net: ToyNetwork, quants: list[QuantizedLayer]) -> list[
                     f"layer {li} channel {ci} overflows P={bits.P}: worst-case dot range "
                     f"[{cert.true_min}, {cert.true_max}]"
                 )
-    return quants
 
 
 def channel_cdf(layers, bits: BitWidths, p_range=range(2, 33)) -> list[tuple[int, float]]:

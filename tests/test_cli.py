@@ -1015,7 +1015,7 @@ def test_pareto_picks_lower_loss_per_variant_P(tmp_path, capsys):
     assert recs[0].final_loss == 0.3
 
 
-def test_pareto_empty_or_malformed_exits_3(tmp_path):
+def test_pareto_empty_or_malformed_exits_3(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert cli.main(["pareto", "--records", str(empty)]) == 3
@@ -1032,6 +1032,24 @@ def test_pareto_empty_or_malformed_exits_3(tmp_path):
         odd.write_text(_csv([row, "a2q,4,4,12,1,0.5,0.25,1/2"]))
         err = assert_shell_input_error(["pareto", "--records", str(odd)])
         assert row in err
+    # rows fit never writes used to print as frontier points, with exit 0
+    capsys.readouterr()
+    for row, field in [
+        ("foo,0,-3,999,-1,0.5,nan,-1/2", "variant"),
+        ("a2q,0,4,12,0,0.5,0.25,1/2", "M"),
+        ("a2q,4,-3,12,0,0.5,0.25,1/2", "N"),
+        ("a2q,4,4,999,0,0.5,0.25,1/2", "P"),
+        ("a2q,4,4,12,-1,0.5,0.25,1/2", "seed"),
+        ("a2q,4,4,12,0,-0.5,0.25,1/2", "final_loss"),
+        ("a2q,4,4,12,0,0.4,1.5,3", "sparsity"),
+        ("a2q,4,4,12,0,0.4,-0.25,3", "sparsity"),
+        ("a2q,4,4,12,0,0.4,nan,3", "sparsity"),
+        ("a2q,4,4,12,0,0.5,0.25,-1/2", "min_slack"),
+    ]:
+        odd = tmp_path / "odd.csv"
+        odd.write_text(_csv([row, "a2q,4,4,12,1,0.5,0.25,1/2"]))
+        err = assert_input_error(capsys, "pareto", "--records", str(odd))
+        assert err.startswith(f"error: {odd}: {field} ") and repr(row) in err
 
 
 def test_pareto_json(tmp_path, capsys):

@@ -64,7 +64,7 @@ def test_csv_header_matches_record_fields():
 
 def test_record_csv_round_trip():
     rec = SweepRecord(
-        variant="a2q_plus", M=4, N=4, P=12, seed=7,
+        variant="a2q+", M=4, N=4, P=12, seed=7,
         final_loss=0.12345678901234567, sparsity=0.40625,
         min_slack=Fraction(2047, 256) - 7,
     )
@@ -103,12 +103,29 @@ def test_config_takes_numpy_integers_as_ints():
         ({"hidden": (5, -1)}, "hidden[1] must be at least 1, got -1"),
         ({"output_dim": 0}, "output_dim must be at least 1, got 0"),
         ({"n_test": 0}, "n_test must be at least 1, got 0"),
+        ({"hidden": (2.5,)}, "hidden[0] must be an integer, got 2.5"),
+        ({"input_dim": True}, "input_dim must be an integer, got True"),
+        ({"n_train": -1}, "n_train must be at least 0, got -1"),
+        ({"noise_sigma": math.nan}, "noise_sigma must be finite and non-negative, got nan"),
+        ({"noise_sigma": math.inf}, "noise_sigma must be finite and non-negative, got inf"),
+        ({"noise_sigma": -0.5}, "noise_sigma must be finite and non-negative, got -0.5"),
     ],
 )
 def test_dataset_rejects_an_empty_width_or_test_set(change, message):
-    # input_dim=0 divided by zero in make_data; n_test=0 reported an empty mean as divergence
+    # input_dim=0 divided by zero in make_data; n_test=0 reported an empty mean as divergence;
+    # a float width and a bool failed inside numpy with a bare TypeError, a negative n_train
+    # with numpy's negative dimensions, and a non-finite noise as divergence at epoch 0
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(TINY, **change)
+
+
+def test_dataset_takes_numpy_integers_as_ints():
+    spec = TeacherStudentSpec(
+        input_dim=np.int64(6), hidden=(np.int32(5), np.uint8(4)), output_dim=np.int16(3),
+        n_train=np.int64(96), n_test=np.uint32(48),
+    )
+    assert [type(n) for n in (*spec.dims(), spec.n_train, spec.n_test)] == [int] * 6
+    assert spec == TINY
 
 
 def test_an_empty_training_set_trains_no_step():
@@ -182,7 +199,8 @@ def _hinge_step(ch: ChannelWeights, bits: BitWidths, variant: Variant, lam: floa
     pred, stores = forward(net, np.zeros((1, ch.K)))
     grads = backward(net, stores, np.zeros_like(pred))
     sgd_step(net, grads, config)
-    return float(grads[0].g[0]), float(grads[0].T[0]), ch.t - float(layer.t[0]), ch.d - float(layer.d[0])
+    quant = grads[0].quant
+    return float(quant.g[0]), float(quant.T[0]), ch.t - float(layer.t[0]), ch.d - float(layer.d[0])
 
 
 def test_reg_penalty_frozen_examples():
@@ -278,8 +296,8 @@ def fd_relative_errors(seed: int, h: float = 1e-4):
             return abs(a - f) / max(abs(a), abs(f), 1e-8)
 
         for gg in grads:
-            for li, rows in zip(gg.group.layers, gg.group.rows):
-                layer = net.layers[li]
+            for li in gg.group.layers:
+                layer, rows = net.layers[li], net.homes[li][1]
                 dV, dt, dd, db = gg.dV[rows], gg.dt[rows], gg.dd[rows], gg.db[rows]
                 C, K = layer.V.shape
                 for j in range(C):
@@ -343,7 +361,7 @@ def test_fit_record_is_audited(variant):
     assert 0.0 <= rec.sparsity <= 1.0
     assert rec.min_slack >= 0
     assert rec.min_slack == min_bound_slack(quantize_network(net))
-    certify_accumulators(net, quantize_network(net))
+    assert certify_accumulators(net, quantize_network(net)) is None
 
 
 def test_budgets_tighten_as_P_drops():
@@ -390,8 +408,7 @@ def test_degenerate_channel_survives_training():
     pred, stores = forward(net, data.X_train[:32])
     d_pred = 2.0 * (pred - data.y_train[:32]) / pred.size
     sgd_step(net, backward(net, stores, d_pred), cfg)
-    gi, group = next((gi, group) for gi, group in enumerate(net.groups) if 1 in group.layers)
-    rows = group.rows[group.layers.index(1)]
+    gi, rows = net.homes[1]
     assert np.all(quantize_network(net)[gi].q[rows][0] == 0)
 
 
@@ -561,12 +578,39 @@ def _assert_groups_own_their_layers(net: ToyNetwork, buffers=None) -> None:
         for whole, start in zip(wholes, (0, C * K, C * K + C, C * K + 2 * C)):
             assert whole.base is group.flat
             assert np.array_equal(whole.reshape(-1), group.flat[start : start + whole.size])
-        for i, rows in zip(group.layers, group.rows):
-            layer = net.layers[i]
+        # the group's rows tile [0, C) layer by layer, in the order of its layers
+        stops = np.cumsum([len(net.layers[i].V) for i in group.layers]).tolist()
+        assert stops[-1] == C
+        for i, start, stop in zip(group.layers, [0, *stops], stops):
+            layer, rows = net.layers[i], slice(start, stop)
             assert net.homes[i] == (gi, rows)
             for mine, whole in zip((layer.V, layer.t, layer.d, layer.bias), wholes):
+                want = whole[rows]
                 assert np.shares_memory(mine, whole)
-                assert np.array_equal(mine, whole[rows])
+                assert np.array_equal(mine, want)
+                # exactly the view of its rows: the same first byte, shape and strides
+                assert (mine.__array_interface__["data"], mine.shape, mine.strides) == (
+                    want.__array_interface__["data"], want.shape, want.strides
+                )
+
+
+@given(
+    input_dim=st.integers(1, 3),
+    hidden=st.lists(st.integers(1, 3), max_size=4).map(tuple),
+    output_dim=st.integers(1, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_homes_is_the_one_layer_to_group_map(input_dim, hidden, output_dim):
+    # widths of 1 to 3 make some fan-ins shared by several layers and some split over groups
+    dataset = TeacherStudentSpec(input_dim=input_dim, hidden=hidden, output_dim=output_dim, n_train=8, n_test=4)
+    cfg = tiny_config(dataset=dataset)
+    net = build_network(cfg, make_data(cfg).init_weights)
+    # homes names each layer once, in the group that lists it; the helper checks
+    # that each group's rows tile [0, C) in layer order and that they are its views
+    assert len(net.homes) == len(net.layers)
+    for gi, group in enumerate(net.groups):
+        assert list(group.layers) == [i for i, (home, _) in enumerate(net.homes) if home == gi]
+    _assert_groups_own_their_layers(net)
 
 
 @pytest.mark.parametrize("dataset", [TINY, SPLIT])
@@ -663,7 +707,7 @@ def test_backward_has_no_side_effects(variant, quantize):
         assert a.flat.shape == group.flat.shape and a.flat.tobytes() == b.flat.tobytes()
         for name in ("dV", "dt", "dd", "db"):
             assert getattr(a, name).base is a.flat
-        assert (a.g.tobytes(), a.T.tobytes(), a.da) == (b.g.tobytes(), b.T.tobytes(), b.da)
+        assert (a.quant.g.tobytes(), a.quant.T.tobytes(), a.da) == (b.quant.g.tobytes(), b.quant.T.tobytes(), b.da)
 
 
 @pytest.mark.parametrize("batch_size", [40, 32, 96, 200])
