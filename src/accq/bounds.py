@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InvalidBitWidthError
 
 _MAX_BITS = 64
@@ -32,6 +34,11 @@ def _check_bits(value: int, name: str, low: int, high: int = _MAX_BITS) -> None:
         raise InvalidBitWidthError(f"{name} must be an int, got {value!r}")
     if not low <= value <= high:
         raise InvalidBitWidthError(f"{name} must be in [{low}, {high}], got {value}")
+
+
+def _check_flag(value: bool, name: str) -> None:
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidBitWidthError(f"{name} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,11 +61,13 @@ class BitWidths:
         _check_bits(self.M, "M", 2, MAX_WEIGHT_BITS)
         _check_bits(self.N, "N", 1)
         _check_bits(self.P, "P", 2)
+        _check_flag(self.act_signed, "act_signed")
 
 
 def int_range(bits: int, signed: bool) -> tuple[int, int]:
     """Inclusive [lo, hi] of a two's-complement (signed) or plain (unsigned) code."""
     _check_bits(bits, "bits", 1)
+    _check_flag(signed, "signed")
     if signed:
         return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     return 0, (1 << bits) - 1
@@ -72,6 +81,7 @@ def a2q_limit(P: int, N: int, act_signed: bool = False) -> Fraction:
     """
     _check_bits(P, "P", 2)
     _check_bits(N, "N", 1)
+    _check_flag(act_signed, "act_signed")
     return Fraction((1 << (P - 1)) - 1, 1 << (N - (1 if act_signed else 0)))
 
 
@@ -93,6 +103,7 @@ def bound_ratio(N: int, act_signed: bool = False) -> Fraction:
     unsigned inputs, 2x signed, approaching 2x (unsigned) or 1x (signed) as N grows.
     """
     _check_bits(N, "N", 1)
+    _check_flag(act_signed, "act_signed")
     return Fraction(1 << (N + 1 - (1 if act_signed else 0)), (1 << N) - 1)
 
 
@@ -112,4 +123,5 @@ def min_acc_width(k_star: int, M: int, N: int, act_signed: bool = False) -> int:
         raise InvalidBitWidthError(f"k_star must be a positive int, got {k_star!r}")
     _check_bits(M, "M", 2)
     _check_bits(N, "N", 1)
+    _check_flag(act_signed, "act_signed")
     return (k_star << (N + M - 1 - (1 if act_signed else 0))).bit_length() + 1

@@ -7,7 +7,7 @@ sort-based soft-threshold: sort magnitudes, find the largest prefix whose
 entries all stay positive after paying for the radius, and subtract that
 threshold from every magnitude, clipping at zero.
 
-ep_init_layer starts a float layer inside its l1 budgets without projecting:
+ep_init_layer starts a float layer inside its _plan_rows budgets, unprojected:
 it floors each row's scale so that the budget ball covers the row's l1 mass,
 on which the projection is the identity.  ep_init is its one-row view, kept
 for the benchmark's quantize_audit workload.  Its two row rules take (C, K)
@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import BitWidths
 from .errors import NonFiniteInputError, NonPositiveRadiusError
-from .quantizers import ChannelWeights, Variant, _layer_arrays, channel_budget
+from .quantizers import ChannelWeights, Variant, _layer_arrays, _plan_rows
 
 # exponent used when a channel (or its norm) is identically zero; 2^-30 is far
 # below any realistic scale but keeps every downstream log finite
@@ -109,7 +109,7 @@ def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[n
     would collapse a row to a near one-hot spike, and the norm/scale gradients
     (both carry a factor of g or s) are too small to ever escape.  So each
     row's scale is floored at mass / limit, with the limit from
-    quantizers.channel_budget (the centered budget for A2Q+, the A2Q budget
+    quantizers._plan_rows (the centered budget for A2Q+, the A2Q budget
     when K = 1 falls back): the ball of radius s * limit covers the row's l1
     mass, the projection onto it is the identity, and none is run.  g = ||w||_1
     keeps the quantizer's min gate on the norm side.
@@ -121,7 +121,7 @@ def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[n
     (C, K) with C, K >= 1 raises ValueError naming its shape.
     """
     V = _layer_arrays(w=W)[0].copy()  # a fresh array, so ep_init's v never aliases w
-    limit = float(channel_budget(V.shape[1], bits, variant)[1])
+    limit = _plan_rows(V.shape[1], ((bits, 1),), variant).budget[0]
     mags = np.abs(V)
     masses = l1_masses(mags, "w")
     scales = max_abs_scales(mags, bits.M)

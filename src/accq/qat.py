@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -72,16 +73,22 @@ class TeacherStudentSpec:
         # a zero width divides make_data's init scale, and an empty test set mse's mean;
         # n_train may be 0, which trains no step.  As for TrainConfig's seed, a bool is
         # refused and a numpy integer is kept as an int
-        widths = [("input_dim", self.input_dim), *((f"hidden[{i}]", h) for i, h in enumerate(self.hidden))]
+        try:
+            hidden = tuple(self.hidden)
+        except TypeError:
+            raise ValueError(f"hidden must be a sequence of integers, got {self.hidden!r}") from None
+        widths = [("input_dim", self.input_dim), *((f"hidden[{i}]", h) for i, h in enumerate(hidden))]
         for name, value in [*widths, ("output_dim", self.output_dim), ("n_train", self.n_train), ("n_test", self.n_test)]:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             low = 0 if name == "n_train" else 1
             if value < low:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(self, "hidden", tuple(int(h) for h in hidden))
         for name in ("input_dim", "output_dim", "n_train", "n_test"):
             object.__setattr__(self, name, int(getattr(self, name)))
+        if isinstance(self.noise_sigma, bool) or not isinstance(self.noise_sigma, numbers.Real):
+            raise ValueError(f"noise_sigma must be a real number, got {self.noise_sigma!r}")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
 
@@ -104,7 +111,7 @@ class TrainConfig:
     dataset: TeacherStudentSpec = field(default_factory=TeacherStudentSpec)
 
     def __post_init__(self) -> None:
-        # the CSV row writes variant.value; a string such as "a2q+" is refused, as channel_budget refuses it
+        # the CSV row writes variant.value; a string such as "a2q+" is refused, as quantize_layer refuses it
         if not isinstance(self.variant, Variant):
             raise ValueError(f"variant must be a Variant member, got {self.variant!r}")
         if self.bits.act_signed:
@@ -122,6 +129,9 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        for name, value in [("lr", self.lr), ("weight_decay", self.weight_decay), ("lambda_reg", self.lambda_reg)]:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         # a negative lr ascends and a negative decay anti-decays; NaN and inf looked like divergence
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
@@ -527,7 +537,7 @@ def sgd_step(net: ToyNetwork, grads: list[GroupGrads], config: TrainConfig) -> b
         for group, flat, dV, dt, dd, quant, _, das in grads:
             # gradient of the hinge lam * max(g - T, 0) on every channel: zero on a
             # feasible gate (g <= T), so it steers only channels parked above budget
-            over = quant.g > quant.T
+            over = ~quant.gate_on_g
             if lam > 0.0 and np.logical_or.reduce(over):
                 np.add(dt, lam * quant.g * LN2, out=dt, where=over)
                 np.subtract(dd, lam * quant.T * LN2, out=dd, where=over)
@@ -674,8 +684,6 @@ def load_checkpoint(path):
         layers = []
         for entry in payload["layers"]:
             b = entry["bits"]
-            if not isinstance(b["act_signed"], bool):
-                raise ValueError(f"act_signed must be a JSON bool, got {b['act_signed']!r}")
             bw = BitWidths(M=b["M"], N=b["N"], P=b["P"], act_signed=b["act_signed"])
             V, t, d = ([c[name] for c in entry["channels"]] for name in "vtd")
             layers.append(QuantLinear(V=V, t=t, d=d, bits=bw, bias=entry["bias"], act_exp=entry["act_exp"]))

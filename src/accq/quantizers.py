@@ -26,7 +26,7 @@ differs in the last bit), so a layer's row i is exactly what channel i gives
 alone.
 
 Certificates on integer codes are checked exactly (Fraction vs. int), never in
-floats.
+floats, against each row's budget from _plan_rows, the one budget rule.
 
 Gradients: rounding uses a straight-through estimate (unit slope), weights pass
 through the clip unclipped, and each elementwise code contributes the usual
@@ -190,23 +190,6 @@ class WeightTape:
         return dv[0], float(dt[0]), float(dd[0])
 
 
-@functools.lru_cache(maxsize=1024)
-def channel_budget(K: int, bits: BitWidths, variant: Variant) -> tuple[Variant, Fraction]:
-    """The variant that actually runs on a length-K channel and its exact l1 code budget.
-
-    A2Q+ channels shorter than K_MIN_CENTER fall back to A2Q, since centering
-    would zero them out.  A variant that is not a Variant member, such as
-    its value "a2q+", is a ValueError naming it.  Cached: one-row calls pay
-    the Fraction construction otherwise, and the result (an enum member and
-    an immutable Fraction) is safe to share.
-    """
-    if not isinstance(variant, Variant):
-        raise ValueError(f"variant must be a Variant member, got {variant!r}")
-    if variant is Variant.A2Q_PLUS and K >= K_MIN_CENTER:
-        return variant, a2q_plus_limit(bits.P, bits.N)
-    return Variant.A2Q, a2q_limit(bits.P, bits.N, bits.act_signed)
-
-
 # a bit plan: runs of (bit widths, row count) that cover a layer's rows in order
 BitPlan = tuple[tuple[BitWidths, int], ...]
 
@@ -230,16 +213,23 @@ class PlanRows(NamedTuple):
 
 @functools.lru_cache(maxsize=1024)
 def _plan_rows(K: int, plan: BitPlan, variant: Variant) -> PlanRows:
-    """The plan's PlanRows, derived once per (K, plan, variant).
+    """The one budget rule: the plan's PlanRows, derived once per (K, plan, variant).
 
-    The cache key hashes every BitWidths of the plan, so a caller that
-    quantizes the same plan every step derives its rows once and calls
-    _quantize_rows with them.
+    A2Q+ runs when K >= K_MIN_CENTER, else A2Q, since centering would zero a
+    shorter row out.  A variant that is not a Variant member, such as its
+    value "a2q+", is a ValueError naming it.  The cache key hashes every
+    BitWidths of the plan, so a caller that quantizes the same plan every
+    step derives its rows once and calls _quantize_rows with them.
     """
-    active = channel_budget(K, plan[0][0], variant)[0]
+    if not isinstance(variant, Variant):
+        raise ValueError(f"variant must be a Variant member, got {variant!r}")
+    active = variant if K >= K_MIN_CENTER else Variant.A2Q
     bound, budget, cap, ranges = [], [], [], []
     for bits, n in plan:
-        limit = channel_budget(K, bits, variant)[1]
+        if active is Variant.A2Q_PLUS:
+            limit = a2q_plus_limit(bits.P, bits.N)
+        else:
+            limit = a2q_limit(bits.P, bits.N, bits.act_signed)
         bound += [limit] * n
         budget += [float(limit)] * n
         cap += [limit.numerator // limit.denominator] * n

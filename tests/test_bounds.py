@@ -1,8 +1,10 @@
 """Bit-width bookkeeping and the exact rational norm limits."""
 
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,26 @@ def test_rejects_bool_and_non_integer_widths():
         a2q_limit(16, 8.0)
     with pytest.raises(InvalidBitWidthError):
         min_acc_width(0, 8, 8)
+
+
+@pytest.mark.parametrize("flag", ["false", 0, None])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("act_signed", lambda f: BitWidths(4, 4, 8, act_signed=f)),
+        ("signed", lambda f: int_range(4, f)),
+        ("act_signed", lambda f: a2q_limit(8, 4, f)),
+        ("act_signed", lambda f: bound_ratio(4, f)),
+        ("act_signed", lambda f: min_acc_width(16, 4, 4, f)),
+    ],
+    ids=["BitWidths", "int_range", "a2q_limit", "bound_ratio", "min_acc_width"],
+)
+def test_a_signedness_flag_that_is_not_a_bool_is_refused(name, call, flag):
+    # any truthy flag read as signed: a2q_limit(8, 4, "false") gave the signed budget 127/8, not 127/16
+    with pytest.raises(InvalidBitWidthError, match=f"^{name} must be a bool, got {re.escape(repr(flag))}$"):
+        call(flag)
+    # a numpy bool is a bool
+    assert call(np.True_) == call(True) and call(np.False_) == call(False)
 
 
 def test_min_acc_width_frozen():

@@ -85,6 +85,10 @@ def test_bounds_missing_flags_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["bounds", "--ratio"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        cli.main(["bounds", "--width", "--M", "4", "--N", "4"])
+    assert err.value.code == 2
+    assert "--width needs --K, --M and --N" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- project
@@ -524,6 +528,20 @@ def test_train_out_of_range_schedule_exits_3(flag, value, capsys):
     assert flag.removeprefix("--").replace("-", "_") in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--M", "4,x", "--M wants comma-separated integers: invalid literal for int() with base 10: 'x'"),
+        ("--seed", ",", "--seed is empty"),
+    ],
+)
+def test_train_malformed_integer_list_exits_3_before_training(flag, value, message, capsys, monkeypatch):
+    _train_must_not_run(monkeypatch)
+    args = {"--M": "4", "--N": "4", "--P": "12", flag: value}
+    err = assert_input_error(capsys, "train", *(tok for item in args.items() for tok in item))
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_train_jobs_below_1_exits_3_before_training(jobs, capsys, monkeypatch):
     # these used to exit 0 after a serial run
@@ -940,7 +958,7 @@ def test_analyze_malformed_bias_or_act_exp_exits_3(fields, tmp_path):
     "bits, message",
     [
         ({"M": 4.7, "N": 4, "P": 12, "act_signed": False}, "M must be an int, got 4.7"),
-        ({"M": 4, "N": 4, "P": 12, "act_signed": "false"}, "act_signed must be a JSON bool, got 'false'"),
+        ({"M": 4, "N": 4, "P": 12, "act_signed": "false"}, "act_signed must be a bool, got 'false'"),
     ],
     ids=["fractional M", "string act_signed"],
 )

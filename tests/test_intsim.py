@@ -80,6 +80,18 @@ def test_bad_input_width_is_named_N(check, codes, N):
 
 @pytest.mark.parametrize(
     "check, codes",
+    [(check_accumulator, [8] * 16), (exhaustive_check, [8] * 16), (certify, [[8] * 16])],
+    ids=["check_accumulator", "exhaustive_check", "certify"],
+)
+def test_a_signedness_flag_that_is_not_a_bool_is_refused(check, codes):
+    # "false" is truthy: these 16 codes at N = 4 were certified as signed inputs,
+    # true_max 896, where unsigned inputs reach 1920
+    with pytest.raises(InvalidBitWidthError, match="^signed must be a bool, got 'false'$"):
+        check(codes, 4, "false", AccumulatorSpec(P=8))
+
+
+@pytest.mark.parametrize(
+    "check, codes",
     [
         (check_accumulator, np.array([[1, 2], [3, -4]])),
         (exhaustive_check, np.array([[1, 2], [3, -4]])),

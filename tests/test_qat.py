@@ -90,6 +90,16 @@ def test_config_rejects_a_non_integer_count(name, value):
         tiny_config(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("lr", "1"), ("lr", True), ("weight_decay", None), ("lambda_reg", "0.1"), ("lambda_reg", False)],
+)
+def test_config_rejects_a_rate_that_is_not_a_real_number(name, value):
+    # a string or None raised a bare TypeError from the range test, and lr=True trained as lr=1
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
+        tiny_config(**{name: value})
+
+
 def test_config_takes_numpy_integers_as_ints():
     cfg = tiny_config(seed=np.int64(3), epochs=np.int32(1), batch_size=np.uint16(32))
     assert [type(cfg.seed), type(cfg.epochs), type(cfg.batch_size)] == [int, int, int]
@@ -109,12 +119,16 @@ def test_config_takes_numpy_integers_as_ints():
         ({"noise_sigma": math.nan}, "noise_sigma must be finite and non-negative, got nan"),
         ({"noise_sigma": math.inf}, "noise_sigma must be finite and non-negative, got inf"),
         ({"noise_sigma": -0.5}, "noise_sigma must be finite and non-negative, got -0.5"),
+        ({"hidden": 5}, "hidden must be a sequence of integers, got 5"),
+        ({"noise_sigma": "0.1"}, "noise_sigma must be a real number, got '0.1'"),
+        ({"noise_sigma": True}, "noise_sigma must be a real number, got True"),
     ],
 )
 def test_dataset_rejects_an_empty_width_or_test_set(change, message):
     # input_dim=0 divided by zero in make_data; n_test=0 reported an empty mean as divergence;
     # a float width and a bool failed inside numpy with a bare TypeError, a negative n_train
-    # with numpy's negative dimensions, and a non-finite noise as divergence at epoch 0
+    # with numpy's negative dimensions, and a non-finite noise as divergence at epoch 0;
+    # an int hidden and a string noise raised a bare TypeError, and a bool noise read as 1
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(TINY, **change)
 
@@ -390,6 +404,9 @@ def test_divergence_is_reported_not_swallowed():
         ("mse", lambda *args: math.nan, 3, "non-finite loss at epoch 0"),
         # with no epochs the final evaluation's loss is the first one fit reads
         ("mse", lambda *args: math.nan, 0, "non-finite final loss"),
+        # 2^-1100 is 0: the first activation scale underflows, which _act_forward refuses
+        ("calibrate", lambda net, X: [setattr(layer, "act_exp", -1100.0) for layer in net.layers], 3,
+         "parameter overflow at epoch 0"),
     ],
 )
 def test_fit_names_each_divergence(monkeypatch, name, fake, epochs, message):

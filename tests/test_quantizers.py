@@ -18,7 +18,6 @@ from accq.quantizers import (
     K_MIN_CENTER,
     ChannelWeights,
     Variant,
-    channel_budget,
     forward_weights,
     quantize_layer,
 )
@@ -112,7 +111,8 @@ def test_channel_budget_is_the_quantizers_budget(variant, K, signed):
     bits = _bits(act_signed=signed)
     ch = ChannelWeights(v=np.arange(1.0, K + 1.0), t=1.0, d=0.0)
     res, tape = forward_weights(ch, bits, variant)
-    active, limit = channel_budget(K, bits, variant)
+    plan_rows = quantizers._plan_rows(K, ((bits, 1),), variant)
+    active, limit = plan_rows.active, plan_rows.bound[0]
     centered = variant is Variant.A2Q_PLUS and K >= K_MIN_CENTER
     assert limit == (a2q_plus_limit(bits.P, bits.N) if centered else a2q_limit(bits.P, bits.N, signed))
     assert limit == res.bound
@@ -527,7 +527,7 @@ def test_certificate_holds_over_every_accepted_width(M, N, P, signed, variant, r
     K = len(rows[0])
     V = np.array([(r * K)[:K] for r in rows])
     bits = BitWidths(M=M, N=N, P=P, act_signed=signed)
-    _, limit = channel_budget(K, bits, variant)
+    limit = quantizers._plan_rows(K, ((bits, 1),), variant).bound[0]
     t = np.full(len(V), d + math.log2(float(limit)) + t_shift)
     res = quantize_layer(V, t, np.full(len(V), d), bits, variant)
     lo, hi = int_range(M, signed=True)
@@ -542,7 +542,7 @@ def test_certificate_holds_over_every_accepted_width(M, N, P, signed, variant, r
 
 def _plan_run(rng, K: int, bits: BitWidths, variant: Variant, n: int):
     """n rows for one run of a bit plan: both gate sides, all-zero and constant rows."""
-    log_budget = math.log2(float(channel_budget(K, bits, variant)[1]))
+    log_budget = math.log2(float(quantizers._plan_rows(K, ((bits, 1),), variant).bound[0]))
     V = rng.normal(size=(n, K)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 1))
     kind = rng.integers(0, 4, size=n)
     V[kind == 0] = 0.0  # degenerate for every variant
@@ -640,13 +640,13 @@ def test_empty_or_flat_layer_is_a_value_error_naming_its_shape(shape):
         quantize_layer(np.zeros(shape), np.zeros(2), np.zeros(2), BitWidths(4, 4, 12), Variant.A2Q)
 
 
-@pytest.mark.parametrize("entry", ["channel_budget", "quantize_layer", "forward_weights"])
+@pytest.mark.parametrize("entry", ["_plan_rows", "quantize_layer", "forward_weights"])
 @pytest.mark.parametrize("variant", ["a2q+", "a2q", None])
 def test_a_variant_that_is_not_a_member_is_a_value_error_naming_it(entry, variant):
     # "a2q+" quantized under A2Q's uncentered budget, since only the member selects A2Q+'s
     bits, V = BitWidths(4, 4, 12), np.array([[0.5, -1.0, 2.0]])
     calls = {
-        "channel_budget": lambda: channel_budget(3, bits, variant),
+        "_plan_rows": lambda: quantizers._plan_rows(3, ((bits, 1),), variant),
         "quantize_layer": lambda: quantize_layer(V, np.zeros(1), np.full(1, -3.0), bits, variant),
         "forward_weights": lambda: forward_weights(ChannelWeights(v=V[0], t=0.0, d=-3.0), bits, variant),
     }
@@ -663,6 +663,15 @@ def test_non_finite_layer_input_is_refused(name, bad, variant):
     args[name].flat[-1] = bad
     with pytest.raises(NonFiniteInputError, match=f"^{name} must be finite$"):
         quantize_layer(args["V"], args["t"], args["d"], BitWidths(4, 4, 12), variant)
+
+
+@pytest.mark.parametrize("name, exponent, match", [("t", 1100.0, None), ("d", -1100.0, r"^scale 2\^d underflows to 0$")])
+def test_an_exponent_that_leaves_float_range_is_an_overflow_error(name, exponent, match):
+    # Python's float pow raises on 2^1100; 2^-1100 is a silent 0, which would divide every weight
+    args = {"V": np.array([[0.5, -1.0, 2.0], [1.0, 0.25, -0.75]]), "t": np.zeros(2), "d": np.full(2, -3.0)}
+    args[name][1] = exponent
+    with pytest.raises(OverflowError, match=match):
+        quantize_layer(args["V"], args["t"], args["d"], BitWidths(4, 4, 12), Variant.A2Q)
 
 
 def test_a_layer_given_as_lists_quantizes_as_arrays():
