@@ -13,6 +13,8 @@ against integer code norms without any float round-off.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,16 +31,44 @@ _MAX_BITS = 64
 MAX_WEIGHT_BITS = 52
 
 
-def _check_bits(value: int, name: str, low: int, high: int = _MAX_BITS) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidBitWidthError(f"{name} must be an int, got {value!r}")
+# One rule per kind of scalar field, integer, real and flag.  Each refuses a bool
+# where a number is meant and anything not of its kind, checks the range, raises
+# an error naming the field, and returns the Python value the field keeps, which
+# callers compute with: a numpy integer wraps, and 1 << np.int64(63) is -2^63
+
+
+def _int_field(value, name: str, low: int, high: float = _MAX_BITS, error=InvalidBitWidthError) -> int:
+    """value as an int in [low, high], high = math.inf for no upper bound; the defaults fit a bit width."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise error(f"{name} must be an integer, got {value!r}")
+        value = int(value)
     if not low <= value <= high:
-        raise InvalidBitWidthError(f"{name} must be in [{low}, {high}], got {value}")
+        span = f"at least {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise error(f"{name} must be {span}, got {value}")
+    return value
 
 
-def _check_flag(value: bool, name: str) -> None:
-    if not isinstance(value, (bool, np.bool_)):
-        raise InvalidBitWidthError(f"{name} must be a bool, got {value!r}")
+def _real_field(value, name: str, low: float = -math.inf, error=ValueError, strict: bool = False) -> float:
+    """value as a finite float, at least low (above it if strict); an int, a Fraction or a numpy number converts."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int or a Fraction past float range
+            value = math.inf if value > 0 else -math.inf
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        span = "" if low == -math.inf else f" and {'above' if strict else 'at least'} {low:g}"
+        raise error(f"{name} must be finite{span}, got {value}")
+    return value
+
+
+def _flag_field(value, name: str) -> bool:
+    """value as a bool, a numpy bool converted; InvalidBitWidthError otherwise."""
+    if type(value) is bool or isinstance(value, np.bool_):
+        return bool(value)
+    raise InvalidBitWidthError(f"{name} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,17 +88,16 @@ class BitWidths:
     act_signed: bool = False
 
     def __post_init__(self) -> None:
-        _check_bits(self.M, "M", 2, MAX_WEIGHT_BITS)
-        _check_bits(self.N, "N", 1)
-        _check_bits(self.P, "P", 2)
-        _check_flag(self.act_signed, "act_signed")
+        object.__setattr__(self, "M", _int_field(self.M, "M", 2, MAX_WEIGHT_BITS))
+        object.__setattr__(self, "N", _int_field(self.N, "N", 1))
+        object.__setattr__(self, "P", _int_field(self.P, "P", 2))
+        object.__setattr__(self, "act_signed", _flag_field(self.act_signed, "act_signed"))
 
 
 def int_range(bits: int, signed: bool) -> tuple[int, int]:
     """Inclusive [lo, hi] of a two's-complement (signed) or plain (unsigned) code."""
-    _check_bits(bits, "bits", 1)
-    _check_flag(signed, "signed")
-    if signed:
+    bits = _int_field(bits, "bits", 1)
+    if _flag_field(signed, "signed"):
         return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     return 0, (1 << bits) - 1
 
@@ -79,10 +108,8 @@ def a2q_limit(P: int, N: int, act_signed: bool = False) -> Fraction:
     Holds for arbitrary integer q (no zero-sum requirement).  Signed inputs get a
     factor-2 wider budget because their magnitude ceiling is half as large.
     """
-    _check_bits(P, "P", 2)
-    _check_bits(N, "N", 1)
-    _check_flag(act_signed, "act_signed")
-    return Fraction((1 << (P - 1)) - 1, 1 << (N - (1 if act_signed else 0)))
+    P, N = _int_field(P, "P", 2), _int_field(N, "N", 1)
+    return Fraction((1 << (P - 1)) - 1, 1 << (N - _flag_field(act_signed, "act_signed")))
 
 
 def a2q_plus_limit(P: int, N: int) -> Fraction:
@@ -91,8 +118,7 @@ def a2q_plus_limit(P: int, N: int) -> Fraction:
     For zero-sum q the accumulator range consumed by the dot product is symmetric,
     which buys (2^P - 2) / (2^N - 1) regardless of input signedness.
     """
-    _check_bits(P, "P", 2)
-    _check_bits(N, "N", 1)
+    P, N = _int_field(P, "P", 2), _int_field(N, "N", 1)
     return Fraction((1 << P) - 2, (1 << N) - 1)
 
 
@@ -102,9 +128,8 @@ def bound_ratio(N: int, act_signed: bool = False) -> Fraction:
     Equals 2^(N + 1 - 1{signed}) / (2^N - 1): a 4x budget increase at N = 1 for
     unsigned inputs, 2x signed, approaching 2x (unsigned) or 1x (signed) as N grows.
     """
-    _check_bits(N, "N", 1)
-    _check_flag(act_signed, "act_signed")
-    return Fraction(1 << (N + 1 - (1 if act_signed else 0)), (1 << N) - 1)
+    N = _int_field(N, "N", 1)
+    return Fraction(1 << (N + 1 - _flag_field(act_signed, "act_signed")), (1 << N) - 1)
 
 
 def min_acc_width(k_star: int, M: int, N: int, act_signed: bool = False) -> int:
@@ -119,9 +144,5 @@ def min_acc_width(k_star: int, M: int, N: int, act_signed: bool = False) -> int:
     2^N - 1 by 2^N): one bit typically, two in the N = 1 corner where that
     slack compounds with the rounding headroom.  It never under-reserves.
     """
-    if not isinstance(k_star, int) or isinstance(k_star, bool) or k_star < 1:
-        raise InvalidBitWidthError(f"k_star must be a positive int, got {k_star!r}")
-    _check_bits(M, "M", 2)
-    _check_bits(N, "N", 1)
-    _check_flag(act_signed, "act_signed")
-    return (k_star << (N + M - 1 - (1 if act_signed else 0))).bit_length() + 1
+    k_star, M, N = _int_field(k_star, "k_star", 1, math.inf), _int_field(M, "M", 2), _int_field(N, "N", 1)
+    return (k_star << (N + M - 1 - _flag_field(act_signed, "act_signed"))).bit_length() + 1

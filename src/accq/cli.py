@@ -115,22 +115,21 @@ def _read_text(path: str) -> str:
 # ---------------------------------------------------------------- bounds
 
 def cmd_bounds(ns: argparse.Namespace) -> int:
-    signed = bool(ns.signed)
     if ns.ratio:
         if ns.N is None:
             ns.parser.error("--ratio needs --N")
-        r = bound_ratio(ns.N, signed)
+        r = bound_ratio(ns.N, ns.signed)
         print(json.dumps({"bound_ratio": str(r)}) if ns.json else r)
         return EXIT_OK
     if ns.width:
         if ns.K is None or ns.M is None or ns.N is None:
             ns.parser.error("--width needs --K, --M and --N")
-        p_star = min_acc_width(ns.K, ns.M, ns.N, signed)
+        p_star = min_acc_width(ns.K, ns.M, ns.N, ns.signed)
         print(json.dumps({"min_acc_width": p_star}) if ns.json else p_star)
         return EXIT_OK
     if ns.P is None or ns.N is None:
         ns.parser.error("need --P and --N (or --ratio / --width)")
-    lim = a2q_limit(ns.P, ns.N, signed)
+    lim = a2q_limit(ns.P, ns.N, ns.signed)
     lim_plus = a2q_plus_limit(ns.P, ns.N)
     if ns.json:
         print(json.dumps({"a2q_limit": str(lim), "a2q_plus_limit": str(lim_plus)}))
@@ -238,7 +237,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         rows = _line_rows(text, ns.weights)
     # certify the whole file before printing, so a rejected file prints nothing,
     # then print it in one write
-    certs = certify(rows, ns.N, bool(ns.signed), AccumulatorSpec(P=ns.P), exhaustive=ns.exhaustive)
+    certs = certify(rows, ns.N, ns.signed, AccumulatorSpec(P=ns.P), exhaustive=ns.exhaustive)
     sys.stdout.write(_cert_lines(certs))
     return EXIT_VERIFY if any(cert.overflowed for cert in certs) else EXIT_OK
 
@@ -354,7 +353,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 
     if ns.pmin < 2 or ns.pmax < ns.pmin:
         ns.parser.error("need 2 <= pmin <= pmax")
-    bits = BitWidths(M=ns.M, N=ns.N, P=ns.pmax, act_signed=bool(ns.signed))
+    bits = BitWidths(M=ns.M, N=ns.N, P=ns.pmax, act_signed=ns.signed)
     layers = _checkpoint_layers(ns.ckpt)
     try:
         curve = channel_cdf(layers, bits, p_range=range(ns.pmin, ns.pmax + 1))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BitWidths
+from .bounds import BitWidths, _real_field
 from .errors import NonFiniteInputError, NonPositiveRadiusError
 from .quantizers import ChannelWeights, Variant, _layer_arrays, _plan_rows
 
@@ -45,12 +45,12 @@ def project_l1_ball(w, radius: float) -> ProjectionResult:
 
     Inactive (returns w unchanged, theta 0) when w is already inside the ball.
     Otherwise the result sits exactly on the boundary, preserves signs, and
-    never grows any coordinate's magnitude.  NonFiniteInputError when w's l1
-    mass (l1_masses on w as one row) is not finite; ValueError when w has more
-    than one dimension.
+    never grows any coordinate's magnitude.  NonPositiveRadiusError unless
+    radius is a positive finite real (kept as a float); NonFiniteInputError
+    when w's l1 mass (l1_masses on w as one row) is not finite; ValueError when
+    w has more than one dimension.
     """
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise NonPositiveRadiusError(f"radius must be positive and finite, got {radius!r}")
+    radius = _real_field(radius, "radius", 0.0, NonPositiveRadiusError, strict=True)
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     if w_arr.ndim != 1:
         raise ValueError(f"w must be one-dimensional, got shape {w_arr.shape}")
@@ -138,4 +138,4 @@ def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[n
 def ep_init(w, bits: BitWidths, variant: Variant = Variant.A2Q) -> ChannelWeights:
     """ep_init_layer on one float channel, as a ChannelWeights: v = w, g = ||w||_1; an empty w raises ValueError."""
     V, t, d = ep_init_layer(np.atleast_1d(np.asarray(w, dtype=float))[None], bits, variant)
-    return ChannelWeights(v=V[0], t=t[0], d=d[0])
+    return ChannelWeights(v=V[0], t=t.item(), d=d.item())

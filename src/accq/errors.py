@@ -2,20 +2,21 @@
 
 The CLI maps the width and divergence errors onto exit 3 and the
 exhaustive oracle's refusal onto exit 5; the trainer's certificate raises
-AccumulatorOverflowError.  Keep the hierarchy flat and explicit.
+AccumulatorOverflowError.  A scalar field the rules in bounds refuse raises
+the error its caller names, always a ValueError.  Keep the hierarchy flat.
 """
 
 
 class InvalidBitWidthError(ValueError):
-    """A bit width is outside its legal range (or K is not positive)."""
+    """A bit width, k_star or a flag (act_signed, signed, exhaustive) is not of its kind or outside its range."""
 
 
 class NonFiniteInputError(ValueError):
-    """A float input contains NaN or infinity."""
+    """A float input contains NaN or infinity, or a real field (act_exp, t, d) is not a finite real number."""
 
 
 class NonPositiveRadiusError(ValueError):
-    """An l1 projection radius must be strictly positive."""
+    """An l1 projection radius is not a positive finite real number."""
 
 
 class EnumerationBudgetError(RuntimeError):

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _check_bits, int_range
+from .bounds import _flag_field, _int_field, int_range
 from .errors import EnumerationBudgetError, NonFiniteInputError
 
 ENUM_BUDGET = 1 << 24  # most input vectors, (2^N)^K, the exhaustive oracle takes in one row
@@ -60,7 +60,7 @@ class AccumulatorSpec:
     P: int
 
     def __post_init__(self) -> None:
-        _check_bits(self.P, "P", 2)
+        object.__setattr__(self, "P", _int_field(self.P, "P", 2))
 
     @property
     def lo(self) -> int:
@@ -110,16 +110,16 @@ def _int_vector(q) -> list[int]:
 
 def wrap(value: int, P: int) -> int:
     """Reduce an exact integer into the signed P-bit range, two's complement; NonFiniteInputError for a non-integer."""
-    _check_bits(P, "P", 2)
+    P = _int_field(P, "P", 2)
     (value,) = _int_vector([value])
     lo = -(1 << (P - 1))
     return ((value - lo) % (1 << P)) + lo
 
 
-def _input_range(N: int, act_signed: bool) -> tuple[int, int]:
-    # [c, d] of the N-bit inputs, a bad width named N at every entry point
-    _check_bits(N, "N", 1)
-    return int_range(N, act_signed)
+def _input_range(N: int, act_signed: bool) -> tuple[int, int, int]:
+    # N as an int and [c, d] of the N-bit inputs; a bad N or act_signed is named so at every entry point
+    N = _int_field(N, "N", 1)
+    return (N, *int_range(N, _flag_field(act_signed, "act_signed")))
 
 
 def _extremes(qs: list[int], c: int, d: int) -> tuple[int, int]:
@@ -143,7 +143,7 @@ class Certificate(NamedTuple):
 
 def check_accumulator(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Certificate:
     """certify's closed form on row q, without the oracle: a Certificate, exhaustive false; a bare code is a one-code row."""
-    c, d = _input_range(N, act_signed)
+    _, c, d = _input_range(N, act_signed)
     row = np.atleast_1d(q if isinstance(q, np.ndarray) else np.asarray(q, dtype=object))
     (K,), (f,), (e,) = _closed_forms([row], c, d)
     return Certificate(K, f, e, f > spec.hi or e < spec.lo, False)
@@ -180,7 +180,7 @@ def exhaustive_check(q, N: int, act_signed: bool, spec: AccumulatorSpec) -> Accu
     (2^N)^K exceeds ENUM_BUDGET, 2^24, or else when the span
     2 * K * max|q| * max(|c|, |d|) exceeds 2^22.
     """
-    qs, (c, d) = _int_vector(q), _input_range(N, act_signed)
+    qs, (N, c, d) = _int_vector(q), _input_range(N, act_signed)
     K = len(qs)
     if not _enumerable(K, N):
         raise EnumerationBudgetError(f"{(1 << N) ** K} input vectors exceed budget {ENUM_BUDGET}")
@@ -252,7 +252,8 @@ def certify(
     past either of the oracle's limits raises EnumerationBudgetError before
     any result is returned.
     """
-    c, d = _input_range(N, act_signed)
+    N, c, d = _input_range(N, act_signed)
+    exhaustive = _flag_field(exhaustive, "exhaustive")
     if isinstance(rows, np.ndarray) and rows.ndim < 2:
         raise ValueError(f"rows must be a (C, K) array or a sequence of rows, got shape {rows.shape}")
     rows = list(rows)

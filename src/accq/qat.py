@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +37,7 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .bounds import BitWidths, a2q_limit, int_range
+from .bounds import BitWidths, _int_field, _real_field, a2q_limit, int_range
 from .epinit import ZERO_EXPONENT, ep_init_layer, l1_masses, max_abs_scales
 from .errors import AccumulatorOverflowError, DivergenceError, NonFiniteInputError
 from .intsim import AccumulatorSpec, certify
@@ -71,26 +70,17 @@ class TeacherStudentSpec:
 
     def __post_init__(self) -> None:
         # a zero width divides make_data's init scale, and an empty test set mse's mean;
-        # n_train may be 0, which trains no step.  As for TrainConfig's seed, a bool is
-        # refused and a numpy integer is kept as an int
+        # n_train may be 0, which trains no step
         try:
             hidden = tuple(self.hidden)
         except TypeError:
             raise ValueError(f"hidden must be a sequence of integers, got {self.hidden!r}") from None
-        widths = [("input_dim", self.input_dim), *((f"hidden[{i}]", h) for i, h in enumerate(hidden))]
-        for name, value in [*widths, ("output_dim", self.output_dim), ("n_train", self.n_train), ("n_test", self.n_test)]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            low = 0 if name == "n_train" else 1
-            if value < low:
-                raise ValueError(f"{name} must be at least {low}, got {value}")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in hidden))
-        for name in ("input_dim", "output_dim", "n_train", "n_test"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if isinstance(self.noise_sigma, bool) or not isinstance(self.noise_sigma, numbers.Real):
-            raise ValueError(f"noise_sigma must be a real number, got {self.noise_sigma!r}")
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
+        object.__setattr__(
+            self, "hidden", tuple(_int_field(h, f"hidden[{i}]", 1, math.inf, ValueError) for i, h in enumerate(hidden))
+        )
+        for name, low in (("input_dim", 1), ("output_dim", 1), ("n_train", 0), ("n_test", 1)):
+            object.__setattr__(self, name, _int_field(getattr(self, name), name, low, math.inf, ValueError))
+        object.__setattr__(self, "noise_sigma", _real_field(self.noise_sigma, "noise_sigma", 0.0))
 
     def dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, self.output_dim)
@@ -114,32 +104,19 @@ class TrainConfig:
         # the CSV row writes variant.value; a string such as "a2q+" is refused, as quantize_layer refuses it
         if not isinstance(self.variant, Variant):
             raise ValueError(f"variant must be a Variant member, got {self.variant!r}")
+        for name, kind in (("bits", BitWidths), ("dataset", TeacherStudentSpec)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if self.bits.act_signed:
             raise ValueError("hidden activations are unsigned after ReLU; bits.act_signed must be False")
         # the CSV row writes seed as it is, and a bool there is one SweepRecord cannot read back;
         # a numpy integer is kept as an int, so batch offsets cannot wrap at its width
-        for name in ("seed", "epochs", "batch_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        for name, value in [("lr", self.lr), ("weight_decay", self.weight_decay), ("lambda_reg", self.lambda_reg)]:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        # a negative lr ascends and a negative decay anti-decays; NaN and inf looked like divergence
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be finite and non-negative, got {self.weight_decay}")
-        # sgd_step's hinge runs only for lam > 0, so NaN and negatives would silently mean 0
-        if not 0.0 <= self.lambda_reg < math.inf:
-            raise ValueError(f"lambda_reg must be finite and non-negative, got {self.lambda_reg}")
+        for name, low in (("seed", 0), ("epochs", 0), ("batch_size", 1)):
+            object.__setattr__(self, name, _int_field(getattr(self, name), name, low, math.inf, ValueError))
+        # a negative lr ascends and a negative decay anti-decays; NaN and inf looked like divergence,
+        # and sgd_step's hinge runs only for lam > 0, so NaN and negatives would silently mean 0
+        for name, strict in (("lr", True), ("weight_decay", False), ("lambda_reg", False)):
+            object.__setattr__(self, name, _real_field(getattr(self, name), name, 0.0, strict=strict))
 
 
 @dataclass(frozen=True)
@@ -213,7 +190,8 @@ class QuantLinear:
     bias are row views of its fan-in group's buffer, so an in-place edit of
     them is what the next step reads.  act_exp, the input quantizer's scale
     exponent, is a plain float the layer keeps.  A misshapen or non-finite
-    field, act_exp included, is a ValueError or NonFiniteInputError naming it.
+    field, act_exp included, is a ValueError or NonFiniteInputError naming it,
+    as is an act_exp that is not a real number or bits that are not a BitWidths.
     """
 
     V: np.ndarray
@@ -227,9 +205,9 @@ class QuantLinear:
         # the group buffer would broadcast a short t, d or bias over the layer's rows
         bias = np.zeros(np.shape(self.t)) if self.bias is None else self.bias
         self.V, self.t, self.d, self.bias = _layer_arrays(V=self.V, t=self.t, d=self.d, bias=bias)
-        self.act_exp = float(self.act_exp)
-        if not math.isfinite(self.act_exp):
-            raise NonFiniteInputError("act_exp must be finite")
+        if not isinstance(self.bits, BitWidths):
+            raise ValueError(f"bits must be a BitWidths, got {self.bits!r}")
+        self.act_exp = _real_field(self.act_exp, "act_exp", error=NonFiniteInputError)
 
     @property
     def channels(self) -> list[ChannelWeights]:
@@ -674,7 +652,7 @@ def load_checkpoint(path):
     """Read a checkpoint; returns ("quantized", ToyNetwork) or ("float", one (C, K) array per layer).
 
     Each layer's channels stack into arrays, so a layer with none or with ragged ones is a ValueError.
-    Bit widths are read as stored: M, N and P must be JSON ints and act_signed a JSON bool.
+    Scalars are read as stored: M, N and P must be JSON integers, act_signed a JSON bool and act_exp a JSON number.
     """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BitWidths, a2q_limit, a2q_plus_limit, int_range
+from .bounds import BitWidths, _real_field, a2q_limit, a2q_plus_limit, int_range
 from .errors import NonFiniteInputError
 
 LN2 = math.log(2.0)
@@ -79,10 +79,8 @@ class ChannelWeights:
 
     def __post_init__(self) -> None:
         self.v = finite_vector(self.v, "v")
-        self.t = float(self.t)
-        self.d = float(self.d)
-        if not (math.isfinite(self.t) and math.isfinite(self.d)):
-            raise NonFiniteInputError("t and d must be finite")
+        self.t = _real_field(self.t, "t", error=NonFiniteInputError)
+        self.d = _real_field(self.d, "d", error=NonFiniteInputError)
 
     @property
     def K(self) -> int:

@@ -957,7 +957,7 @@ def test_analyze_malformed_bias_or_act_exp_exits_3(fields, tmp_path):
 @pytest.mark.parametrize(
     "bits, message",
     [
-        ({"M": 4.7, "N": 4, "P": 12, "act_signed": False}, "M must be an int, got 4.7"),
+        ({"M": 4.7, "N": 4, "P": 12, "act_signed": False}, "M must be an integer, got 4.7"),
         ({"M": 4, "N": 4, "P": 12, "act_signed": "false"}, "act_signed must be a bool, got 'false'"),
     ],
     ids=["fractional M", "string act_signed"],
@@ -968,6 +968,14 @@ def test_analyze_checkpoint_bit_widths_are_not_coerced(bits, message, tmp_path, 
     path.write_text(json.dumps(_one_channel_layer(bits=bits)))
     err = assert_input_error(capsys, "analyze", "--ckpt", str(path), "--M", "4", "--N", "4")
     assert err == f"error: bad checkpoint {path}: {message}\n"
+
+
+def test_analyze_checkpoint_act_exp_is_not_coerced(tmp_path, capsys):
+    # the string "0.5" read as the exponent 0.5
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(_one_channel_layer(act_exp="0.5")))
+    err = assert_input_error(capsys, "analyze", "--ckpt", str(path), "--M", "4", "--N", "4")
+    assert err == f"error: bad checkpoint {path}: act_exp must be a real number, got '0.5'\n"
 
 
 def test_analyze_subnormal_float_channel_exits_3(tmp_path):

@@ -85,8 +85,8 @@ def test_bad_input_width_is_named_N(check, codes, N):
 )
 def test_a_signedness_flag_that_is_not_a_bool_is_refused(check, codes):
     # "false" is truthy: these 16 codes at N = 4 were certified as signed inputs,
-    # true_max 896, where unsigned inputs reach 1920
-    with pytest.raises(InvalidBitWidthError, match="^signed must be a bool, got 'false'$"):
+    # true_max 896, where unsigned inputs reach 1920; the flag is named as these callers name it
+    with pytest.raises(InvalidBitWidthError, match="^act_signed must be a bool, got 'false'$"):
         check(codes, 4, "false", AccumulatorSpec(P=8))
 
 

@@ -75,7 +75,7 @@ def test_record_csv_round_trip():
 
 def test_config_rejects_a_negative_seed():
     # make_data would take it and fail later with numpy's bare "expected non-negative integer"
-    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
         tiny_config(seed=-1)
     assert tiny_config(seed=0).seed == 0
 
@@ -116,9 +116,9 @@ def test_config_takes_numpy_integers_as_ints():
         ({"hidden": (2.5,)}, "hidden[0] must be an integer, got 2.5"),
         ({"input_dim": True}, "input_dim must be an integer, got True"),
         ({"n_train": -1}, "n_train must be at least 0, got -1"),
-        ({"noise_sigma": math.nan}, "noise_sigma must be finite and non-negative, got nan"),
-        ({"noise_sigma": math.inf}, "noise_sigma must be finite and non-negative, got inf"),
-        ({"noise_sigma": -0.5}, "noise_sigma must be finite and non-negative, got -0.5"),
+        ({"noise_sigma": math.nan}, "noise_sigma must be finite and at least 0, got nan"),
+        ({"noise_sigma": math.inf}, "noise_sigma must be finite and at least 0, got inf"),
+        ({"noise_sigma": -0.5}, "noise_sigma must be finite and at least 0, got -0.5"),
         ({"hidden": 5}, "hidden must be a sequence of integers, got 5"),
         ({"noise_sigma": "0.1"}, "noise_sigma must be a real number, got '0.1'"),
         ({"noise_sigma": True}, "noise_sigma must be a real number, got True"),
@@ -151,6 +151,24 @@ def test_config_rejects_a_variant_that_is_not_a_member():
     # "a2q+" trained a whole A2Q run, then failed writing its CSV row with an AttributeError
     with pytest.raises(ValueError, match=r"^variant must be a Variant member, got 'a2q\+'$"):
         tiny_config(variant="a2q+")
+
+
+@pytest.mark.parametrize(
+    "name, value, kind",
+    [("bits", None, "BitWidths"), ("bits", (4, 4, 12), "BitWidths"), ("dataset", None, "TeacherStudentSpec")],
+    ids=["bits None", "bits tuple", "dataset None"],
+)
+def test_config_rejects_bits_or_a_dataset_of_another_type(name, value, kind):
+    # bits=None raised AttributeError: 'NoneType' object has no attribute 'act_signed'; dataset=None failed inside fit
+    with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got {re.escape(repr(value))}$"):
+        tiny_config(**{name: value})
+
+
+@pytest.mark.parametrize("bits", [None, (4, 4, 16)], ids=["None", "tuple"])
+def test_a_layer_rejects_bits_that_are_not_a_bitwidths(bits):
+    # QuantLinear(bits=None) was accepted, and failed later wherever a layer's widths were read
+    with pytest.raises(ValueError, match=f"^bits must be a BitWidths, got {re.escape(repr(bits))}$"):
+        QuantLinear(V=[[1.0, 2.0]], t=[0.0], d=[0.0], bits=bits)
 
 
 def test_config_rejects_unbudgeted_variant_and_signed_acts():
@@ -885,7 +903,9 @@ def test_a_layer_rejects_a_non_finite_field_by_name(name, bad):
     # a NaN code row once wrapped its int64 |q| sum to 0 and passed its l1 bound
     fields = {"V": [[1.0, 2.0]], "t": [0.0], "d": [0.0], "bias": [0.0], "act_exp": 0.0}
     fields[name] = bad if name == "act_exp" else np.full(np.shape(fields[name]), bad)
-    with pytest.raises(NonFiniteInputError, match=f"^{name} must be finite$"):
+    # act_exp, a scalar, names its value; the arrays do not
+    message = f"act_exp must be finite, got {bad}" if name == "act_exp" else f"{name} must be finite"
+    with pytest.raises(NonFiniteInputError, match=f"^{message}$"):
         QuantLinear(bits=BitWidths(M=4, N=4, P=16), **fields)
 
 
