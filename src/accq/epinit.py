@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import BitWidths, _real_field
 from .errors import NonFiniteInputError, NonPositiveRadiusError
-from .quantizers import ChannelWeights, Variant, _layer_arrays, _plan_rows
+from .quantizers import ChannelWeights, Variant, _bit_plan, _float_array, _layer_arrays, _plan_rows
 
 # exponent used when a channel (or its norm) is identically zero; 2^-30 is far
 # below any realistic scale but keeps every downstream log finite
@@ -47,11 +47,11 @@ def project_l1_ball(w, radius: float) -> ProjectionResult:
     Otherwise the result sits exactly on the boundary, preserves signs, and
     never grows any coordinate's magnitude.  NonPositiveRadiusError unless
     radius is a positive finite real (kept as a float); NonFiniteInputError
-    when w's l1 mass (l1_masses on w as one row) is not finite; ValueError when
-    w has more than one dimension.
+    when w's l1 mass (l1_masses on w as one row) is not finite or w holds a
+    string or a bool; ValueError when w has more than one dimension.
     """
     radius = _real_field(radius, "radius", 0.0, NonPositiveRadiusError, strict=True)
-    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+    w_arr = np.atleast_1d(_float_array(w, "w"))
     if w_arr.ndim != 1:
         raise ValueError(f"w must be one-dimensional, got shape {w_arr.shape}")
     mags = np.abs(w_arr)
@@ -117,11 +117,12 @@ def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[n
     Masses and max-abs scales come from the row rules, each row's floor and
     log2 in Python floats, which keeps the one-row view ep_init cheap.  A row
     that is not finite, whose mass or floor leaves float range, or whose
-    max-abs scale underflows to 0 raises NonFiniteInputError; a W that is not
-    (C, K) with C, K >= 1 raises ValueError naming its shape.
+    max-abs scale underflows to 0 raises NonFiniteInputError, as does a string
+    or bool entry; a W that is not (C, K) with C, K >= 1 raises ValueError
+    naming its shape, and bits that are not a BitWidths one naming bits.
     """
     V = _layer_arrays(w=W)[0].copy()  # a fresh array, so ep_init's v never aliases w
-    limit = _plan_rows(V.shape[1], ((bits, 1),), variant).budget[0]
+    limit = _plan_rows(V.shape[1], _bit_plan(bits, 1), variant).budget[0]
     mags = np.abs(V)
     masses = l1_masses(mags, "w")
     scales = max_abs_scales(mags, bits.M)
@@ -137,5 +138,5 @@ def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[n
 
 def ep_init(w, bits: BitWidths, variant: Variant = Variant.A2Q) -> ChannelWeights:
     """ep_init_layer on one float channel, as a ChannelWeights: v = w, g = ||w||_1; an empty w raises ValueError."""
-    V, t, d = ep_init_layer(np.atleast_1d(np.asarray(w, dtype=float))[None], bits, variant)
+    V, t, d = ep_init_layer(np.atleast_1d(_float_array(w, "w"))[None], bits, variant)
     return ChannelWeights(v=V[0], t=t.item(), d=d.item())

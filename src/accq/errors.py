@@ -12,7 +12,7 @@ class InvalidBitWidthError(ValueError):
 
 
 class NonFiniteInputError(ValueError):
-    """A float input contains NaN or infinity, or a real field (act_exp, t, d) is not a finite real number."""
+    """A float input contains NaN or infinity, or a real field (act_exp, t, d) or array entry is not a finite real number."""
 
 
 class NonPositiveRadiusError(ValueError):

@@ -219,7 +219,8 @@ def _closed_forms(rows: list, c: int, d: int) -> tuple[list[int], list[int], lis
         if max(sizes) * max(int(flat.max()), -int(flat.min())) * reach < _INT64_GUARD:
             starts = list(itertools.accumulate(sizes[:-1], initial=0))  # np.cumsum costs more on a few rows
             alpha = np.add.reduceat(np.maximum(flat, 0), starts)
-            beta = np.add.reduceat(np.minimum(flat, 0), starts)
+            # the negative mass is the row's total less its positive one, exact below 2^62
+            beta = np.add.reduceat(flat, starts) - alpha
             return sizes, (d * alpha + c * beta).tolist(), (c * alpha + d * beta).tolist()
     out = []
     for i, row in enumerate(rows):

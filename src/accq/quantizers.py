@@ -59,9 +59,29 @@ class Variant(enum.Enum):
     A2Q_PLUS = "a2q+"
 
 
+def _float_array(x, name: str) -> np.ndarray:
+    """x as a float array, or a ValueError naming name: ragged or not numbers, or an entry that is not a real.
+
+    An integer or float ndarray converts at once.  Anything else has its
+    entries read through the real rule too, since numpy reads a string "1.5"
+    as 1.5 and a True, even in [True, 0.5], as 1.0; such an entry is a
+    NonFiniteInputError.  Finiteness is the caller's check.
+    """
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, not numbers, or an int past float range
+        raise ValueError(f"{name} must be an array of floats: {exc}") from None
+    # a float64 ndarray comes back as itself
+    if arr is not x and not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
+        for item in np.asarray(x, dtype=object).ravel().tolist():
+            if type(item) is not float:
+                _real_field(item, name, error=NonFiniteInputError)
+    return arr
+
+
 def finite_vector(x, name: str) -> np.ndarray:
     """x as a nonempty 1-d float vector (a scalar is one entry); ValueError or NonFiniteInputError otherwise."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.atleast_1d(_float_array(x, name))
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-d vector")
     if not np.isfinite(v).all():
@@ -209,6 +229,13 @@ class PlanRows(NamedTuple):
     hi: np.ndarray
 
 
+def _bit_plan(bits: BitWidths, rows: int) -> BitPlan:
+    """The plan of rows rows at bits, checked before _plan_rows's cache hashes it: ValueError naming bits unless a BitWidths."""
+    if not isinstance(bits, BitWidths):
+        raise ValueError(f"bits must be a BitWidths, got {bits!r}")
+    return ((bits, rows),)
+
+
 @functools.lru_cache(maxsize=1024)
 def _plan_rows(K: int, plan: BitPlan, variant: Variant) -> PlanRows:
     """The one budget rule: the plan's PlanRows, derived once per (K, plan, variant).
@@ -255,10 +282,7 @@ def _layer_arrays(**arrays) -> list[np.ndarray]:
     """The first array as (C, K) floats, C, K >= 1, the rest as (C,) ones, all finite, or an error naming one."""
     out: list[np.ndarray] = []
     for name, x in arrays.items():
-        try:
-            x = np.asarray(x, dtype=float)
-        except (TypeError, ValueError) as exc:  # ragged rows, or not numbers
-            raise ValueError(f"{name} must be an array of floats: {exc}") from None
+        x = _float_array(x, name)
         if not out and (x.ndim != 2 or not x.size):
             raise ValueError(f"{name} must be a (C, K) array with C, K >= 1, got shape {x.shape}")
         if out and x.shape != out[0].shape[:1]:
@@ -274,13 +298,14 @@ def quantize_layer(V: np.ndarray, t: np.ndarray, d: np.ndarray, bits: BitWidths,
 
     Row i uses direction V[i], norm 2^t[i] and scale 2^d[i]; every row shares
     the bit widths bits and, sharing K, the variant that runs.  V, t and d may
-    be any float array-likes.  Raises ValueError naming V's shape unless
-    C, K >= 1 (ragged rows named too), or t's or d's unless (C,);
-    NonFiniteInputError unless all three are finite; OverflowError when a norm
-    or scale exponent leaves float range, a scale underflowing to 0 included.
+    be any array-likes of real numbers.  Raises ValueError naming V's shape
+    unless C, K >= 1 (ragged rows named too), t's or d's unless (C,), or bits
+    unless a BitWidths; NonFiniteInputError unless all three are finite real
+    numbers (a string or bool entry is not); OverflowError when a norm or
+    scale exponent leaves float range, a scale underflowing to 0 included.
     """
     V, t, d = _layer_arrays(V=V, t=t, d=d)
-    return _quantize_rows(V, t, d, _plan_rows(V.shape[1], ((bits, len(V)),), variant))
+    return _quantize_rows(V, t, d, _plan_rows(V.shape[1], _bit_plan(bits, len(V)), variant))
 
 
 def _quantize_rows(V: np.ndarray, t: np.ndarray, d: np.ndarray, plan_rows: PlanRows) -> QuantizedLayer:
@@ -350,6 +375,6 @@ def forward_weights(ch: ChannelWeights, bits: BitWidths, variant: Variant) -> tu
     ChannelWeights has checked its input.  The one view is returned twice, as
     the (result, tape) pair the benchmark's quantize_audit workload unpacks.
     """
-    plan_rows = _plan_rows(ch.K, ((bits, 1),), variant)
+    plan_rows = _plan_rows(ch.K, _bit_plan(bits, 1), variant)
     row = WeightTape(_quantize_rows(ch.v[None], np.array([ch.t]), np.array([ch.d]), plan_rows))
     return row, row

@@ -294,6 +294,9 @@ def test_verify_lenient_lines_keep_their_output(tmp_path, capsys, text, code, ou
 
 _STRICT_LINE = re.compile(r"[+-]?[0-9]{1,18}(,[+-]?[0-9]{1,18})*")
 _DIGITS = "0123456789"
+# stray characters: strict bytes, a blank, a letter, a form feed, a NUL, a tab,
+# a two-byte letter and the Arabic-Indic three, which int() reads as 3
+_STRAY = _DIGITS + ",+-\n x\x0c\0\té\u0663"
 
 
 @st.composite
@@ -311,7 +314,7 @@ def _channel_files(draw):
     text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         at = draw(st.integers(min_value=0, max_value=len(text)))
-        text = text[:at] + draw(st.sampled_from(_DIGITS + ",+-\n x\x0c")) + text[at:]
+        text = text[:at] + draw(st.sampled_from(_STRAY)) + text[at:]
     return text
 
 
@@ -330,7 +333,7 @@ def _verify_outcome(path: str) -> tuple[int, str, str]:
     return _outcome(["verify", "--weights", path, "--P", "24", "--N", "4", "--signed"])
 
 
-@given(text=st.one_of(_channel_files(), st.text(_DIGITS + ",+-\n x\x0c", max_size=30)))
+@given(text=st.one_of(_channel_files(), st.text(_STRAY, max_size=30)))
 @example(text="1\n,2\n")
 @example(text="1,\n2")
 @example(text="1+\n\n2")
@@ -352,6 +355,35 @@ def test_verify_whole_file_path_matches_line_by_line(text):
         whole = _verify_outcome(path)
         monkeypatch.setattr(cli, "_whole_file_rows", lambda text: None)
         assert _verify_outcome(path) == whole
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"1,2\n3\n", b"1,2\r\n3\r\n", b"1,2\r3", b"1\r\n2\r3\n4", b"1,2\r", b"1\r\r\n2", b"", b"\r"],
+    ids=["LF only", "CRLF", "lone CR", "mixed", "trailing CR", "CR CRLF", "empty", "CR alone"],
+)
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_read_text_reads_every_line_break_as_lf(tmp_path, monkeypatch, data, from_stdin):
+    path = tmp_path / "channels.txt"
+    path.write_bytes(data)
+    if from_stdin:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert cli._read_text("-" if from_stdin else str(path)) == data.decode().replace("\r\n", "\n").replace("\r", "\n")
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_verify_a_crlf_file_prints_what_its_lf_copy_prints(tmp_path, capsys, signed):
+    # a file of verify_wide's shape: 64 rows of 8-bit codes, K from 64 to 512
+    rng = np.random.default_rng(7)
+    text = "".join(
+        ",".join(map(str, rng.integers(-128, 128, size=K).tolist())) + "\n" for K in rng.permutation([64, 128, 256, 512] * 16)
+    )
+    outcomes = []
+    for name, body in (("lf.txt", text), ("crlf.txt", text.replace("\n", "\r\n"))):
+        (tmp_path / name).write_bytes(body.encode())
+        outcomes.append(run(capsys, "verify", "--weights", str(tmp_path / name), "--P", "24", "--N", "8", *["--signed"] * signed))
+    assert outcomes[0] == outcomes[1]
+    assert len(outcomes[0][1].splitlines()) == 64
 
 
 def test_verify_stdin_reads_line_breaks_as_a_file_does(tmp_path, monkeypatch, capsys):
@@ -976,6 +1008,36 @@ def test_analyze_checkpoint_act_exp_is_not_coerced(tmp_path, capsys):
     path.write_text(json.dumps(_one_channel_layer(act_exp="0.5")))
     err = assert_input_error(capsys, "analyze", "--ckpt", str(path), "--M", "4", "--N", "4")
     assert err == f"error: bad checkpoint {path}: act_exp must be a real number, got '0.5'\n"
+
+
+@pytest.mark.parametrize(
+    "channel, bias, message",
+    [
+        ({"t": "1.5"}, [0.0], "t must be a real number, got '1.5'"),
+        ({"d": True}, [0.0], "d must be a real number, got True"),
+        ({}, [True], "bias must be a real number, got True"),
+        ({"v": [True, 0.5]}, [0.0], "V must be a real number, got True"),
+        ({"v": ["1", "-1"]}, [0.0], "V must be a real number, got '1'"),
+        ({"t": 10**400}, [0.0], "t must be an array of floats: int too large to convert to float"),
+    ],
+    ids=["string t", "bool d", "bool bias", "bool and float v", "string v", "int past float range"],
+)
+def test_analyze_checkpoint_arrays_are_not_coerced(tmp_path, capsys, channel, bias, message):
+    # numpy read "1.5" as 1.5 and true, even beside a float, as 1.0, and an
+    # int past float range escaped as an OverflowError
+    payload = _quantized_checkpoint([{"v": [1.0, -1.0], "t": 1.0, "d": 0.0, **channel}])
+    payload["layers"][0]["bias"] = bias
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(payload))
+    err = assert_input_error(capsys, "analyze", "--ckpt", str(path), "--M", "4", "--N", "4")
+    assert err == f"error: bad checkpoint {path}: {message}\n"
+
+
+def test_analyze_float_checkpoint_weights_are_not_coerced(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"kind": "float", "layers": [{"channels": [{"w": ["0.5", -1.0]}]}]}))
+    err = assert_input_error(capsys, "analyze", "--ckpt", str(path), "--M", "4", "--N", "4")
+    assert err == f"error: bad checkpoint {path}: w must be a real number, got '0.5'\n"
 
 
 def test_analyze_subnormal_float_channel_exits_3(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accq import intsim
+from accq.bounds import int_range
 from accq.errors import EnumerationBudgetError, InvalidBitWidthError, NonFiniteInputError
 from accq.intsim import (
     AccumulatorSpec,
@@ -662,6 +663,24 @@ def test_certify_int64_route_matches_python_ints(block, ragged, N, signed, P):
     # plain Python values, so accq verify's JSON cannot tell the routes apart
     for cert in as_arrays + as_block + mixed:
         assert [type(v) for v in cert] == [int, int, int, bool, bool]
+
+
+@pytest.mark.parametrize("N, signed", [(1, False), (3, True), (8, False), (8, True)])
+def test_closed_forms_int64_route_at_its_default_size_matches_python_ints(N, signed):
+    # ragged rows of 256 codes or more in all, so the int64 route runs at its
+    # own threshold: all-positive and all-negative rows whose B sits just
+    # under the 2^62 guard, all-zero rows and mixed ones
+    c, d = int_range(N, signed)
+    K_max = 128
+    q_max = (intsim._INT64_GUARD - 1) // (K_max * max(-c, d))
+    rng = np.random.default_rng(N + signed)
+    rows = [[q_max] * K_max, [-q_max] * K_max, [0] * 5, [0], [-q_max] * 3, [q_max, -q_max, 0]]
+    rows += [rng.integers(-q_max, q_max, size=K, endpoint=True).tolist() for K in (1, 2, 17, 64, 100)]
+    assert sum(map(len, rows)) >= intsim._INT64_MIN_CODES
+    assert K_max * q_max * max(-c, d) < intsim._INT64_GUARD <= K_max * (q_max + 1) * max(-c, d)
+    want = intsim._closed_forms(rows, c, d)  # lists of Python ints: no int64 anywhere
+    assert intsim._closed_forms([np.array(row, dtype=np.int64) for row in rows], c, d) == want
+    assert want[1][:2] == [d * q_max * K_max, -c * q_max * K_max]
 
 
 _ARRAY_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]

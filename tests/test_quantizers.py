@@ -14,10 +14,13 @@ from accq.bounds import MAX_WEIGHT_BITS, BitWidths, a2q_limit, a2q_plus_limit, i
 from accq.errors import NonFiniteInputError
 from accq.intsim import AccumulatorSpec, check_accumulator
 from accq import quantizers
+from accq.epinit import ep_init, ep_init_layer, project_l1_ball
+from accq.qat import QuantLinear
 from accq.quantizers import (
     K_MIN_CENTER,
     ChannelWeights,
     Variant,
+    finite_vector,
     forward_weights,
     quantize_layer,
 )
@@ -691,6 +694,72 @@ def test_a_layer_given_as_lists_quantizes_as_arrays():
 def test_a_layer_that_is_not_float_arrays_is_a_value_error_naming_it(V, t, name):
     with pytest.raises(ValueError, match=f"^{name} must be an array of floats"):
         quantize_layer(V, t, [0.0] * len(t), BitWidths(4, 4, 12), Variant.A2Q)
+
+
+_LAYER = {"V": [[1.0, -0.5], [0.25, 2.0]], "t": [0.0, 1.0], "d": [-3.0, -2.0], "bias": [0.0, 0.0]}
+_ROW = [1.0, -0.5]
+
+
+def _layer_site(call, name):
+    # a call on the layer above with one field replaced
+    return lambda x: call(**{**_LAYER, name: x}), name, _LAYER[name]
+
+
+# every array field: (its call on one value, the name its errors use, a good value)
+ARRAY_SITES = {
+    **{f"quantize_layer {n}": _layer_site(lambda V, t, d, bias: quantize_layer(V, t, d, _bits(), Variant.A2Q), n) for n in "Vtd"},
+    **{f"QuantLinear {n}": _layer_site(lambda **f: QuantLinear(bits=_bits(), **f), n) for n in ("V", "t", "d", "bias")},
+    "ChannelWeights v": (lambda x: ChannelWeights(v=x, t=0.0, d=0.0), "v", _ROW),
+    "finite_vector": (lambda x: finite_vector(x, "x"), "x", _ROW),
+    "ep_init": (lambda x: ep_init(x, _bits()), "w", _ROW),
+    "ep_init_layer": (lambda x: ep_init_layer(x, _bits()), "w", _LAYER["V"]),
+    "project_l1_ball": (lambda x: project_l1_ball(x, 1.0), "w", _ROW),
+}
+
+
+def _first_entry(value, entry):
+    # value with its first entry replaced, nested lists kept
+    if isinstance(value[0], list):
+        return [_first_entry(value[0], entry), *value[1:]]
+    return [entry, *value[1:]]
+
+
+# ways numpy reads a non-number as a float: entries beside floats, and whole ndarrays
+_NOT_REALS = {
+    "string entry": lambda good: _first_entry(good, "1.5"),
+    "bool entry": lambda good: _first_entry(good, True),
+    "numpy bool entry": lambda good: _first_entry(good, np.True_),
+    "bool ndarray": lambda good: np.array(good, dtype=bool),
+    "string ndarray": lambda good: np.array(good).astype(str),
+}
+
+
+@pytest.mark.parametrize("make", _NOT_REALS.values(), ids=_NOT_REALS.keys())
+@pytest.mark.parametrize("site", ARRAY_SITES.values(), ids=ARRAY_SITES.keys())
+def test_an_array_field_refuses_strings_and_bools_by_name(site, make):
+    call, name, good = site
+    call(good)
+    call(np.array(good, dtype=np.float32))
+    call((np.array(good) * 4).astype(np.int64))
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        call(make(good))
+
+
+@pytest.mark.parametrize("bits", [None, (4, 4, 12), [4, 4, 12]], ids=["None", "tuple", "list"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bits: quantize_layer(_LAYER["V"], _LAYER["t"], _LAYER["d"], bits, Variant.A2Q),
+        lambda bits: forward_weights(ChannelWeights(v=_ROW, t=0.0, d=0.0), bits, Variant.A2Q),
+        lambda bits: ep_init_layer(_LAYER["V"], bits),
+        lambda bits: ep_init(_ROW, bits),
+    ],
+    ids=["quantize_layer", "forward_weights", "ep_init_layer", "ep_init"],
+)
+def test_bits_that_are_not_a_bitwidths_are_refused_by_name(call, bits):
+    # None once failed inside _plan_rows on bits.P, a list on hashing its cache key
+    with pytest.raises(ValueError, match=re.escape(f"bits must be a BitWidths, got {bits!r}")):
+        call(bits)
 
 
 @pytest.mark.parametrize("name", ["t", "d"])
