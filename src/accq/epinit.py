@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import BitWidths, _real_field
 from .errors import NonFiniteInputError, NonPositiveRadiusError
-from .quantizers import ChannelWeights, Variant, _bit_plan, _float_array, _layer_arrays, _plan_rows
+from .quantizers import ChannelWeights, Variant, _float_array, _layer_arrays, _plan_rows
 
 # exponent used when a channel (or its norm) is identically zero; 2^-30 is far
 # below any realistic scale but keeps every downstream log finite
@@ -119,10 +119,10 @@ def ep_init_layer(W, bits: BitWidths, variant: Variant = Variant.A2Q) -> tuple[n
     that is not finite, whose mass or floor leaves float range, or whose
     max-abs scale underflows to 0 raises NonFiniteInputError, as does a string
     or bool entry; a W that is not (C, K) with C, K >= 1 raises ValueError
-    naming its shape, and bits that are not a BitWidths one naming bits.
+    naming its shape, and bits or a variant of the wrong kind one naming it.
     """
     V = _layer_arrays(w=W)[0].copy()  # a fresh array, so ep_init's v never aliases w
-    limit = _plan_rows(V.shape[1], _bit_plan(bits, 1), variant).budget[0]
+    limit = _plan_rows(V.shape[1], ((bits, 1),), variant).budget[0]
     mags = np.abs(V)
     masses = l1_masses(mags, "w")
     scales = max_abs_scales(mags, bits.M)

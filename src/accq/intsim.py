@@ -102,7 +102,7 @@ def _int_vector(q) -> list[int]:
             as_int = int(item)
         except (TypeError, ValueError, OverflowError):  # nan / inf / not a number
             raise NonFiniteInputError(f"integer code expected, got {item!r}") from None
-        if as_int != item:
+        if as_int != item or np.asarray(item).dtype.kind == "b":  # int(True) is 1: a flag is no code
             raise NonFiniteInputError(f"integer code expected, got {item!r}")
         out.append(as_int)
     return out

@@ -18,8 +18,8 @@ never touch the overflow analysis.
 Layers that share a fan-in K form one group, which owns their V, t, d and bias
 in one flat float buffer that each layer views by rows; each step quantizes and
 backprops through the quantizer in one call per group.  backward builds each
-group's gradients in one fresh buffer laid out like that one, and writes them
-and every temporary it makes in place; the forward's stores, tapes and
+group's gradients in one fresh buffer laid out like that one, assigning the
+quantizer's fresh dV, dt and dd into it; the forward's stores, tapes and
 quantizer records are only read.  sgd_step adds weight decay and the hinge into
 that buffer, steps the group's buffer by it in one expression and checks it.
 A layer's activation exponent stays its own float.
@@ -466,8 +466,8 @@ def backward(net: ToyNetwork, stores: list[_LayerStore], d_pred) -> list[GroupGr
 
     Each group's gradients fill one fresh buffer laid out like its flat: each
     layer writes its weight and bias gradients into its rows there, and the
-    quantizer's backward turns the weight gradients into dV, dt and dd in
-    place.  The stores, their tapes and records, and d_pred are only read.
+    fresh dV, dt and dd the quantizer's backward returns are assigned into
+    it.  The stores, their tapes and records, and d_pred are only read.
     Nothing reads the first layer's input gradient, so it is not formed.
     """
     n = len(net.layers)
@@ -495,7 +495,7 @@ def backward(net: ToyNetwork, stores: list[_LayerStore], d_pred) -> list[GroupGr
     grads = []
     for group, flat, (dV, dt, dd, db) in zip(net.groups, flats, views):
         quant = stores[group.layers[0]].quant
-        (quant.backward if quantize else quant.backward_smooth)(dV, out=(dV, dt, dd))
+        dV[...], dt[...], dd[...] = (quant.backward if quantize else quant.backward_smooth)(dV)
         grads.append(GroupGrads(group, flat, dV, dt, dd, quant, db, [da[i] for i in group.layers]))
     return grads
 
@@ -635,10 +635,11 @@ def channel_cdf(layers, bits: BitWidths, p_range=range(2, 33)) -> list[tuple[int
 
     For each P, the fraction of rows whose l1 mass (epinit.l1_masses) over
     their max-abs scale (epinit.max_abs_scales) fits the uncentered budget at
-    (P, N).  Nondecreasing in P.  NonFiniteInputError when a row's mass is not
+    (P, N).  Nondecreasing in P.  Each layer is read as quantize_layer reads
+    V, its errors naming w; NonFiniteInputError also when a row's mass is not
     finite or its scale underflows.
     """
-    mags = [np.abs(W) for W in layers]
+    mags = [np.abs(_layer_arrays(w=W)[0]) for W in layers]
     scaled = np.concatenate([np.empty(0)] + [l1_masses(m, "w") / max_abs_scales(m, bits.M) for m in mags])
     if not scaled.size:
         raise ValueError("need at least one channel")

@@ -121,18 +121,16 @@ class QuantizedLayer:
     Backprop state: w = u * G is the pre-round weights, with u = c / n1 the
     l1-normalized (centered, for A2Q+) direction, G = min(g, T) per row and
     pre = w / s.  A degenerate row (all zero after centering) carries u = 0
-    and G = 0, which zero every gradient of it.  For A2Q, c is the V passed
-    in, not a copy: the trainer passes its live group stack, which the next
-    SGD step updates in place, and reads no record after that step.
+    and G = 0, which zero every gradient of it.  The record owns its arrays:
+    none shares memory with the V, t or d it was made from.
 
     backward() differentiates the quantized output under the clipped
     straight-through convention: rounding has unit slope inside the code
     range, while saturated weights block the path into v and t and feel only
     the scale through their pinned code.  backward_smooth() differentiates the
     pre-round weights w, the reference for finite-difference checks.  Both take
-    a (C, K) upstream gradient and return (dV (C, K), dt (C,), dd (C,)), built
-    in out=(dV, dt, dd) when given; dV may be the upstream gradient itself.
-    Neither writes into the record or, unless it is dV, the upstream gradient.
+    a (C, K) upstream gradient and return fresh arrays (dV (C, K), dt (C,),
+    dd (C,)); neither writes into the record or the upstream gradient.
     """
 
     q: np.ndarray
@@ -158,32 +156,28 @@ class QuantizedLayer:
     def K(self) -> int:
         return self.u.shape[1]
 
-    def backward_smooth(self, dw: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def backward_smooth(self, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gradient of w = (c/||c||_1) * min(g, T) w.r.t. V, t, d."""
         dw = np.asarray(dw, dtype=float)
-        dv, dt, dd = out or (np.empty(self.u.shape), *np.empty((2, len(self.u))))
-        # dG is read off dw before dv, which dw may be, holds du = dw * G and
-        # then dc = (du - sign(c) * <du, u>) / n1
         dG = np.vecdot(dw, self.u)
-        np.multiply(dw, self.G[:, None], out=dv)
+        # dv holds du = dw * G and then dc = (du - sign(c) * <du, u>) / n1
+        dv = dw * self.G[:, None]
         dv -= np.sign(self.c) * np.vecdot(dv, self.u)[:, None]
         dv /= self.n1[:, None]
         if self.variant is Variant.A2Q_PLUS:
             dv -= (np.add.reduce(dv, axis=1) / self.K)[:, None]
         # G is g on the gate and T = s * budget off it, and dT/dd = T ln 2
         d_exp = dG * self.G * LN2
-        dt[...] = np.where(self.gate_on_g, d_exp, 0.0)
-        dd[...] = np.where(self.gate_on_g, 0.0, d_exp)
-        return dv, dt, dd
+        return dv, np.where(self.gate_on_g, d_exp, 0.0), np.where(self.gate_on_g, 0.0, d_exp)
 
-    def backward(self, d_qw: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def backward(self, d_qw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         d_qw = np.asarray(d_qw, dtype=float)
-        # d(s*q)/ds: rounding residual q - w/s in range, the saturated code outside,
-        # then chain s = 2^d; read before out[0], which d_qw may be, is written
+        # d(s*q)/ds: rounding residual q - w/s in range, the saturated code
+        # outside, then chain s = 2^d
         resid = self.q - self.pre
         np.copyto(resid, self.q, where=~self.in_range)
         d_scale = np.vecdot(d_qw, resid)
-        dv, dt, dd = self.backward_smooth(np.multiply(d_qw, self.in_range, out=out and out[0]), out)
+        dv, dt, dd = self.backward_smooth(d_qw * self.in_range)
         dd += d_scale * self.s * LN2
         return dv, dt, dd
 
@@ -218,7 +212,8 @@ class PlanRows(NamedTuple):
     active is the variant that runs, which differs from the one asked for
     on a fallback.  bound holds each row's exact l1 budget, budget the
     same as a float (for T) and cap its integer floor.  lo and hi are the
-    weight-code clip limits as (C, 1) columns.
+    weight-code clip limits as (C, 1) columns.  l1_dtype sums the codes' l1
+    masses: object (Python ints) where K of them can reach 2^63, else int64.
     """
 
     active: Variant
@@ -227,27 +222,29 @@ class PlanRows(NamedTuple):
     cap: list[int]
     lo: np.ndarray
     hi: np.ndarray
+    l1_dtype: type
 
 
-def _bit_plan(bits: BitWidths, rows: int) -> BitPlan:
-    """The plan of rows rows at bits, checked before _plan_rows's cache hashes it: ValueError naming bits unless a BitWidths."""
-    if not isinstance(bits, BitWidths):
-        raise ValueError(f"bits must be a BitWidths, got {bits!r}")
-    return ((bits, rows),)
-
-
-@functools.lru_cache(maxsize=1024)
 def _plan_rows(K: int, plan: BitPlan, variant: Variant) -> PlanRows:
     """The one budget rule: the plan's PlanRows, derived once per (K, plan, variant).
 
     A2Q+ runs when K >= K_MIN_CENTER, else A2Q, since centering would zero a
-    shorter row out.  A variant that is not a Variant member, such as its
-    value "a2q+", is a ValueError naming it.  The cache key hashes every
-    BitWidths of the plan, so a caller that quantizes the same plan every
-    step derives its rows once and calls _quantize_rows with them.
+    shorter row out.  bits that are not a BitWidths, and a variant that is
+    not a Variant member, such as its value "a2q+", are a ValueError naming
+    them, checked before the cache key hashes them.  A caller that quantizes
+    the same plan every step derives its rows once and calls _quantize_rows
+    with them.
     """
+    for bits, _ in plan:
+        if not isinstance(bits, BitWidths):
+            raise ValueError(f"bits must be a BitWidths, got {bits!r}")
     if not isinstance(variant, Variant):
         raise ValueError(f"variant must be a Variant member, got {variant!r}")
+    return _derive_rows(K, plan, variant)
+
+
+@functools.lru_cache(maxsize=1024)
+def _derive_rows(K: int, plan: BitPlan, variant: Variant) -> PlanRows:
     active = variant if K >= K_MIN_CENTER else Variant.A2Q
     bound, budget, cap, ranges = [], [], [], []
     for bits, n in plan:
@@ -260,7 +257,8 @@ def _plan_rows(K: int, plan: BitPlan, variant: Variant) -> PlanRows:
         cap += [limit.numerator // limit.denominator] * n
         ranges += [int_range(bits.M, signed=True)] * n
     lo, hi = np.array(ranges, dtype=float).T[:, :, None]
-    return PlanRows(active, bound, budget, cap, lo, hi)
+    # a code's magnitude is at most -lo, 2^(M-1); an int64 sum of K of them wraps from 2^63 on
+    return PlanRows(active, bound, budget, cap, lo, hi, object if K * -lo.min() >= 2.0**63 else np.int64)
 
 
 def _shrink_rows(q: np.ndarray, rows: list[int], cap: list[int]) -> np.ndarray:
@@ -300,18 +298,18 @@ def quantize_layer(V: np.ndarray, t: np.ndarray, d: np.ndarray, bits: BitWidths,
     the bit widths bits and, sharing K, the variant that runs.  V, t and d may
     be any array-likes of real numbers.  Raises ValueError naming V's shape
     unless C, K >= 1 (ragged rows named too), t's or d's unless (C,), or bits
-    unless a BitWidths; NonFiniteInputError unless all three are finite real
-    numbers (a string or bool entry is not); OverflowError when a norm or
-    scale exponent leaves float range, a scale underflowing to 0 included.
+    or variant of the wrong kind; NonFiniteInputError unless all three are
+    finite real numbers (a string or bool entry is not); OverflowError when a
+    norm or scale exponent leaves float range, a scale underflowing to 0 included.
     """
     V, t, d = _layer_arrays(V=V, t=t, d=d)
-    return _quantize_rows(V, t, d, _plan_rows(V.shape[1], _bit_plan(bits, len(V)), variant))
+    return _quantize_rows(V, t, d, _plan_rows(V.shape[1], ((bits, len(V)),), variant))
 
 
 def _quantize_rows(V: np.ndarray, t: np.ndarray, d: np.ndarray, plan_rows: PlanRows) -> QuantizedLayer:
     """quantize_layer's core, given the PlanRows of a bit plan that covers V's rows, as the trainer calls it."""
     C, K = V.shape
-    active, bound, budget, cap, lo, hi = plan_rows
+    active, bound, budget, cap, lo, hi, l1_dtype = plan_rows
     # 2^t, 2^d and T = s * budget per row in Python floats: np.exp2 differs
     # from Python's pow in the last bit, Python's pow raises OverflowError
     # where numpy returns inf, and an overflowing T stays a silent inf
@@ -328,7 +326,7 @@ def _quantize_rows(V: np.ndarray, t: np.ndarray, d: np.ndarray, plan_rows: PlanR
         # cancel badly; one refinement pass makes sum(c) eps-small relative to c
         c = c - np.add.reduce(c, axis=1, keepdims=True) / float(K)
     else:
-        c = V
+        c = V.copy()
     n1 = np.add.reduce(np.abs(c), axis=1)
     gate_on_g = g <= T
     G = np.minimum(g, T)
@@ -353,13 +351,13 @@ def _quantize_rows(V: np.ndarray, t: np.ndarray, d: np.ndarray, plan_rows: PlanR
     if np.count_nonzero(over):
         q = np.where(over, q - np.sign(q), q)
         qw = s_col * q
-    l1 = np.add.reduce(np.abs(q), axis=1).tolist()
+    l1 = np.add.reduce(np.abs(q), axis=1, dtype=l1_dtype).tolist()
     # the exact certificate: l1 <= limit in integers, i.e. l1 <= floor(limit)
     ok = [x <= y for x, y in zip(l1, cap)]
     if not all(ok):
         q = _shrink_rows(q, [i for i, fits in enumerate(ok) if not fits], cap)
         qw = s_col * q
-        l1 = np.abs(q).sum(axis=1).tolist()
+        l1 = np.add.reduce(np.abs(q), axis=1, dtype=l1_dtype).tolist()
         ok = [x <= y for x, y in zip(l1, cap)]
 
     return QuantizedLayer(
@@ -375,6 +373,6 @@ def forward_weights(ch: ChannelWeights, bits: BitWidths, variant: Variant) -> tu
     ChannelWeights has checked its input.  The one view is returned twice, as
     the (result, tape) pair the benchmark's quantize_audit workload unpacks.
     """
-    plan_rows = _plan_rows(ch.K, _bit_plan(bits, 1), variant)
+    plan_rows = _plan_rows(ch.K, ((bits, 1),), variant)
     row = WeightTape(_quantize_rows(ch.v[None], np.array([ch.t]), np.array([ch.d]), plan_rows))
     return row, row

@@ -524,6 +524,23 @@ def test_non_integer_weights_rejected():
     assert wit.true_max == 6
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: certify([[True, 2]], 4, False, AccumulatorSpec(12)),
+        lambda: certify(np.array([[True, False]]), 4, False, AccumulatorSpec(12)),
+        lambda: check_accumulator([2, np.True_], 4, False, AccumulatorSpec(12)),
+        lambda: exhaustive_check([False, 1], 4, False, AccumulatorSpec(12)),
+        lambda: wrap(True, 8),
+    ],
+    ids=["certify list", "certify bool array", "check_accumulator numpy bool", "exhaustive_check", "wrap"],
+)
+def test_a_bool_is_not_an_integer_code(call):
+    # int(True) is 1, so a flag once passed for the code 1
+    with pytest.raises(NonFiniteInputError, match=r"^integer code expected, got (np\.)?(True|False)_?$"):
+        call()
+
+
 def test_verify_domination():
     assert verify_domination([0.5, -0.7], s=0.25, q=[2, -2])
     # magnitude grows: 3 * 0.25 > 0.7

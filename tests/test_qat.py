@@ -832,6 +832,22 @@ def test_channel_cdf_monotone_and_zero_channel():
     assert all(f == 1.0 for _, f in flat)
 
 
+@pytest.mark.parametrize(
+    "layers, match",
+    [
+        ([[["1", 2.0]]], "w must be a real number, got '1'"),
+        ([[[True, 2.0]]], "w must be a real number, got True"),
+        ([np.array([[1.0, np.nan]])], "w must be finite"),
+        ([[1.0, 2.0]], "w must be a (C, K) array with C, K >= 1, got shape (2,)"),
+        ([np.zeros((2, 3)), np.zeros((0, 3))], "w must be a (C, K) array with C, K >= 1, got shape (0, 3)"),
+    ],
+    ids=["string", "bool", "nan", "1-d", "empty layer"],
+)
+def test_channel_cdf_reads_each_layer_as_the_quantizer_does(layers, match):
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        channel_cdf(layers, BitWidths(M=4, N=4, P=12), p_range=range(10, 11))
+
+
 # ---------------------------------------------------------------- certificates
 
 def test_certify_exhaustive_path_on_tiny_channels():

@@ -15,7 +15,7 @@ from accq.errors import NonFiniteInputError
 from accq.intsim import AccumulatorSpec, check_accumulator
 from accq import quantizers
 from accq.epinit import ep_init, ep_init_layer, project_l1_ball
-from accq.qat import QuantLinear
+from accq.qat import QuantLinear, ToyNetwork
 from accq.quantizers import (
     K_MIN_CENTER,
     ChannelWeights,
@@ -482,30 +482,53 @@ def test_layer_rows_equal_single_channel_calls(variant, K):
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("K", [1, 2, 7])
 def test_layer_backward_writes_only_its_result(name, variant, K):
-    # without out=, with a separate out= and with out[0] aliasing the upstream
-    # gradient, the same bits come back, and the record and the upstream
-    # gradient (unless it is out[0]) are left as they were
+    # fresh gradients, the same bits on every call, sharing no memory with the
+    # upstream gradient or the record, and both left as they were
     bits = BitWidths(M=3, N=4, P=10)
     layer = quantize_layer(*_mixed_layer(K, bits), bits, variant)
-
-    def record():
-        return [(f, v.tobytes()) for f, v in vars(layer).items() if isinstance(v, np.ndarray)]
-
-    before = record()
+    arrays = [v for v in vars(layer).values() if isinstance(v, np.ndarray)]
+    before = [v.tobytes() for v in arrays]
     up = RNG(47).normal(size=layer.u.shape)
     want = getattr(layer, name)(up.copy())
-    C, aliased = len(up), up.copy()
-    cases = [
-        (up, None),
-        (up, (np.full((C, K), np.nan), np.full(C, np.nan), np.full(C, np.nan))),
-        (aliased, (aliased, np.full(C, np.nan), np.full(C, np.nan))),
-    ]
-    for dw, out in cases:
-        got = getattr(layer, name)(dw, out=out)
-        assert out is None or all(g is o for g, o in zip(got, out, strict=True))
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-        assert record() == before
+    got = getattr(layer, name)(up)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert not any(np.shares_memory(g, x) for g in got for x in (up, *arrays))
+    assert [v.tobytes() for v in arrays] == before
     assert up.tobytes() == RNG(47).normal(size=layer.u.shape).tobytes()
+    with pytest.raises(TypeError, match="out"):  # no output buffer to alias
+        getattr(layer, name)(up, out=None)
+
+
+@given(
+    variant=st.sampled_from(list(Variant)),
+    rows=st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6), min_size=1, max_size=4),
+    first=st.sampled_from([None, 0.0, 2.5]),
+    t_shift=st.floats(-4.0, 4.0),
+    d=st.floats(-12.0, 2.0),
+)
+@example(variant=Variant.A2Q, rows=[[1.5]], first=None, t_shift=0.0, d=-3.0)
+@example(variant=Variant.A2Q_PLUS, rows=[[1.5, -2.0], [0.5, 0.25]], first=2.5, t_shift=4.0, d=-3.0)
+@settings(max_examples=100, deadline=None)
+def test_a_record_owns_its_arrays(variant, rows, first, t_shift, d):
+    # no array of a record shares memory with the V, t or d it was made
+    # from, and mutating them afterwards leaves every field's bytes as they were;
+    # first, when set, makes row 0 all zero or constant (degenerate once centered)
+    K = len(rows[0])
+    V = np.array([(r * K)[:K] for r in rows])
+    if first is not None:
+        V[0] = first
+    bits = BitWidths(M=4, N=4, P=16)
+    log_budget = math.log2(float(quantizers._plan_rows(K, ((bits, 1),), variant).bound[0]))
+    t, dd = np.full(len(V), d + log_budget + t_shift), np.full(len(V), d)
+    ch = ChannelWeights(v=V[0], t=float(t[0]), d=d)
+    assert np.shares_memory(ch.v, V)  # a float row is kept as given
+    for record, inputs in [(quantize_layer(V, t, dd, bits, variant), (V, t, dd)), (forward_weights(ch, bits, variant)[0].layer, (V,))]:
+        arrays = {name: v for name, v in vars(record).items() if isinstance(v, np.ndarray)}
+        assert not [name for name, v in arrays.items() if any(np.shares_memory(v, x) for x in inputs)]
+        before = {name: v.tobytes() for name, v in arrays.items()}
+        for x in inputs:
+            x += 1.0
+        assert {name: v.tobytes() for name, v in arrays.items()} == before
 
 
 @given(
@@ -538,6 +561,33 @@ def test_certificate_holds_over_every_accepted_width(M, N, P, signed, variant, r
     assert ((lo <= res.q) & (res.q <= hi)).all()
     for codes in res.q.tolist():
         assert not check_accumulator(codes, N, signed, AccumulatorSpec(P)).overflowed
+
+
+def _alternating(K: int) -> np.ndarray:
+    return np.where(np.arange(K) % 2 == 0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [_alternating(16384), RNG(0).choice([-1.0, 1.0], size=4200)],
+    ids=["mass 2^64 over its cap", "mass past 2^63"],
+)
+def test_an_l1_mass_past_int64_is_exact(row):
+    # 2^50-sized codes under the 2^64 - 2 budget at N = 1, P = 64: an int64
+    # sum once read the first row's mass as 0 and the second's as negative
+    layer = quantize_layer(row[None], [200.0], [0.0], BitWidths(52, 1, 64), Variant.A2Q_PLUS)
+    mass = sum(abs(x) for x in layer.q[0].tolist())
+    assert mass > 2**63
+    assert layer.l1_codes == [mass] and layer.bound_ok == [True]
+    assert mass <= layer.bound[0] == 2**64 - 2
+    assert not check_accumulator(layer.q[0], 1, False, AccumulatorSpec(64)).overflowed
+
+
+@pytest.mark.parametrize("K, M, dtype", [(4095, 52, np.int64), (4096, 52, object), (1024, 8, np.int64), (1 << 56, 8, object)])
+def test_the_plan_sums_l1_masses_in_python_ints_only_where_int64_can_wrap(K, M, dtype):
+    # K codes of magnitude at most 2^(M-1) can reach 2^63 from K * 2^(M-1) = 2^63 on
+    plan = ((BitWidths(8, 4, 16), 3), (BitWidths(M, 4, 16), 1))
+    assert quantizers._plan_rows(K, plan, Variant.A2Q).l1_dtype is dtype
 
 
 # ------------------------------------------------------------------- bit plans
@@ -643,15 +693,19 @@ def test_empty_or_flat_layer_is_a_value_error_naming_its_shape(shape):
         quantize_layer(np.zeros(shape), np.zeros(2), np.zeros(2), BitWidths(4, 4, 12), Variant.A2Q)
 
 
-@pytest.mark.parametrize("entry", ["_plan_rows", "quantize_layer", "forward_weights"])
-@pytest.mark.parametrize("variant", ["a2q+", "a2q", None])
+@pytest.mark.parametrize("entry", ["_plan_rows", "quantize_layer", "forward_weights", "ep_init_layer", "ep_init", "ToyNetwork"])
+@pytest.mark.parametrize("variant", ["a2q+", "a2q", None, ["a2q"], {}, {"a2q"}])
 def test_a_variant_that_is_not_a_member_is_a_value_error_naming_it(entry, variant):
-    # "a2q+" quantized under A2Q's uncentered budget, since only the member selects A2Q+'s
+    # "a2q+" quantized under A2Q's uncentered budget, since only the member
+    # selects A2Q+'s; an unhashable one once failed hashing the plan cache's key
     bits, V = BitWidths(4, 4, 12), np.array([[0.5, -1.0, 2.0]])
     calls = {
         "_plan_rows": lambda: quantizers._plan_rows(3, ((bits, 1),), variant),
         "quantize_layer": lambda: quantize_layer(V, np.zeros(1), np.full(1, -3.0), bits, variant),
         "forward_weights": lambda: forward_weights(ChannelWeights(v=V[0], t=0.0, d=-3.0), bits, variant),
+        "ep_init_layer": lambda: ep_init_layer(V, bits, variant),
+        "ep_init": lambda: ep_init(V[0], bits, variant),
+        "ToyNetwork": lambda: ToyNetwork([QuantLinear(V=V, t=np.zeros(1), d=np.full(1, -3.0), bits=bits)], variant),
     }
     with pytest.raises(ValueError, match=f"^{re.escape(f'variant must be a Variant member, got {variant!r}')}$"):
         calls[entry]()
